@@ -21,9 +21,9 @@ from .matrices import (ColumnVector, ExactMatrix, identity, is_alternating,
                        pfaffian, sigma_index as sigma,
                        standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
-from .words import (LinLetter, MuLetter, RhoLetter, Word, evaluate,
-                    expand_mu, expand_rho, invert_word, word_in_E1,
-                    word_in_ESp1)
+from .words import (LinLetter, MuLetter, RhoLetter, SympLetter, Word,
+                    check_evaluation, evaluate, expand_mu, expand_rho,
+                    invert_word, word_in_E1, word_in_ESp1)
 
 
 class AlternatingForm:
@@ -93,26 +93,24 @@ def _check_isometry(m, form_matrix):
                                  "the extended form")
 
 
-def rho_matrix(q, alpha, phi):
-    """Row-type transvection matrix for the form phi, isometry-checked."""
+def _checked_block(letter_cls, q, scalar, phi):
     fm = phi.matrix if isinstance(phi, AlternatingForm) else phi
     if q.length != fm.rows:
         raise FormMismatch("vector length %d against form size %d"
                            % (q.length, fm.rows))
-    m = RhoLetter(q, alpha, fm).matrix()
+    m = letter_cls(q, scalar, fm).matrix()
     _check_isometry(m, fm)
     return m
+
+
+def rho_matrix(q, alpha, phi):
+    """Row-type transvection matrix for the form phi, isometry-checked."""
+    return _checked_block(RhoLetter, q, alpha, phi)
 
 
 def mu_matrix(q, beta, phi):
     """Column-type transvection matrix for the form phi, isometry-checked."""
-    fm = phi.matrix if isinstance(phi, AlternatingForm) else phi
-    if q.length != fm.rows:
-        raise FormMismatch("vector length %d against form size %d"
-                           % (q.length, fm.rows))
-    m = MuLetter(q, beta, fm).matrix()
-    _check_isometry(m, fm)
-    return m
+    return _checked_block(MuLetter, q, beta, phi)
 
 
 def linear_transvection_matrix(kind, vec, n=None):
@@ -153,87 +151,71 @@ def _checked_certs(vec, certs):
     return certs
 
 
-class LowerTransLetter:
+class _ShearLetter:
+    """Linear shear between the head coordinate and the tail as a word
+    letter; subclasses place vector entry idx (0-based) at cell(idx)."""
+
+    __slots__ = ("vec", "certs", "size")
+    __hash__ = None
+
+    def __init__(self, vec, certs=None):
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "certs", _checked_certs(vec, certs))
+        object.__setattr__(self, "size", vec.length + 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("letters are immutable")
+
+    @property
+    def ring(self):
+        return self.vec.ring
+
+    def column_ops(self, inverted=False):
+        ops = []
+        for idx in range(self.vec.length):
+            p = self.vec.entry(idx + 1)
+            if p.is_zero():
+                continue
+            ops.append(self.cell(idx) + (-p if inverted else p,))
+        return tuple(ops)
+
+    def matrix(self, inverted=False):
+        v = -self.vec if inverted else self.vec
+        return linear_transvection_matrix(self.direction, v)
+
+    def __repr__(self):
+        return "shear-%s(%r)" % (self.direction, self.vec)
+
+
+class LowerTransLetter(_ShearLetter):
     """Tail shear (a, p) -> (a, p + a*vec) as a word letter."""
 
     kind = "trans-lower"
-    __slots__ = ("vec", "certs", "size")
-    __hash__ = None
+    direction = "lower"
+    __slots__ = ()
 
-    def __init__(self, vec, certs=None):
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "certs", _checked_certs(vec, certs))
-        object.__setattr__(self, "size", vec.length + 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
-    @property
-    def ring(self):
-        return self.vec.ring
-
-    def column_ops(self, inverted=False):
-        ops = []
-        for idx in range(self.vec.length):
-            p = self.vec.entry(idx + 1)
-            if p.is_zero():
-                continue
-            ops.append((idx + 2, 1, -p if inverted else p))
-        return tuple(ops)
-
-    def matrix(self, inverted=False):
-        v = -self.vec if inverted else self.vec
-        return linear_transvection_matrix("lower", v)
-
-    def __repr__(self):
-        return "shear-lower(%r)" % (self.vec,)
+    @staticmethod
+    def cell(idx):
+        return idx + 2, 1
 
 
-class UpperTransLetter:
+class UpperTransLetter(_ShearLetter):
     """Head shear (a, p) -> (a + vec.p, p) as a word letter."""
 
     kind = "trans-upper"
-    __slots__ = ("vec", "certs", "size")
-    __hash__ = None
+    direction = "upper"
+    __slots__ = ()
 
-    def __init__(self, vec, certs=None):
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "certs", _checked_certs(vec, certs))
-        object.__setattr__(self, "size", vec.length + 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
-    @property
-    def ring(self):
-        return self.vec.ring
-
-    def column_ops(self, inverted=False):
-        ops = []
-        for idx in range(self.vec.length):
-            p = self.vec.entry(idx + 1)
-            if p.is_zero():
-                continue
-            ops.append((1, idx + 2, -p if inverted else p))
-        return tuple(ops)
-
-    def matrix(self, inverted=False):
-        v = -self.vec if inverted else self.vec
-        return linear_transvection_matrix("upper", v)
-
-    def __repr__(self):
-        return "shear-upper(%r)" % (self.vec,)
+    @staticmethod
+    def cell(idx):
+        return 1, idx + 2
 
 
 def etrans_word_to_E1(w):
     """Spell linear shear letters as certified first-index generators."""
     out = []
     for letter, inv in w.letters:
-        if letter.kind == "trans-lower":
-            place = lambda idx: (idx + 2, 1)
-        elif letter.kind == "trans-upper":
-            place = lambda idx: (1, idx + 2)
-        else:
+        if not isinstance(letter, _ShearLetter):
             raise BadIndices("expected linear shear letters, got %r"
                              % (letter.kind,))
         for idx in range(letter.vec.length):
@@ -243,13 +225,11 @@ def etrans_word_to_E1(w):
             c = None if letter.certs is None else letter.certs[idx]
             if c is None:
                 raise NotCertified("shear parameters need certificates")
-            i, j = place(idx)
+            i, j = letter.cell(idx)
             out.append((LinLetter(w.size, i, j, p, c), inv))
     result = Word(w.ring, w.size, out)
-    got, want = evaluate(result), evaluate(w)
-    if got != want:
-        raise VerificationFailed("translated word changed the evaluation "
-                                 "at %r" % (got.first_mismatch(want),))
+    check_evaluation(result, evaluate(w),
+                     "translated word changed the evaluation")
     return result
 
 
@@ -308,10 +288,8 @@ def E1_to_etrans(w, ideal=None):
         state = (direction, vals, certs, certs_ok)
     flush()
     result = Word(ring, w.size, out)
-    got, want = evaluate(result), evaluate(w)
-    if got != want:
-        raise VerificationFailed("regrouped word changed the evaluation "
-                                 "at %r" % (got.first_mismatch(want),))
+    check_evaluation(result, evaluate(w),
+                     "regrouped word changed the evaluation")
     return result
 
 
@@ -326,17 +304,12 @@ def etranssp_word_to_ESp1(w):
         if letter.form != std:
             raise NonstandardForm("expansion requires the standard form")
         sc, qc = (None, None) if letter.certs is None else letter.certs
-        if letter.kind == "rho":
-            sub = expand_rho(letter.q, letter.alpha, sc, qc, form=letter.form)
-        else:
-            sub = expand_mu(letter.q, letter.beta, sc, qc, form=letter.form)
+        expand = expand_rho if letter.kind == "rho" else expand_mu
+        sub = expand(letter.q, letter.scalar, sc, qc, form=letter.form)
         if inv:
             sub = invert_word(sub)
         out = out * sub
-    got, want = evaluate(out), evaluate(w)
-    if got != want:
-        raise VerificationFailed("expanded word changed the evaluation "
-                                 "at %r" % (got.first_mismatch(want),))
+    check_evaluation(out, evaluate(w), "expanded word changed the evaluation")
     return out
 
 
@@ -453,19 +426,17 @@ def ESp1_to_etranssp(w, ideal=None):
         if letter.kind != "se":
             raise BadIndices("expected symplectic letters, got %r"
                              % (letter.kind,))
-        i, j, p, c = letter.i, letter.j, letter.param, letter.cert
+        form = SympLetter.index1_form(letter.i, letter.j)
+        if form is None:
+            raise BadIndices("letters must touch the first index "
+                             "up to the pairing swap")
+        i, j, sign = form
+        p, c = letter.param, letter.cert
         if inv:
+            sign = -sign
+        if sign == -1:
             p = -p
             c = None if c is None else -c
-        if i != 1 and j != 1:
-            ni, nj = sigma(j), sigma(i)
-            if ni != 1 and nj != 1:
-                raise BadIndices("letters must touch the first index "
-                                 "up to the pairing swap")
-            if (i + j) % 2 == 0:
-                p = -p
-                c = None if c is None else -c
-            i, j = ni, nj
         direction = "rho" if j == 1 else "mu"
         if fold is None or fold.direction != direction:
             flush()
@@ -473,10 +444,8 @@ def ESp1_to_etranssp(w, ideal=None):
         fold.feed(i, j, p, c)
     flush()
     result = Word(ring, size, out)
-    got, want = evaluate(result), evaluate(w)
-    if got != want:
-        raise VerificationFailed("regrouped word changed the evaluation "
-                                 "at %r" % (got.first_mismatch(want),))
+    check_evaluation(result, evaluate(w),
+                     "regrouped word changed the evaluation")
     return result
 
 
@@ -536,10 +505,7 @@ def transport_conjugation(letter, eps, target_form=None):
                     acc = piece if acc is None else acc + piece
                 moved.append(acc if acc is not None else sc.ideal.zero_cert())
             certs = (sc, tuple(moved))
-    if letter.kind == "rho":
-        new_letter = RhoLetter(q_new, letter.alpha, phi_new, certs)
-    else:
-        new_letter = MuLetter(q_new, letter.beta, phi_new, certs)
+    new_letter = type(letter)(q_new, letter.scalar, phi_new, certs)
     big = _two_perp(emb)
     big_inv = _two_perp(emb_inv)
     if big_inv * letter.matrix() * big != new_letter.matrix():

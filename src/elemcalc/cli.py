@@ -49,11 +49,6 @@ sampling distributions used by the verify suites:
 """
 
 
-def cmd_verify(suite, trials, seed):
-    """Run one named suite; deterministic for a given seed."""
-    return run_suite(suite, trials, seed)
-
-
 def _int_field(data, key, minimum=None):
     value = data.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -267,7 +262,7 @@ def main(argv=None):
 
     if args.command == "verify":
         try:
-            report = cmd_verify(args.suite, args.trials, args.seed)
+            report = run_suite(args.suite, args.trials, args.seed)
         except ElemcalcError as e:
             sys.stderr.write("error: %s\n" % (e,))
             return 2

@@ -42,7 +42,7 @@ from .matrices import (
     zero_vector,
 )
 from .rings import CertifiedElement, half, product_certificate
-from .words import SympLetter, Word, evaluate, invert_word
+from .words import SympLetter, Word, check_evaluation, evaluate, invert_word
 
 
 class DecompositionResult:
@@ -160,16 +160,7 @@ def _scaled_params(v, size, skip, factor, cert, cert_factor):
     return params
 
 
-def _verify(word_out, closed, what):
-    got = evaluate(word_out)
-    if got != closed:
-        mism = got.first_mismatch(closed)
-        raise VerificationFailed(
-            "%s: evaluation differs from closed form at %r" % (what, mism))
-    return word_out
-
-
-def short_root_pair(v, a, b, auxiliary_pair, trace=None, verify=True):
+def short_root_pair(v, a, b, auxiliary_pair, trace=None):
     """Commutator word equal to I + a b v vtilde, built on a spare pair.
 
     v must vanish on the auxiliary pair (which may be one past the end
@@ -190,13 +181,13 @@ def short_root_pair(v, a, b, auxiliary_pair, trace=None, verify=True):
         ring, size, pbar,
         _scaled_params(v, size, (p, pbar), -bv, b, ring.el(-1)))
     out = w1 * w2 * invert_word(w1) * invert_word(w2)
-    if verify:
-        closed = identity(ring, size) + sym_outer(v) * (av * bv)
-        _verify(out, closed, "short-root-pair")
+    closed = identity(ring, size) + sym_outer(v) * (av * bv)
+    check_evaluation(out, closed,
+                     "short-root-pair: evaluation differs from closed form")
     return out
 
 
-def long_root_pair(v, w, a, b, auxiliary_pair, trace=None, verify=True):
+def long_root_pair(v, w, a, b, auxiliary_pair, trace=None):
     """Commutator word equal to I + a b (v wtilde + w vtilde).
 
     Requires tilde(w) . v = 0 and both vectors to vanish on the
@@ -220,13 +211,13 @@ def long_root_pair(v, w, a, b, auxiliary_pair, trace=None, verify=True):
         ring, size, p,
         _scaled_params(w, size, (p, pbar), bv, b, ring.one))
     out = m1 * m2 * invert_word(m1) * invert_word(m2)
-    if verify:
-        closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
-        _verify(out, closed, "long-root-pair")
+    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
+    check_evaluation(out, closed,
+                     "long-root-pair: evaluation differs from closed form")
     return out
 
 
-def long_root_reduce(v, w, a, b, zero_pair, trace=None, verify=True):
+def long_root_reduce(v, w, a, b, zero_pair, trace=None):
     """Word equal to I + a b (v wtilde + w vtilde) with v off one pair.
 
     v must vanish on the zero pair; w is unrestricted there. Requires
@@ -250,8 +241,7 @@ def long_root_reduce(v, w, a, b, zero_pair, trace=None, verify=True):
     w_off = w.with_entry(p, 0).with_entry(pbar, 0)
     parts = []
     if not w_off.is_zero():
-        parts.append(long_root_pair(v, w_off, a, b, zero_pair,
-                                    trace=trace, verify=verify))
+        parts.append(long_root_pair(v, w_off, a, b, zero_pair, trace=trace))
     f2 = _pair_transvection_word(
         ring, size, pbar,
         _scaled_params(v, size, (p, pbar), -(av * bv * y), a, -(bv * y)))
@@ -262,17 +252,17 @@ def long_root_reduce(v, w, a, b, zero_pair, trace=None, verify=True):
     parts.append(f3)
     if not (x * y * av * bv).is_zero():
         parts.append(short_root_pair(v, a.scale(bv * x), b.scale(av * y),
-                                     zero_pair, trace=trace, verify=verify))
+                                     zero_pair, trace=trace))
     out = parts[0]
     for piece in parts[1:]:
         out = out * piece
-    if verify:
-        closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
-        _verify(out, closed, "long-root-reduce")
+    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
+    check_evaluation(out, closed,
+                     "long-root-reduce: evaluation differs from closed form")
     return out
 
 
-def short_root_split(v, a, b, trace=None, verify=True):
+def short_root_split(v, a, b, trace=None):
     """Word equal to I + a b v vtilde with no support restriction on v.
 
     Splits v into its last-pair part and the rest; needs at least two
@@ -291,20 +281,18 @@ def short_root_split(v, a, b, trace=None, verify=True):
     v_head = v.with_entry(p, 0).with_entry(pbar, 0)
     parts = []
     if not v_head.is_zero():
-        parts.append(short_root_pair(v_head, a, b, last,
-                                     trace=trace, verify=verify))
+        parts.append(short_root_pair(v_head, a, b, last, trace=trace))
         if not v_tail.is_zero():
             parts.append(long_root_reduce(v_head, v_tail, a, b, last,
-                                          trace=trace, verify=verify))
+                                          trace=trace))
     if not v_tail.is_zero():
-        parts.append(short_root_pair(v_tail, a, b, 1,
-                                     trace=trace, verify=verify))
+        parts.append(short_root_pair(v_tail, a, b, 1, trace=trace))
     out = Word(ring, v.length)
     for piece in parts:
         out = out * piece
-    if verify:
-        closed = identity(ring, v.length) + sym_outer(v) * (a.value * b.value)
-        _verify(out, closed, "short-root-split")
+    closed = identity(ring, v.length) + sym_outer(v) * (a.value * b.value)
+    check_evaluation(out, closed,
+                     "short-root-split: evaluation differs from closed form")
     return out
 
 
@@ -354,7 +342,7 @@ def sum_to_product(us, us_certs, w, trace=None):
     return ordering, x_cert
 
 
-def long_root_unimodular(v, w, a, b, u, trace=None, verify=True):
+def long_root_unimodular(v, w, a, b, u, trace=None):
     """Word equal to I + a b (v wtilde + w vtilde), w unimodular via u.
 
     Needs tilde(v) . w = 0, u^t w = 1, and at least three pairs.
@@ -416,7 +404,7 @@ def long_root_unimodular(v, w, a, b, u, trace=None, verify=True):
         if free is None:
             raise DimensionTooSmall("no free pair for kernel piece")
         piece_word = long_root_reduce(raw_pieces[idx], w, a, b, free,
-                                      trace=trace, verify=verify)
+                                      trace=trace)
         out = out * piece_word
     sq = x_cert.ideal
     base = sq.base
@@ -431,11 +419,10 @@ def long_root_unimodular(v, w, a, b, u, trace=None, verify=True):
         cb[bj] = ring.one
         a_term = CertifiedElement(base, ca)
         b_term = CertifiedElement(base, cb)
-        out = out * short_root_split(w, a_term, b_term,
-                                     trace=trace, verify=verify)
-    if verify:
-        closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
-        _verify(out, closed, "long-root-unimodular")
+        out = out * short_root_split(w, a_term, b_term, trace=trace)
+    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
+    check_evaluation(out, closed, "long-root-unimodular: evaluation "
+                     "differs from closed form")
     return out
 
 
@@ -480,10 +467,6 @@ def decompose_conjugate(g, i, j, a, b, trace=None):
             lemma_trace.append(("conjugated-long-root",
                                 "columns %d and %d extracted" % (i, sigma(j))))
             out = long_root_unimodular(v, w, a, b, u, trace=lemma_trace)
-    achieved = evaluate(out)
-    verified = achieved == target
-    if not verified:
-        raise VerificationFailed(
-            "decomposition does not reproduce the conjugate: %r"
-            % (achieved.first_mismatch(target),))
-    return DecompositionResult(out, target, achieved, verified, lemma_trace)
+    achieved = check_evaluation(
+        out, target, "decomposition does not reproduce the conjugate")
+    return DecompositionResult(out, target, achieved, True, lemma_trace)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 
-from .bridge import AlternatingForm, StandardizationResult
 from .decompose import DecompositionResult
 from .errors import DescriptorMismatch
 from .matrices import ColumnVector, ExactMatrix, from_rows
@@ -52,25 +51,32 @@ def ring_to_json(ring):
 
 
 def ring_from_json(data):
+    """Ring from its descriptor; a ring the constructor rejects (a zero
+    denominator, repeated variable names) raises DescriptorMismatch."""
     kind = _need(data, "kind", "ring descriptor")
     if kind == "zmod":
         m = _need(data, "m", "zmod descriptor")
         if not isinstance(m, int) or m < 2:
             raise DescriptorMismatch("zmod modulus must be an integer >= 2")
-        return ZmodRing(m)
-    if kind == "poly":
+        make, args = ZmodRing, (m,)
+    elif kind == "poly":
         base = ring_from_json(_need(data, "base", "poly descriptor"))
         variables = _need(data, "vars", "poly descriptor")
         if (not isinstance(variables, list) or not variables
                 or not all(isinstance(v, str) for v in variables)):
             raise DescriptorMismatch("poly vars must be a list of names")
-        return PolyRing(base, tuple(variables))
-    if kind == "loc":
+        make, args = PolyRing, (base, tuple(variables))
+    elif kind == "loc":
         base = ring_from_json(_need(data, "base", "loc descriptor"))
         denom = element_from_json(base, _need(data, "denom",
                                               "loc descriptor"))
-        return LocRing(base, denom)
-    raise DescriptorMismatch("unknown ring kind %r" % (kind,))
+        make, args = LocRing, (base, denom)
+    else:
+        raise DescriptorMismatch("unknown ring kind %r" % (kind,))
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise DescriptorMismatch("bad %s descriptor: %s" % (kind, e))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +219,9 @@ def letter_to_json(letter, inv):
                 "inv": bool(inv), "cert": _cert_or_none(letter.cert)}
     if isinstance(letter, (RhoLetter, MuLetter)):
         rho = isinstance(letter, RhoLetter)
-        scalar = letter.alpha if rho else letter.beta
         out = {"gen": "rho" if rho else "mu",
                "q": vector_to_json(letter.q),
-               ("alpha" if rho else "beta"): element_to_json(scalar),
+               ("alpha" if rho else "beta"): element_to_json(letter.scalar),
                "form": matrix_to_json(letter.form),
                "inv": bool(inv)}
         if letter.certs is None:
@@ -323,12 +328,6 @@ def standardization_to_json(res):
         "relative": bool(res.relative),
         "eps_word": word_to_json(res.eps_word),
     }
-
-
-def form_to_json(form):
-    if isinstance(form, AlternatingForm):
-        return matrix_to_json(form.matrix)
-    return matrix_to_json(form)
 
 
 def report_to_json(rep):

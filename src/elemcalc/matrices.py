@@ -47,9 +47,6 @@ class ExactMatrix:
     def column(self, j):
         return ColumnVector(self.ring, self.col_list(j))
 
-    def row_vector(self, i):
-        return ExactMatrix(self.ring, 1, self.cols, self.row_list(i))
-
     def payload_grid(self):
         c = self.cols
         return [[e.payload for e in self.entries[r * c:(r + 1) * c]]
@@ -360,13 +357,6 @@ def col_times_row(v, r):
         for k in range(1, r.cols + 1):
             ents.append(a * r.entry(1, k))
     return ExactMatrix(ring, v.length, r.cols, ents)
-
-
-def row_times_col(r, v):
-    acc = r.ring.zero
-    for k in range(1, v.length + 1):
-        acc = acc + r.entry(1, k) * v.entry(k)
-    return acc
 
 
 def pfaffian(phi):

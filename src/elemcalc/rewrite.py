@@ -28,6 +28,7 @@ from .words import (
     LinLetter,
     SympLetter,
     Word,
+    check_evaluation,
     evaluate,
     invert_word,
     word_in_E1,
@@ -89,7 +90,7 @@ def include_I2_linear(n, i, j, p):
     ring = base.ring
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise BadIndices("bad letter indices (%d, %d)" % (i, j))
-    if i == 1 or j == 1:
+    if LinLetter.index1_form(i, j) is not None:
         if p.value.is_zero():
             return Word(ring, n)
         cert = _single_letter_cert(p)
@@ -118,7 +119,7 @@ def include_I2_symplectic(n, i, j, p):
         raise DimensionTooSmall("inclusion needs at least two pairs")
     if i == j or not (1 <= i <= size and 1 <= j <= size):
         raise BadIndices("bad letter indices (%d, %d)" % (i, j))
-    if i in (1, 2) or j in (1, 2):
+    if SympLetter.index1_form(i, j) is not None:
         if p.value.is_zero():
             return Word(ring, size)
         cert = _single_letter_cert(p)
@@ -367,43 +368,65 @@ class _Grid:
 # The two letter alphabets, seen through one interface.
 
 
-class _LinearSystem:
-    kind = "linear"
+def _halves(term, extra=None):
+    """Split a term into two factors sharing its Y-power, both positive."""
+    lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
+    return term.split(lo, term.y_exp - lo, extra)
+
+
+class _System:
+    """An alphabet: entry patterns, letters and index-1 presentations
+    come from the letter class."""
 
     def __init__(self, ring, size):
         self.ring = ring
         self.size = size
-
-    def pattern(self, i, j):
-        return ((i, j, 1),)
-
-    def literal_index1(self, i, j, poly):
-        if i == 1 or j == 1:
-            return i, j, poly
-        return None
+        self.pattern = self.letter.entry_pattern
 
     def make_letter(self, i, j, value, cert=None):
-        return LinLetter(self.size, i, j, value, cert)
+        return self.letter(self.size, i, j, value, cert)
 
-    def matrix(self, i, j, value):
-        from .words import make_linear_generator
-        return make_linear_generator(self.ring, self.size, i, j, value)
+    def literal_index1(self, i, j, poly):
+        form = self.letter.index1_form(i, j)
+        if form is None:
+            return None
+        i, j, sign = form
+        return i, j, poly if sign == 1 else poly.neg()
 
-    def orbit_cells(self, p, q):
-        return ((p, q, 1),)
+
+class _LinearSystem(_System):
+    kind = "linear"
+    letter = LinLetter
 
     def split_cell(self, p, q, term):
-        lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
-        u, v = term.split(lo, term.y_exp - lo)
+        u, v = _halves(term)
         return ((p, 1, u), (1, q, v))
 
+    def diag_records(self, comp):
+        # [E_d1(u), E_1d(v)] contributes uv (e_dd - e_11); the graded
+        # layer is trace free, so clearing every d >= 2 clears position
+        # (1, 1) too.
+        records = []
+        diag = {p: poly for (p, q), poly in comp.items() if p == q}
+        total = self.ring.zero
+        for poly in diag.values():
+            total = total + poly.value()
+        if not total.is_zero():
+            raise VerificationFailed(
+                "diagonal residual layer has nonzero trace")
+        for d in sorted(diag):
+            if d == 1:
+                continue
+            _insert_comm((d, 1), (1, d), diag[d], records)
+        return records
 
-class _SymplecticSystem:
+
+class _SymplecticSystem(_System):
     kind = "symplectic"
+    letter = SympLetter
 
     def __init__(self, ring, size):
-        self.ring = ring
-        self.size = size
+        super().__init__(ring, size)
         self._half = None
 
     def half(self):
@@ -411,37 +434,47 @@ class _SymplecticSystem:
             self._half = half(self.ring)
         return self._half
 
-    def pattern(self, i, j):
-        from .words import symplectic_entry_pattern
-        return symplectic_entry_pattern(i, j)
-
-    def literal_index1(self, i, j, poly):
-        if i == 1 or j == 1:
-            return i, j, poly
-        if sigma(j) == 1 or sigma(i) == 1:
-            swapped = poly if (i + j) % 2 == 1 else poly.neg()
-            return sigma(j), sigma(i), swapped
-        return None
-
-    def make_letter(self, i, j, value, cert=None):
-        return SympLetter(self.size, i, j, value, cert)
-
-    def matrix(self, i, j, value):
-        from .words import make_symplectic_generator
-        return make_symplectic_generator(self.ring, self.size // 2,
-                                         i, j, value)
-
-    def orbit_cells(self, p, q):
-        return self.pattern(p, q)
-
     def split_cell(self, p, q, term):
-        lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
-        hi = term.y_exp - lo
-        if q == sigma(p):
-            u, v = term.split(lo, hi, extra=self.half())
-            return ((p, 1, u), (1, sigma(p), v))
-        u, v = term.split(lo, hi)
+        u, v = _halves(term, self.half() if q == sigma(p) else None)
         return ((p, 1, u), (1, q, v))
+
+    def diag_records(self, comp):
+        # Across one coordinate pair (k, k') and the first pair, the two
+        # commutators [se_k1, se_1k] and [se_k'1, se_1k'] contribute
+        #   w_A (e_kk + e_22 - e_11 - e_k'k')
+        #   w_B (e_k'k' + e_22 - e_11 - e_kk)
+        # and the form constraint makes the graded layer antisymmetric
+        # per pair, so w_A, w_B solve for any deficit at the cost of a
+        # halving.
+        records = []
+        diag = {p: poly for (p, q), poly in comp.items() if p == q}
+        for p, poly in diag.items():
+            partner = diag.get(sigma(p))
+            if partner is None or partner.value() != poly.neg().value():
+                raise VerificationFailed(
+                    "diagonal residual is not form-compatible at index %d"
+                    % p)
+        hf = self.half()
+        zero = _TPoly(self.ring)
+        delta1 = diag.get(1, zero)
+        pairs = sorted({(p + 1) // 2 for p in diag if p > 2})
+        if not pairs and not delta1.is_zero():
+            free = [t for t in range(2, self.size // 2 + 1)]
+            if not free:
+                raise DimensionTooSmall(
+                    "no free coordinate pair for a diagonal insertion")
+            pairs = [free[0]]
+        first = True
+        for t in pairs:
+            k = 2 * t - 1
+            d_k = diag.get(k, zero)
+            share = delta1 if first else zero
+            first = False
+            w_a = d_k.plus(share.neg()).scaled(hf)
+            w_b = d_k.plus(share).scaled(hf).neg()
+            _insert_comm((k, 1), (1, k), w_a, records)
+            _insert_comm((sigma(k), 1), (1, sigma(k)), w_b, records)
+        return records
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +490,16 @@ class _SymplecticSystem:
 # factor and a positive share of the Y-power.
 
 
+def _append_comm(ring, first, second, u, v, out):
+    """Append the four records of [x_first(u), x_second(v)]."""
+    up = _TPoly(ring, [u])
+    vp = _TPoly(ring, [v])
+    out.append((first[0], first[1], up))
+    out.append((second[0], second[1], vp))
+    out.append((first[0], first[1], up.neg()))
+    out.append((second[0], second[1], vp.neg()))
+
+
 def _emit_cell(system, p, q, poly, out):
     lit = system.literal_index1(p, q, poly)
     if lit is not None:
@@ -464,12 +507,7 @@ def _emit_cell(system, p, q, poly, out):
         return
     for term in poly.terms:
         (ai, aj, u), (bi, bj, v) = system.split_cell(p, q, term)
-        up = _TPoly(system.ring, [u])
-        vp = _TPoly(system.ring, [v])
-        out.append((ai, aj, up))
-        out.append((bi, bj, vp))
-        out.append((ai, aj, up.neg()))
-        out.append((bi, bj, vp.neg()))
+        _append_comm(system.ring, (ai, aj), (bi, bj), u, v, out)
 
 
 def _insert_comm(first, second, coeff, out):
@@ -479,16 +517,9 @@ def _insert_comm(first, second, coeff, out):
     cancels a diagonal deficit while only creating terms of strictly
     higher Y-grade; that is what makes the peeling loop terminate.
     """
-    ring = coeff.ring
     for term in coeff.terms:
-        lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
-        u, v = term.split(lo, term.y_exp - lo)
-        up = _TPoly(ring, [u])
-        vp = _TPoly(ring, [v])
-        out.append((first[0], first[1], up))
-        out.append((second[0], second[1], vp))
-        out.append((first[0], first[1], up.neg()))
-        out.append((second[0], second[1], vp.neg()))
+        u, v = _halves(term)
+        _append_comm(coeff.ring, first, second, u, v, out)
 
 
 def _apply_records(grid, system, records):
@@ -501,61 +532,6 @@ def _apply_records(grid, system, records):
         if poly.is_zero():
             continue
         grid.mul_letter_left(system.pattern(i, j), poly, invert=True)
-
-
-def _diag_records_linear(system, comp):
-    # [E_d1(u), E_1d(v)] contributes uv (e_dd - e_11); the graded layer
-    # is trace free, so clearing every d >= 2 clears position (1, 1) too.
-    records = []
-    diag = {p: poly for (p, q), poly in comp.items() if p == q}
-    total = system.ring.zero
-    for poly in diag.values():
-        total = total + poly.value()
-    if not total.is_zero():
-        raise VerificationFailed(
-            "diagonal residual layer has nonzero trace")
-    for d in sorted(diag):
-        if d == 1:
-            continue
-        _insert_comm((d, 1), (1, d), diag[d], records)
-    return records
-
-
-def _diag_records_symplectic(system, comp):
-    # Across one coordinate pair (k, k') and the first pair, the two
-    # commutators [se_k1, se_1k] and [se_k'1, se_1k'] contribute
-    #   w_A (e_kk + e_22 - e_11 - e_k'k')
-    #   w_B (e_k'k' + e_22 - e_11 - e_kk)
-    # and the form constraint makes the graded layer antisymmetric per
-    # pair, so w_A, w_B solve for any deficit at the cost of a halving.
-    records = []
-    diag = {p: poly for (p, q), poly in comp.items() if p == q}
-    for p, poly in diag.items():
-        partner = diag.get(sigma(p))
-        if partner is None or partner.value() != poly.neg().value():
-            raise VerificationFailed(
-                "diagonal residual is not form-compatible at index %d" % p)
-    hf = system.half()
-    zero = _TPoly(system.ring)
-    delta1 = diag.get(1, zero)
-    pairs = sorted({(p + 1) // 2 for p in diag if p > 2})
-    if not pairs and not delta1.is_zero():
-        free = [t for t in range(2, system.size // 2 + 1)]
-        if not free:
-            raise DimensionTooSmall(
-                "no free coordinate pair for a diagonal insertion")
-        pairs = [free[0]]
-    first = True
-    for t in pairs:
-        k = 2 * t - 1
-        d_k = diag.get(k, zero)
-        share = delta1 if first else zero
-        first = False
-        w_a = d_k.plus(share.neg()).scaled(hf)
-        w_b = d_k.plus(share).scaled(hf).neg()
-        _insert_comm((k, 1), (1, k), w_a, records)
-        _insert_comm((sigma(k), 1), (1, sigma(k)), w_b, records)
-    return records
 
 
 def _peel(system, grid, rounds=500):
@@ -576,7 +552,7 @@ def _peel(system, grid, rounds=500):
         if offdiag:
             p, q = offdiag[0]
             poly = comp[(p, q)]
-            for r, c, sg in system.orbit_cells(p, q):
+            for r, c, sg in system.pattern(p, q):
                 if (r, c) == (p, q):
                     continue
                 echo = comp.get((r, c))
@@ -589,10 +565,7 @@ def _peel(system, grid, rounds=500):
             records = []
             _emit_cell(system, p, q, poly, records)
         else:
-            if system.kind == "linear":
-                records = _diag_records_linear(system, comp)
-            else:
-                records = _diag_records_symplectic(system, comp)
+            records = system.diag_records(comp)
         out.extend(records)
         _apply_records(grid, system, records)
     return out
@@ -669,12 +642,11 @@ def _conjugate_one(system, g_rec, t_rec):
     )) if not tpoly.is_zero() else None
     want = evaluate(lhs) if lhs is not None \
         else identity_matrix(system.ring, system.size)
-    got = evaluate(_records_word(system, records))
-    if want != got:
-        raise VerificationFailed(
-            "case emission does not reproduce the conjugate "
-            "(%s conjugator (%d, %d), target (%d, %d))"
-            % (system.kind, gi, gj, ti, tj))
+    check_evaluation(
+        _records_word(system, records), want,
+        "case emission does not reproduce the conjugate "
+        "(%s conjugator (%d, %d), target (%d, %d))"
+        % (system.kind, gi, gj, ti, tj))
     tag = "%s/%s g=(%d,%d) t=(%d,%d) -> %d letters" % (
         system.kind, shape, gi, gj, ti, tj, len(records))
     return records, tag
@@ -792,12 +764,8 @@ def _finish(system, eps, i, j, a_poly, ideal):
                                 a_poly.scale(y_pow))
     lhs = eps * Word(ring, system.size, ((target, False),)) \
         * invert_word(eps)
-    got = evaluate(output)
-    want = evaluate(lhs)
-    if got != want:
-        raise VerificationFailed(
-            "derived word fails the exact comparison at %r"
-            % (got.first_mismatch(want),))
+    check_evaluation(output, evaluate(lhs),
+                     "derived word fails the exact comparison")
     return RewriteResult(output, lhs, True, tuple(trace))
 
 
@@ -813,7 +781,7 @@ def rewrite_conjugation_linear(eps, i, j, a_poly):
     if n < 3:
         raise DimensionTooSmall("linear rewriting needs size at least 3")
     ideal = _check_inputs(eps, i, j, a_poly, n)
-    if i != 1 and j != 1:
+    if LinLetter.index1_form(i, j) is None:
         raise BadIndices("target generator must be first-index")
     if not word_in_E1(eps, ideal):
         raise NotCertified(
@@ -834,7 +802,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
             "symplectic rewriting needs even size at least 4")
     half(eps.ring)
     ideal = _check_inputs(eps, i, j, a_poly, size)
-    if 1 not in (i, j, sigma(i), sigma(j)):
+    if SympLetter.index1_form(i, j) is None:
         raise BadIndices(
             "target generator must be first-index up to sigma")
     if not word_in_ESp1(eps, ideal):
@@ -862,10 +830,6 @@ def specialize_and_check(result, x0, y0):
             letters.append((letter.with_param(p), inv))
         return Word(ring, w.size, letters)
 
-    got = evaluate(bind(result.output))
-    want = evaluate(bind(result.lhs))
-    if got != want:
-        raise VerificationFailed(
-            "specialized sides disagree at %r; the rewrite was corrupted"
-            % (got.first_mismatch(want),))
-    return got
+    return check_evaluation(
+        bind(result.output), evaluate(bind(result.lhs)),
+        "specialized sides disagree (the rewrite was corrupted)")

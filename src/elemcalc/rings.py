@@ -454,19 +454,6 @@ class LocRing(Ring):
                                  self.base.p_repr(self.denom.payload), e)
 
 
-def ring_arith(op, x, y=None):
-    """Dispatch add/sub/mul/neg through the element operators."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    raise ValueError("unknown op %r" % (op,))
-
-
 def invert_unit(x):
     """Multiplicative inverse of a unit; NotAUnit otherwise."""
     return x.ring.wrap(x.ring.p_invert(x.payload))

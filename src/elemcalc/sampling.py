@@ -18,20 +18,13 @@ from __future__ import annotations
 
 import random
 
-from .errors import NotAUnit
 from .matrices import (
     ColumnVector,
     from_rows,
     sigma_index,
     standard_symplectic_form,
 )
-from .rings import (
-    IdealPresentation,
-    PolyRing,
-    ZmodRing,
-    certify,
-    invert_unit,
-)
+from .rings import PolyRing, ZmodRing, certify
 from .words import LinLetter, SympLetter, Word, evaluate
 
 MODULI = (25, 27, 121)
@@ -107,26 +100,6 @@ def sample_element(rng, ring, max_degree=2, variables=None, terms=3):
     # localization: numerator over a small denominator power
     num = sample_element(rng, ring.base, max_degree)
     return ring.wrap((num.payload, rng.randrange(2)))
-
-
-def sample_unit(rng, ring, tries=64):
-    for _ in range(tries):
-        x = sample_element(rng, ring, max_degree=0)
-        try:
-            invert_unit(x)
-            return x
-        except NotAUnit:
-            continue
-    return ring.one
-
-
-def sample_ideal(rng, ring):
-    """Ideal of a Z/m ring: generated by p, or by p and p * unit."""
-    p = prime_of(ring.m)
-    gens = [ring.el(p)]
-    if rng.random() < 0.5:
-        gens.append(ring.el(p) * sample_unit(rng, ring))
-    return IdealPresentation(ring, tuple(gens))
 
 
 def sample_certified(rng, ideal, max_degree=2, variables=None):
@@ -236,21 +209,6 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
     emb = from_rows(ring, emb_rows)
     psi = standard_symplectic_form(ring, n)
     return emb.transpose() * psi * emb, eps0
-
-
-def sample_pair_avoiding(rng, size, avoid):
-    """Coordinate pair index whose two coordinates avoid the set."""
-    n = size // 2
-    choices = [t for t in range(1, n + 1)
-               if (2 * t - 1) not in avoid and (2 * t) not in avoid]
-    return rng.choice(choices)
-
-
-def vector_off_pair(rng, ring, size, t, max_degree=2):
-    """Random vector vanishing on coordinate pair t."""
-    v = sample_vector(rng, ring, size, max_degree)
-    v = v.with_entry(2 * t - 1, ring.zero)
-    return v.with_entry(2 * t, ring.zero)
 
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -1,10 +1,11 @@
 """Symbolic generator alphabet and words over it.
 
-Four letter kinds: linear elementary matrices, symplectic elementary
-matrices, and the two transvection families (row type and column type)
-relative to an alternating form. Words are ordered products of letters
-with inversion flags; evaluation is exact and exploits the fact that
-an elementary letter only touches one or two columns.
+Three letter families: elementary letters (linear E_ij and symplectic
+se_ij), the block transvections rho and mu relative to an alternating
+form, and the linear shears of the bridge module. Words are ordered
+products of letters with inversion flags; evaluation is exact and
+exploits the fact that an elementary letter only touches one or two
+columns.
 
 The coordinate pairing sigma swaps 2i-1 <-> 2i. A symplectic letter
 se_ij(z) is a single off-diagonal entry when i = sigma(j) and a
@@ -14,55 +15,51 @@ se_{sigma(j) sigma(i)}(-(-1)^(i+j) z), which normalization exploits.
 
 from __future__ import annotations
 
-from .errors import BadIndices, NotAlternating, SideConditionViolated
+from .errors import (BadIndices, NonstandardForm, NotAlternating,
+                     SideConditionViolated, VerificationFailed)
 from .matrices import (
-    ColumnVector,
     ExactMatrix,
     adjugate_inverse,
-    basis_vector,
-    col_times_row,
-    from_rows,
     identity,
     is_alternating,
+    is_symplectic,
     sigma_index,
     standard_symplectic_form,
-    zero_vector,
 )
 
 sigma = sigma_index
 
 
+def _generator_matrix(ring, size, i, j, z, entry_pattern, what):
+    """Identity plus z times the entry pattern of (i, j), i != j."""
+    if not (1 <= i <= size and 1 <= j <= size) or i == j:
+        raise BadIndices("bad %s indices (%d, %d) at size %d"
+                         % (what, i, j, size))
+    z = ring.el(z)
+    m = identity(ring, size).payload_grid()
+    for r, c, sg in entry_pattern(i, j):
+        m[r - 1][c - 1] = (z if sg == 1 else -z).payload
+    return ExactMatrix(ring, size, size,
+                       [ring.wrap(p) for row in m for p in row])
+
+
 def make_linear_generator(ring, n, i, j, lam):
     """Identity plus lam at position (i, j), i != j."""
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise BadIndices("bad linear generator indices (%d, %d) at size %d"
-                         % (i, j, n))
-    m = identity(ring, n).payload_grid()
-    m[i - 1][j - 1] = ring.el(lam).payload
-    return ExactMatrix(ring, n, n, [ring.wrap(p) for row in m for p in row])
+    return _generator_matrix(ring, n, i, j, lam, LinLetter.entry_pattern,
+                             "linear generator")
 
 
 def symplectic_entry_pattern(i, j):
     """Cells of se_ij as ((row, col, sign), ...); sign multiplies z."""
     if i == sigma(j):
         return ((i, j, 1),)
-    s2 = -1 if (i + j) % 2 == 0 else 1
-    return ((i, j, 1), (sigma(j), sigma(i), s2))
+    return ((i, j, 1), sigma_swap(i, j))
 
 
 def make_symplectic_generator(ring, n, i, j, z):
     """The symplectic elementary matrix of size 2n; checked symplectic."""
-    if not (1 <= i <= 2 * n and 1 <= j <= 2 * n) or i == j:
-        raise BadIndices("bad symplectic generator indices (%d, %d) at size %d"
-                         % (i, j, 2 * n))
-    z = ring.el(z)
-    m = identity(ring, 2 * n).payload_grid()
-    for r, c, sg in symplectic_entry_pattern(i, j):
-        val = z if sg == 1 else -z
-        m[r - 1][c - 1] = ring.p_add(m[r - 1][c - 1], val.payload)
-    out = ExactMatrix(ring, 2 * n, 2 * n,
-                      [ring.wrap(p) for row in m for p in row])
-    from .matrices import is_symplectic
+    out = _generator_matrix(ring, 2 * n, i, j, z, symplectic_entry_pattern,
+                            "symplectic generator")
     if not is_symplectic(out):
         raise NotAlternating("symplectic generator failed its form check")
     return out
@@ -71,23 +68,24 @@ def make_symplectic_generator(ring, n, i, j, z):
 def normalize_symplectic_indices(i, j, param):
     """Prefer the equivalent presentation with an index equal to 1 or 2.
 
-    se_ij(z) = se_{sigma(j) sigma(i)}(-(-1)^(i+j) z) as matrices; choose
-    the variant whose index pair is lexicographically smaller, which in
-    particular picks an index-1 form whenever one exists.
+    Of se_ij(z) and its sigma_swap presentation, choose the one whose
+    index pair is lexicographically smaller, which in particular picks
+    an index-1 form whenever one exists.
     """
-    alt = (sigma(j), sigma(i))
-    if alt < (i, j):
-        if (i + j) % 2 == 1:
-            return alt[0], alt[1], param
-        return alt[0], alt[1], -param
+    si, sj, sign = sigma_swap(i, j)
+    if (si, sj) < (i, j):
+        return si, sj, param if sign == 1 else -param
     return i, j, param
 
 
-class LinLetter:
-    """Linear elementary generator E_ij(param) at matrix size n."""
+class _ElementaryLetter:
+    """Identity plus param times the class's entry pattern at (i, j).
 
-    kind = "E"
-    __slots__ = ("size", "i", "j", "param", "cert")
+    Subclasses supply kind, entry_pattern(i, j), index1_form(i, j) and
+    the matrix constructor _generator(ring, size, i, j, z).
+    """
+
+    __slots__ = ("size", "i", "j", "param", "cert", "_pattern")
     __hash__ = None
 
     def __init__(self, size, i, j, param, cert=None):
@@ -101,6 +99,7 @@ class LinLetter:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "_pattern", self.entry_pattern(i, j))
 
     def __setattr__(self, name, value):
         raise AttributeError("letters are immutable")
@@ -111,90 +110,80 @@ class LinLetter:
 
     def column_ops(self, inverted=False):
         p = -self.param if inverted else self.param
-        return ((self.i, self.j, p),)
+        return [(r, c, p if sg == 1 else -p) for r, c, sg in self._pattern]
 
     def matrix(self, inverted=False):
         p = -self.param if inverted else self.param
-        return make_linear_generator(self.ring, self.size, self.i, self.j, p)
+        return self._generator(self.ring, self.size, self.i, self.j, p)
 
     def inverse(self):
         c = -self.cert if self.cert is not None else None
-        return LinLetter(self.size, self.i, self.j, -self.param, c)
+        return type(self)(self.size, self.i, self.j, -self.param, c)
 
     def with_param(self, param, cert=None):
-        return LinLetter(self.size, self.i, self.j, param, cert)
+        return type(self)(self.size, self.i, self.j, param, cert)
 
     def is_index1(self):
-        return self.i == 1 or self.j == 1
+        return self.index1_form(self.i, self.j) is not None
 
     def __repr__(self):
-        return "E[%d,%d](%r)" % (self.i, self.j, self.param)
+        return "%s[%d,%d](%r)" % (self.kind, self.i, self.j, self.param)
 
 
-class SympLetter:
+class LinLetter(_ElementaryLetter):
+    """Linear elementary generator E_ij(param) at matrix size n."""
+
+    kind = "E"
+    __slots__ = ()
+    _generator = staticmethod(make_linear_generator)
+
+    @staticmethod
+    def entry_pattern(i, j):
+        return ((i, j, 1),)
+
+    @staticmethod
+    def index1_form(i, j):
+        """(i, j, 1) when the letter touches index 1, else None."""
+        return (i, j, 1) if i == 1 or j == 1 else None
+
+
+def sigma_swap(i, j):
+    """The other presentation of se_ij as (sigma(j), sigma(i), sign).
+
+    se_ij(z) = se_{sigma(j) sigma(i)}(sign z) as matrices, with
+    sign = (-1)^(i+j+1).
+    """
+    return sigma(j), sigma(i), (1 if (i + j) % 2 == 1 else -1)
+
+
+class SympLetter(_ElementaryLetter):
     """Symplectic elementary generator se_ij(param) at even size."""
 
     kind = "se"
-    __slots__ = ("size", "i", "j", "param", "cert")
-    __hash__ = None
+    __slots__ = ()
+    entry_pattern = staticmethod(symplectic_entry_pattern)
 
     def __init__(self, size, i, j, param, cert=None):
         if size % 2 != 0:
             raise BadIndices("symplectic letters need an even size")
-        if not (1 <= i <= size and 1 <= j <= size) or i == j:
-            raise BadIndices("bad letter indices (%d, %d) at size %d"
-                             % (i, j, size))
-        if cert is not None and cert.value != param:
-            raise BadIndices("certificate value does not match parameter")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "cert", cert)
+        super().__init__(size, i, j, param, cert)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
+    @staticmethod
+    def _generator(ring, size, i, j, z):
+        return make_symplectic_generator(ring, size // 2, i, j, z)
 
-    @property
-    def ring(self):
-        return self.param.ring
+    @staticmethod
+    def index1_form(i, j):
+        """(i', j', sign) with se_ij(z) = se_i'j'(sign z) and 1 in (i', j').
 
-    def column_ops(self, inverted=False):
-        p = -self.param if inverted else self.param
-        ops = []
-        for r, c, sg in symplectic_entry_pattern(self.i, self.j):
-            ops.append((r, c, p if sg == 1 else -p))
-        return tuple(ops)
-
-    def matrix(self, inverted=False):
-        p = -self.param if inverted else self.param
-        return make_symplectic_generator(self.ring, self.size // 2,
-                                         self.i, self.j, p)
-
-    def inverse(self):
-        c = -self.cert if self.cert is not None else None
-        return SympLetter(self.size, self.i, self.j, -self.param, c)
-
-    def with_param(self, param, cert=None):
-        return SympLetter(self.size, self.i, self.j, param, cert)
-
-    def is_index1(self):
-        # se_ij touches index 1 up to sigma iff some index lies in the
-        # first coordinate pair: sigma maps 2 to 1 under the swap.
-        return self.i in (1, 2) or self.j in (1, 2)
-
-    def normalized(self):
-        """Equivalent letter with lexicographically smallest index pair."""
-        ni, nj, np_ = normalize_symplectic_indices(self.i, self.j, self.param)
-        if (ni, nj) == (self.i, self.j):
-            return self
-        cert = self.cert
-        if cert is not None and np_ != self.param:
-            cert = -cert
-        return SympLetter(self.size, ni, nj, np_, cert)
-
-    def __repr__(self):
-        return "se[%d,%d](%r)" % (self.i, self.j, self.param)
+        None when neither presentation touches index 1: the letter is
+        index-1 up to sigma iff an index lies in the first pair.
+        """
+        if i == 1 or j == 1:
+            return i, j, 1
+        if sigma(i) == 1 or sigma(j) == 1:
+            return sigma_swap(i, j)
+        return None
 
 
 def _transvection_blocks(ring, q, scalar, form, row_kind):
@@ -222,78 +211,75 @@ def _transvection_blocks(ring, q, scalar, form, row_kind):
                        [ring.wrap(p) for row in grid for p in row])
 
 
-class RhoLetter:
+class _TransvectionLetter:
+    """Block transvection relative to an alternating form.
+
+    Subclasses supply kind and row_kind (row type rho or column type
+    mu) and name the scalar: alpha for rho, beta for mu.
+    """
+
+    __slots__ = ("q", "scalar", "form", "certs", "size")
+    __hash__ = None
+
+    def __init__(self, q, scalar, form, certs=None):
+        if not is_alternating(form) or form.rows != q.length:
+            raise NotAlternating("transvection letters need an alternating "
+                                 "form matching the vector length")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "scalar", q.ring.el(scalar))
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "certs", certs)
+        object.__setattr__(self, "size", q.length + 2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("letters are immutable")
+
+    @property
+    def ring(self):
+        return self.q.ring
+
+    def column_ops(self, inverted=False):
+        return None
+
+    def matrix(self, inverted=False):
+        m = _transvection_blocks(self.ring, self.q, self.scalar, self.form,
+                                 self.row_kind)
+        if inverted:
+            return adjugate_inverse(m)
+        return m
+
+    def __repr__(self):
+        return "%s(%r, %r)" % (self.kind, self.q, self.scalar)
+
+
+class RhoLetter(_TransvectionLetter):
     """Row-type transvection relative to an alternating form."""
 
     kind = "rho"
-    __slots__ = ("q", "alpha", "form", "certs", "size")
-    __hash__ = None
+    row_kind = True
+    __slots__ = ()
 
     def __init__(self, q, alpha, form, certs=None):
-        if not is_alternating(form) or form.rows != q.length:
-            raise NotAlternating("transvection letters need an alternating "
-                                 "form matching the vector length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha", q.ring.el(alpha))
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "certs", certs)
-        object.__setattr__(self, "size", q.length + 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
+        super().__init__(q, alpha, form, certs)
 
     @property
-    def ring(self):
-        return self.q.ring
-
-    def column_ops(self, inverted=False):
-        return None
-
-    def matrix(self, inverted=False):
-        m = _transvection_blocks(self.ring, self.q, self.alpha, self.form, True)
-        if inverted:
-            return adjugate_inverse(m)
-        return m
-
-    def __repr__(self):
-        return "rho(%r, %r)" % (self.q, self.alpha)
+    def alpha(self):
+        return self.scalar
 
 
-class MuLetter:
+class MuLetter(_TransvectionLetter):
     """Column-type transvection relative to an alternating form."""
 
     kind = "mu"
-    __slots__ = ("q", "beta", "form", "certs", "size")
-    __hash__ = None
+    row_kind = False
+    __slots__ = ()
 
     def __init__(self, q, beta, form, certs=None):
-        if not is_alternating(form) or form.rows != q.length:
-            raise NotAlternating("transvection letters need an alternating "
-                                 "form matching the vector length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", q.ring.el(beta))
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "certs", certs)
-        object.__setattr__(self, "size", q.length + 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
+        super().__init__(q, beta, form, certs)
 
     @property
-    def ring(self):
-        return self.q.ring
-
-    def column_ops(self, inverted=False):
-        return None
-
-    def matrix(self, inverted=False):
-        m = _transvection_blocks(self.ring, self.q, self.beta, self.form, False)
-        if inverted:
-            return adjugate_inverse(m)
-        return m
-
-    def __repr__(self):
-        return "mu(%r, %r)" % (self.q, self.beta)
+    def beta(self):
+        return self.scalar
 
 
 class Word:
@@ -388,6 +374,18 @@ def evaluate(w):
                        [ring.wrap(p) for row in grid for p in row])
 
 
+def check_evaluation(w, want, what):
+    """Evaluate w once and compare it with the matrix want.
+
+    Returns the evaluated matrix; raises VerificationFailed naming what
+    and the first differing entry when the two disagree.
+    """
+    got = evaluate(w)
+    if got != want:
+        raise VerificationFailed("%s at %r" % (what, got.first_mismatch(want)))
+    return got
+
+
 def invert_word(w):
     """Reverse the word and flip every inversion flag."""
     return Word(w.ring, w.size,
@@ -406,49 +404,46 @@ def commutator_word(a, b):
 
 def _letter_certified(letter, ideal):
     cert = letter.cert
-    if cert is None:
-        return False
-    if cert.ideal != ideal:
-        return False
-    return cert.check() and cert.value == letter.param
+    return (cert is not None and (ideal is None or cert.ideal == ideal)
+            and cert.check() and cert.value == letter.param)
+
+
+def _index1_certified(w, ideal, kind):
+    return all(letter.kind == kind and letter.is_index1()
+               and _letter_certified(letter, ideal)
+               for letter, inv in w.letters)
 
 
 def word_in_E1(w, ideal):
     """All letters linear, index-1, and certified in the given ideal."""
-    for letter, inv in w.letters:
-        if letter.kind != "E":
-            return False
-        if not (letter.i == 1 or letter.j == 1):
-            return False
-        if not _letter_certified(letter, ideal):
-            return False
-    return True
+    return _index1_certified(w, ideal, "E")
 
 
 def word_in_ESp1(w, ideal):
     """All letters symplectic, index-1 up to the sigma identification,
     and certified in the given ideal."""
-    for letter, inv in w.letters:
-        if letter.kind != "se":
-            return False
-        if not letter.is_index1():
-            return False
-        if not _letter_certified(letter, ideal):
-            return False
-    return True
+    return _index1_certified(w, ideal, "se")
 
 
 def word_certified(w, ideal=None):
     """Every letter carries a valid certificate (optionally over ideal)."""
-    for letter, inv in w.letters:
-        cert = letter.cert
-        if cert is None:
-            return False
-        if ideal is not None and cert.ideal != ideal:
-            return False
-        if not (cert.check() and cert.value == letter.param):
-            return False
-    return True
+    return all(_letter_certified(letter, ideal) for letter, inv in w.letters)
+
+
+def _expansion_head(q, head, head_cert, q_certs, form):
+    """head + sum_k q_(2k-1) q_(2k), with its certificate when head_cert
+    is given; checks that q has even length and form is standard."""
+    ring = q.ring
+    n2 = q.length
+    if n2 % 2 != 0:
+        raise BadIndices("transvection vector length must be even")
+    if form is not None and form != standard_symplectic_form(ring, n2 // 2):
+        raise NonstandardForm("expansion requires the standard form")
+    for k in range(1, n2 // 2 + 1):
+        head = head + q.entry(2 * k - 1) * q.entry(2 * k)
+        if head_cert is not None:
+            head_cert = head_cert + q_certs[2 * k - 1].scale(q.entry(2 * k - 1))
+    return head, head_cert
 
 
 def expand_rho(q, alpha, alpha_cert=None, q_certs=None, form=None):
@@ -459,20 +454,10 @@ def expand_rho(q, alpha, alpha_cert=None, q_certs=None, form=None):
     The expansion is only valid for the standard form.
     """
     ring = q.ring
-    n2 = q.length
-    if n2 % 2 != 0:
-        raise BadIndices("transvection vector length must be even")
-    if form is not None and form != standard_symplectic_form(ring, n2 // 2):
-        from .errors import NonstandardForm
-        raise NonstandardForm("expansion requires the standard form")
-    size = n2 + 2
-    alpha = ring.el(alpha)
-    head = -alpha
-    head_cert = None if alpha_cert is None else -alpha_cert
-    for k in range(1, n2 // 2 + 1):
-        head = head + q.entry(2 * k - 1) * q.entry(2 * k)
-        if head_cert is not None:
-            head_cert = head_cert + q_certs[2 * k - 1].scale(q.entry(2 * k - 1))
+    size = q.length + 2
+    head, head_cert = _expansion_head(
+        q, -ring.el(alpha), None if alpha_cert is None else -alpha_cert,
+        q_certs, form)
     letters = []
     if not head.is_zero():
         letters.append((SympLetter(size, 2, 1, head, head_cert), False))
@@ -488,20 +473,9 @@ def expand_rho(q, alpha, alpha_cert=None, q_certs=None, form=None):
 def expand_mu(q, beta, beta_cert=None, q_certs=None, form=None):
     """Word of symplectic letters equal to the column-type transvection."""
     ring = q.ring
-    n2 = q.length
-    if n2 % 2 != 0:
-        raise BadIndices("transvection vector length must be even")
-    if form is not None and form != standard_symplectic_form(ring, n2 // 2):
-        from .errors import NonstandardForm
-        raise NonstandardForm("expansion requires the standard form")
-    size = n2 + 2
-    beta = ring.el(beta)
-    head = ring.el(beta)
-    head_cert = beta_cert
-    for k in range(1, n2 // 2 + 1):
-        head = head + q.entry(2 * k - 1) * q.entry(2 * k)
-        if head_cert is not None:
-            head_cert = head_cert + q_certs[2 * k - 1].scale(q.entry(2 * k - 1))
+    size = q.length + 2
+    head, head_cert = _expansion_head(q, ring.el(beta), beta_cert, q_certs,
+                                      form)
     letters = []
     if not head.is_zero():
         letters.append((SympLetter(size, 1, 2, head, head_cert), False))

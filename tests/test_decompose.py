@@ -10,6 +10,7 @@ from elemcalc import (
     SupportOverlap,
     SympLetter,
     TwoNotInvertible,
+    VerificationFailed,
     Word,
     ZmodRing,
     certify,
@@ -27,6 +28,7 @@ from elemcalc import (
     word,
     word_certified,
 )
+import elemcalc.decompose as decompose_module
 from elemcalc.matrices import ColumnVector, zero_vector
 
 Z27 = ZmodRing(27)
@@ -309,3 +311,32 @@ def test_decompose_errors():
     g8 = Word(Z8, 6, ())
     with pytest.raises(TwoNotInvertible):
         decompose_conjugate(g8, 1, 2, a8, a8)
+
+
+def test_corrupted_lemma_is_caught(monkeypatch):
+    orig = decompose_module._pair_transvection_word
+
+    def sabotaged(*args, **kwargs):
+        # flip the last letter's sign; the short letter at the front can
+        # cancel inside the lemmas' commutators, a long letter cannot
+        w = orig(*args, **kwargs)
+        if not w.letters:
+            return w
+        rest, (letter, inv) = w.letters[:-1], w.letters[-1]
+        cert = None if letter.cert is None else -letter.cert
+        bad = letter.with_param(-letter.param, cert)
+        return Word(w.ring, w.size, rest + ((bad, inv),))
+
+    monkeypatch.setattr(decompose_module, "_pair_transvection_word",
+                        sabotaged)
+    a = certify(I3, [Z27.el(1)])
+    b = certify(I3, [Z27.el(2)])
+    short = word(Z27, 6, SympLetter(6, 1, 3, Z27.el(4)),
+                 SympLetter(6, 2, 1, Z27.el(11)))
+    long_ = word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
+                 SympLetter(6, 4, 6, Z27.el(8)))
+    # the lemma that built the corrupted word refuses it first
+    with pytest.raises(VerificationFailed, match="differs from closed form"):
+        decompose_conjugate(short, 1, 2, a, b)
+    with pytest.raises(VerificationFailed, match="differs from closed form"):
+        decompose_conjugate(long_, 1, 4, a, b)

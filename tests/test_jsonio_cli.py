@@ -238,6 +238,17 @@ def test_cli_malformed_input(monkeypatch, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("ring", [
+    {"kind": "loc", "base": {"kind": "zmod", "m": 27}, "denom": 0},
+    {"kind": "poly", "base": {"kind": "zmod", "m": 27}, "vars": ["X", "X"]},
+], ids=["zero-denominator", "repeated-variable"])
+def test_cli_rejected_ring_descriptor(monkeypatch, capsys, ring):
+    request = {"ring": ring, "matrix": [[0, 1], [-1, 0]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["pfaffian"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_rewrite(tmp_path, capsys):
     req = tmp_path / "req.json"
     req.write_text(json.dumps(rewrite_request()))

@@ -7,12 +7,14 @@ from elemcalc import (
     CertifiedElement,
     IdealPresentation,
     LinLetter,
+    LowerTransLetter,
     MuLetter,
     NotAlternating,
     RELATION_TAGS,
     RhoLetter,
     SideConditionViolated,
     SympLetter,
+    UpperTransLetter,
     Word,
     ZmodRing,
     certify,
@@ -116,6 +118,25 @@ def test_letter_matrices_match_generators():
     s = SympLetter(4, 1, 3, Z27.el(7))
     assert s.matrix() == make_symplectic_generator(Z27, 2, 1, 3, 7)
     assert s.matrix() * s.matrix(inverted=True) == identity(Z27, 4)
+    # every letter class: evaluation (column operations where the class
+    # has them) agrees with the letter's own matrix, inverted or not
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(5), Z27.el(0), Z27.el(7)])
+    phi = standard_symplectic_form(Z27, 2)
+    v = ColumnVector(Z27, [Z27.el(4), Z27.el(0), Z27.el(9)])
+    letters = (
+        (LinLetter(3, 2, 3, Z27.el(7)), "E", "E[2,3]("),
+        (SympLetter(6, 1, 4, Z27.el(7)), "se", "se[1,4]("),
+        (RhoLetter(q, 5, phi), "rho", "rho("),
+        (MuLetter(q, 5, phi), "mu", "mu("),
+        (LowerTransLetter(v), "trans-lower", "shear-lower("),
+        (UpperTransLetter(v), "trans-upper", "shear-upper("),
+    )
+    for letter, kind, prefix in letters:
+        assert letter.kind == kind and repr(letter).startswith(prefix)
+        size = letter.size
+        assert evaluate(word(Z27, size, letter)) == letter.matrix()
+        assert evaluate(word(Z27, size, (letter, True))) == letter.matrix(True)
+        assert letter.matrix() * letter.matrix(True) == identity(Z27, size)
 
 
 def test_is_index1():

@@ -21,6 +21,7 @@ from .matrices import (ColumnVector, ExactMatrix, identity, is_alternating,
                        pfaffian, sigma_index as sigma,
                        standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
+from .sampling import prime_of
 from .words import (LinLetter, MuLetter, RhoLetter, SympLetter, Word,
                     check_evaluation, evaluate, expand_mu, expand_rho,
                     invert_word, word_in_E1, word_in_ESp1)
@@ -537,15 +538,7 @@ def _local_data(ring):
     if not isinstance(ring, ZmodRing):
         raise NotLocalRing("standardization supports Z/p^k rings only")
     m = ring.m
-    p = None
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            break
-        d += 1
-    if p is None:
-        p = m
+    p = prime_of(m)
     k = 0
     t = m
     while t % p == 0:

@@ -116,17 +116,15 @@ def element_from_json(ring, data):
                 raise DescriptorMismatch(
                     "polynomial monomial must be [exponents, coefficient]")
             named, coeff_data = item
-            mono = ring.one
+            exps = [0] * ring.nvars
             for name, e in named.items():
                 if name not in ring.variables:
                     raise DescriptorMismatch("unknown variable %r" % (name,))
                 if not isinstance(e, int) or e < 0:
                     raise DescriptorMismatch("bad exponent for %r" % (name,))
-                v = ring.var(name)
-                for _ in range(e):
-                    mono = mono * v
+                exps[ring.variables.index(name)] = e
             coeff = element_from_json(ring.base, coeff_data)
-            out = out + mono * ring.el(coeff)
+            out = out + ring.wrap(ring.monomial(exps, coeff.payload))
         return out
     if isinstance(ring, LocRing):
         num = element_from_json(ring.base, _need(data, "num", "loc element"))

@@ -165,10 +165,7 @@ class _Term:
 
     def value(self):
         if self._value is None:
-            acc = self.coeff
-            y = self.ring.var(_YVAR)
-            for _ in range(self.y_exp):
-                acc = acc * y
+            acc = self.coeff * self.ring.var(_YVAR, self.y_exp)
             for a in self.atoms:
                 acc = acc * a.value
             self._value = acc
@@ -178,10 +175,7 @@ class _Term:
         if not self.atoms:
             raise VerificationFailed(
                 "parameter term without a certified factor")
-        rest = self.coeff
-        y = self.ring.var(_YVAR)
-        for _ in range(self.y_exp):
-            rest = rest * y
+        rest = self.coeff * self.ring.var(_YVAR, self.y_exp)
         for a in self.atoms[1:]:
             rest = rest * a.value
         return self.atoms[0].scale(rest)
@@ -198,8 +192,7 @@ class _Term:
 
     def subst_y4(self, memo):
         ring = self.ring
-        y = ring.var(_YVAR)
-        y4 = y * y * y * y
+        y4 = ring.var(_YVAR, 4)
         atoms = []
         for a in self.atoms:
             got = memo.get(id(a))
@@ -755,11 +748,7 @@ def _finish(system, eps, i, j, a_poly, ideal):
             raise VerificationFailed(
                 "derived parameter %r is not divisible by %s"
                 % (letter.param, _YVAR))
-    exp = 4 ** len(eps)
-    y_pow = ring.one
-    y = ring.var(_YVAR)
-    for _ in range(exp):
-        y_pow = y_pow * y
+    y_pow = ring.var(_YVAR, 4 ** len(eps))
     target = system.make_letter(i, j, y_pow * a_poly.value,
                                 a_poly.scale(y_pow))
     lhs = eps * Word(ring, system.size, ((target, False),)) \

@@ -18,6 +18,8 @@ multiply out to its value, exactly.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (
     DescriptorMismatch,
     IdealMismatch,
@@ -88,14 +90,7 @@ class RingElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return RingElement(self.ring, self.ring.p_pow(self.payload, k))
 
     def __eq__(self, other):
         if isinstance(other, (RingElement, int)):
@@ -168,8 +163,19 @@ class Ring:
             return a == b
         return self.p_is_zero(self.p_sub(a, b))
 
+    def p_pow(self, a, k):
+        """a**k by square-and-multiply: about 2 log2(k) products."""
+        out = None
+        while k:
+            if k & 1:
+                out = a if out is None else self.p_mul(out, a)
+            k >>= 1
+            if k:
+                a = self.p_mul(a, a)
+        return self.from_int(1) if out is None else out
+
     # subclasses: from_int, p_add, p_neg, p_mul, p_is_zero, p_invert,
-    # p_repr, structural, __eq__, __hash__
+    # p_content, p_repr, structural, __eq__, __hash__
 
 
 class ZmodRing(Ring):
@@ -213,6 +219,10 @@ class ZmodRing(Ring):
             return pow(a, -1, self.m)
         except ValueError:
             raise NotAUnit("%d is not a unit mod %d" % (a, self.m))
+
+    def p_content(self, a):
+        """gcd(a, m); a is a non-zero-divisor exactly when it is 1."""
+        return gcd(a, self.m)
 
     def p_repr(self, a):
         return str(a)
@@ -267,10 +277,11 @@ class PolyRing(Ring):
     def from_int(self, n):
         return self._embed(self.base.from_int(n))
 
-    def var(self, name):
+    def var(self, name, e=1):
+        """The monomial name**e, built from its exponent."""
         if name not in self.variables:
             raise UnknownVariable("no variable %r in %r" % (name, self))
-        exps = tuple(1 if v == name else 0 for v in self.variables)
+        exps = tuple(e if v == name else 0 for v in self.variables)
         return self.wrap({exps: self.base.from_int(1)})
 
     def monomial(self, exps, coeff_payload):
@@ -337,23 +348,39 @@ class PolyRing(Ring):
             raise NotAUnit("zero is not a unit")
         return self._embed(self.base.p_invert(const))
 
+    def p_content(self, a):
+        # McCoy: a polynomial is a zero-divisor exactly when a nonzero
+        # constant kills it, so the gcd of its coefficients decides.
+        g = self.base.p_content(self.base.from_int(0))
+        for c in a.values():
+            g = gcd(g, self.base.p_content(c))
+        return g
+
     def p_substitute(self, a, bindings):
-        """bindings: variable name -> payload of this ring."""
+        """bindings: variable name -> payload of this ring.
+
+        Each bound value is raised by square-and-multiply, once per
+        distinct (variable, exponent) in a.
+        """
         positions = {}
         for name in bindings:
             if name not in self.variables:
                 raise UnknownVariable("no variable %r in %r" % (name, self))
             positions[self.variables.index(name)] = bindings[name]
+        powers = {}
         out = {}
         for exps, c in a.items():
-            term = self._embed(c)
             rest = list(exps)
+            for pos in positions:
+                rest[pos] = 0
+            term = {tuple(rest): c}
             for pos, val in positions.items():
                 e = exps[pos]
-                rest[pos] = 0
-                for _ in range(e):
-                    term = self.p_mul(term, val)
-            term = self.p_mul(term, {tuple(rest): self.base.from_int(1)})
+                if e:
+                    pw = powers.get((pos, e))
+                    if pw is None:
+                        pw = powers[(pos, e)] = self.p_pow(val, e)
+                    term = self.p_mul(term, pw)
             out = self.p_add(out, term)
         return out
 
@@ -378,7 +405,7 @@ class LocRing(Ring):
     """Localization of a base ring at a declared non-zero-divisor a.
 
     Payloads are pairs (numerator payload, exponent): num / a^exp.
-    Equality is by cross-multiplication, valid because a is asserted
+    Equality is by cross-multiplication, valid because a is checked
     to be a non-zero-divisor.
     """
 
@@ -389,8 +416,9 @@ class LocRing(Ring):
         super().__init__()
         self.base = base
         self.denom = base.el(denominator)
-        if self.denom.is_zero():
-            raise ValueError("denominator must be nonzero")
+        if base.p_content(self.denom.payload) != 1:
+            raise ValueError("denominator %r is zero or a zero-divisor in %r"
+                             % (self.denom, base))
 
     def __eq__(self, other):
         return (isinstance(other, LocRing) and other.base == self.base
@@ -415,10 +443,7 @@ class LocRing(Ring):
         return (self.base.from_int(n), 0)
 
     def _denom_pow(self, k):
-        p = self.base.from_int(1)
-        for _ in range(k):
-            p = self.base.p_mul(p, self.denom.payload)
-        return p
+        return self.base.p_pow(self.denom.payload, k)
 
     def p_add(self, a, b):
         (na, ea), (nb, eb) = a, b
@@ -440,6 +465,9 @@ class LocRing(Ring):
 
     def p_is_zero(self, a):
         return self.base.p_is_zero(a[0])
+
+    def p_content(self, a):
+        return self.base.p_content(a[0])
 
     def p_invert(self, a):
         num, e = a

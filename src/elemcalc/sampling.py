@@ -89,13 +89,10 @@ def sample_element(rng, ring, max_degree=2, variables=None, terms=3):
         allowed = ring.variables if variables is None else tuple(variables)
         out = ring.zero
         for _ in range(rng.randint(1, terms)):
-            exps = _monomial(rng, allowed, max_degree)
-            mono = ring.one
-            for name, e in zip(allowed, exps):
-                for _ in range(e):
-                    mono = mono * ring.var(name)
+            exps = dict(zip(allowed, _monomial(rng, allowed, max_degree)))
             coeff = sample_element(rng, ring.base, max_degree)
-            out = out + mono * ring.el(coeff)
+            out = out + ring.wrap(ring.monomial(
+                [exps.get(v, 0) for v in ring.variables], coeff.payload))
         return out
     # localization: numerator over a small denominator power
     num = sample_element(rng, ring.base, max_degree)

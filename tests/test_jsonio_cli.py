@@ -64,6 +64,17 @@ def test_element_codec():
         jsonio.element_from_json(RXY, [[{"X": -1}, 3]])
 
 
+def test_element_codec_large_exponent():
+    data = [[{"X": 10 ** 9}, 1]]
+    x = jsonio.element_from_json(RXY, data)
+    assert x == RXY.var("X", 10 ** 9)
+    assert jsonio.element_to_json(x) == data
+    data = [[{"X": 2, "Y": 4 ** 8}, 5], [{}, 7]]
+    y = jsonio.element_from_json(RXY, data)
+    assert y == RXY.el(5) * RXY.var("X", 2) * RXY.var("Y", 4 ** 8) + 7
+    assert jsonio.element_from_json(RXY, jsonio.element_to_json(y)) == y
+
+
 def test_ideal_and_certificate_codec():
     data = jsonio.ideal_to_json(I3)
     assert data == [3]
@@ -240,13 +251,16 @@ def test_cli_malformed_input(monkeypatch, capsys):
 
 @pytest.mark.parametrize("ring", [
     {"kind": "loc", "base": {"kind": "zmod", "m": 27}, "denom": 0},
+    {"kind": "loc", "base": {"kind": "zmod", "m": 27}, "denom": 3},
     {"kind": "poly", "base": {"kind": "zmod", "m": 27}, "vars": ["X", "X"]},
-], ids=["zero-denominator", "repeated-variable"])
+], ids=["zero-denominator", "zero-divisor-denominator", "repeated-variable"])
 def test_cli_rejected_ring_descriptor(monkeypatch, capsys, ring):
     request = {"ring": ring, "matrix": [[0, 1], [-1, 0]]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
     assert cli.main(["pfaffian"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # the ring itself is refused, before its matrix entries are read
+    assert "error: bad %s descriptor" % ring["kind"] \
+        in capsys.readouterr().err
 
 
 def test_cli_rewrite(tmp_path, capsys):

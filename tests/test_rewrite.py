@@ -32,6 +32,14 @@ from elemcalc import (
     word_in_ESp1,
 )
 import elemcalc.rewrite as rewrite_module
+from elemcalc.sampling import (
+    sample_certified,
+    sample_index1_linear_word,
+    sample_index1_symplectic,
+    sample_index1_symplectic_word,
+    sample_linear_index1,
+    trial_rng,
+)
 
 Z27 = ZmodRing(27)
 R = PolyRing(Z27, ("X", "Y"))
@@ -181,6 +189,44 @@ def test_rewrite_target_exponent():
     assert mid.param == y4 * a.value
 
 
+def test_term_y_power_cost_is_independent_of_exponent(poly_mul_calls):
+    a = c(2, 1)
+    counts = set()
+    for e in (1, 4, 4 ** 8):
+        term = rewrite_module._Term(R, e, (a, a), R.el(5))
+        poly_mul_calls.clear()
+        value = term.value()
+        cert = term.cert()
+        counts.add(len(poly_mul_calls))
+        assert value == R.el(5) * R.var("Y") ** e * a.value * a.value
+        assert cert.value == value and cert.check()
+    assert len(counts) == 1
+
+
+def test_finish_target_cost_is_independent_of_exponent(poly_mul_calls,
+                                                       monkeypatch):
+    # Conjugators E_13(g) commute with the target E_12, so the rewrite
+    # is the target itself, E_12(Y^(4^r) a); stand in for the recursion
+    # to keep _finish's own work: the Y^(4^r) target, the divisibility
+    # check and the exact comparison.
+    def commuting(system, gs, i, j, a_tpoly, trace):
+        return [(i, j, a_tpoly.with_extra_y(4 ** len(gs)))]
+
+    monkeypatch.setattr(rewrite_module, "_rewrite_rec", commuting)
+    a = c(2, 1)
+    g = c(1, 2)
+    counts = []
+    for r in (6, 7, 8):
+        eps = Word(R, 3, [(LinLetter(3, 1, 3, g.value, cert=g), False)] * r)
+        poly_mul_calls.clear()
+        res = rewrite_conjugation_linear(eps, 1, 2, a)
+        counts.append(len(poly_mul_calls))
+        assert res.verified
+        assert res.lhs.letters[r][0].param == R.var("Y", 4 ** r) * a.value
+    # each letter costs the same, though the exponent grows fourfold
+    assert counts[2] - counts[1] == counts[1] - counts[0]
+
+
 def test_rewrite_rejects_bad_inputs():
     a = c(2, 0)
     g = c(1, 0)
@@ -257,3 +303,27 @@ def test_rewrite_deterministic():
     r2 = rewrite_conjugation_symplectic(eps, 1, 4, a)
     assert repr(r1.output.letters) == repr(r2.output.letters)
     assert r1.case_trace == r2.case_trace
+
+
+@pytest.mark.parametrize("mode, seed", [("linear", 10), ("symplectic", 0)])
+def test_rewrite_six_letter_conjugator(mode, seed):
+    # the identity is proved at Y^4096
+    rng = trial_rng(seed, 6)
+    if mode == "linear":
+        eps = sample_index1_linear_word(rng, I3, 3, 6, variables=("X",))
+        i, j = sample_linear_index1(rng, 3)
+        rewrite, in_group = rewrite_conjugation_linear, word_in_E1
+    else:
+        eps = sample_index1_symplectic_word(rng, I3, 6, 6, variables=("X",))
+        i, j = sample_index1_symplectic(rng, 6)
+        rewrite, in_group = rewrite_conjugation_symplectic, word_in_ESp1
+    a = sample_certified(rng, I3, max_degree=1, variables=("X",))
+    res = rewrite(eps, i, j, a)
+    assert res.verified
+    assert res.lhs.letters[6][0].param == R.var("Y", 4 ** 6) * a.value
+    assert len(res.output) > 100
+    assert in_group(res.output, I3)
+    for letter, _ in res.output.letters:
+        assert y_divisible(letter.param)
+    specialize_and_check(res, 5, 2)
+    assert specialize_and_check(res, 4, 0).is_identity()

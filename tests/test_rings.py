@@ -99,6 +99,31 @@ def test_poly_substitute():
         substitute(p, {"Q": P.zero})
 
 
+def test_var_power_is_one_monomial(poly_mul_calls):
+    P = make_pxy()
+    assert P.var("Y", 4 ** 8).payload == {(0, 4 ** 8): 1}
+    assert P.var("X", 0) == P.one
+    assert not poly_mul_calls
+    assert P.var("Y", 5) == P.var("Y") ** 5
+
+
+def test_substitute_raises_by_squaring(poly_mul_calls):
+    P = make_pxy()
+    y = P.var("Y")
+    p = P.var("Y", 4 ** 8)
+    poly_mul_calls.clear()
+    q = substitute(p, {"Y": P.var("Y", 4)})
+    assert len(poly_mul_calls) <= (4 ** 8).bit_length() + 1
+    assert q == P.var("Y", 4 ** 9)
+    # one power per (variable, exponent), shared between monomials
+    p = P.var("X") * P.var("Y", 4 ** 8) + P.var("Y", 4 ** 8)
+    poly_mul_calls.clear()
+    q = substitute(p, {"Y": P.el(2) * y})
+    assert len(poly_mul_calls) <= (4 ** 8).bit_length() + 2
+    assert q == (P.var("X") + P.el(1)) * P.el(pow(2, 4 ** 8, 27)) \
+        * P.var("Y", 4 ** 8)
+
+
 def test_poly_lifts_base_elements():
     P = make_pxy()
     assert P.el(Z27.el(5)) == P.el(5)
@@ -129,6 +154,31 @@ def test_loc_ring_equality_and_inverse():
     assert L.el(5) * invert_unit(L.el(5)) == L.one
     inv2 = L.wrap((1, 1))       # 1 / 2
     assert L.el(2) * inv2 == L.one
+
+
+def test_loc_ring_refuses_zero_divisors():
+    # at 3, Z/27 would get 3**3 == 0 and (1/3) * 3 == 1
+    with pytest.raises(ValueError):
+        LocRing(Z27, 3)
+    with pytest.raises(ValueError):
+        LocRing(Z27, 0)
+    T = PolyRing(ZmodRing(25), ("T",))
+    t = T.var("T")
+    LocRing(T, t)
+    LocRing(T, T.el(1) + T.el(5) * t)    # content 1: not a zero-divisor
+    with pytest.raises(ValueError):
+        LocRing(T, T.el(5) * t + T.el(10))
+    with pytest.raises(ValueError):
+        LocRing(LocRing(T, t), T.el(5) * t)
+
+
+def test_loc_ring_large_exponent():
+    L = LocRing(Z27, 2)
+    x = L.wrap((5, 10 ** 9))
+    assert x == x
+    assert x == L.wrap((10, 10 ** 9 + 1))
+    assert L.wrap((1, 10 ** 9)) == L.el(pow(2, -10 ** 9, 27))
+    assert L.wrap((1, 10 ** 9)) != L.el(pow(2, -10 ** 9, 27) + 1)
 
 
 def test_ideal_presentation_and_square():

@@ -4,21 +4,21 @@ Examples, from the root of a checkout:
 
     python3 scripts/bench_pair.py --workload rewrite-deep --out BENCH_n.json
     python3 scripts/bench_pair.py --parent HEAD~1 --workload forms-cli \\
-        --workload decompose-scale --pairs 5 --seconds 25 --out BENCH_n.json
+        --workload decompose-scale --pairs 5 --out BENCH_n.json
 
 The parent revision (default HEAD) is exported with `git archive` into a
 temporary directory, so its committed files are measured exactly and the
 repository gains no worktree record; the change is the working tree.
-Both sides run their own `perfbench/run.py --trace 0`, one run at a time.
-Pair k uses seed SEEDS[k mod len(SEEDS)] on both sides, and the side
-that runs first alternates from pair to pair, so a slow spell of the
-machine does not favour one side.
+Both sides run their own `perfbench/run.py --trace 0`, one run at a time,
+for BENCHMARK.json's run_seconds. Pair k uses seed k mod 10 on both
+sides, and the side that runs first alternates from pair to pair, so a
+slow spell of the machine does not favour one side.
 
 The output file keeps, per workload: every run's end-to-end metrics and
 golden-digest status, each side's median and quartiles per metric, and
 how many pairs each side won (better as BENCHMARK.json defines it; ties
-count for neither). A workload already in the file is replaced; others
-are kept.
+count for neither). Each run writes a fresh report; name every workload
+it should cover with a --workload of its own.
 """
 
 import argparse
@@ -96,28 +96,20 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", required=True,
                         help="workload to measure (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9",
-                        help="comma-separated seeds, cycled over the pairs")
     parser.add_argument("--out", required=True,
                         help="report file, BENCH_<n>.json by convention")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seeds = [int(s) for s in args.seeds.split(",")]
     parent_rev = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True).stdout.strip()
 
     out_path = os.path.join(ROOT, args.out)
     report = {"workloads": {}}
-    if os.path.exists(out_path):
-        with open(out_path) as f:
-            report = json.load(f)
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
     try:
         export(parent_rev, parent_dir)
@@ -125,7 +117,7 @@ def main(argv=None):
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):
-                seed = seeds[k % len(seeds)]
+                seed = k % 10
                 order = ("parent", "change") if k % 2 == 0 \
                     else ("change", "parent")
                 for position, side in enumerate(order):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .decompose import DecompositionResult
-from .errors import DescriptorMismatch
+from .errors import DescriptorMismatch, UnknownVariable
 from .matrices import ColumnVector, ExactMatrix, from_rows
 from .rewrite import RewriteResult
 from .rings import (
@@ -116,15 +116,14 @@ def element_from_json(ring, data):
                 raise DescriptorMismatch(
                     "polynomial monomial must be [exponents, coefficient]")
             named, coeff_data = item
-            exps = [0] * ring.nvars
             for name, e in named.items():
-                if name not in ring.variables:
-                    raise DescriptorMismatch("unknown variable %r" % (name,))
                 if not isinstance(e, int) or e < 0:
                     raise DescriptorMismatch("bad exponent for %r" % (name,))
-                exps[ring.variables.index(name)] = e
             coeff = element_from_json(ring.base, coeff_data)
-            out = out + ring.wrap(ring.monomial(exps, coeff.payload))
+            try:
+                out = out + ring.monomial(named.items(), coeff)
+            except UnknownVariable as exc:
+                raise DescriptorMismatch(str(exc)) from exc
         return out
     if isinstance(ring, LocRing):
         num = element_from_json(ring.base, _need(data, "num", "loc element"))

@@ -278,16 +278,22 @@ class PolyRing(Ring):
         return self._embed(self.base.from_int(n))
 
     def var(self, name, e=1):
-        """The monomial name**e, built from its exponent."""
-        if name not in self.variables:
-            raise UnknownVariable("no variable %r in %r" % (name, self))
-        exps = tuple(e if v == name else 0 for v in self.variables)
-        return self.wrap({exps: self.base.from_int(1)})
+        """The monomial name**e."""
+        return self.monomial([(name, e)])
 
-    def monomial(self, exps, coeff_payload):
-        if self.base.p_is_zero(coeff_payload):
-            return {}
-        return {tuple(exps): coeff_payload}
+    def monomial(self, exponents, coeff=None):
+        """coeff (a base element, default 1) times the product of name**e
+        over the (name, e) pairs, built from its exponent tuple; a
+        repeated name adds its exponents."""
+        exps = [0] * self.nvars
+        for name, e in exponents:
+            if name not in self.variables:
+                raise UnknownVariable("no variable %r in %r" % (name, self))
+            exps[self.variables.index(name)] += e
+        c = self.base.from_int(1) if coeff is None else coeff.payload
+        if self.base.p_is_zero(c):
+            return self.zero
+        return self.wrap({tuple(exps): c})
 
     def p_add(self, a, b):
         if not a:

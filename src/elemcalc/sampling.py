@@ -89,10 +89,9 @@ def sample_element(rng, ring, max_degree=2, variables=None, terms=3):
         allowed = ring.variables if variables is None else tuple(variables)
         out = ring.zero
         for _ in range(rng.randint(1, terms)):
-            exps = dict(zip(allowed, _monomial(rng, allowed, max_degree)))
+            exps = _monomial(rng, allowed, max_degree)
             coeff = sample_element(rng, ring.base, max_degree)
-            out = out + ring.wrap(ring.monomial(
-                [exps.get(v, 0) for v in ring.variables], coeff.payload))
+            out = out + ring.monomial(zip(allowed, exps), coeff)
         return out
     # localization: numerator over a small denominator power
     num = sample_element(rng, ring.base, max_degree)

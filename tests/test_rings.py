@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from elemcalc.rings import (
     product_certificate,
     substitute,
 )
+from elemcalc.sampling import sample_element
 
 Z27 = ZmodRing(27)
 Z8 = ZmodRing(8)
@@ -105,6 +108,20 @@ def test_var_power_is_one_monomial(poly_mul_calls):
     assert P.var("X", 0) == P.one
     assert not poly_mul_calls
     assert P.var("Y", 5) == P.var("Y") ** 5
+
+
+def test_monomial_from_named_exponents(poly_mul_calls):
+    P = make_pxy()
+    m = P.monomial([("X", 2), ("Y", 3), ("X", 1)], P.base.el(5))
+    assert m.payload == {(3, 3): 5}
+    assert P.monomial({"Y": 4 ** 8}.items()) == P.var("Y", 4 ** 8)
+    assert P.monomial([("X", 1)], P.base.el(27)) == P.zero
+    assert not poly_mul_calls
+    with pytest.raises(UnknownVariable):
+        P.monomial([("Z", 1)])
+    rng = random.Random(0)
+    with pytest.raises(UnknownVariable):
+        sample_element(rng, P, variables=("X", "Z"), terms=1, max_degree=0)
 
 
 def test_substitute_raises_by_squaring(poly_mul_calls):

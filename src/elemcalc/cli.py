@@ -124,11 +124,10 @@ def cmd_pfaffian(data):
     if m.rows != m.cols or m.rows % 2 != 0 or not is_alternating(m):
         raise DescriptorMismatch(
             "the Pfaffian needs an alternating matrix of even size")
-    pf = pfaffian(m)
-    if pf * pf != det(m):
+    pf, d = pfaffian(m), det(m)
+    if pf * pf != d:
         raise VerificationFailed(
-            "Pfaffian square %r does not match the determinant %r"
-            % (pf, det(m)))
+            "Pfaffian square %r does not match the determinant %r" % (pf, d))
     return {"verified": True, "pfaffian": jsonio.element_to_json(pf),
             "size": m.rows}
 

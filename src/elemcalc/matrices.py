@@ -171,11 +171,6 @@ class ExactMatrix:
                 ents.append(self.entry(r, c))
         return ExactMatrix(self.ring, self.rows - 1, self.cols - 1, ents)
 
-    def delete_rows_cols(self, drop):
-        keep = [k for k in range(1, self.rows + 1) if k not in drop]
-        ents = [self.entry(r, c) for r in keep for c in keep]
-        return ExactMatrix(self.ring, len(keep), len(keep), ents)
-
     def __repr__(self):
         rows = []
         for r in range(1, self.rows + 1):
@@ -360,71 +355,122 @@ def col_times_row(v, r):
 
 
 def pfaffian(phi):
-    """Pfaffian of an alternating matrix by first-row expansion."""
+    """Pfaffian of an alternating matrix (Rote's clow sum, O(n^4))."""
     if not is_alternating(phi):
         raise NotAlternating("pfaffian needs an alternating matrix")
     if phi.rows % 2 != 0:
         raise OddDimension("pfaffian needs an even size")
-    return _pf(phi)
+    return phi.ring.wrap(_pf(phi.ring, phi.payload_grid()))
 
 
-def _pf(phi):
-    n = phi.rows
-    if n == 0:
-        return phi.ring.one
-    if n == 2:
-        return phi.entry(1, 2)
-    acc = phi.ring.zero
-    for j in range(2, n + 1):
-        a1j = phi.entry(1, j)
-        if a1j.is_zero():
-            continue
-        sub = _pf(phi.delete_rows_cols({1, j}))
-        term = a1j * sub
-        if j % 2 == 1:
-            term = -term
-        acc = acc + term
-    return acc
+def _nonzero_cells(ring, a):
+    """Per row of the payload grid a, its nonzero (column, payload) pairs."""
+    p_is_zero = ring.p_is_zero
+    return [[(j, e) for j, e in enumerate(row) if not p_is_zero(e)]
+            for row in a]
+
+
+def _pf(ring, a):
+    """Rote's division-free Pfaffian of the alternating payload grid a.
+
+    A perfect matching M, walked against the standard matching sigma
+    (0<->1, 2<->3, ... here, 0-based), splits into cycles. From the
+    current vertex c a cycle takes an M-edge (c, v) and then the
+    sigma-edge from v to sigma(v); its head h, an even index, is its
+    least vertex, so every v exceeds h, and it closes at v = sigma(h).
+    The sign of M is then the product over the non-closing steps of -1
+    for each odd v. The sum runs over all walks of this shape
+    ("alternating clows") with increasing heads and n/2 steps in all:
+    the walks that are not matchings cancel in pairs (Rote, LNCS 2122,
+    2001), and no division is needed. open_[h][c] is the signed weight
+    of the partial walks whose open clow has head h and stands at c;
+    each round takes one step of every open clow.
+    """
+    n = len(a)
+    p_add, p_mul, p_neg, p_is_zero = ring.p_add, ring.p_mul, ring.p_neg, ring.p_is_zero
+    zero = ring.from_int(0)
+    cells = _nonzero_cells(ring, a)
+    heads = range(0, n, 2)
+    open_ = [[zero] * n for _ in range(n)]
+    # start[h]: weight of the sequences of closed clows whose heads all
+    # lie below h, with which a new clow opens at h
+    total = ring.from_int(1)
+    start = [total] * n
+    for _ in range(n // 2):
+        for h in heads:
+            open_[h][h] = start[h]
+        nxt = [[zero] * n for _ in range(n)]
+        closed = [zero] * n
+        for h in heads:
+            out = nxt[h]
+            for c in range(h, n):
+                x = open_[h][c]
+                if p_is_zero(x):
+                    continue
+                for v, e in cells[c]:
+                    if v <= h:
+                        continue
+                    y = p_mul(x, e)
+                    if v == h + 1:
+                        # closing: -1 for the odd v, -1 for the clow
+                        closed[h] = p_add(closed[h], y)
+                    else:
+                        out[v ^ 1] = p_add(out[v ^ 1], p_neg(y) if v & 1 else y)
+        open_ = nxt
+        total = zero
+        for h in heads:
+            start[h] = total
+            total = p_add(total, closed[h])
+    return total
 
 
 def det(m):
-    """Determinant by first-column expansion, memoized on row subsets."""
+    """Determinant by Berkowitz's division-free recurrence, O(n^4)."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    ring = m.ring
-    n = m.rows
-    if n == 0:
-        return ring.one
-    grid = m.payload_grid()
+    return m.ring.wrap(_det(m.ring, m.payload_grid()))
+
+
+def _det(ring, a):
+    """Berkowitz (IPL 18, 1984) on the payload grid a.
+
+    With A_k the leading k x k block, A_k = [[A_(k-1), C], [R, a_kk]],
+    the characteristic polynomial det(x I - A_k), as its coefficient
+    list from x^k down, is the lower-triangular Toeplitz matrix with
+    first column (1, -a_kk, -R C, -R A_(k-1) C, ..., -R A_(k-1)^(k-2) C)
+    times that of A_(k-1). det A is (-1)^n times the constant term.
+    """
+    n = len(a)
     p_add, p_mul, p_neg, p_is_zero = ring.p_add, ring.p_mul, ring.p_neg, ring.p_is_zero
-    memo = {}
+    zero = ring.from_int(0)
+    one = ring.from_int(1)
+    cells = _nonzero_cells(ring, a)
 
-    def go(rows, colmask):
-        if not rows:
-            return ring.from_int(1)
-        key = (rows[0], colmask)
-        if key in memo:
-            return memo[key]
-        r = rows[0]
-        rest = rows[1:]
-        acc = ring.from_int(0)
-        sign = 0
-        for c in range(n):
-            bit = 1 << c
-            if not (colmask & bit):
-                continue
-            a = grid[r][c]
-            if not p_is_zero(a):
-                sub = go(rest, colmask & ~bit)
-                term = p_mul(a, sub)
-                if sign % 2 == 1:
-                    term = p_neg(term)
-                acc = p_add(acc, term)
-            sign += 1
-        memo[key] = acc
-        return acc
+    def dot(pairs, vec):
+        s = zero
+        for j, e in pairs:
+            x = vec[j]
+            if not p_is_zero(x):
+                s = p_add(s, p_mul(e, x))
+        return s
 
-    return ring.wrap(go(tuple(range(n)), (1 << n) - 1))
+    poly = [one]
+    for k in range(n):
+        block = [[(j, e) for j, e in cells[r] if j < k] for r in range(k + 1)]
+        col = [a[r][k] for r in range(k)]
+        t = [one, p_neg(a[k][k])]
+        for i in range(k):
+            t.append(p_neg(dot(block[k], col)))
+            if i < k - 1:
+                col = [dot(block[r], col) for r in range(k)]
+        product = []
+        for i in range(k + 2):
+            s = zero
+            for j in range(max(0, i - k - 1), min(i, k) + 1):
+                s = p_add(s, p_mul(t[i - j], poly[j]))
+            product.append(s)
+        poly = product
+    return poly[n] if n % 2 == 0 else p_neg(poly[n])
 
 
 def adjugate_inverse(m):

@@ -45,7 +45,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring == self.ring:
+            if other.ring is self.ring or other.ring == self.ring:
                 return other
             lifted = self.ring.try_lift(other)
             if lifted is not None:
@@ -142,7 +142,7 @@ class Ring:
         if isinstance(x, int):
             return RingElement(self, self.from_int(x))
         if isinstance(x, RingElement):
-            if x.ring == self:
+            if x.ring is self or x.ring == self:
                 return x
             lifted = self.try_lift(x)
             if lifted is not None:

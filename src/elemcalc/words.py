@@ -19,7 +19,6 @@ from .errors import (BadIndices, NonstandardForm, NotAlternating,
                      SideConditionViolated, VerificationFailed)
 from .matrices import (
     ExactMatrix,
-    adjugate_inverse,
     identity,
     is_alternating,
     is_symplectic,
@@ -242,11 +241,15 @@ class _TransvectionLetter:
         return None
 
     def matrix(self, inverted=False):
-        m = _transvection_blocks(self.ring, self.q, self.scalar, self.form,
-                                 self.row_kind)
+        # The letter is 1 + N with N^2 = 0: the one entry of N^2 that
+        # can be nonzero is +-q^t form q, which vanishes because the form
+        # is alternating. So the inverse 1 - N is the letter at -q and
+        # -scalar.
         if inverted:
-            return adjugate_inverse(m)
-        return m
+            return _transvection_blocks(self.ring, -self.q, -self.scalar,
+                                        self.form, self.row_kind)
+        return _transvection_blocks(self.ring, self.q, self.scalar, self.form,
+                                    self.row_kind)
 
     def __repr__(self):
         return "%s(%r, %r)" % (self.kind, self.q, self.scalar)

@@ -1,6 +1,6 @@
 import pytest
 
-from elemcalc.rings import PolyRing
+from elemcalc.rings import PolyRing, ZmodRing
 
 
 @pytest.fixture
@@ -16,3 +16,22 @@ def poly_mul_calls(monkeypatch):
 
     monkeypatch.setattr(PolyRing, "p_mul", counting)
     return calls
+
+
+@pytest.fixture
+def zmod_mul_budget(monkeypatch):
+    """A one-item list: how many more ZmodRing.p_mul calls are allowed
+    (none at first). Each call spends one, and the call that finds the
+    budget spent raises, so an algorithm of too high an order fails at
+    once instead of running on."""
+    left = [0]
+    orig = ZmodRing.p_mul
+
+    def counting(self, a, b):
+        if left[0] <= 0:
+            raise AssertionError("ZmodRing.p_mul budget spent")
+        left[0] -= 1
+        return orig(self, a, b)
+
+    monkeypatch.setattr(ZmodRing, "p_mul", counting)
+    return left

@@ -1,17 +1,24 @@
-"""Polynomial substitution and powers over (Z/m)[X, Y], checked against
-sympy: the same polynomial over the integers, coefficients reduced
-mod m afterwards."""
+"""Ring and matrix arithmetic checked against independent oracles.
+
+Polynomial substitution, powers and determinants over Z/m and
+(Z/m)[X, Y] are checked against sympy: the same computation over the
+integers, reduced mod m afterwards. Pfaffians are checked against the
+sum over perfect matchings of tests/test_matrices.py, and at sizes
+beyond its reach against Pf^2 = det."""
 
 import random
 
 import pytest
 
+from elemcalc.matrices import det, from_rows, pfaffian
 from elemcalc.rings import PolyRing, ZmodRing, substitute
+from test_matrices import pfaffian_matching_oracle
 
 sympy = pytest.importorskip("sympy")
 
 X, Y = sympy.symbols("X Y")
 MODULI = (25, 27, 121)
+MATRIX_MODULI = (2, 8, 25, 27, 121)
 Y_EXPONENTS = (0, 1, 2, 3, 4, 16, 64, 256, 1024, 4096)
 
 
@@ -61,3 +68,76 @@ def test_power_matches_sympy(m):
     for k, terms in ((4 ** 3, 2), (4 ** 6, 1)):
         p, pe = sparse_pair(rng, m, (0, 1, 2), terms)
         assert (p ** k).payload == reduced(pe ** k, m)
+
+
+def int_grid(rng, m, size, density, alternating=False):
+    """A size x size grid of ints in [0, m), each nonzero with the given
+    probability; skew-symmetric with zero diagonal if alternating."""
+    g = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1 if alternating else 0, size):
+            if rng.random() < density:
+                g[i][j] = rng.randrange(m)
+            if alternating:
+                g[j][i] = -g[i][j]
+    return g
+
+
+def poly_grid(rng, m, size, alternating=False):
+    """A grid of sparse polynomials over (Z/m)[X, Y], as elements and as
+    sympy expressions."""
+    P = PolyRing(ZmodRing(m), ("X", "Y"))
+    els = [[P.zero] * size for _ in range(size)]
+    exs = [[sympy.Integer(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1 if alternating else 0, size):
+            if rng.random() < 0.7:
+                els[i][j], exs[i][j] = sparse_pair(rng, m, (0, 1, 2), terms=2)
+            if alternating:
+                els[j][i], exs[j][i] = -els[i][j], -exs[i][j]
+    return P, els, exs
+
+
+@pytest.mark.parametrize("m", MATRIX_MODULI)
+def test_det_matches_sympy(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    for size in range(1, 13):
+        for density in (1.0, 0.3):
+            g = int_grid(rng, m, size, density)
+            want = int(sympy.Matrix(g).det(method="bareiss")) % m
+            assert det(from_rows(R, g)) == R.el(want)
+
+
+def test_det_matches_sympy_over_polynomials():
+    rng = random.Random(0)
+    for size in range(1, 5):
+        for _ in range(3):
+            P, els, exs = poly_grid(rng, 27, size)
+            want = sympy.expand(sympy.Matrix(exs).det(method="bareiss"))
+            assert det(from_rows(P, els)).payload == reduced(want, 27)
+
+
+@pytest.mark.parametrize("m", MATRIX_MODULI)
+def test_pfaffian_matches_matching_sum(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    for size in range(2, 11, 2):
+        for density in (1.0, 0.4):
+            a = from_rows(R, int_grid(rng, m, size, density, alternating=True))
+            assert pfaffian(a) == pfaffian_matching_oracle(a)
+    for size in (2, 4, 6):
+        P, els, _ = poly_grid(rng, m, size, alternating=True)
+        a = from_rows(P, els)
+        assert pfaffian(a) == pfaffian_matching_oracle(a)
+
+
+@pytest.mark.parametrize("m", MATRIX_MODULI)
+def test_pfaffian_square_is_det_at_large_sizes(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    for size in (12, 14, 16):
+        for density in (1.0, 0.3):
+            a = from_rows(R, int_grid(rng, m, size, density, alternating=True))
+            pf = pfaffian(a)
+            assert pf * pf == det(a)

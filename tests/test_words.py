@@ -38,7 +38,7 @@ from elemcalc import (
     word_in_E1,
     word_in_ESp1,
 )
-from elemcalc.matrices import ColumnVector
+from elemcalc.matrices import ColumnVector, adjugate_inverse
 
 Z27 = ZmodRing(27)
 Z25 = ZmodRing(25)
@@ -122,12 +122,16 @@ def test_letter_matrices_match_generators():
     # has them) agrees with the letter's own matrix, inverted or not
     q = ColumnVector(Z27, [Z27.el(3), Z27.el(5), Z27.el(0), Z27.el(7)])
     phi = standard_symplectic_form(Z27, 2)
+    dense = from_rows(Z27, [[0, 2, 5, 1], [-2, 0, 3, 4], [-5, -3, 0, 6],
+                            [-1, -4, -6, 0]])
     v = ColumnVector(Z27, [Z27.el(4), Z27.el(0), Z27.el(9)])
     letters = (
         (LinLetter(3, 2, 3, Z27.el(7)), "E", "E[2,3]("),
         (SympLetter(6, 1, 4, Z27.el(7)), "se", "se[1,4]("),
         (RhoLetter(q, 5, phi), "rho", "rho("),
         (MuLetter(q, 5, phi), "mu", "mu("),
+        (RhoLetter(q, 11, dense), "rho", "rho("),
+        (MuLetter(q, 11, dense), "mu", "mu("),
         (LowerTransLetter(v), "trans-lower", "shear-lower("),
         (UpperTransLetter(v), "trans-upper", "shear-upper("),
     )
@@ -137,6 +141,8 @@ def test_letter_matrices_match_generators():
         assert evaluate(word(Z27, size, letter)) == letter.matrix()
         assert evaluate(word(Z27, size, (letter, True))) == letter.matrix(True)
         assert letter.matrix() * letter.matrix(True) == identity(Z27, size)
+        if kind in ("rho", "mu"):   # closed-form inverse
+            assert letter.matrix(True) == adjugate_inverse(letter.matrix())
 
 
 def test_is_index1():

@@ -13,6 +13,7 @@ exact matrix arithmetic before returning.
 
 from .errors import (
     BadIndices,
+    BadTrialCount,
     CertificateInvalid,
     DescriptorMismatch,
     DimensionTooSmall,
@@ -60,6 +61,7 @@ from .matrices import (
     ExactMatrix,
     adjugate_inverse,
     basis_vector,
+    block_diagonal,
     det,
     from_rows,
     identity,

@@ -17,8 +17,8 @@ from .errors import (BadIndices, FormMismatch, FormRelationFails,
                      IdealMismatch, LengthMismatch, NotAlternating,
                      NotCertified, NotCongruentToStandard, NotLocalRing,
                      NonstandardForm, PfaffianNotOne, VerificationFailed)
-from .matrices import (ColumnVector, ExactMatrix, identity, is_alternating,
-                       pfaffian, sigma_index as sigma,
+from .matrices import (ColumnVector, ExactMatrix, block_diagonal, identity,
+                       is_alternating, pfaffian, sigma_index as sigma,
                        standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
 from .sampling import prime_of
@@ -73,22 +73,10 @@ def standard_form(ring, n):
     return AlternatingForm(standard_symplectic_form(ring, n))
 
 
-def _hyperbolic_extension(form_matrix):
-    # the form on two extra head coordinates followed by the given block
-    ring = form_matrix.ring
-    n2 = form_matrix.rows
-    size = n2 + 2
-    grid = [[ring.zero] * size for _ in range(size)]
-    grid[0][1] = ring.one
-    grid[1][0] = -ring.one
-    for r in range(n2):
-        for c in range(n2):
-            grid[2 + r][2 + c] = form_matrix.entry(r + 1, c + 1)
-    return ExactMatrix(ring, size, size, [e for row in grid for e in row])
-
-
 def _check_isometry(m, form_matrix):
-    big = _hyperbolic_extension(form_matrix)
+    # the form on two extra head coordinates followed by the given block
+    big = block_diagonal(standard_symplectic_form(form_matrix.ring, 1),
+                         form_matrix)
     if m.transpose() * big * m != big:
         raise VerificationFailed("transvection matrix does not preserve "
                                  "the extended form")
@@ -450,21 +438,6 @@ def ESp1_to_etranssp(w, ideal=None):
     return result
 
 
-def _one_perp(m):
-    ring = m.ring
-    size = m.rows + 1
-    grid = [[ring.zero] * size for _ in range(size)]
-    grid[0][0] = ring.one
-    for r in range(m.rows):
-        for c in range(m.cols):
-            grid[1 + r][1 + c] = m.entry(r + 1, c + 1)
-    return ExactMatrix(ring, size, size, [e for row in grid for e in row])
-
-
-def _two_perp(m):
-    return _one_perp(_one_perp(m))
-
-
 def transport_conjugation(letter, eps, target_form=None):
     """Carry a transvection letter across a change of alternating form.
 
@@ -481,8 +454,9 @@ def transport_conjugation(letter, eps, target_form=None):
     if eps.size != n2 - 1:
         raise FormMismatch("conjugator word of size %d for a form block "
                            "of size %d" % (eps.size, n2))
-    emb = _one_perp(evaluate(eps))
-    emb_inv = _one_perp(evaluate(invert_word(eps)))
+    one = identity(eps.ring, 1)
+    emb = block_diagonal(one, evaluate(eps))
+    emb_inv = block_diagonal(one, evaluate(invert_word(eps)))
     phi_new = emb.transpose() * letter.form * emb
     if target_form is not None:
         tm = (target_form.matrix if isinstance(target_form, AlternatingForm)
@@ -507,8 +481,8 @@ def transport_conjugation(letter, eps, target_form=None):
                 moved.append(acc if acc is not None else sc.ideal.zero_cert())
             certs = (sc, tuple(moved))
     new_letter = type(letter)(q_new, letter.scalar, phi_new, certs)
-    big = _two_perp(emb)
-    big_inv = _two_perp(emb_inv)
+    big = block_diagonal(one, one, emb)
+    big_inv = block_diagonal(one, one, emb_inv)
     if big_inv * letter.matrix() * big != new_letter.matrix():
         raise VerificationFailed("transported letter does not reproduce "
                                  "the conjugate")
@@ -729,7 +703,7 @@ def standardize_alternating(phi, ideal):
         letters.append((LinLetter(size - 1, c - 1, d - 1, lam, cert), False))
     eps_word = invert_word(Word(ring, size - 1, letters))
 
-    emb = _one_perp(evaluate(eps_word))
+    emb = block_diagonal(identity(ring, 1), evaluate(eps_word))
     if emb.transpose() * std * emb != fm:
         raise VerificationFailed("recorded word does not reconstruct the "
                                  "input form")

@@ -2,7 +2,7 @@
 
 Commands
 
-  verify       run one randomized verification suite
+  verify       run one randomized verification suite, or all of them
   decompose    rewrite a conjugated generator over certified ideal
                generators
   rewrite      conjugation rewriting with polynomial bookkeeping
@@ -35,7 +35,7 @@ from .rewrite import (
     rewrite_conjugation_linear,
     rewrite_conjugation_symplectic,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_all, run_suite
 
 _DISTRIBUTIONS = """\
 sampling distributions used by the verify suites:
@@ -223,17 +223,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser(
-        "verify", help="run one randomized verification suite",
+        "verify", help="run one randomized verification suite, or all",
         epilog=_DISTRIBUTIONS,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--suite", required=True,
-                   help="one of: %s" % ", ".join(SUITE_NAMES))
+                   help="one of: %s; or all" % ", ".join(SUITE_NAMES))
     p.add_argument("--trials", type=int, default=100,
                    help="number of independent trials (default 100)")
     p.add_argument("--seed", type=int, default=0,
                    help="run seed; trial i uses Random((seed<<20)^i)")
     p.add_argument("--json", action="store_true",
-                   help="print the report as canonical JSON")
+                   help="print the report(s) as canonical JSON")
     p.add_argument("--out", metavar="FILE",
                    help="also write the JSON report to FILE")
 
@@ -261,23 +261,29 @@ def main(argv=None):
 
     if args.command == "verify":
         try:
-            report = run_suite(args.suite, args.trials, args.seed)
+            if args.suite == "all":
+                reports = run_all(args.trials, args.seed)
+                doc = [jsonio.report_to_json(r) for r in reports]
+            else:
+                reports = [run_suite(args.suite, args.trials, args.seed)]
+                doc = jsonio.report_to_json(reports[0])
         except ElemcalcError as e:
             sys.stderr.write("error: %s\n" % (e,))
             return 2
-        text = jsonio.dumps(jsonio.report_to_json(report))
+        text = jsonio.dumps(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         if args.json:
             sys.stdout.write(text)
         else:
-            sys.stdout.write(report.summary() + "\n")
-            for seed, inputs, expected, achieved in report.failures:
-                sys.stdout.write(
-                    "  trial seed %d: inputs %s expected %s achieved %s\n"
-                    % (seed, inputs, expected, achieved))
-        return 0 if report.ok else 1
+            for report in reports:
+                sys.stdout.write(report.summary() + "\n")
+                for seed, inputs, expected, achieved in report.failures:
+                    sys.stdout.write(
+                        "  trial seed %d: inputs %s expected %s achieved %s\n"
+                        % (seed, inputs, expected, achieved))
+        return 0 if all(r.ok for r in reports) else 1
 
     fn = _DATA_COMMANDS[args.command]
     try:

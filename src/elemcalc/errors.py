@@ -120,3 +120,7 @@ class NotCertified(ElemcalcError):
 
 class UnknownSuite(ElemcalcError):
     """The requested verification suite name does not exist."""
+
+
+class BadTrialCount(ElemcalcError):
+    """A suite run was asked for a negative number of trials."""

@@ -275,6 +275,22 @@ def from_rows(ring, rows):
     return ExactMatrix(ring, len(rows), ncols, ents)
 
 
+def block_diagonal(*blocks):
+    """Square blocks over one ring down the diagonal, zeros elsewhere."""
+    ring = blocks[0].ring
+    size = sum(b.rows for b in blocks)
+    ents = [ring.zero] * (size * size)
+    at = 0
+    for b in blocks:
+        if b.rows != b.cols:
+            raise ValueError("diagonal blocks must be square")
+        for r in range(b.rows):
+            start = (at + r) * size + at
+            ents[start:start + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
+        at += b.rows
+    return ExactMatrix(ring, size, size, ents)
+
+
 def standard_symplectic_form(ring, n):
     """Block-diagonal sum of n copies of [[0,1],[-1,0]]."""
     m = identity(ring, 2 * n).payload_grid()

@@ -20,7 +20,9 @@ import random
 
 from .matrices import (
     ColumnVector,
+    block_diagonal,
     from_rows,
+    identity,
     sigma_index,
     standard_symplectic_form,
 )
@@ -181,8 +183,7 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
     Draws a certified word eps0 in the lower right block, applies the
     congruence to the standard form, and returns (form, eps0 word).
     """
-    size = 2 * n
-    inner = size - 1
+    inner = 2 * n - 1
     eps0 = Word(ring, inner)
     for _ in range(letters):
         i = rng.randrange(1, inner + 1)
@@ -192,17 +193,7 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
         cert = sample_certified(rng, ideal, max_degree=0)
         eps0 = eps0.append(LinLetter(inner, i, j, cert.value, cert=cert),
                            inverted=rng.random() < 0.3)
-    m = evaluate(eps0)
-    emb_rows = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            if r == 0 or c == 0:
-                row.append(ring.one if r == c else ring.zero)
-            else:
-                row.append(m.entry(r, c))
-        emb_rows.append(tuple(row))
-    emb = from_rows(ring, emb_rows)
+    emb = block_diagonal(identity(ring, 1), evaluate(eps0))
     psi = standard_symplectic_form(ring, n)
     return emb.transpose() * psi * emb, eps0
 

@@ -3,13 +3,20 @@
 Each suite repeats one self-contained trial: draw inputs from the
 documented distributions, run the construction under test, and rely on
 the library's own exact re-verification plus explicit cross-checks.
-A trial failure records the per-trial seed together with digests of
-the inputs, the expected outcome, and the achieved outcome, so any
-failure can be replayed in isolation.
+A trial returns on success and raises _TrialFailure with
+(inputs, expected, achieved) description strings on failure; the
+report records the per-trial seed together with digests of the three,
+so any failure can be replayed in isolation.
+
+The trials look up the functions they exercise as module globals at
+call time, so wrappers set on this module (the benchmark's capture of
+a trial's words) see every call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import time
 
@@ -34,7 +41,7 @@ from .decompose import (
     short_root_split,
     sum_to_product,
 )
-from .errors import NotAUnit, UnknownSuite
+from .errors import BadTrialCount, NotAUnit, UnknownSuite
 from .matrices import (
     ColumnVector,
     basis_vector,
@@ -94,9 +101,35 @@ def _digest(text):
     return hashlib.sha256(str(text).encode("utf-8")).hexdigest()[:16]
 
 
+class _TrialFailure(Exception):
+    """A failed trial; args are its (inputs, expected, achieved) strings."""
+
+
+@contextlib.contextmanager
+def _expect(desc, expected):
+    """Report an exception from the code under test as a failed trial."""
+    try:
+        yield
+    except _TrialFailure:
+        raise
+    except Exception as e:
+        raise _TrialFailure(desc, expected, "raised %s: %s"
+                            % (type(e).__name__, e))
+
+
 def _z27_setup():
     ring = ZmodRing(27)
     return ring, IdealPresentation(ring, (ring.el(3),))
+
+
+def _certified_pair(rng, ideal):
+    return sample_certified(rng, ideal), sample_certified(rng, ideal)
+
+
+def _certified_vector(rng, ideal, length):
+    """A vector of certified ideal elements, with its certificates."""
+    certs = tuple(sample_certified(rng, ideal) for _ in range(length))
+    return ColumnVector(ideal.ring, tuple(c.value for c in certs)), certs
 
 
 def _fix_pairing(rng, ring, w, v, forbidden=()):
@@ -129,9 +162,25 @@ def _off_pair(rng, ring, size, t):
     return v
 
 
+def _vanishing_pair(rng, ring, size, t, long_root):
+    """Vectors v off pair t and w with tilde(w) . v = 0, in 40 tries.
+
+    For the long-root lemma w is drawn off pair t too and keeps it
+    clear; otherwise w is any vector. Returns None if every try fails.
+    """
+    forbidden = (2 * t - 1, 2 * t) if long_root else ()
+    for _ in range(40):
+        v = _off_pair(rng, ring, size, t)
+        w = (_off_pair(rng, ring, size, t) if long_root
+             else sample_vector(rng, ring, size))
+        w = _fix_pairing(rng, ring, w, v, forbidden)
+        if w is not None:
+            return v, w
+    return None
+
+
 # ---------------------------------------------------------------------------
-# individual suites: each runs one trial and returns None on success or
-# an (inputs, expected, achieved) triple of description strings
+# individual suites: each runs one trial and returns on success
 
 
 def _suite_relations(rng):
@@ -177,14 +226,10 @@ def _suite_relations(rng):
         b = sample_element(rng, ring, cap)
         desc = "%s over %r n=%d idx=%r a=%r b=%r" % (
             tag, ring, n, indices, a, b)
-        try:
+        with _expect(desc, "relation holds"):
             ok = check_relation(tag, ring, n, indices, a, b)
-        except Exception as e:
-            return (desc, "relation holds", "raised %s: %s"
-                    % (type(e).__name__, e))
         if not ok:
-            return (desc, "relation holds", "two sides differ")
-    return None
+            raise _TrialFailure(desc, "relation holds", "two sides differ")
 
 
 def _suite_short_root(rng):
@@ -192,76 +237,47 @@ def _suite_short_root(rng):
     n = rng.choice((2, 3))
     t = rng.randrange(1, n + 2)
     v = _off_pair(rng, ring, 2 * n, t)
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
-    desc = "short-root v=%r pair=%d a=%r b=%r" % (v, t, a.value, b.value)
-    try:
+    a, b = _certified_pair(rng, ideal)
+    with _expect("short-root v=%r pair=%d a=%r b=%r"
+                 % (v, t, a.value, b.value), "verified word"):
         short_root_pair(v, a, b, t)
-    except Exception as e:
-        return (desc, "verified word", "raised %s: %s" % (type(e).__name__, e))
-    return None
-
-
-def _long_root_vectors(rng, ring, size, t, forbidden):
-    for _ in range(40):
-        v = _off_pair(rng, ring, size, t)
-        w = _off_pair(rng, ring, size, t)
-        w = _fix_pairing(rng, ring, w, v, forbidden)
-        if w is not None:
-            return v, w
-    raise NotAUnit("could not arrange a vanishing pairing")
 
 
 def _suite_long_root(rng):
     ring, ideal = _z27_setup()
     n = rng.choice((2, 3))
     t = rng.randrange(1, n + 2)
-    forbidden = (2 * t - 1, 2 * t)
-    v, w = _long_root_vectors(rng, ring, 2 * n, t, forbidden)
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
-    desc = "long-root v=%r w=%r pair=%d" % (v, w, t)
-    try:
+    pair = _vanishing_pair(rng, ring, 2 * n, t, long_root=True)
+    if pair is None:
+        raise NotAUnit("could not arrange a vanishing pairing")
+    v, w = pair
+    a, b = _certified_pair(rng, ideal)
+    with _expect("long-root v=%r w=%r pair=%d" % (v, w, t), "verified word"):
         long_root_pair(v, w, a, b, t)
-    except Exception as e:
-        return (desc, "verified word", "raised %s: %s" % (type(e).__name__, e))
-    return None
 
 
 def _suite_reduce(rng):
     ring, ideal = _z27_setup()
     n = rng.choice((2, 3))
     t = rng.randrange(1, n + 1)
-    for _ in range(40):
-        v = _off_pair(rng, ring, 2 * n, t)
-        w = sample_vector(rng, ring, 2 * n)
-        w = _fix_pairing(rng, ring, w, v)
-        if w is not None:
-            break
-    else:
-        return ("reduce setup", "vectors found", "no unit coordinate")
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
-    desc = "reduce v=%r w=%r pair=%d" % (v, w, t)
-    try:
+    pair = _vanishing_pair(rng, ring, 2 * n, t, long_root=False)
+    if pair is None:
+        raise _TrialFailure("reduce setup", "vectors found",
+                            "no unit coordinate")
+    v, w = pair
+    a, b = _certified_pair(rng, ideal)
+    with _expect("reduce v=%r w=%r pair=%d" % (v, w, t), "verified word"):
         long_root_reduce(v, w, a, b, t)
-    except Exception as e:
-        return (desc, "verified word", "raised %s: %s" % (type(e).__name__, e))
-    return None
 
 
 def _suite_split(rng):
     ring, ideal = _z27_setup()
     n = rng.choice((2, 3))
     v = sample_vector(rng, ring, 2 * n)
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
-    desc = "split v=%r a=%r b=%r" % (v, a.value, b.value)
-    try:
+    a, b = _certified_pair(rng, ideal)
+    with _expect("split v=%r a=%r b=%r" % (v, a.value, b.value),
+                 "verified word"):
         short_root_split(v, a, b)
-    except Exception as e:
-        return (desc, "verified word", "raised %s: %s" % (type(e).__name__, e))
-    return None
 
 
 def _suite_sum_to_product(rng):
@@ -274,23 +290,17 @@ def _suite_sum_to_product(rng):
     pieces = rng.randint(1, 3)
     us, us_certs = [], []
     for _ in range(pieces):
-        certs = []
-        for coord in range(1, size + 1):
-            if coord == sigma_index(k):
-                certs.append(ideal.zero_cert())
-            else:
-                certs.append(sample_certified(rng, ideal))
+        certs = [ideal.zero_cert() if coord == sigma_index(k)
+                 else sample_certified(rng, ideal)
+                 for coord in range(1, size + 1)]
         us_certs.append(certs)
         us.append(ColumnVector(ring, tuple(c.value for c in certs)))
     desc = "sum-to-product w=%r pieces=%d" % (w, pieces)
-    try:
+    with _expect(desc, "regrouped product"):
         ordering, x_cert = sum_to_product(us, us_certs, w)
-    except Exception as e:
-        return (desc, "regrouped product", "raised %s: %s"
-                % (type(e).__name__, e))
     if not x_cert.check():
-        return (desc, "valid square-ideal certificate", "certificate invalid")
-    return None
+        raise _TrialFailure(desc, "valid square-ideal certificate",
+                            "certificate invalid")
 
 
 def _suite_unimodular(rng):
@@ -307,21 +317,18 @@ def _suite_unimodular(rng):
         if units:
             break
     else:
-        return ("unimodular setup", "unit coordinate", "none found")
+        raise _TrialFailure("unimodular setup", "unit coordinate",
+                            "none found")
     m0, inv0 = rng.choice(units)
     u = basis_vector(ring, size, m0).scale(inv0)
     v = sample_vector(rng, ring, size)
     v = _fix_pairing(rng, ring, v, w)
     if v is None:
-        return ("unimodular setup", "pairing fixed", "no unit through pairing")
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
-    desc = "unimodular v=%r w=%r u=%r" % (v, w, u)
-    try:
+        raise _TrialFailure("unimodular setup", "pairing fixed",
+                            "no unit through pairing")
+    a, b = _certified_pair(rng, ideal)
+    with _expect("unimodular v=%r w=%r u=%r" % (v, w, u), "verified word"):
         long_root_unimodular(v, w, a, b, u)
-    except Exception as e:
-        return (desc, "verified word", "raised %s: %s" % (type(e).__name__, e))
-    return None
 
 
 def _suite_decompose(rng):
@@ -332,95 +339,59 @@ def _suite_decompose(rng):
     j = rng.randrange(1, size + 1)
     while j == i:
         j = rng.randrange(1, size + 1)
-    a = sample_certified(rng, ideal)
-    b = sample_certified(rng, ideal)
+    a, b = _certified_pair(rng, ideal)
     desc = "decompose g=%r target=(%d,%d) a=%r b=%r" % (
         g, i, j, a.value, b.value)
-    try:
+    with _expect(desc, "verified decomposition"):
         res = decompose_conjugate(g, i, j, a, b)
-    except Exception as e:
-        return (desc, "verified decomposition", "raised %s: %s"
-                % (type(e).__name__, e))
     if not res.verified:
-        return (desc, "verified decomposition", "verification flag unset")
+        raise _TrialFailure(desc, "verified decomposition",
+                            "verification flag unset")
     if not word_certified(res.output, ideal):
-        return (desc, "all letters certified", "uncertified letter")
-    return None
+        raise _TrialFailure(desc, "all letters certified",
+                            "uncertified letter")
 
 
-def _rewrite_setup(rng):
+def _suite_rewrite(rng, linear):
     m = rng.choice(MODULI)
-    base = ZmodRing(m)
-    ring = PolyRing(base, ("X", "Y"))
+    ring = PolyRing(ZmodRing(m), ("X", "Y"))
     p = prime_of(m)
     ideal = IdealPresentation(
         ring, (ring.el(p), ring.el(p) * ring.var("X")))
-    return ring, ideal, m
-
-
-def _check_rewrite(res, ideal, linear):
-    ring = res.output.ring
-    member = word_in_E1 if linear else word_in_ESp1
-    if not res.verified:
-        return "verification flag unset"
-    if not member(res.output, ideal):
-        return "output letter outside the certified first-index family"
-    for letter, _ in res.output.letters:
-        if not substitute(letter.param, {"Y": ring.zero}).is_zero():
-            return "parameter not divisible by Y"
-    return None
-
-
-def _suite_rewrite_linear(rng):
-    ring, ideal, m = _rewrite_setup(rng)
     r = rng.choice((1, 2, 3))
-    n = 3
-    eps = sample_index1_linear_word(rng, ideal, n, r, variables=("X",))
-    i, j = sample_linear_index1(rng, n)
+    if linear:
+        eps = sample_index1_linear_word(rng, ideal, 3, r, variables=("X",))
+        i, j = sample_linear_index1(rng, 3)
+        rewrite, member = rewrite_conjugation_linear, word_in_E1
+    else:
+        eps = sample_index1_symplectic_word(rng, ideal, 6, r,
+                                            variables=("X",))
+        i, j = sample_index1_symplectic(rng, 6)
+        rewrite, member = rewrite_conjugation_symplectic, word_in_ESp1
     a = sample_certified(rng, ideal, max_degree=1, variables=("X",))
-    desc = "rewrite-linear mod %d r=%d eps=%r target=(%d,%d) a=%r" % (
-        m, r, eps, i, j, a.value)
-    try:
-        res = rewrite_conjugation_linear(eps, i, j, a)
-        bad = _check_rewrite(res, ideal, True)
-        if bad is None:
+    desc = "rewrite-%s mod %d r=%d eps=%r target=(%d,%d) a=%r" % (
+        "linear" if linear else "symplectic", m, r, eps, i, j, a.value)
+    with _expect(desc, "verified rewrite"):
+        res = rewrite(eps, i, j, a)
+        out = res.output
+        if not res.verified:
+            bad = "verification flag unset"
+        elif not member(out, ideal):
+            bad = "output letter outside the certified first-index family"
+        elif any(not substitute(letter.param, {"Y": out.ring.zero}).is_zero()
+                 for letter, _ in out.letters):
+            bad = "parameter not divisible by Y"
+        else:
+            bad = None
             specialize_and_check(res, rng.randrange(m), rng.randrange(m))
-    except Exception as e:
-        return (desc, "verified rewrite", "raised %s: %s"
-                % (type(e).__name__, e))
     if bad is not None:
-        return (desc, "verified rewrite", bad)
-    return None
-
-
-def _suite_rewrite_symplectic(rng):
-    ring, ideal, m = _rewrite_setup(rng)
-    r = rng.choice((1, 2, 3))
-    size = 6
-    eps = sample_index1_symplectic_word(rng, ideal, size, r,
-                                        variables=("X",))
-    i, j = sample_index1_symplectic(rng, size)
-    a = sample_certified(rng, ideal, max_degree=1, variables=("X",))
-    desc = "rewrite-symplectic mod %d r=%d eps=%r target=(%d,%d) a=%r" % (
-        m, r, eps, i, j, a.value)
-    try:
-        res = rewrite_conjugation_symplectic(eps, i, j, a)
-        bad = _check_rewrite(res, ideal, False)
-        if bad is None:
-            specialize_and_check(res, rng.randrange(m), rng.randrange(m))
-    except Exception as e:
-        return (desc, "verified rewrite", "raised %s: %s"
-                % (type(e).__name__, e))
-    if bad is not None:
-        return (desc, "verified rewrite", bad)
-    return None
+        raise _TrialFailure(desc, "verified rewrite", bad)
 
 
 def _sample_etrans_word(rng, ring, ideal, nvec, letters):
     out = Word(ring, nvec + 1)
     for _ in range(letters):
-        certs = tuple(sample_certified(rng, ideal) for _ in range(nvec))
-        vec = ColumnVector(ring, tuple(c.value for c in certs))
+        vec, certs = _certified_vector(rng, ideal, nvec)
         cls = LowerTransLetter if rng.random() < 0.5 else UpperTransLetter
         out = out.append(cls(vec, certs), inverted=rng.random() < 0.3)
     return out
@@ -430,8 +401,7 @@ def _sample_transvection_word(rng, ring, ideal, nq, letters):
     form = standard_symplectic_form(ring, nq)
     out = Word(ring, 2 * nq + 2)
     for _ in range(letters):
-        qcs = tuple(sample_certified(rng, ideal) for _ in range(2 * nq))
-        q = ColumnVector(ring, tuple(c.value for c in qcs))
+        q, qcs = _certified_vector(rng, ideal, 2 * nq)
         sc = sample_certified(rng, ideal)
         cls = RhoLetter if rng.random() < 0.5 else MuLetter
         out = out.append(cls(q, sc.value, form, (sc, qcs)),
@@ -441,47 +411,37 @@ def _sample_transvection_word(rng, ring, ideal, nq, letters):
 
 def _suite_dictionaries(rng):
     ring, ideal = _z27_setup()
-    nvec = rng.choice((2, 3))
-    w = _sample_etrans_word(rng, ring, ideal, nvec, rng.randint(1, 3))
-    desc = "dictionary linear w=%r" % (w,)
-    try:
-        e1 = etrans_word_to_E1(w)
-        if evaluate(e1) != evaluate(w):
-            return (desc, "same evaluation", "forward image differs")
-        back = E1_to_etrans(e1, ideal=ideal)
-        if evaluate(back) != evaluate(w):
-            return (desc, "same evaluation", "round trip differs")
-    except Exception as e:
-        return (desc, "round trip", "raised %s: %s" % (type(e).__name__, e))
-    nq = rng.choice((1, 2))
-    sw = _sample_transvection_word(rng, ring, ideal, nq, rng.randint(1, 3))
-    desc = "dictionary symplectic w=%r" % (sw,)
-    try:
-        esp = etranssp_word_to_ESp1(sw)
-        if evaluate(esp) != evaluate(sw):
-            return (desc, "same evaluation", "forward image differs")
-        back2 = ESp1_to_etranssp(esp, ideal=ideal)
-        if evaluate(back2) != evaluate(sw):
-            return (desc, "same evaluation", "round trip differs")
-    except Exception as e:
-        return (desc, "round trip", "raised %s: %s" % (type(e).__name__, e))
-    # expansion versus the block matrix picture
-    qcs = tuple(sample_certified(rng, ideal) for _ in range(2 * nq))
-    q = ColumnVector(ring, tuple(c.value for c in qcs))
+    # built per trial: the translators are looked up at call time
+    halves = (
+        ("linear", (2, 3), _sample_etrans_word,
+         etrans_word_to_E1, E1_to_etrans),
+        ("symplectic", (1, 2), _sample_transvection_word,
+         etranssp_word_to_ESp1, ESp1_to_etranssp),
+    )
+    for name, dims, sample, forward, back in halves:
+        dim = rng.choice(dims)
+        w = sample(rng, ring, ideal, dim, rng.randint(1, 3))
+        desc = "dictionary %s w=%r" % (name, w)
+        with _expect(desc, "round trip"):
+            image = forward(w)
+            if evaluate(image) != evaluate(w):
+                raise _TrialFailure(desc, "same evaluation",
+                                    "forward image differs")
+            if evaluate(back(image, ideal=ideal)) != evaluate(w):
+                raise _TrialFailure(desc, "same evaluation",
+                                    "round trip differs")
+    # expansion versus the block matrix picture, at the symplectic size
+    q, qcs = _certified_vector(rng, ideal, 2 * dim)
     sc = sample_certified(rng, ideal)
-    form = standard_symplectic_form(ring, nq)
+    form = standard_symplectic_form(ring, dim)
     desc = "expansion q=%r s=%r" % (q, sc.value)
-    try:
-        if evaluate(expand_rho(q, sc.value, sc, list(qcs))) \
-                != rho_matrix(q, sc.value, form):
-            return (desc, "expansion matches blocks", "rho expansion differs")
-        if evaluate(expand_mu(q, sc.value, sc, list(qcs))) \
-                != mu_matrix(q, sc.value, form):
-            return (desc, "expansion matches blocks", "mu expansion differs")
-    except Exception as e:
-        return (desc, "expansion matches blocks", "raised %s: %s"
-                % (type(e).__name__, e))
-    return None
+    with _expect(desc, "expansion matches blocks"):
+        for name, expand, block in (("rho", expand_rho, rho_matrix),
+                                    ("mu", expand_mu, mu_matrix)):
+            if evaluate(expand(q, sc.value, sc, list(qcs))) \
+                    != block(q, sc.value, form):
+                raise _TrialFailure(desc, "expansion matches blocks",
+                                    "%s expansion differs" % name)
 
 
 def _suite_standardize(rng):
@@ -490,31 +450,31 @@ def _suite_standardize(rng):
     phi, eps0 = sample_relative_form(rng, ring, n, ideal,
                                      letters=rng.randint(1, 4))
     desc = "standardize n=%d eps0=%r" % (n, eps0)
-    try:
+    with _expect(desc, "standardized"):
         form = AlternatingForm(phi)
         if form.pfaffian_cache != ring.one:
-            return (desc, "Pfaffian one", repr(form.pfaffian_cache))
+            raise _TrialFailure(desc, "Pfaffian one",
+                                repr(form.pfaffian_cache))
         res = standardize_alternating(form, ideal)
-    except Exception as e:
-        return (desc, "standardized", "raised %s: %s" % (type(e).__name__, e))
     if not res.verified:
-        return (desc, "standardized", "verification flag unset")
+        raise _TrialFailure(desc, "standardized", "verification flag unset")
     if not res.relative:
-        return (desc, "relative congruence", "letters left the ideal")
-    return None
+        raise _TrialFailure(desc, "relative congruence",
+                            "letters left the ideal")
 
 
 def _suite_pfaffian(rng):
     ring = sample_zmod(rng)
     n = rng.randint(1, 4)
-    psi = standard_symplectic_form(ring, n)
-    desc = "pfaffian over %r n=%d" % (ring, n)
-    if pfaffian(psi) != ring.one:
-        return (desc, "Pf of standard form is 1", repr(pfaffian(psi)))
+    pf = pfaffian(standard_symplectic_form(ring, n))
+    if pf != ring.one:
+        raise _TrialFailure("pfaffian over %r n=%d" % (ring, n),
+                            "Pf of standard form is 1", repr(pf))
     size = rng.choice((4, 6))
     A = sample_alternating(rng, ring, size)
     if pfaffian(A) * pfaffian(A) != det(A):
-        return ("pfaffian square A=%r" % (A,), "Pf^2 = det", "differs")
+        raise _TrialFailure("pfaffian square A=%r" % (A,), "Pf^2 = det",
+                            "differs")
     phi = sample_alternating(rng, ring, 4)
     w = Word(ring, 4)
     for _ in range(rng.randint(1, 4)):
@@ -523,9 +483,8 @@ def _suite_pfaffian(rng):
                      inverted=rng.random() < 0.3)
     B = evaluate(w)
     if pfaffian(B.transpose() * phi * B) != det(B) * pfaffian(phi):
-        return ("pfaffian congruence B=%r phi=%r" % (B, phi),
-                "Pf(B^t phi B) = det(B) Pf(phi)", "differs")
-    return None
+        raise _TrialFailure("pfaffian congruence B=%r phi=%r" % (B, phi),
+                            "Pf(B^t phi B) = det(B) Pf(phi)", "differs")
 
 
 SUITES = {
@@ -537,8 +496,8 @@ SUITES = {
     "sum-to-product": _suite_sum_to_product,
     "unimodular": _suite_unimodular,
     "decompose": _suite_decompose,
-    "rewrite-linear": _suite_rewrite_linear,
-    "rewrite-symplectic": _suite_rewrite_symplectic,
+    "rewrite-linear": functools.partial(_suite_rewrite, linear=True),
+    "rewrite-symplectic": functools.partial(_suite_rewrite, linear=False),
     "dictionaries": _suite_dictionaries,
     "standardize": _suite_standardize,
     "pfaffian": _suite_pfaffian,
@@ -585,25 +544,28 @@ def run_suite(suite, trials, seed):
 
     Every trial draws from its own Random((seed << 20) ^ index)
     stream. Failures never stop the run; they are collected in the
-    report, sorted by trial seed.
+    report, sorted by trial seed. An exception that escapes a trial's
+    checks is reported as a failure of its setup.
     """
     if suite not in SUITES:
         raise UnknownSuite("no suite named %r (know %s)"
                            % (suite, ", ".join(SUITE_NAMES)))
+    if trials < 0:
+        raise BadTrialCount("the number of trials must be at least 0, "
+                            "not %d" % (trials,))
     fn = SUITES[suite]
     t0 = time.perf_counter()
     failures = []
     for index in range(trials):
-        ts = trial_seed(seed, index)
-        rng = trial_rng(seed, index)
         try:
-            bad = fn(rng)
+            fn(trial_rng(seed, index))
+            continue
+        except _TrialFailure as e:
+            bad = e.args
         except Exception as e:
             bad = ("trial %d setup" % index, "completed trial",
                    "raised %s: %s" % (type(e).__name__, e))
-        if bad is not None:
-            failures.append((ts, _digest(bad[0]), _digest(bad[1]),
-                             _digest(bad[2])))
+        failures.append((trial_seed(seed, index),) + tuple(map(_digest, bad)))
     failures.sort(key=lambda f: f[0])
     return SuiteReport(suite, trials, failures, time.perf_counter() - t0)
 

@@ -21,7 +21,9 @@ from elemcalc import (
 )
 from elemcalc import cli, jsonio
 import elemcalc.rewrite as rewrite_module
+import elemcalc.suites as suites_module
 from elemcalc.matrices import ColumnVector
+from elemcalc.suites import SUITE_NAMES
 
 Z27 = ZmodRing(27)
 RXY = PolyRing(Z27, ("X", "Y"))
@@ -202,6 +204,66 @@ def test_cli_verify_unknown_suite(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "error:" in err
+
+
+def _inject_fault(monkeypatch, name):
+    def fault(*args, **kwargs):
+        raise RuntimeError("injected fault")
+    monkeypatch.setattr(suites_module, name, fault)
+
+
+def test_cli_verify_failure_json_unchanged(monkeypatch, capsys):
+    _inject_fault(monkeypatch, "det")
+    rc = cli.main(["verify", "--suite", "pfaffian", "--trials", "2",
+                   "--json"])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        '{"failures":[{"achieved":"54640873166c6e48",'
+        '"expected":"a8d065e1050e793e","inputs":"e2f01fb916743eb7",'
+        '"seed":0},{"achieved":"54640873166c6e48",'
+        '"expected":"a8d065e1050e793e","inputs":"9ea5d2e12618f111",'
+        '"seed":1}],"suite":"pfaffian","trials":2}\n')
+
+
+@pytest.mark.parametrize("suite", ["relations", "all"])
+def test_cli_verify_negative_trials(suite, capsys):
+    rc = cli.main(["verify", "--suite", suite, "--trials", "-3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "trials" in captured.err
+
+
+def test_cli_verify_all(capsys):
+    rc = cli.main(["verify", "--suite", "all", "--trials", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert len(lines) == len(SUITE_NAMES) == 13
+    for name, line in zip(SUITE_NAMES, lines):
+        assert line.split()[0] == name and line.endswith("ok")
+
+
+def test_cli_verify_all_fails_with_one_suite(monkeypatch, capsys):
+    _inject_fault(monkeypatch, "short_root_split")
+    rc = cli.main(["verify", "--suite", "all", "--trials", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    failed = [line for line in out.splitlines() if "FAILED" in line]
+    assert len(failed) == 1 and failed[0].startswith("split ")
+    assert "trial seed 0: inputs" in out
+
+
+def test_cli_verify_all_json(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    rc = cli.main(["verify", "--suite", "all", "--trials", "1", "--seed",
+                   "3", "--json", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert out.read_text() == text
+    payload = json.loads(text)
+    assert [r["suite"] for r in payload] == list(SUITE_NAMES)
+    assert all(r == {"suite": r["suite"], "trials": 1, "failures": []}
+               for r in payload)
 
 
 def test_cli_decompose_files(tmp_path, capsys):

@@ -10,6 +10,7 @@ from elemcalc.matrices import (
     ExactMatrix,
     adjugate_inverse,
     basis_vector,
+    block_diagonal,
     det,
     from_rows,
     identity,
@@ -108,6 +109,40 @@ def test_vectors():
     assert w.entry(4) == Z27.el(10)
     assert zero_vector(Z27, 3).is_zero()
     assert v.dot(basis_vector(Z27, 4, 2)) == Z27.one
+
+
+def test_block_diagonal_matches_from_rows():
+    psi1 = standard_symplectic_form(Z27, 1)
+    m = from_rows(Z27, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert block_diagonal(psi1, m) == from_rows(Z27, [
+        [0, 1, 0, 0, 0],
+        [-1, 0, 0, 0, 0],
+        [0, 0, 1, 2, 3],
+        [0, 0, 4, 5, 6],
+        [0, 0, 7, 8, 9]])
+    one = identity(Z27, 1)
+    assert block_diagonal(one, m) == from_rows(Z27, [
+        [1, 0, 0, 0], [0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]])
+    assert block_diagonal(one, one, m) == block_diagonal(identity(Z27, 2), m)
+    assert block_diagonal(m) == m
+    with pytest.raises(ValueError):
+        block_diagonal(one, from_rows(Z27, [[1, 2]]))
+
+
+def test_block_diagonal_random_blocks():
+    rng = random.Random(5)
+    for _ in range(20):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        blocks = [rand_matrix(rng, Z27, k) for k in sizes]
+        total = sum(sizes)
+        rows = [[0] * total for _ in range(total)]
+        at = 0
+        for b in blocks:
+            for r in range(b.rows):
+                for c in range(b.cols):
+                    rows[at + r][at + c] = b.entry(r + 1, c + 1)
+            at += b.rows
+        assert block_diagonal(*blocks) == from_rows(Z27, rows)
 
 
 def test_sigma_index():

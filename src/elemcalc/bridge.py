@@ -111,19 +111,15 @@ def linear_transvection_matrix(kind, vec, n=None):
     if n is not None and n != vec.length:
         raise LengthMismatch("vector length %d against stated rank %d"
                              % (vec.length, n))
+    if kind not in ("lower", "upper"):
+        raise BadIndices("unknown transvection kind %r" % (kind,))
     ring = vec.ring
     size = vec.length + 1
-    grid = identity(ring, size).payload_grid()
-    for idx in range(vec.length):
-        p = vec.entry(idx + 1).payload
-        if kind == "lower":
-            grid[idx + 1][0] = p
-        elif kind == "upper":
-            grid[0][idx + 1] = p
-        else:
-            raise BadIndices("unknown transvection kind %r" % (kind,))
-    return ExactMatrix(ring, size, size,
-                       [ring.wrap(p) for row in grid for p in row])
+    m = list(identity(ring, size).payloads)
+    # the head column below the diagonal, or the head row after it
+    cells = slice(size, None, size) if kind == "lower" else slice(1, size)
+    m[cells] = [e.payload for e in vec.entries]
+    return ExactMatrix(ring, size, size, m)
 
 
 def _checked_certs(vec, certs):
@@ -324,12 +320,12 @@ class _TransvFold:
 
     def _cross(self, coord):
         # (q^t . form) at the given 1-based coordinate
-        acc = self.ring.zero
-        for k in range(self.n2):
-            v = self.vals[k]
+        ring = self.ring
+        acc = ring.from_int(0)
+        for v, f in zip(self.vals, self.form.payloads[coord - 1::self.n2]):
             if not v.is_zero():
-                acc = acc + v * self.form.entry(k + 1, coord)
-        return acc
+                acc = ring.p_add(acc, ring.p_mul(v.payload, f))
+        return ring.wrap(acc)
 
     def _add_scalar(self, s, cert):
         self.scalar = self.scalar + s
@@ -588,7 +584,7 @@ def standardize_alternating(phi, ideal):
                     "entry (%d, %d) is not congruent to the standard form"
                     % (r, c))
 
-    W = [[fm.entry(r + 1, c + 1) for c in range(size)] for r in range(size)]
+    W = [fm.row_list(r + 1) for r in range(size)]
     ops = []
 
     def apply_op(c, d, lam):

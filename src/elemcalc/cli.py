@@ -49,13 +49,24 @@ sampling distributions used by the verify suites:
 """
 
 
-def _int_field(data, key, minimum=None):
+# The largest n (decompose, rewrite) or size (expand) a request may
+# give. The work grows as a power of it; documented requests stay at 12.
+MAX_REQUEST_SIZE = 64
+
+
+def _int_field(data, key, minimum=None, maximum=None, default=None):
+    """The integer data[key]; default when it is absent or null."""
     value = data.get(key)
+    if value is None:
+        value = default
     if not isinstance(value, int) or isinstance(value, bool):
         raise DescriptorMismatch("field %r must be an integer" % (key,))
     if minimum is not None and value < minimum:
         raise DescriptorMismatch("field %r must be at least %d"
                                  % (key, minimum))
+    if maximum is not None and value > maximum:
+        raise DescriptorMismatch("field %r must be at most %d"
+                                 % (key, maximum))
     return value
 
 
@@ -77,7 +88,7 @@ def cmd_decompose(data):
     """g . se_ij(a b) . g^-1 as certified letters, JSON to JSON."""
     ring = _ring_of(data)
     ideal = _ideal_of(data, ring)
-    n = _int_field(data, "n", 1)
+    n = _int_field(data, "n", 1, MAX_REQUEST_SIZE)
     size = 2 * n
     g = jsonio.word_from_json(ring, size, data.get("g", []), ideal)
     i = _int_field(data, "i")
@@ -98,9 +109,7 @@ def cmd_rewrite(data):
     if mode not in ("linear", "symplectic"):
         raise DescriptorMismatch(
             "mode must be \"linear\" or \"symplectic\"")
-    n = data.get("n", 3)
-    if not isinstance(n, int) or n < 1:
-        raise DescriptorMismatch("field 'n' must be a positive integer")
+    n = _int_field(data, "n", 1, MAX_REQUEST_SIZE, default=3)
     size = n if mode == "linear" else 2 * n
     if "eps" not in data or "aPoly" not in data:
         raise DescriptorMismatch("input needs fields eps and aPoly")
@@ -159,8 +168,8 @@ def cmd_expand(data):
     letters = data.get("word")
     if not isinstance(letters, list):
         raise DescriptorMismatch("input needs a word (list of letters)")
-    size = data.get("size")
-    if size is None:
+    inferred = None
+    if data.get("size") is None:
         if not letters:
             raise DescriptorMismatch(
                 "an empty word needs an explicit size")
@@ -169,9 +178,10 @@ def cmd_expand(data):
         if not isinstance(q, list):
             raise DescriptorMismatch(
                 "cannot infer the size; supply a size field")
-        size = len(q) + 2
-    if not isinstance(size, int) or size < 4 or size % 2 != 0:
-        raise DescriptorMismatch("size must be an even integer >= 4")
+        inferred = len(q) + 2
+    size = _int_field(data, "size", 4, MAX_REQUEST_SIZE, default=inferred)
+    if size % 2 != 0:
+        raise DescriptorMismatch("field 'size' must be even")
     w = jsonio.word_from_json(ring, size, letters, ideal)
     if direction == "expand":
         out = etranssp_word_to_ESp1(w)

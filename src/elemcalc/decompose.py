@@ -358,8 +358,7 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
         trace.append(("long-root-unimodular", "v-support=%r" % (v.support(),)))
     av, bv = a.value, b.value
     from .matrices import kernel_decomposition
-    c_vec = ColumnVector(ring, [tilde(v).entry(1, ell)
-                                for ell in range(1, size + 1)])
+    c_vec = ColumnVector(ring, tilde(v).row_list(1))
     coeffs = kernel_decomposition(c_vec, w, u)
     if trace is not None:
         trace.append(("kernel-decomposition", "%d pieces" % len(coeffs)))

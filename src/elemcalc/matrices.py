@@ -16,60 +16,66 @@ from .errors import (
 
 
 class ExactMatrix:
-    """Immutable dense matrix; entries share one ring."""
+    """Immutable dense matrix over one ring.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    payloads is one row-major tuple of the ring's payloads, taken as
+    given: the constructor does not coerce them, and every operation
+    here works on payloads. entry(), entries and the other readers wrap
+    on read; from_rows is the builder that coerces ring elements.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "payloads")
     __hash__ = None
 
-    def __init__(self, ring, rows, cols, entries):
-        entries = tuple(ring.el(e) for e in entries)
-        if len(entries) != rows * cols:
+    def __init__(self, ring, rows, cols, payloads):
+        payloads = tuple(payloads)
+        if len(payloads) != rows * cols:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "payloads", payloads)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
+    @property
+    def entries(self):
+        """All entries as ring elements, row-major."""
+        return tuple(map(self.ring.wrap, self.payloads))
+
     def entry(self, i, j):
         """Entry at row i, column j (1-based)."""
-        return self.entries[(i - 1) * self.cols + (j - 1)]
+        return self.ring.wrap(self.payloads[(i - 1) * self.cols + (j - 1)])
 
     def row_list(self, i):
         base = (i - 1) * self.cols
-        return list(self.entries[base:base + self.cols])
+        return list(map(self.ring.wrap, self.payloads[base:base + self.cols]))
 
     def col_list(self, j):
-        return [self.entries[r * self.cols + (j - 1)] for r in range(self.rows)]
+        return list(map(self.ring.wrap, self.payloads[j - 1::self.cols]))
 
     def column(self, j):
         return ColumnVector(self.ring, self.col_list(j))
 
     def payload_grid(self):
         c = self.cols
-        return [[e.payload for e in self.entries[r * c:(r + 1) * c]]
-                for r in range(self.rows)]
+        return [list(self.payloads[r * c:(r + 1) * c]) for r in range(self.rows)]
+
+    def _map(self, op, *others):
+        return ExactMatrix(self.ring, self.rows, self.cols,
+                           map(op, self.payloads, *others))
 
     def __add__(self, other):
         self._shape_check(other)
-        ring = self.ring
-        ents = [ring.wrap(ring.p_add(a.payload, b.payload))
-                for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(ring, self.rows, self.cols, ents)
+        return self._map(self.ring.p_add, other.payloads)
 
     def __sub__(self, other):
         self._shape_check(other)
-        ring = self.ring
-        ents = [ring.wrap(ring.p_sub(a.payload, b.payload))
-                for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(ring, self.rows, self.cols, ents)
+        return self._map(self.ring.p_sub, other.payloads)
 
     def __neg__(self):
-        ring = self.ring
-        return ExactMatrix(ring, self.rows, self.cols,
-                           [ring.wrap(ring.p_neg(e.payload)) for e in self.entries])
+        return self._map(self.ring.p_neg)
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -80,71 +86,55 @@ class ExactMatrix:
     def __mul__(self, other):
         if isinstance(other, ColumnVector):
             return self.apply(other)
+        ring = self.ring
         if not isinstance(other, ExactMatrix):
-            ring = self.ring
-            s = ring.el(other)
-            return ExactMatrix(ring, self.rows, self.cols,
-                               [e * s for e in self.entries])
+            s = ring.el(other).payload
+            p_mul = ring.p_mul
+            return self._map(lambda p: p_mul(p, s))
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        ring = self.ring
-        p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
-        zero = ring.from_int(0)
-        a = self.payload_grid()
-        b = other.payload_grid()
-        n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for r in range(n):
-            arow = a[r]
-            acc = [zero] * m
-            for t in range(k):
-                art = arow[t]
-                if p_is_zero(art):
-                    continue
-                brow = b[t]
-                for c in range(m):
-                    btc = brow[c]
-                    if p_is_zero(btc):
-                        continue
-                    acc[c] = p_add(acc[c], p_mul(art, btc))
-            out.extend(acc)
-        return ExactMatrix(ring, n, m, [ring.wrap(p) for p in out])
+        grid = _grid_product(ring, self.payload_grid(), other.payload_grid(),
+                             other.cols)
+        return ExactMatrix(ring, self.rows, other.cols,
+                           [p for row in grid for p in row])
 
     def __rmul__(self, other):
         ring = self.ring
-        s = ring.el(other)
-        return ExactMatrix(ring, self.rows, self.cols,
-                           [s * e for e in self.entries])
+        s = ring.el(other).payload
+        p_mul = ring.p_mul
+        return self._map(lambda p: p_mul(s, p))
 
     def apply(self, v):
         """Matrix times column vector."""
         if self.cols != v.length:
             raise ValueError("inner dimension mismatch")
         ring = self.ring
+        p_add, p_mul = ring.p_add, ring.p_mul
+        vp = [ring.el(e).payload for e in v.entries]
         out = []
-        for r in range(1, self.rows + 1):
-            acc = ring.zero
-            for t, ve in enumerate(v.entries):
-                acc = acc + self.entry(r, t + 1) * ve
-            out.append(acc)
+        for row in self.payload_grid():
+            acc = ring.from_int(0)
+            for a, x in zip(row, vp):
+                acc = p_add(acc, p_mul(a, x))
+            out.append(ring.wrap(acc))
         return ColumnVector(ring, out)
 
     def transpose(self):
-        ring = self.ring
-        ents = [self.entries[r * self.cols + c]
-                for c in range(self.cols) for r in range(self.rows)]
-        return ExactMatrix(ring, self.cols, self.rows, ents)
+        return ExactMatrix(self.ring, self.cols, self.rows,
+                           [self.payloads[r * self.cols + c]
+                            for c in range(self.cols) for r in range(self.rows)])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        if self.ring != other.ring:
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
             return False
-        p_eq = self.ring.p_eq
-        return all(p_eq(a.payload, b.payload)
-                   for a, b in zip(self.entries, other.entries))
+        if ring.structural:
+            return self.payloads == other.payloads
+        return all(map(ring.p_eq, self.payloads, other.payloads))
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -161,21 +151,35 @@ class ExactMatrix:
 
     def delete_row_col(self, i, j):
         """Matrix with row i and column j removed (1-based)."""
-        ents = []
-        for r in range(1, self.rows + 1):
-            if r == i:
-                continue
-            for c in range(1, self.cols + 1):
-                if c == j:
-                    continue
-                ents.append(self.entry(r, c))
-        return ExactMatrix(self.ring, self.rows - 1, self.cols - 1, ents)
+        grid = self.payload_grid()
+        del grid[i - 1]
+        return ExactMatrix(self.ring, self.rows - 1, self.cols - 1,
+                           [p for row in grid for c, p in enumerate(row)
+                            if c != j - 1])
 
     def __repr__(self):
         rows = []
         for r in range(1, self.rows + 1):
             rows.append("[" + ", ".join(repr(e) for e in self.row_list(r)) + "]")
         return "[" + ",\n ".join(rows) + "]"
+
+
+def _grid_product(ring, a, b, m):
+    """Product of the payload grids a and b (m columns) as a new grid;
+    zero entries of either factor are skipped."""
+    p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
+    zero = ring.from_int(0)
+    cells = _nonzero_cells(ring, b)
+    out = []
+    for arow in a:
+        acc = [zero] * m
+        for art, bcells in zip(arow, cells):
+            if p_is_zero(art):
+                continue
+            for c, btc in bcells:
+                acc[c] = p_add(acc[c], p_mul(art, btc))
+        out.append(acc)
+    return out
 
 
 class ColumnVector:
@@ -246,13 +250,13 @@ class ColumnVector:
 
 
 def identity(ring, n):
-    ents = [ring.one if r == c else ring.zero
-            for r in range(n) for c in range(n)]
-    return ExactMatrix(ring, n, n, ents)
+    one, zero = ring.from_int(1), ring.from_int(0)
+    return ExactMatrix(ring, n, n, [one if r == c else zero
+                                    for r in range(n) for c in range(n)])
 
 
 def zero_matrix(ring, rows, cols):
-    return ExactMatrix(ring, rows, cols, [ring.zero] * (rows * cols))
+    return ExactMatrix(ring, rows, cols, [ring.from_int(0)] * (rows * cols))
 
 
 def zero_vector(ring, n):
@@ -271,7 +275,7 @@ def from_rows(ring, rows):
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged rows")
-        ents.extend(r)
+        ents.extend(ring.el(e).payload for e in r)
     return ExactMatrix(ring, len(rows), ncols, ents)
 
 
@@ -279,42 +283,42 @@ def block_diagonal(*blocks):
     """Square blocks over one ring down the diagonal, zeros elsewhere."""
     ring = blocks[0].ring
     size = sum(b.rows for b in blocks)
-    ents = [ring.zero] * (size * size)
+    ents = [ring.from_int(0)] * (size * size)
     at = 0
     for b in blocks:
         if b.rows != b.cols:
             raise ValueError("diagonal blocks must be square")
+        if b.ring != ring:
+            raise ValueError("ring mismatch")
         for r in range(b.rows):
             start = (at + r) * size + at
-            ents[start:start + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
+            ents[start:start + b.cols] = b.payloads[r * b.cols:(r + 1) * b.cols]
         at += b.rows
     return ExactMatrix(ring, size, size, ents)
 
 
 def standard_symplectic_form(ring, n):
     """Block-diagonal sum of n copies of [[0,1],[-1,0]]."""
-    m = identity(ring, 2 * n).payload_grid()
-    zero = ring.from_int(0)
+    size = 2 * n
     one = ring.from_int(1)
     neg_one = ring.p_neg(one)
-    for r in range(2 * n):
-        m[r][r] = zero
-    for t in range(n):
-        m[2 * t][2 * t + 1] = one
-        m[2 * t + 1][2 * t] = neg_one
-    return ExactMatrix(ring, 2 * n, 2 * n,
-                       [ring.wrap(p) for row in m for p in row])
+    ents = [ring.from_int(0)] * (size * size)
+    for t in range(0, size, 2):
+        ents[t * size + t + 1] = one
+        ents[(t + 1) * size + t] = neg_one
+    return ExactMatrix(ring, size, size, ents)
 
 
 def is_alternating(m):
     """Skew-symmetric with zero diagonal, tested exactly."""
     if m.rows != m.cols:
         return False
-    for i in range(1, m.rows + 1):
-        if not m.entry(i, i).is_zero():
+    ring, a, n = m.ring, m.payloads, m.cols
+    for i in range(n):
+        if not ring.p_is_zero(a[i * n + i]):
             return False
-        for j in range(i + 1, m.cols + 1):
-            if m.entry(i, j) != -m.entry(j, i):
+        for j in range(i + 1, n):
+            if not ring.p_eq(a[i * n + j], ring.p_neg(a[j * n + i])):
                 return False
     return True
 
@@ -336,11 +340,8 @@ def tilde(v):
     ring = v.ring
     out = []
     for ell in range(1, v.length + 1):
-        partner = v.entry(sigma_index(ell))
-        if ell % 2 == 1:
-            out.append(-partner)
-        else:
-            out.append(partner)
+        partner = v.entry(sigma_index(ell)).payload
+        out.append(ring.p_neg(partner) if ell % 2 == 1 else partner)
     return ExactMatrix(ring, 1, v.length, out)
 
 
@@ -362,12 +363,10 @@ def tilde_pair(v, w):
 
 def col_times_row(v, r):
     """Outer product: column vector times 1 x m row matrix."""
-    ring = v.ring
-    ents = []
-    for a in v.entries:
-        for k in range(1, r.cols + 1):
-            ents.append(a * r.entry(1, k))
-    return ExactMatrix(ring, v.length, r.cols, ents)
+    p_mul = v.ring.p_mul
+    return ExactMatrix(v.ring, v.length, r.cols,
+                       [p_mul(a.payload, b) for a in v.entries
+                        for b in r.payloads])
 
 
 def pfaffian(phi):
@@ -501,7 +500,7 @@ def adjugate_inverse(m):
             c = det(m.delete_row_col(j, i))
             if (i + j) % 2 == 1:
                 c = -c
-            ents.append(c * dinv)
+            ents.append((c * dinv).payload)
     return ExactMatrix(m.ring, n, n, ents)
 
 

@@ -150,7 +150,9 @@ def include_I2_symplectic(n, i, j, p):
 # and coeff is a Y-free ring element (integers, signs, powers of 1/2,
 # values of other atoms).  Keeping parameters factored this way is what
 # lets a commutator split hand each half its own certificate and its own
-# positive power of Y.
+# positive power of Y.  Atoms hash and compare by identity (a certified
+# element defines no __eq__): term merging and the substitution memo key
+# on the atom objects themselves.
 
 
 class _Term:
@@ -195,10 +197,9 @@ class _Term:
         y4 = ring.var(_YVAR, 4)
         atoms = []
         for a in self.atoms:
-            got = memo.get(id(a))
+            got = memo.get(a)
             if got is None:
-                got = a.substitute({_YVAR: y4})
-                memo[id(a)] = got
+                got = memo[a] = a.substitute({_YVAR: y4})
             atoms.append(got)
         return _Term(ring, 4 * self.y_exp, atoms,
                      substitute(self.coeff, {_YVAR: y4}))
@@ -232,7 +233,7 @@ class _TPoly:
         for t in terms:
             if t.value().is_zero():
                 continue
-            key = (t.y_exp, tuple(id(a) for a in t.atoms))
+            key = (t.y_exp, t.atoms)
             if key in merged:
                 old = merged[key]
                 merged[key] = _Term(ring, t.y_exp, t.atoms,

@@ -19,6 +19,7 @@ from .errors import (BadIndices, NonstandardForm, NotAlternating,
                      SideConditionViolated, VerificationFailed)
 from .matrices import (
     ExactMatrix,
+    _grid_product,
     identity,
     is_alternating,
     is_symplectic,
@@ -34,12 +35,11 @@ def _generator_matrix(ring, size, i, j, z, entry_pattern, what):
     if not (1 <= i <= size and 1 <= j <= size) or i == j:
         raise BadIndices("bad %s indices (%d, %d) at size %d"
                          % (what, i, j, size))
-    z = ring.el(z)
-    m = identity(ring, size).payload_grid()
+    z = ring.el(z).payload
+    m = list(identity(ring, size).payloads)
     for r, c, sg in entry_pattern(i, j):
-        m[r - 1][c - 1] = (z if sg == 1 else -z).payload
-    return ExactMatrix(ring, size, size,
-                       [ring.wrap(p) for row in m for p in row])
+        m[(r - 1) * size + c - 1] = z if sg == 1 else ring.p_neg(z)
+    return ExactMatrix(ring, size, size, m)
 
 
 def make_linear_generator(ring, n, i, j, lam):
@@ -185,29 +185,35 @@ class SympLetter(_ElementaryLetter):
         return None
 
 
-def _transvection_blocks(ring, q, scalar, form, row_kind):
-    """Common block assembly for the two transvection letter kinds."""
+def _transvection_blocks(ring, q, scalar, form, row_kind, inverted):
+    """Common block assembly for the two transvection letter kinds; the
+    inverse is the same letter at -q and -scalar."""
+    p_add, p_mul, p_neg = ring.p_add, ring.p_mul, ring.p_neg
     n2 = q.length
     size = n2 + 2
-    grid = identity(ring, size).payload_grid()
-    qf = [ring.zero] * n2
+    qp = [e.payload for e in q.entries]
+    s = scalar.payload
+    if inverted:
+        qp = [p_neg(x) for x in qp]
+        s = p_neg(s)
+    qf = []
     for ell in range(n2):
-        acc = ring.zero
-        for k in range(n2):
-            acc = acc + q.entry(k + 1) * form.entry(k + 1, ell + 1)
-        qf[ell] = acc
+        acc = ring.from_int(0)
+        for x, f in zip(qp, form.payloads[ell::n2]):
+            acc = p_add(acc, p_mul(x, f))
+        qf.append(acc)
+    m = list(identity(ring, size).payloads)
     if row_kind:
-        grid[1][0] = (-scalar).payload
+        m[size] = p_neg(s)
         for ell in range(n2):
-            grid[1][2 + ell] = qf[ell].payload
-            grid[2 + ell][0] = (-q.entry(ell + 1)).payload
+            m[size + 2 + ell] = qf[ell]
+            m[(2 + ell) * size] = p_neg(qp[ell])
     else:
-        grid[0][1] = scalar.payload
+        m[1] = s
         for ell in range(n2):
-            grid[0][2 + ell] = (-qf[ell]).payload
-            grid[2 + ell][1] = (-q.entry(ell + 1)).payload
-    return ExactMatrix(ring, size, size,
-                       [ring.wrap(p) for row in grid for p in row])
+            m[2 + ell] = p_neg(qf[ell])
+            m[(2 + ell) * size + 1] = p_neg(qp[ell])
+    return ExactMatrix(ring, size, size, m)
 
 
 class _TransvectionLetter:
@@ -245,11 +251,8 @@ class _TransvectionLetter:
         # can be nonzero is +-q^t form q, which vanishes because the form
         # is alternating. So the inverse 1 - N is the letter at -q and
         # -scalar.
-        if inverted:
-            return _transvection_blocks(self.ring, -self.q, -self.scalar,
-                                        self.form, self.row_kind)
         return _transvection_blocks(self.ring, self.q, self.scalar, self.form,
-                                    self.row_kind)
+                                    self.row_kind, inverted)
 
     def __repr__(self):
         return "%s(%r, %r)" % (self.kind, self.q, self.scalar)
@@ -348,21 +351,8 @@ def evaluate(w):
     for letter, inv in w.letters:
         ops = letter.column_ops(inv)
         if ops is None:
-            m = letter.matrix(inv).payload_grid()
-            new = []
-            for r in range(n):
-                grow = grid[r]
-                acc = [ring.from_int(0)] * n
-                for t in range(n):
-                    g = grow[t]
-                    if p_is_zero(g):
-                        continue
-                    mrow = m[t]
-                    for c in range(n):
-                        if not p_is_zero(mrow[c]):
-                            acc[c] = p_add(acc[c], p_mul(g, mrow[c]))
-                new.append(acc)
-            grid = new
+            grid = _grid_product(ring, grid, letter.matrix(inv).payload_grid(),
+                                 n)
             continue
         for src, dst, coeff in ops:
             cp = coeff.payload
@@ -373,8 +363,7 @@ def evaluate(w):
                 gs = grid[r][s]
                 if not p_is_zero(gs):
                     grid[r][d] = p_add(grid[r][d], p_mul(gs, cp))
-    return ExactMatrix(ring, n, n,
-                       [ring.wrap(p) for row in grid for p in row])
+    return ExactMatrix(ring, n, n, [p for row in grid for p in row])
 
 
 def check_evaluation(w, want, what):

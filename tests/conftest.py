@@ -1,6 +1,6 @@
 import pytest
 
-from elemcalc.rings import PolyRing, ZmodRing
+from elemcalc.rings import PolyRing, RingElement, ZmodRing
 
 
 @pytest.fixture
@@ -35,3 +35,18 @@ def zmod_mul_budget(monkeypatch):
 
     monkeypatch.setattr(ZmodRing, "p_mul", counting)
     return left
+
+
+@pytest.fixture
+def ring_element_count(monkeypatch):
+    """A list whose length is the number of RingElement constructions so
+    far; clear it to restart the count."""
+    built = []
+    orig = RingElement.__init__
+
+    def counting(self, ring, payload):
+        built.append(None)
+        orig(self, ring, payload)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    return built

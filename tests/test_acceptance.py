@@ -5,7 +5,11 @@ asserts exact equality throughout, with a wall-clock ceiling. Seeds are
 fixed so failures are reproducible with the reported trial seed.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,17 @@ def test_negative_controls():
                 rewrite_conjugation_linear(eps, i, j, ap)
     finally:
         rewrite_module.REWRITE_CASES.update(orig_handlers)
+
+
+def test_decompose_demo_script():
+    """The README's pipeline demo runs to its final line."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "decompose_demo.py"),
+         "--seed", "7"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "all stages verified" in proc.stdout.splitlines()

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -336,6 +337,36 @@ def test_cli_rewrite(tmp_path, capsys):
     assert payload["output"] and payload["case_trace"]
 
 
+def expand_request():
+    return {"ring": {"kind": "zmod", "m": 27},
+            "direction": "group", "size": 4, "word": []}
+
+
+@pytest.mark.parametrize("command, make, key, extra", [
+    # an empty conjugator is the cheapest large decomposition
+    ("decompose", decompose_request, "n", {"g": []}),
+    ("rewrite", rewrite_request, "n", {}),
+    ("expand", expand_request, "size", {}),
+])
+def test_cli_size_bound(monkeypatch, capsys, command, make, key, extra):
+    request = dict(make(), **extra)
+    request[key] = 2000
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    start = time.perf_counter()
+    assert cli.main([command]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "field %r must be at most %d" % (key, cli.MAX_REQUEST_SIZE) \
+        in capsys.readouterr().err
+
+
+def test_cli_rewrite_n_must_be_an_integer(monkeypatch, capsys):
+    request = rewrite_request()
+    request["n"] = True
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["rewrite"]) == 2
+    assert "field 'n' must be an integer" in capsys.readouterr().err
+
+
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
     orig = rewrite_module.REWRITE_CASES[("linear", "overlap")]
 
@@ -419,9 +450,7 @@ def test_cli_expand_round_trip(monkeypatch, capsys):
 
 
 def test_cli_expand_empty_word_is_identity(monkeypatch, capsys):
-    request = {"ring": {"kind": "zmod", "m": 27},
-               "direction": "group", "size": 4, "word": []}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(expand_request())))
     rc = cli.main(["expand"])
     out = capsys.readouterr().out
     assert rc == 0

@@ -26,6 +26,7 @@ from elemcalc.matrices import (
     zero_vector,
 )
 from elemcalc.rings import ZmodRing
+from elemcalc.words import MuLetter, RhoLetter, SympLetter, Word, evaluate
 
 Z27 = ZmodRing(27)
 
@@ -314,3 +315,26 @@ def test_tilde_pair_antisymmetric(xs, ys):
     w = ColumnVector(Z27, tuple(Z27.el(y) for y in ys))
     assert tilde_pair(v, w) == -tilde_pair(w, v)
     assert tilde_pair(v, v).is_zero()
+
+
+def test_matrix_operations_wrap_few_elements(ring_element_count):
+    """Matrices store payloads, so evaluating a word of size letters and
+    A * B, A + B and A == B build O(size) ring elements, not one per
+    entry."""
+    size = 16
+    rng = random.Random(16)
+    a, b = rand_matrix(rng, Z27, size), rand_matrix(rng, Z27, size)
+    q = ColumnVector(Z27, [rng.randrange(27) for _ in range(size - 2)])
+    form = standard_symplectic_form(Z27, size // 2 - 1)
+    letters = [RhoLetter(q, 3, form), MuLetter(q, 6, form)]
+    while len(letters) < size:
+        i, j = rng.sample(range(1, size + 1), 2)
+        letters.append(SympLetter(size, i, j, Z27.el(rng.randrange(1, 27))))
+    w = Word(Z27, size, [(x, rng.random() < 0.5) for x in letters])
+    for what, op in (("evaluate", lambda: evaluate(w)),
+                     ("A * B", lambda: a * b),
+                     ("A + B", lambda: a + b),
+                     ("A == B", lambda: a == b)):
+        ring_element_count.clear()
+        op()
+        assert len(ring_element_count) <= 3 * size, what

@@ -1,8 +1,8 @@
 """Ring and matrix arithmetic checked against independent oracles.
 
-Polynomial substitution, powers and determinants over Z/m and
-(Z/m)[X, Y] are checked against sympy: the same computation over the
-integers, reduced mod m afterwards. Pfaffians are checked against the
+Polynomial substitution, powers, determinants and matrix arithmetic
+over Z/m and (Z/m)[X, Y] are checked against sympy: the same
+computation over the integers, reduced mod m afterwards. Pfaffians are checked against the
 sum over perfect matchings of tests/test_matrices.py, and at sizes
 beyond its reach against Pf^2 = det."""
 
@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from elemcalc.matrices import det, from_rows, pfaffian
+from elemcalc.matrices import (ColumnVector, block_diagonal, col_times_row,
+                               det, from_rows, pfaffian, tilde)
 from elemcalc.rings import PolyRing, ZmodRing, substitute
 from test_matrices import pfaffian_matching_oracle
 
@@ -141,3 +142,72 @@ def test_pfaffian_square_is_det_at_large_sizes(m):
             a = from_rows(R, int_grid(rng, m, size, density, alternating=True))
             pf = pfaffian(a)
             assert pf * pf == det(a)
+
+
+def standard_psi(size):
+    psi = sympy.zeros(size, size)
+    for t in range(0, size, 2):
+        psi[t, t + 1], psi[t + 1, t] = 1, -1
+    return psi
+
+
+def arithmetic_cases(ring, grids, scalar):
+    """(name, library result, sympy result) for every matrix operation,
+    from three (elements, sympy expressions) grids of one size and one
+    (element, expression) scalar."""
+    (a, ae), (b, be), (c, ce) = grids
+    A, B = from_rows(ring, a), from_rows(ring, b)
+    MA, MB, MC = sympy.Matrix(ae), sympy.Matrix(be), sympy.Matrix(ce)
+    size = len(a)
+    v = ColumnVector(ring, [row[0] for row in c])
+    s, se = scalar
+    yield "A + B", A + B, MA + MB
+    yield "A - B", A - B, MA - MB
+    yield "-A", -A, -MA
+    yield "A * B", A * B, MA * MB
+    yield "A * s", A * s, MA * se
+    yield "s * A", s * A, se * MA
+    yield "transpose", A.transpose(), MA.T
+    yield "apply", A.apply(v), MA * MC[:, 0]
+    yield "block_diagonal", block_diagonal(A, B), sympy.diag(MA, MB)
+    if size % 2 == 0:
+        w = ColumnVector(ring, [row[1] for row in c])
+        yield ("col_times_row", col_times_row(v, tilde(w)),
+               MC[:, 0] * (MC[:, 1].T * standard_psi(size)))
+
+
+def assert_cases_match(cases, to_payload):
+    for name, got, want in cases:
+        if isinstance(got, ColumnVector):
+            got = [[e.payload] for e in got.entries]
+        else:
+            got = got.payload_grid()
+        assert got == [[to_payload(x) for x in row]
+                       for row in want.tolist()], name
+
+
+@pytest.mark.parametrize("m", MATRIX_MODULI)
+def test_matrix_arithmetic_matches_sympy(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    for size in range(1, 9):
+        grids = []
+        for density in (1.0, 0.5, 0.3):
+            g = int_grid(rng, m, size, density)
+            grids.append((g, g))
+        c = rng.randrange(m)
+        assert_cases_match(arithmetic_cases(R, grids, (R.el(c), c)),
+                           lambda x: int(x) % m)
+
+
+def test_matrix_arithmetic_matches_sympy_over_polynomials():
+    rng = random.Random(1)
+    for size in range(1, 4):
+        for _ in range(2):
+            grids = []
+            for _ in range(3):
+                ring, els, exs = poly_grid(rng, 27, size)
+                grids.append((els, exs))
+            scalar = sparse_pair(rng, 27, (0, 1, 2))
+            assert_cases_match(arithmetic_cases(ring, grids, scalar),
+                               lambda x: reduced(sympy.expand(x), 27))

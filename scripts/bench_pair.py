@@ -9,10 +9,11 @@ Examples, from the root of a checkout:
 The parent revision (default HEAD) is exported with `git archive` into a
 temporary directory, so its committed files are measured exactly and the
 repository gains no worktree record; the change is the working tree.
-Both sides run their own `perfbench/run.py --trace 0`, one run at a time,
-for BENCHMARK.json's run_seconds. Pair k uses seed k mod 10 on both
-sides, and the side that runs first alternates from pair to pair, so a
-slow spell of the machine does not favour one side.
+Both sides are byte-compiled first (`python3 -m compileall`), then each
+runs its own `perfbench/run.py --trace 0`, one run at a time, for
+BENCHMARK.json's run_seconds. Pair k uses seed k mod 10 on both sides,
+and the side that runs first alternates from pair to pair, so a slow
+spell of the machine does not favour one side.
 
 The output file keeps, per workload: every run's end-to-end metrics and
 golden-digest status, each side's median and quartiles per metric, and
@@ -38,6 +39,14 @@ def export(rev, dest):
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def compile_tree(root):
+    """Byte-compile root's src and perfbench, so that neither side spends
+    its runs compiling modules the other side reads from its cache;
+    compileall writes .pyc files even under PYTHONDONTWRITEBYTECODE."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
+                    "perfbench"], cwd=root, check=True)
 
 
 def run_once(root, workload, seed, seconds):
@@ -114,6 +123,8 @@ def main(argv=None):
     try:
         export(parent_rev, parent_dir)
         roots = {"parent": parent_dir, "change": ROOT}
+        for root in roots.values():
+            compile_tree(root)
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):

@@ -196,242 +196,221 @@ class UpperTransLetter(_ShearLetter):
         return 1, idx + 2
 
 
-def etrans_word_to_E1(w):
-    """Spell linear shear letters as certified first-index generators."""
+class _Fold:
+    """Per-slot sums of a run of same-direction letters: a value and a
+    certificate per slot. One uncertified summand leaves the run
+    without certificates."""
+
+    def __init__(self, ring, slots, direction):
+        self.ring = ring
+        self.direction = direction
+        self.vals = [ring.zero] * slots
+        self.certs = [None] * slots
+        self.certified = True
+
+    def add(self, slot, p, cert):
+        self.vals[slot] = self.vals[slot] + p
+        if cert is None:
+            self.certified = False
+        elif self.certs[slot] is None:
+            self.certs[slot] = cert
+        else:
+            self.certs[slot] = self.certs[slot] + cert
+
+    def packed(self):
+        """The slot certificates, empty slots zero-filled from the first
+        certified slot's ideal; None for an uncertified run."""
+        if not self.certified:
+            return None
+        zero = next(c for c in self.certs if c is not None).ideal.zero_cert()
+        return tuple(zero if c is None else c for c in self.certs)
+
+
+def _regroup(w, classify, new_fold):
+    """Fold each maximal run of one direction into one letter.
+
+    classify(letter, inv) gives (direction, slot, p, cert); a fold's
+    letter() may drop its run by returning None.
+    """
+    letters = []
+    fold = None
+    for letter, inv in w.letters:
+        direction, slot, p, cert = classify(letter, inv)
+        if fold is None or fold.direction != direction:
+            letters.append(None if fold is None else fold.letter())
+            fold = new_fold(direction)
+        fold.feed(slot, p, cert)
+    letters.append(None if fold is None else fold.letter())
+    result = Word(w.ring, w.size,
+                  [(x, False) for x in letters if x is not None])
+    check_evaluation(result, evaluate(w),
+                     "regrouped word changed the evaluation")
+    return result
+
+
+def _spell(w, letters_of, what):
+    """Concatenate letters_of(letter, inv) over the word's letters."""
     out = []
     for letter, inv in w.letters:
-        if not isinstance(letter, _ShearLetter):
-            raise BadIndices("expected linear shear letters, got %r"
-                             % (letter.kind,))
-        for idx in range(letter.vec.length):
-            p = letter.vec.entry(idx + 1)
-            if p.is_zero():
-                continue
-            c = None if letter.certs is None else letter.certs[idx]
-            if c is None:
-                raise NotCertified("shear parameters need certificates")
-            i, j = letter.cell(idx)
-            out.append((LinLetter(w.size, i, j, p, c), inv))
+        out.extend(letters_of(letter, inv))
     result = Word(w.ring, w.size, out)
     check_evaluation(result, evaluate(w),
-                     "translated word changed the evaluation")
+                     "%s word changed the evaluation" % (what,))
     return result
+
+
+def _shear_letters(letter, inv):
+    if not isinstance(letter, _ShearLetter):
+        raise BadIndices("expected linear shear letters, got %r"
+                         % (letter.kind,))
+    out = []
+    for idx in range(letter.vec.length):
+        p = letter.vec.entry(idx + 1)
+        if p.is_zero():
+            continue
+        c = None if letter.certs is None else letter.certs[idx]
+        if c is None:
+            raise NotCertified("shear parameters need certificates")
+        i, j = letter.cell(idx)
+        out.append((LinLetter(letter.size, i, j, p, c), inv))
+    return out
+
+
+def etrans_word_to_E1(w):
+    """Spell linear shear letters as certified first-index generators."""
+    return _spell(w, _shear_letters, "translated")
+
+
+def _linear_summand(letter, inv):
+    if letter.kind != "E":
+        raise BadIndices("expected linear letters, got %r" % (letter.kind,))
+    if letter.j == 1 and letter.i >= 2:
+        direction, slot = "lower", letter.i - 2
+    elif letter.i == 1 and letter.j >= 2:
+        direction, slot = "upper", letter.j - 2
+    else:
+        raise BadIndices("letters must touch the first index")
+    p, c = letter.param, letter.cert
+    if inv:
+        p, c = -p, None if c is None else -c
+    return direction, slot, p, c
+
+
+class _ShearFold(_Fold):
+    """A run of shear summands, one slot per vector entry; a run that
+    sums to zero is dropped."""
+
+    feed = _Fold.add
+
+    def letter(self):
+        if all(v.is_zero() for v in self.vals):
+            return None
+        cls = (LowerTransLetter if self.direction == "lower"
+               else UpperTransLetter)
+        return cls(ColumnVector(self.ring, self.vals), self.packed())
 
 
 def E1_to_etrans(w, ideal=None):
     """Group a first-index linear word into maximal shear letters."""
     if ideal is not None and not word_in_E1(w, ideal):
         raise NotCertified("expected a certified first-index linear word")
-    ring = w.ring
     n = w.size - 1
-    out = []
-    state = None  # (direction, values, certs, certs_ok)
+    return _regroup(w, _linear_summand,
+                    lambda direction: _ShearFold(w.ring, n, direction))
 
-    def flush():
-        nonlocal state
-        if state is None:
-            return
-        direction, vals, certs, certs_ok = state
-        state = None
-        if all(v.is_zero() for v in vals):
-            return
-        vec = ColumnVector(ring, vals)
-        packed = None
-        if certs_ok:
-            some = next((c for c in certs if c is not None), None)
-            if some is not None:
-                zc = some.ideal.zero_cert()
-                packed = tuple(zc if c is None else c for c in certs)
-        cls = LowerTransLetter if direction == "lower" else UpperTransLetter
-        out.append((cls(vec, packed), False))
 
-    for letter, inv in w.letters:
-        if letter.kind != "E":
-            raise BadIndices("expected linear letters, got %r"
-                             % (letter.kind,))
-        if letter.j == 1 and letter.i >= 2:
-            direction, idx = "lower", letter.i - 2
-        elif letter.i == 1 and letter.j >= 2:
-            direction, idx = "upper", letter.j - 2
-        else:
-            raise BadIndices("letters must touch the first index")
-        if state is None or state[0] != direction:
-            flush()
-            state = (direction, [ring.zero] * n, [None] * n, True)
-        p = -letter.param if inv else letter.param
-        c = letter.cert
-        if c is not None and inv:
-            c = -c
-        _, vals, certs, certs_ok = state
-        vals[idx] = vals[idx] + p
-        if c is None:
-            certs_ok = False
-        elif certs[idx] is None:
-            certs[idx] = c
-        else:
-            certs[idx] = certs[idx] + c
-        state = (direction, vals, certs, certs_ok)
-    flush()
-    result = Word(ring, w.size, out)
-    check_evaluation(result, evaluate(w),
-                     "regrouped word changed the evaluation")
-    return result
+def _transvection_letters(letter, inv, std):
+    if letter.kind not in ("rho", "mu"):
+        raise BadIndices("expected transvection letters, got %r"
+                         % (letter.kind,))
+    if letter.form != std:
+        raise NonstandardForm("expansion requires the standard form")
+    sc, qc = (None, None) if letter.certs is None else letter.certs
+    expand = expand_rho if letter.kind == "rho" else expand_mu
+    sub = expand(letter.q, letter.scalar, sc, qc, form=letter.form)
+    return (invert_word(sub) if inv else sub).letters
 
 
 def etranssp_word_to_ESp1(w):
     """Expand standard-form transvection letters into first-index words."""
     std = standard_symplectic_form(w.ring, (w.size - 2) // 2)
-    out = Word(w.ring, w.size)
-    for letter, inv in w.letters:
-        if letter.kind not in ("rho", "mu"):
-            raise BadIndices("expected transvection letters, got %r"
-                             % (letter.kind,))
-        if letter.form != std:
-            raise NonstandardForm("expansion requires the standard form")
-        sc, qc = (None, None) if letter.certs is None else letter.certs
-        expand = expand_rho if letter.kind == "rho" else expand_mu
-        sub = expand(letter.q, letter.scalar, sc, qc, form=letter.form)
-        if inv:
-            sub = invert_word(sub)
-        out = out * sub
-    check_evaluation(out, evaluate(w), "expanded word changed the evaluation")
-    return out
+    return _spell(
+        w, lambda letter, inv: _transvection_letters(letter, inv, std),
+        "expanded")
 
 
-class _TransvFold:
-    """Accumulate a run of same-direction letters into one transvection.
+def _symplectic_summand(letter, inv):
+    """Slot 0 is the scalar, slot k the k-th vector coordinate."""
+    if letter.kind != "se":
+        raise BadIndices("expected symplectic letters, got %r"
+                         % (letter.kind,))
+    form = SympLetter.index1_form(letter.i, letter.j)
+    if form is None:
+        raise BadIndices("letters must touch the first index "
+                         "up to the pairing swap")
+    i, j, sign = form
+    if inv:
+        sign = -sign
+    if j == 1:
+        # row type: se_(i,1)(p) adds -p to the scalar or coordinate i - 2
+        direction, slot, sign = "rho", (0 if i == 2 else i - 2), -sign
+    elif j == 2:
+        direction, slot = "mu", 0
+    else:
+        direction, slot = "mu", sigma(j - 2)
+        if j % 2 == 0:
+            sign = -sign
+    p, c = letter.param, letter.cert
+    if sign == -1:
+        p, c = -p, None if c is None else -c
+    return direction, slot, p, c
 
-    The composition rule is exact: appending a letter with vector part
-    qhat and scalar part shat turns (q, s) into (q + qhat, s + shat +
-    q.form.qhat), which is verified a posteriori by evaluation.
-    """
 
-    def __init__(self, ring, n2, form_matrix, direction):
-        self.ring = ring
-        self.n2 = n2
+class _TransvFold(_Fold):
+    """A run of rho or mu summands: slot 0 the scalar, slots 1..2n the
+    vector. The composition rule is exact: adding qhat to the vector
+    turns (q, s) into (q + qhat, s + q.form.qhat), which is verified a
+    posteriori by evaluation. A run that sums to zero stays a letter."""
+
+    def __init__(self, ring, form_matrix, direction):
+        super().__init__(ring, form_matrix.rows + 1, direction)
         self.form = form_matrix
-        self.direction = direction
-        self.vals = [ring.zero] * n2
-        self.scalar = ring.zero
-        self.q_certs = [None] * n2
-        self.scalar_cert = None
-        self.certs_ok = True
-        self.touched = False
 
     def _cross(self, coord):
         # (q^t . form) at the given 1-based coordinate
         ring = self.ring
         acc = ring.from_int(0)
-        for v, f in zip(self.vals, self.form.payloads[coord - 1::self.n2]):
+        for v, f in zip(self.vals[1:],
+                        self.form.payloads[coord - 1::self.form.rows]):
             if not v.is_zero():
                 acc = ring.p_add(acc, ring.p_mul(v.payload, f))
         return ring.wrap(acc)
 
-    def _add_scalar(self, s, cert):
-        self.scalar = self.scalar + s
-        if cert is None:
-            self.certs_ok = False
-        elif self.scalar_cert is None:
-            self.scalar_cert = cert
-        else:
-            self.scalar_cert = self.scalar_cert + cert
-
-    def _add_coord(self, coord, v, cert):
-        t = self._cross(coord)
-        if not t.is_zero():
-            self._add_scalar(t * v, None if cert is None else cert.scale(t))
-        elif cert is None:
-            self.certs_ok = False
-        self.vals[coord - 1] = self.vals[coord - 1] + v
-        if cert is None:
-            self.certs_ok = False
-        elif self.q_certs[coord - 1] is None:
-            self.q_certs[coord - 1] = cert
-        else:
-            self.q_certs[coord - 1] = self.q_certs[coord - 1] + cert
-
-    def feed(self, i, j, p, cert):
-        self.touched = True
-        if self.direction == "rho":
-            if i == 2:
-                self._add_scalar(-p, None if cert is None else -cert)
-            else:
-                self._add_coord(i - 2, -p, None if cert is None else -cert)
-        else:
-            if j == 2:
-                self._add_scalar(p, cert)
-            else:
-                sgn = 1 if (j + 1) % 2 == 0 else -1
-                coord = sigma(j - 2)
-                v = p if sgn == 1 else -p
-                c = cert
-                if c is not None and sgn == -1:
-                    c = -c
-                self._add_coord(coord, v, c)
+    def feed(self, slot, p, cert):
+        if slot:
+            t = self._cross(slot)
+            if not t.is_zero():
+                self.add(0, t * p, None if cert is None else cert.scale(t))
+        self.add(slot, p, cert)
 
     def letter(self):
-        if not self.touched:
-            return None
-        vec = ColumnVector(self.ring, self.vals)
-        packed = None
-        if self.certs_ok:
-            some = self.scalar_cert or next(
-                (c for c in self.q_certs if c is not None), None)
-            if some is not None:
-                zc = some.ideal.zero_cert()
-                sc = self.scalar_cert if self.scalar_cert is not None else zc
-                qc = tuple(zc if c is None else c for c in self.q_certs)
-                packed = (sc, qc)
+        packed = self.packed()
+        if packed is not None:
+            packed = (packed[0], packed[1:])
         cls = RhoLetter if self.direction == "rho" else MuLetter
-        return cls(vec, self.scalar, self.form, packed)
+        return cls(ColumnVector(self.ring, self.vals[1:]), self.vals[0],
+                   self.form, packed)
 
 
 def ESp1_to_etranssp(w, ideal=None):
     """Group a first-index symplectic word into transvection letters."""
     if ideal is not None and not word_in_ESp1(w, ideal):
         raise NotCertified("expected a certified first-index symplectic word")
-    ring = w.ring
-    size = w.size
-    n2 = size - 2
-    if n2 < 2:
+    if w.size - 2 < 2:
         raise BadIndices("need at least one form coordinate pair")
-    std = standard_symplectic_form(ring, n2 // 2)
-    out = []
-    fold = None
-
-    def flush():
-        nonlocal fold
-        if fold is not None:
-            letter = fold.letter()
-            if letter is not None:
-                out.append((letter, False))
-            fold = None
-
-    for letter, inv in w.letters:
-        if letter.kind != "se":
-            raise BadIndices("expected symplectic letters, got %r"
-                             % (letter.kind,))
-        form = SympLetter.index1_form(letter.i, letter.j)
-        if form is None:
-            raise BadIndices("letters must touch the first index "
-                             "up to the pairing swap")
-        i, j, sign = form
-        p, c = letter.param, letter.cert
-        if inv:
-            sign = -sign
-        if sign == -1:
-            p = -p
-            c = None if c is None else -c
-        direction = "rho" if j == 1 else "mu"
-        if fold is None or fold.direction != direction:
-            flush()
-            fold = _TransvFold(ring, n2, std, direction)
-        fold.feed(i, j, p, c)
-    flush()
-    result = Word(ring, size, out)
-    check_evaluation(result, evaluate(w),
-                     "regrouped word changed the evaluation")
-    return result
+    std = standard_symplectic_form(w.ring, (w.size - 2) // 2)
+    return _regroup(w, _symplectic_summand,
+                    lambda direction: _TransvFold(w.ring, std, direction))
 
 
 def transport_conjugation(letter, eps, target_form=None):

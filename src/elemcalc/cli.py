@@ -49,25 +49,29 @@ sampling distributions used by the verify suites:
 """
 
 
-# The largest n (decompose, rewrite) or size (expand) a request may
-# give. The work grows as a power of it; documented requests stay at 12.
+# The largest n (decompose, rewrite), size (expand) or number of matrix
+# rows (pfaffian, standardize) a request may give. The work grows as a
+# power of it; documented requests stay at 12.
 MAX_REQUEST_SIZE = 64
 
 
 def _int_field(data, key, minimum=None, maximum=None, default=None):
     """The integer data[key]; default when it is absent or null."""
     value = data.get(key)
-    if value is None:
-        value = default
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DescriptorMismatch("field %r must be an integer" % (key,))
-    if minimum is not None and value < minimum:
-        raise DescriptorMismatch("field %r must be at least %d"
-                                 % (key, minimum))
-    if maximum is not None and value > maximum:
-        raise DescriptorMismatch("field %r must be at most %d"
-                                 % (key, maximum))
-    return value
+    return jsonio._need_int(default if value is None else value,
+                            "field %r" % (key,), minimum, maximum)
+
+
+def _matrix_field(data, key, ring):
+    """The matrix data[key], refused before its entries are decoded when
+    it has more than MAX_REQUEST_SIZE rows."""
+    if key not in data:
+        raise DescriptorMismatch("input needs a %s" % (key,))
+    rows = data[key]
+    if isinstance(rows, list) and len(rows) > MAX_REQUEST_SIZE:
+        raise DescriptorMismatch("field %r must have at most %d rows"
+                                 % (key, MAX_REQUEST_SIZE))
+    return jsonio.matrix_from_json(ring, rows)
 
 
 def _ring_of(data):
@@ -127,9 +131,7 @@ def cmd_rewrite(data):
 def cmd_pfaffian(data):
     """Pfaffian of an alternating matrix with the square cross-check."""
     ring = _ring_of(data)
-    if "matrix" not in data:
-        raise DescriptorMismatch("input needs a matrix")
-    m = jsonio.matrix_from_json(ring, data["matrix"])
+    m = _matrix_field(data, "matrix", ring)
     if m.rows != m.cols or m.rows % 2 != 0 or not is_alternating(m):
         raise DescriptorMismatch(
             "the Pfaffian needs an alternating matrix of even size")
@@ -145,9 +147,7 @@ def cmd_standardize(data):
     """Recorded congruence onto the standard form, JSON to JSON."""
     ring = _ring_of(data)
     ideal = _ideal_of(data, ring)
-    if "form" not in data:
-        raise DescriptorMismatch("input needs a form")
-    form = AlternatingForm(jsonio.matrix_from_json(ring, data["form"]))
+    form = AlternatingForm(_matrix_field(data, "form", ring))
     res = standardize_alternating(form, ideal)
     return jsonio.standardization_to_json(res)
 

@@ -41,7 +41,7 @@ from .matrices import (
     tilde_pair,
     zero_vector,
 )
-from .rings import CertifiedElement, half, product_certificate
+from .rings import half, product_certificate, square_factors
 from .words import SympLetter, Word, check_evaluation, evaluate, invert_word
 
 
@@ -82,7 +82,7 @@ def _pair_coords(t):
     return 2 * t - 1, 2 * t
 
 
-def _resolve_pair(v, auxiliary_pair, check_support=True):
+def _resolve_pair(v, auxiliary_pair):
     """Size bookkeeping for an auxiliary pair; embeds when one past the end."""
     n = v.length // 2
     if not (1 <= auxiliary_pair <= n + 1):
@@ -91,72 +91,44 @@ def _resolve_pair(v, auxiliary_pair, check_support=True):
     size = max(v.length, 2 * auxiliary_pair)
     v = _extend(v, size)
     p, pbar = _pair_coords(auxiliary_pair)
-    if check_support and not (v.entry(p).is_zero() and v.entry(pbar).is_zero()):
+    if not (v.entry(p).is_zero() and v.entry(pbar).is_zero()):
         raise SupportOverlap("vector must vanish on the auxiliary pair")
     return v, size, p, pbar
 
 
-def _pair_transvection_word(ring, size, s, params, target=None, target_cert=None):
-    """Word for I + target e_{s,sigma(s)} + sum_k z_k (e_{k,sigma(s)} pattern).
+def _pair_transvection_word(ring, size, s, params):
+    """Word for I + c (v etilde_s + e_s vtilde), v vanishing on the pair of s.
 
-    params maps k (k not in the pair of s) to (z_k, cert-or-None); the
-    assembled matrix is I + t e_{s,sbar} + c (v etilde_s + e_s vtilde)
-    whenever z_k = (-1)^(s+1) c v_k. The word is one short letter fixing
-    the (s, sbar) cell plus one long letter per support coordinate.
+    params maps k (k not in the pair of s) to the certified z_k =
+    (-1)^(s+1) c v_k. The word is one long letter per support coordinate
+    plus, in front, one short letter cancelling their cross terms in the
+    (s, sbar) cell.
     """
     sbar = sigma(s)
-    cross = ring.zero
-    cross_cert = None
+    cross = None
     for k in sorted(params):
-        if k % 2 == 0 or sigma(k) not in params:
-            continue
-        zk, ck = params[k]
-        zl, _ = params[sigma(k)]
-        sgn = -1 if (k + sbar) % 2 == 0 else 1
-        term = zk * zl
-        if sgn == -1:
-            term = -term
-        cross = cross + term
-        if ck is not None:
-            piece = ck.scale(zl if sgn == 1 else -zl)
-            cross_cert = piece if cross_cert is None else cross_cert + piece
-    delta = (ring.zero if target is None else target) - cross
-    delta_cert = None
-    some_cert = target_cert
-    if some_cert is None:
-        for k in params:
-            if params[k][1] is not None:
-                some_cert = params[k][1]
-                break
-    if some_cert is not None:
-        delta_cert = some_cert.ideal.zero_cert()
-        if target_cert is not None:
-            delta_cert = delta_cert + target_cert
-        if cross_cert is not None:
-            delta_cert = delta_cert - cross_cert
+        if k % 2 == 1 and sigma(k) in params:
+            zl = params[sigma(k)].value
+            piece = params[k].scale(-zl if (k + sbar) % 2 == 0 else zl)
+            cross = piece if cross is None else cross + piece
     letters = []
-    if not delta.is_zero():
-        letters.append((SympLetter(size, s, sbar, delta, delta_cert), False))
+    if cross is not None and not cross.is_zero():
+        delta = -cross
+        letters.append((SympLetter(size, s, sbar, delta.value, delta), False))
     for k in sorted(params):
-        zk, ck = params[k]
-        if zk.is_zero():
-            continue
-        letters.append((SympLetter(size, k, sbar, zk, ck), False))
+        zk = params[k]
+        if not zk.is_zero():
+            letters.append((SympLetter(size, k, sbar, zk.value, zk), False))
     return Word(ring, size, letters)
 
 
-def _scaled_params(v, size, skip, factor, cert, cert_factor):
-    """z_k = factor * v_k with certificates cert.scale(cert_factor * v_k)."""
+def _scaled_params(v, size, skip, cert, factor):
+    """The certified z_k = cert.scale(factor * v_k), k off skip, v_k != 0."""
     params = {}
     for k in range(1, size + 1):
-        if k in skip:
-            continue
         vk = v.entry(k)
-        if vk.is_zero():
-            continue
-        z = factor * vk
-        c = None if cert is None else cert.scale(cert_factor * vk)
-        params[k] = (z, c)
+        if k not in skip and not vk.is_zero():
+            params[k] = cert.scale(factor * vk)
     return params
 
 
@@ -176,10 +148,10 @@ def short_root_pair(v, a, b, auxiliary_pair, trace=None):
     bv = b.value
     w1 = _pair_transvection_word(
         ring, size, p,
-        _scaled_params(v, size, (p, pbar), av * h, a, h))
+        _scaled_params(v, size, (p, pbar), a, h))
     w2 = _pair_transvection_word(
         ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), -bv, b, ring.el(-1)))
+        _scaled_params(v, size, (p, pbar), b, -1))
     out = w1 * w2 * invert_word(w1) * invert_word(w2)
     closed = identity(ring, size) + sym_outer(v) * (av * bv)
     check_evaluation(out, closed,
@@ -206,10 +178,10 @@ def long_root_pair(v, w, a, b, auxiliary_pair, trace=None):
     bv = b.value
     m1 = _pair_transvection_word(
         ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), av, a, ring.one))
+        _scaled_params(v, size, (p, pbar), a, 1))
     m2 = _pair_transvection_word(
         ring, size, p,
-        _scaled_params(w, size, (p, pbar), bv, b, ring.one))
+        _scaled_params(w, size, (p, pbar), b, 1))
     out = m1 * m2 * invert_word(m1) * invert_word(m2)
     closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
     check_evaluation(out, closed,
@@ -244,10 +216,10 @@ def long_root_reduce(v, w, a, b, zero_pair, trace=None):
         parts.append(long_root_pair(v, w_off, a, b, zero_pair, trace=trace))
     f2 = _pair_transvection_word(
         ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), -(av * bv * y), a, -(bv * y)))
+        _scaled_params(v, size, (p, pbar), a, -(bv * y)))
     f3 = _pair_transvection_word(
         ring, size, p,
-        _scaled_params(v, size, (p, pbar), av * bv * x, a, bv * x))
+        _scaled_params(v, size, (p, pbar), a, bv * x))
     parts.append(f2)
     parts.append(f3)
     if not (x * y * av * bv).is_zero():
@@ -332,7 +304,7 @@ def sum_to_product(us, us_certs, w, trace=None):
     ordering = list(range(len(us)))
     lhs = identity(ring, w.length)
     for u in us:
-        lhs = lhs + pair_outer(u, w) * ring.one
+        lhs = lhs + pair_outer(u, w)
     rhs = identity(ring, w.length)
     for i in ordering:
         rhs = rhs * (identity(ring, w.length) + pair_outer(us[i], w))
@@ -405,20 +377,8 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
         piece_word = long_root_reduce(raw_pieces[idx], w, a, b, free,
                                       trace=trace)
         out = out * piece_word
-    sq = x_cert.ideal
-    base = sq.base
-    pairs = base.square_pairs()
-    for t, coeff in enumerate(x_cert.coefficients):
-        if coeff.is_zero():
-            continue
-        bi, bj = pairs[t]
-        ca = [ring.zero] * len(base.generators)
-        ca[bi] = coeff
-        cb = [ring.zero] * len(base.generators)
-        cb[bj] = ring.one
-        a_term = CertifiedElement(base, ca)
-        b_term = CertifiedElement(base, cb)
-        out = out * short_root_split(w, a_term, b_term, trace=trace)
+    for x, y in square_factors(x_cert):
+        out = out * short_root_split(w, x, y, trace=trace)
     closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
     check_evaluation(out, closed, "long-root-unimodular: evaluation "
                      "differs from closed form")

@@ -34,6 +34,18 @@ def _need(data, key, what):
     return data[key]
 
 
+def _need_int(value, what, minimum=None, maximum=None):
+    """value when it is a JSON integer (true and false are not), else
+    DescriptorMismatch naming what it is."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DescriptorMismatch("%s must be an integer" % (what,))
+    if minimum is not None and value < minimum:
+        raise DescriptorMismatch("%s must be at least %d" % (what, minimum))
+    if maximum is not None and value > maximum:
+        raise DescriptorMismatch("%s must be at most %d" % (what, maximum))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # rings
 
@@ -55,9 +67,8 @@ def ring_from_json(data):
     denominator, repeated variable names) raises DescriptorMismatch."""
     kind = _need(data, "kind", "ring descriptor")
     if kind == "zmod":
-        m = _need(data, "m", "zmod descriptor")
-        if not isinstance(m, int) or m < 2:
-            raise DescriptorMismatch("zmod modulus must be an integer >= 2")
+        m = _need_int(_need(data, "m", "zmod descriptor"),
+                      "zmod descriptor field 'm'", 2)
         make, args = ZmodRing, (m,)
     elif kind == "poly":
         base = ring_from_json(_need(data, "base", "poly descriptor"))
@@ -102,9 +113,7 @@ def element_to_json(x):
 
 def element_from_json(ring, data):
     if isinstance(ring, ZmodRing):
-        if not isinstance(data, int):
-            raise DescriptorMismatch("zmod element must be an integer")
-        return ring.el(data)
+        return ring.el(_need_int(data, "zmod element"))
     if isinstance(ring, PolyRing):
         if not isinstance(data, list):
             raise DescriptorMismatch(
@@ -117,8 +126,7 @@ def element_from_json(ring, data):
                     "polynomial monomial must be [exponents, coefficient]")
             named, coeff_data = item
             for name, e in named.items():
-                if not isinstance(e, int) or e < 0:
-                    raise DescriptorMismatch("bad exponent for %r" % (name,))
+                _need_int(e, "exponent of %r" % (name,), 0)
             coeff = element_from_json(ring.base, coeff_data)
             try:
                 out = out + ring.monomial(named.items(), coeff)
@@ -127,10 +135,8 @@ def element_from_json(ring, data):
         return out
     if isinstance(ring, LocRing):
         num = element_from_json(ring.base, _need(data, "num", "loc element"))
-        exp = _need(data, "exp", "loc element")
-        if not isinstance(exp, int) or exp < 0:
-            raise DescriptorMismatch("loc exponent must be a non-negative "
-                                     "integer")
+        exp = _need_int(_need(data, "exp", "loc element"),
+                        "loc element field 'exp'", 0)
         return ring.wrap((num.payload, exp))
     raise DescriptorMismatch("cannot decode element of %r" % (ring,))
 
@@ -233,12 +239,14 @@ def letter_to_json(letter, inv):
 
 def letter_from_json(ring, size, data, ideal=None):
     gen = _need(data, "gen", "letter")
-    inv = bool(data.get("inv", False))
+    inv = data.get("inv")
+    if inv is None:
+        inv = False
+    elif not isinstance(inv, bool):
+        raise DescriptorMismatch("letter field 'inv' must be true or false")
     if gen in ("E", "se"):
-        i = _need(data, "i", "letter")
-        j = _need(data, "j", "letter")
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise DescriptorMismatch("letter indices must be integers")
+        i = _need_int(_need(data, "i", "letter"), "letter field 'i'")
+        j = _need_int(_need(data, "j", "letter"), "letter field 'j'")
         param = element_from_json(ring, _need(data, "param", "letter"))
         cert_data = data.get("cert")
         cert = None

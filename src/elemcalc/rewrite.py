@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrices import identity as identity_matrix
 from .matrices import sigma_index as sigma
-from .rings import CertifiedElement, PolyRing, half, substitute
+from .rings import PolyRing, half, square_factors, substitute
 from .words import (
     LinLetter,
     SympLetter,
@@ -38,45 +38,12 @@ from .words import (
 _YVAR = "Y"
 
 
-def _base_parts(p):
-    sq = p.ideal
-    base = sq.base
-    gens = base.generators
-    pairs = base.square_pairs()
-    return sq, base, gens, pairs
-
-
-def _single_letter_cert(p, sign=1):
+def _single_letter_cert(p):
     """Fold a pairwise-product certificate into a plain one."""
-    sq, base, gens, pairs = _base_parts(p)
-    ring = base.ring
-    coeffs = [ring.zero] * len(gens)
-    for t, c in enumerate(p.coefficients):
-        if c.is_zero():
-            continue
-        bi, bj = pairs[t]
-        add = c * gens[bi]
-        if sign == -1:
-            add = -add
-        coeffs[bj] = coeffs[bj] + add
-    return CertifiedElement(base, coeffs)
-
-
-def _term_factors(p):
-    """Split a pairwise-product certificate into (x, y) certified pairs."""
-    sq, base, gens, pairs = _base_parts(p)
-    ring = base.ring
-    out = []
-    for t, c in enumerate(p.coefficients):
-        if c.is_zero():
-            continue
-        bi, bj = pairs[t]
-        cx = [ring.zero] * len(gens)
-        cx[bi] = c
-        cy = [ring.zero] * len(gens)
-        cy[bj] = ring.one
-        out.append((CertifiedElement(base, cx), CertifiedElement(base, cy)))
-    return out
+    cert = p.ideal.base.zero_cert()
+    for x, y in square_factors(p):
+        cert = cert + y.scale(x.value)
+    return cert
 
 
 def include_I2_linear(n, i, j, p):
@@ -86,8 +53,7 @@ def include_I2_linear(n, i, j, p):
     When neither index is 1 each product term becomes a four-letter
     commutator through the corner; otherwise one letter suffices.
     """
-    sq, base, gens, pairs = _base_parts(p)
-    ring = base.ring
+    ring = p.ideal.base.ring
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise BadIndices("bad letter indices (%d, %d)" % (i, j))
     if LinLetter.index1_form(i, j) is not None:
@@ -96,7 +62,7 @@ def include_I2_linear(n, i, j, p):
         cert = _single_letter_cert(p)
         return Word(ring, n, ((LinLetter(n, i, j, cert.value, cert), False),))
     letters = []
-    for x, y in _term_factors(p):
+    for x, y in square_factors(p):
         a = LinLetter(n, i, 1, x.value, x)
         b = LinLetter(n, 1, j, y.value, y)
         letters += [(a, False), (b, False), (a, True), (b, True)]
@@ -112,8 +78,7 @@ def include_I2_symplectic(n, i, j, p):
     through the plain corner commutator. Needs n >= 2 and, for short
     targets, 2 a unit.
     """
-    sq, base, gens, pairs = _base_parts(p)
-    ring = base.ring
+    ring = p.ideal.base.ring
     size = 2 * n
     if n < 2:
         raise DimensionTooSmall("inclusion needs at least two pairs")
@@ -128,13 +93,13 @@ def include_I2_symplectic(n, i, j, p):
     letters = []
     if j == sigma(i):
         h = half(ring)
-        for x, y in _term_factors(p):
+        for x, y in square_factors(p):
             yh = y.scale(h)
             a = SympLetter(size, i, 1, x.value, x)
             b = SympLetter(size, 1, sigma(i), yh.value, yh)
             letters += [(a, False), (b, False), (a, True), (b, True)]
     else:
-        for x, y in _term_factors(p):
+        for x, y in square_factors(p):
             a = SympLetter(size, i, 1, x.value, x)
             b = SympLetter(size, 1, j, y.value, y)
             letters += [(a, False), (b, False), (a, True), (b, True)]

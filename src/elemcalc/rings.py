@@ -662,6 +662,26 @@ def product_certificate(a, b):
     return CertifiedElement(sq, tuple(coeffs), a.value * b.value)
 
 
+def square_factors(p):
+    """Split a certificate over a pairwise-square presentation into
+    certified factor pairs (x, y) over its base, one per nonzero
+    coefficient c of the generator g_i g_j: x = c g_i and y = g_j, so
+    the products x.value * y.value sum to p.value."""
+    base = p.ideal.base
+    ring, gens = base.ring, base.generators
+    out = []
+    for (i, j), c in zip(base.square_pairs(), p.coefficients):
+        if c.is_zero():
+            continue
+        cx = [ring.zero] * len(gens)
+        cx[i] = c
+        cy = [ring.zero] * len(gens)
+        cy[j] = ring.one
+        out.append((CertifiedElement(base, cx, c * gens[i]),
+                    CertifiedElement(base, cy, gens[j])))
+    return out
+
+
 def lift_ideal(ideal, ring):
     """Reinterpret an ideal presentation inside an extension ring."""
     return IdealPresentation(ring, [ring.el(g) for g in ideal.generators])

@@ -5,7 +5,9 @@ asserts exact equality throughout, with a wall-clock ceiling. Seeds are
 fixed so failures are reproducible with the reported trial seed.
 """
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -39,6 +41,7 @@ from elemcalc import (
     word_in_E1,
     word_in_ESp1,
 )
+from elemcalc import cli
 import elemcalc.rewrite as rewrite_module
 from elemcalc.sampling import (
     sample_alternating,
@@ -249,3 +252,34 @@ def test_decompose_demo_script():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "all stages verified" in proc.stdout.splitlines()
+
+
+# SHA-256 of the output of each README request, as recorded before the
+# certificate bookkeeping was merged; the CLI's bytes must not move.
+README_DIGESTS = {
+    "decompose":
+        "135a3d8774d3261d6b24832c5f971e2c1cc42508a0797e4c4b5e89fecaf84a69",
+    "rewrite":
+        "42bc72a3721f764c2a29653e20c5bf159a8b7af315979e3f9f09f6ec5977f7f9",
+    "pfaffian":
+        "4fbe2ab0594c233051b28da40fe255dca62222bae61a6d8b0d97eebef01068ae",
+    "standardize":
+        "2f1da9296acff487b706994e8cc086697231d6353e3ab212c492f62a8b04e86a",
+    "expand":
+        "7cb1a11563466ce1566b9e5f752b24a31b4bf77f81a11b0f9bc41eaa8ad71ecf",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_request_bytes(tmp_path, command):
+    """Each README request, run through --in/--out, gives pinned bytes."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the first json block under the command's heading is its request
+    found = re.search(r"^### %s\n.*?```json\n(.*?)```" % command, text,
+                      re.S | re.M)
+    assert found, "README has no %s request" % command
+    req, out = tmp_path / "req.json", tmp_path / "out.json"
+    req.write_text(found.group(1))
+    assert cli.main([command, "--in", str(req), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == README_DIGESTS[command]

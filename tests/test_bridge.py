@@ -335,3 +335,61 @@ def test_standardize_rejections():
     I25 = IdealPresentation(ZmodRing(25), (ZmodRing(25).el(5),))
     with pytest.raises(IdealMismatch):
         standardize_alternating(AlternatingForm(PSI2), I25)
+
+
+def _one_run(family):
+    # three certified first-index letters of one direction: lower shear
+    # summands (linear) or row-type summands (symplectic)
+    c1 = certify(I3, [Z27.el(1)])
+    c2 = certify(I3, [Z27.el(2)])
+    if family == "linear":
+        return [LinLetter(4, 2, 1, c1.value, c1),
+                LinLetter(4, 3, 1, c2.value, c2),
+                LinLetter(4, 2, 1, c2.value, c2)]
+    return [SympLetter(6, 3, 1, c1.value, c1),
+            SympLetter(6, 4, 1, c2.value, c2),
+            SympLetter(6, 2, 1, c2.value, c2)]
+
+
+def _regroup(family, letters):
+    size = letters[0].size
+    w = word(Z27, size, *letters)
+    grouped = (E1_to_etrans if family == "linear" else ESp1_to_etranssp)(w)
+    assert evaluate(grouped) == evaluate(w)
+    return grouped
+
+
+def _certs_of(letter):
+    if letter.certs is None:
+        return None
+    if letter.kind in ("rho", "mu"):
+        return (letter.certs[0],) + tuple(letter.certs[1])
+    return letter.certs
+
+
+@pytest.mark.parametrize("family", ["linear", "symplectic"])
+def test_regrouped_run_certificates(family):
+    letters = _one_run(family)
+    grouped = _regroup(family, letters)
+    assert len(grouped) == 1
+    certs = _certs_of(grouped.letters[0][0])
+    assert certs is not None and all(c.check() for c in certs)
+    # one uncertified summand: the regrouped letter has no certificates
+    bare = letters[1].with_param(letters[1].param, None)
+    grouped = _regroup(family, [letters[0], bare, letters[2]])
+    assert len(grouped) == 1
+    assert grouped.letters[0][0].certs is None
+
+
+def test_cancelled_runs():
+    # a linear run that sums to zero is dropped; a symplectic one stays
+    # a letter, with zero vector and scalar
+    lin, symp = _one_run("linear")[0], _one_run("symplectic")[0]
+    w = Word(Z27, 4, ((lin, False), (lin, True)))
+    assert len(E1_to_etrans(w)) == 0
+    w = Word(Z27, 6, ((symp, False), (symp, True)))
+    grouped = ESp1_to_etranssp(w)
+    assert len(grouped) == 1
+    letter = grouped.letters[0][0]
+    assert letter.kind == "rho"
+    assert letter.q.is_zero() and letter.scalar.is_zero()

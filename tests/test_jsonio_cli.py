@@ -476,3 +476,62 @@ def test_result_serializers_have_expected_keys():
     text2 = jsonio.dumps(jsonio.decomposition_to_json(
         decompose_conjugate(g, 1, 2, c, c)))
     assert text1 == text2
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("inv", "false", "'inv'"),
+    ("inv", 0, "'inv'"),
+    ("inv", 1, "'inv'"),
+    ("i", True, "'i'"),
+    ("j", False, "'j'"),
+    ("i", 1.0, "'i'"),
+    ("param", True, "zmod element"),
+])
+def test_cli_letter_fields_are_json_typed(monkeypatch, capsys, field, value,
+                                          named):
+    # true and false are not integers, and inv is not read by truthiness
+    request = decompose_request()
+    request["g"][0][field] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["decompose"]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_letter_inv_absent_or_null_is_false():
+    base = {"gen": "se", "i": 1, "j": 3, "param": 2}
+    for data in (base, dict(base, inv=None), dict(base, inv=False)):
+        assert jsonio.letter_from_json(Z27, 6, data)[1] is False
+    assert jsonio.letter_from_json(Z27, 6, dict(base, inv=True))[1] is True
+    with pytest.raises(DescriptorMismatch, match="'inv'"):
+        jsonio.letter_from_json(Z27, 6, dict(base, inv="false"))
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(DescriptorMismatch, match="zmod element"):
+        jsonio.element_from_json(ZmodRing(27), True)
+    with pytest.raises(DescriptorMismatch, match="exponent of 'X'"):
+        jsonio.element_from_json(RXY, [[{"X": True}, 1]])
+    L = LocRing(Z27, Z27.el(2))
+    with pytest.raises(DescriptorMismatch, match="'exp'"):
+        jsonio.element_from_json(L, {"num": 1, "exp": True})
+    with pytest.raises(DescriptorMismatch, match="'exp'"):
+        jsonio.element_from_json(L, {"num": 1, "exp": -1})
+    with pytest.raises(DescriptorMismatch, match="'m'"):
+        jsonio.ring_from_json({"kind": "zmod", "m": True})
+
+
+@pytest.mark.parametrize("command, key, extra", [
+    ("pfaffian", "matrix", {}),
+    ("standardize", "form", {"ideal": [3]}),
+])
+def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
+    rows = cli.MAX_REQUEST_SIZE + 1
+    request = dict(extra, ring={"kind": "zmod", "m": 27})
+    request[key] = [[(c > r) - (c < r) for c in range(rows)]
+                    for r in range(rows)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    start = time.perf_counter()
+    assert cli.main([command]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "field %r must have at most %d rows" % (key, cli.MAX_REQUEST_SIZE) \
+        in capsys.readouterr().err

@@ -23,6 +23,7 @@ from elemcalc.rings import (
     lift_certificate,
     lift_ideal,
     product_certificate,
+    square_factors,
     substitute,
 )
 from elemcalc.sampling import sample_element
@@ -206,6 +207,32 @@ def test_ideal_presentation_and_square():
     assert sq.base == I
     assert sq.generators == (P.el(9), P.el(3) * P.var("X"),
                              P.var("X") * P.var("X"))
+
+
+@pytest.mark.parametrize("ring", [Z27, PolyRing(Z27, ("X", "Y"))],
+                         ids=["Z/27", "(Z/27)[X,Y]"])
+def test_square_factors(ring):
+    if isinstance(ring, PolyRing):
+        gens = (ring.el(3), ring.el(3) * ring.var("X"), ring.var("Y"))
+        coeffs = (ring.var("X") + 2, 0, ring.el(5), 0, ring.var("Y"), 0)
+    else:
+        gens = (ring.el(3), ring.el(6), ring.el(9))
+        coeffs = (4, 0, 7, 0, 11, 0)
+    base = IdealPresentation(ring, gens)
+    p = certify(base.square(), coeffs)
+    pairs = square_factors(p)
+    # one pair per nonzero coefficient, in square_pairs order
+    nonzero = [(ij, ring.el(c)) for ij, c in zip(base.square_pairs(), coeffs)
+               if not ring.el(c).is_zero()]
+    assert len(pairs) == len(nonzero)
+    total = ring.zero
+    for ((i, j), c), (x, y) in zip(nonzero, pairs):
+        assert x.ideal is base and y.ideal is base
+        assert x.check() and y.check()
+        assert x.value == c * gens[i] and y.value == gens[j]
+        total = total + x.value * y.value
+    assert total == p.value
+    assert square_factors(base.square().zero_cert()) == []
 
 
 def test_certify_and_check():

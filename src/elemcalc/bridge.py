@@ -17,13 +17,13 @@ from .errors import (BadIndices, FormMismatch, FormRelationFails,
                      IdealMismatch, LengthMismatch, NotAlternating,
                      NotCertified, NotCongruentToStandard, NotLocalRing,
                      NonstandardForm, PfaffianNotOne, VerificationFailed)
-from .matrices import (ColumnVector, ExactMatrix, block_diagonal, identity,
+from .matrices import (ColumnVector, block_diagonal, identity,
                        is_alternating, pfaffian, sigma_index as sigma,
                        standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
 from .sampling import prime_of
 from .words import (LinLetter, MuLetter, RhoLetter, SympLetter, Word,
-                    check_evaluation, evaluate, expand_mu, expand_rho,
+                    _Letter, check_evaluation, evaluate, expand_mu, expand_rho,
                     invert_word, word_in_E1, word_in_ESp1)
 
 
@@ -113,13 +113,8 @@ def linear_transvection_matrix(kind, vec, n=None):
                              % (vec.length, n))
     if kind not in ("lower", "upper"):
         raise BadIndices("unknown transvection kind %r" % (kind,))
-    ring = vec.ring
-    size = vec.length + 1
-    m = list(identity(ring, size).payloads)
-    # the head column below the diagonal, or the head row after it
-    cells = slice(size, None, size) if kind == "lower" else slice(1, size)
-    m[cells] = [e.payload for e in vec.entries]
-    return ExactMatrix(ring, size, size, m)
+    cls = LowerTransLetter if kind == "lower" else UpperTransLetter
+    return cls(vec).matrix()
 
 
 def _checked_certs(vec, certs):
@@ -136,37 +131,30 @@ def _checked_certs(vec, certs):
     return certs
 
 
-class _ShearLetter:
+class _ShearLetter(_Letter):
     """Linear shear between the head coordinate and the tail as a word
     letter; subclasses place vector entry idx (0-based) at cell(idx)."""
 
     __slots__ = ("vec", "certs", "size")
-    __hash__ = None
 
     def __init__(self, vec, certs=None):
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "certs", _checked_certs(vec, certs))
         object.__setattr__(self, "size", vec.length + 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
     @property
     def ring(self):
         return self.vec.ring
 
     def column_ops(self, inverted=False):
+        ring = self.ring
         ops = []
-        for idx in range(self.vec.length):
-            p = self.vec.entry(idx + 1)
-            if p.is_zero():
+        for idx, e in enumerate(self.vec.entries):
+            p = e.payload
+            if ring.p_is_zero(p):
                 continue
-            ops.append(self.cell(idx) + (-p if inverted else p,))
-        return tuple(ops)
-
-    def matrix(self, inverted=False):
-        v = -self.vec if inverted else self.vec
-        return linear_transvection_matrix(self.direction, v)
+            ops.append(self.cell(idx) + (ring.p_neg(p) if inverted else p,))
+        return ops
 
     def __repr__(self):
         return "shear-%s(%r)" % (self.direction, self.vec)

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import json
 
-from .decompose import DecompositionResult
 from .errors import DescriptorMismatch, UnknownVariable
-from .matrices import ColumnVector, ExactMatrix, from_rows
-from .rewrite import RewriteResult
+from .matrices import ColumnVector, from_rows
 from .rings import (
-    CertifiedElement,
     IdealPresentation,
     LocRing,
     PolyRing,
-    RingElement,
     ZmodRing,
     certify,
 )

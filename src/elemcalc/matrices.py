@@ -93,10 +93,21 @@ class ExactMatrix:
             return self._map(lambda p: p_mul(p, s))
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        grid = _grid_product(ring, self.payload_grid(), other.payload_grid(),
-                             other.cols)
-        return ExactMatrix(ring, self.rows, other.cols,
-                           [p for row in grid for p in row])
+        # zero entries of either factor are skipped
+        p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
+        zero = ring.from_int(0)
+        m = other.cols
+        cells = _nonzero_cells(ring, other.payload_grid())
+        out = []
+        for arow in self.payload_grid():
+            acc = [zero] * m
+            for art, bcells in zip(arow, cells):
+                if p_is_zero(art):
+                    continue
+                for c, btc in bcells:
+                    acc[c] = p_add(acc[c], p_mul(art, btc))
+            out.extend(acc)
+        return ExactMatrix(ring, self.rows, m, out)
 
     def __rmul__(self, other):
         ring = self.ring
@@ -162,24 +173,6 @@ class ExactMatrix:
         for r in range(1, self.rows + 1):
             rows.append("[" + ", ".join(repr(e) for e in self.row_list(r)) + "]")
         return "[" + ",\n ".join(rows) + "]"
-
-
-def _grid_product(ring, a, b, m):
-    """Product of the payload grids a and b (m columns) as a new grid;
-    zero entries of either factor are skipped."""
-    p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
-    zero = ring.from_int(0)
-    cells = _nonzero_cells(ring, b)
-    out = []
-    for arow in a:
-        acc = [zero] * m
-        for art, bcells in zip(arow, cells):
-            if p_is_zero(art):
-                continue
-            for c, btc in bcells:
-                acc[c] = p_add(acc[c], p_mul(art, btc))
-        out.append(acc)
-    return out
 
 
 class ColumnVector:

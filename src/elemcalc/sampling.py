@@ -23,7 +23,6 @@ from .matrices import (
     block_diagonal,
     from_rows,
     identity,
-    sigma_index,
     standard_symplectic_form,
 )
 from .rings import PolyRing, ZmodRing, certify

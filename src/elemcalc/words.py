@@ -2,10 +2,10 @@
 
 Three letter families: elementary letters (linear E_ij and symplectic
 se_ij), the block transvections rho and mu relative to an alternating
-form, and the linear shears of the bridge module. Words are ordered
+form, and the linear shears of the bridge module. Every letter is
+1 + N with N^2 = 0, given by the few cells of N. Words are ordered
 products of letters with inversion flags; evaluation is exact and
-exploits the fact that an elementary letter only touches one or two
-columns.
+applies each letter's cells as column operations.
 
 The coordinate pairing sigma swaps 2i-1 <-> 2i. A symplectic letter
 se_ij(z) is a single off-diagonal entry when i = sigma(j) and a
@@ -19,7 +19,6 @@ from .errors import (BadIndices, NonstandardForm, NotAlternating,
                      SideConditionViolated, VerificationFailed)
 from .matrices import (
     ExactMatrix,
-    _grid_product,
     identity,
     is_alternating,
     is_symplectic,
@@ -30,22 +29,9 @@ from .matrices import (
 sigma = sigma_index
 
 
-def _generator_matrix(ring, size, i, j, z, entry_pattern, what):
-    """Identity plus z times the entry pattern of (i, j), i != j."""
-    if not (1 <= i <= size and 1 <= j <= size) or i == j:
-        raise BadIndices("bad %s indices (%d, %d) at size %d"
-                         % (what, i, j, size))
-    z = ring.el(z).payload
-    m = list(identity(ring, size).payloads)
-    for r, c, sg in entry_pattern(i, j):
-        m[(r - 1) * size + c - 1] = z if sg == 1 else ring.p_neg(z)
-    return ExactMatrix(ring, size, size, m)
-
-
 def make_linear_generator(ring, n, i, j, lam):
     """Identity plus lam at position (i, j), i != j."""
-    return _generator_matrix(ring, n, i, j, lam, LinLetter.entry_pattern,
-                             "linear generator")
+    return LinLetter(n, i, j, ring.el(lam)).matrix()
 
 
 def symplectic_entry_pattern(i, j):
@@ -57,11 +43,7 @@ def symplectic_entry_pattern(i, j):
 
 def make_symplectic_generator(ring, n, i, j, z):
     """The symplectic elementary matrix of size 2n; checked symplectic."""
-    out = _generator_matrix(ring, 2 * n, i, j, z, symplectic_entry_pattern,
-                            "symplectic generator")
-    if not is_symplectic(out):
-        raise NotAlternating("symplectic generator failed its form check")
-    return out
+    return SympLetter(2 * n, i, j, ring.el(z)).matrix()
 
 
 def normalize_symplectic_indices(i, j, param):
@@ -77,15 +59,38 @@ def normalize_symplectic_indices(i, j, param):
     return i, j, param
 
 
-class _ElementaryLetter:
+class _Letter:
+    """A letter 1 + N with N^2 = 0, given by the cells of N.
+
+    Subclasses supply size, ring and column_ops(inverted): the cells of
+    N (of -N when inverted) as (row, col, payload) triples, ordered so
+    that no cell's row is the column of an earlier cell. Applying the
+    cells in turn as column operations then multiplies by the letter,
+    and since N^2 = 0 the inverse 1 - N is the same letter at -N.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("letters are immutable")
+
+    def matrix(self, inverted=False):
+        """The dense matrix: the letter's cells written into the identity."""
+        n = self.size
+        m = list(identity(self.ring, n).payloads)
+        for r, c, p in self.column_ops(inverted):
+            m[(r - 1) * n + c - 1] = p
+        return ExactMatrix(self.ring, n, n, m)
+
+
+class _ElementaryLetter(_Letter):
     """Identity plus param times the class's entry pattern at (i, j).
 
-    Subclasses supply kind, entry_pattern(i, j), index1_form(i, j) and
-    the matrix constructor _generator(ring, size, i, j, z).
+    Subclasses supply kind, entry_pattern(i, j) and index1_form(i, j).
     """
 
     __slots__ = ("size", "i", "j", "param", "cert", "_pattern")
-    __hash__ = None
 
     def __init__(self, size, i, j, param, cert=None):
         if not (1 <= i <= size and 1 <= j <= size) or i == j:
@@ -100,24 +105,17 @@ class _ElementaryLetter:
         object.__setattr__(self, "cert", cert)
         object.__setattr__(self, "_pattern", self.entry_pattern(i, j))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
     @property
     def ring(self):
         return self.param.ring
 
     def column_ops(self, inverted=False):
-        p = -self.param if inverted else self.param
-        return [(r, c, p if sg == 1 else -p) for r, c, sg in self._pattern]
-
-    def matrix(self, inverted=False):
-        p = -self.param if inverted else self.param
-        return self._generator(self.ring, self.size, self.i, self.j, p)
-
-    def inverse(self):
-        c = -self.cert if self.cert is not None else None
-        return type(self)(self.size, self.i, self.j, -self.param, c)
+        p_neg = self.ring.p_neg
+        p = self.param.payload
+        if inverted:
+            p = p_neg(p)
+        return [(r, c, p if sg == 1 else p_neg(p))
+                for r, c, sg in self._pattern]
 
     def with_param(self, param, cert=None):
         return type(self)(self.size, self.i, self.j, param, cert)
@@ -134,7 +132,6 @@ class LinLetter(_ElementaryLetter):
 
     kind = "E"
     __slots__ = ()
-    _generator = staticmethod(make_linear_generator)
 
     @staticmethod
     def entry_pattern(i, j):
@@ -167,9 +164,11 @@ class SympLetter(_ElementaryLetter):
             raise BadIndices("symplectic letters need an even size")
         super().__init__(size, i, j, param, cert)
 
-    @staticmethod
-    def _generator(ring, size, i, j, z):
-        return make_symplectic_generator(ring, size // 2, i, j, z)
+    def matrix(self, inverted=False):
+        out = super().matrix(inverted)
+        if not is_symplectic(out):
+            raise NotAlternating("symplectic generator failed its form check")
+        return out
 
     @staticmethod
     def index1_form(i, j):
@@ -185,38 +184,7 @@ class SympLetter(_ElementaryLetter):
         return None
 
 
-def _transvection_blocks(ring, q, scalar, form, row_kind, inverted):
-    """Common block assembly for the two transvection letter kinds; the
-    inverse is the same letter at -q and -scalar."""
-    p_add, p_mul, p_neg = ring.p_add, ring.p_mul, ring.p_neg
-    n2 = q.length
-    size = n2 + 2
-    qp = [e.payload for e in q.entries]
-    s = scalar.payload
-    if inverted:
-        qp = [p_neg(x) for x in qp]
-        s = p_neg(s)
-    qf = []
-    for ell in range(n2):
-        acc = ring.from_int(0)
-        for x, f in zip(qp, form.payloads[ell::n2]):
-            acc = p_add(acc, p_mul(x, f))
-        qf.append(acc)
-    m = list(identity(ring, size).payloads)
-    if row_kind:
-        m[size] = p_neg(s)
-        for ell in range(n2):
-            m[size + 2 + ell] = qf[ell]
-            m[(2 + ell) * size] = p_neg(qp[ell])
-    else:
-        m[1] = s
-        for ell in range(n2):
-            m[2 + ell] = p_neg(qf[ell])
-            m[(2 + ell) * size + 1] = p_neg(qp[ell])
-    return ExactMatrix(ring, size, size, m)
-
-
-class _TransvectionLetter:
+class _TransvectionLetter(_Letter):
     """Block transvection relative to an alternating form.
 
     Subclasses supply kind and row_kind (row type rho or column type
@@ -224,7 +192,6 @@ class _TransvectionLetter:
     """
 
     __slots__ = ("q", "scalar", "form", "certs", "size")
-    __hash__ = None
 
     def __init__(self, q, scalar, form, certs=None):
         if not is_alternating(form) or form.rows != q.length:
@@ -236,23 +203,38 @@ class _TransvectionLetter:
         object.__setattr__(self, "certs", certs)
         object.__setattr__(self, "size", q.length + 2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("letters are immutable")
-
     @property
     def ring(self):
         return self.q.ring
 
     def column_ops(self, inverted=False):
-        return None
-
-    def matrix(self, inverted=False):
-        # The letter is 1 + N with N^2 = 0: the one entry of N^2 that
-        # can be nonzero is +-q^t form q, which vanishes because the form
-        # is alternating. So the inverse 1 - N is the letter at -q and
-        # -scalar.
-        return _transvection_blocks(self.ring, self.q, self.scalar, self.form,
-                                    self.row_kind, inverted)
+        # rho: N is -q down tail column 1, then (-scalar, q^t form)
+        # along head row 2; mu: -q down column 2, then (scalar,
+        # -q^t form) along row 1. The one entry of N^2 that can be
+        # nonzero is +-q^t form q, which vanishes because the form is
+        # alternating; -N is the letter at -q and -scalar.
+        ring = self.ring
+        p_add, p_mul, p_neg = ring.p_add, ring.p_mul, ring.p_neg
+        n2 = self.q.length
+        qp = [e.payload for e in self.q.entries]
+        s = self.scalar.payload
+        if inverted:
+            qp = [p_neg(x) for x in qp]
+            s = p_neg(s)
+        qf = []
+        for ell in range(n2):
+            acc = ring.from_int(0)
+            for x, f in zip(qp, self.form.payloads[ell::n2]):
+                acc = p_add(acc, p_mul(x, f))
+            qf.append(acc)
+        if self.row_kind:
+            head, tail, s = 2, 1, p_neg(s)
+        else:
+            head, tail, qf = 1, 2, [p_neg(x) for x in qf]
+        ops = [(ell + 3, tail, p_neg(x)) for ell, x in enumerate(qp)]
+        ops.append((head, tail, s))
+        ops.extend((head, ell + 3, x) for ell, x in enumerate(qf))
+        return ops
 
     def __repr__(self):
         return "%s(%r, %r)" % (self.kind, self.q, self.scalar)
@@ -343,26 +325,21 @@ def word(ring, size, *letters):
 
 
 def evaluate(w):
-    """Exact ordered product of a word's letters."""
+    """Exact ordered product of a word's letters: each letter's cells
+    applied in turn as column operations."""
     ring = w.ring
     n = w.size
     grid = identity(ring, n).payload_grid()
     p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
     for letter, inv in w.letters:
-        ops = letter.column_ops(inv)
-        if ops is None:
-            grid = _grid_product(ring, grid, letter.matrix(inv).payload_grid(),
-                                 n)
-            continue
-        for src, dst, coeff in ops:
-            cp = coeff.payload
+        for src, dst, cp in letter.column_ops(inv):
             if p_is_zero(cp):
                 continue
             s, d = src - 1, dst - 1
-            for r in range(n):
-                gs = grid[r][s]
+            for row in grid:
+                gs = row[s]
                 if not p_is_zero(gs):
-                    grid[r][d] = p_add(grid[r][d], p_mul(gs, cp))
+                    row[d] = p_add(row[d], p_mul(gs, cp))
     return ExactMatrix(ring, n, n, [p for row in grid for p in row])
 
 

@@ -145,6 +145,88 @@ def test_letter_matrices_match_generators():
             assert letter.matrix(True) == adjugate_inverse(letter.matrix())
 
 
+DENSE = from_rows(Z27, [[0, 2, 5, 1], [-2, 0, 3, 4], [-5, -3, 0, 6],
+                        [-1, -4, -6, 0]])
+
+
+def random_letters(rng):
+    """One letter of each class with random parameters; rho and mu over
+    the standard form and over DENSE."""
+    def el():
+        return Z27.el(rng.randrange(27))
+
+    q = ColumnVector(Z27, [el() for _ in range(4)])
+    v = ColumnVector(Z27, [el() for _ in range(3)])
+    yield LinLetter(4, *rng.sample(range(1, 5), 2), el())
+    yield SympLetter(6, *rng.sample(range(1, 7), 2), el())
+    for form in (standard_symplectic_form(Z27, 2), DENSE):
+        yield RhoLetter(q, el(), form)
+        yield MuLetter(q, el(), form)
+    yield LowerTransLetter(v)
+    yield UpperTransLetter(v)
+
+
+def test_letter_cells_are_column_operations():
+    """Every letter is 1 + N given by the ordered cells of N: applied in
+    turn as column operations to the identity they give matrix(), and
+    no cell reads a column an earlier cell has written."""
+    rng = random.Random(41)
+    for _ in range(15):
+        for letter in random_letters(rng):
+            size = letter.size
+            for inv in (False, True):
+                ops = letter.column_ops(inv)
+                assert isinstance(ops, list)
+                grid = [[int(r == c) for c in range(size)]
+                        for r in range(size)]
+                written = set()
+                for cell in ops:
+                    r, c, p = cell
+                    assert len(cell) == 3 and type(r) is int
+                    assert type(c) is int and type(p) is int   # Z/27 payload
+                    assert r not in written
+                    written.add(c)
+                    for row in grid:
+                        row[c - 1] = (row[c - 1] + row[r - 1] * p) % 27
+                assert from_rows(Z27, grid) == letter.matrix(inv)
+            one = identity(Z27, size)
+            assert letter.matrix() * letter.matrix(True) == one
+
+
+def test_dense_form_blocks_frozen():
+    """rho and mu over a nonstandard form, inverted or not: the head
+    row carries the scalar and q^t form, the tail column -q."""
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(5), Z27.el(0), Z27.el(7)])
+    assert RhoLetter(q, 11, DENSE).matrix() == from_rows(Z27, [
+        [1, 0, 0, 0, 0, 0],
+        [16, 1, 10, 5, 15, 23],
+        [24, 0, 1, 0, 0, 0],
+        [22, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [20, 0, 0, 0, 0, 1]])
+    assert RhoLetter(q, 11, DENSE).matrix(True) == from_rows(Z27, [
+        [1, 0, 0, 0, 0, 0],
+        [11, 1, 17, 22, 12, 4],
+        [3, 0, 1, 0, 0, 0],
+        [5, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [7, 0, 0, 0, 0, 1]])
+    assert MuLetter(q, 11, DENSE).matrix() == from_rows(Z27, [
+        [1, 11, 17, 22, 12, 4],
+        [0, 1, 0, 0, 0, 0],
+        [0, 24, 1, 0, 0, 0],
+        [0, 22, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 20, 0, 0, 0, 1]])
+    assert MuLetter(q, 11, DENSE).matrix(True) == from_rows(Z27, [
+        [1, 16, 10, 5, 15, 23],
+        [0, 1, 0, 0, 0, 0],
+        [0, 3, 1, 0, 0, 0],
+        [0, 5, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 7, 0, 0, 0, 1]])
+
+
 def test_is_index1():
     assert SympLetter(6, 2, 5, Z27.el(1)).is_index1()
     assert SympLetter(6, 5, 1, Z27.el(1)).is_index1()

@@ -149,8 +149,7 @@ class _ShearLetter(_Letter):
     def column_ops(self, inverted=False):
         ring = self.ring
         ops = []
-        for idx, e in enumerate(self.vec.entries):
-            p = e.payload
+        for idx, p in enumerate(self.vec.payloads):
             if ring.p_is_zero(p):
                 continue
             ops.append(self.cell(idx) + (ring.p_neg(p) if inverted else p,))
@@ -364,19 +363,11 @@ class _TransvFold(_Fold):
         super().__init__(ring, form_matrix.rows + 1, direction)
         self.form = form_matrix
 
-    def _cross(self, coord):
-        # (q^t . form) at the given 1-based coordinate
-        ring = self.ring
-        acc = ring.from_int(0)
-        for v, f in zip(self.vals[1:],
-                        self.form.payloads[coord - 1::self.form.rows]):
-            if not v.is_zero():
-                acc = ring.p_add(acc, ring.p_mul(v.payload, f))
-        return ring.wrap(acc)
-
     def feed(self, slot, p, cert):
         if slot:
-            t = self._cross(slot)
+            # (q^t form) at coordinate slot
+            q = ColumnVector(self.ring, self.vals[1:])
+            t = self.form.column(slot).dot(q)
             if not t.is_zero():
                 self.add(0, t * p, None if cert is None else cert.scale(t))
         self.add(slot, p, cert)
@@ -427,7 +418,7 @@ def transport_conjugation(letter, eps, target_form=None):
         if tm != phi_new:
             raise FormRelationFails("supplied form does not match the "
                                     "transported one")
-    q_new = emb_inv.apply(letter.q)
+    q_new = emb_inv * letter.q
     certs = None
     if letter.certs is not None:
         sc, qc = letter.certs

@@ -51,11 +51,14 @@ class DecompositionResult:
     __slots__ = ("output", "target", "achieved", "verified", "lemma_trace")
 
     def __init__(self, output, target, achieved, verified, lemma_trace):
-        self.output = output
-        self.target = target
-        self.achieved = achieved
-        self.verified = verified
-        self.lemma_trace = tuple(lemma_trace)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "lemma_trace", tuple(lemma_trace))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("results are immutable")
 
     def __repr__(self):
         return "DecompositionResult(verified=%r, letters=%d, trace=%r)" % (
@@ -330,7 +333,7 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
         trace.append(("long-root-unimodular", "v-support=%r" % (v.support(),)))
     av, bv = a.value, b.value
     from .matrices import kernel_decomposition
-    c_vec = ColumnVector(ring, tilde(v).row_list(1))
+    c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
     if trace is not None:
         trace.append(("kernel-decomposition", "%d pieces" % len(coeffs)))

@@ -271,9 +271,11 @@ def letter_from_json(ring, size, data, ideal=None):
                     "certificate supplied without an ideal in context")
             sc = certified_from_json(
                 ideal, _need(cert_data, "scalar", "transvection certificate"))
-            qcs = tuple(
-                certified_from_json(ideal, item)
-                for item in _need(cert_data, "q", "transvection certificate"))
+            q_data = _need(cert_data, "q", "transvection certificate")
+            if not isinstance(q_data, list):
+                raise DescriptorMismatch(
+                    "transvection certificate field 'q' must be a list")
+            qcs = tuple(certified_from_json(ideal, item) for item in q_data)
             if sc.value != scalar or len(qcs) != q.length \
                     or any(c.value != q.entry(t + 1)
                            for t, c in enumerate(qcs)):
@@ -355,5 +357,12 @@ def loads(text):
         raise DescriptorMismatch("input is not valid JSON: %s" % (e,))
 
 
-__all__ = [n for n in dir() if not n.startswith("_") and n not in (
-    "annotations", "json")]
+__all__ = [
+    "ring_to_json", "ring_from_json", "element_to_json", "element_from_json",
+    "ideal_to_json", "ideal_from_json", "certified_to_json",
+    "certified_from_json", "vector_to_json", "vector_from_json",
+    "matrix_to_json", "matrix_from_json", "letter_to_json", "letter_from_json",
+    "word_to_json", "word_from_json", "trace_to_json", "decomposition_to_json",
+    "rewrite_to_json", "standardization_to_json", "report_to_json", "dumps",
+    "loads",
+]

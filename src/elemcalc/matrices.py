@@ -52,19 +52,16 @@ class ExactMatrix:
         base = (i - 1) * self.cols
         return list(map(self.ring.wrap, self.payloads[base:base + self.cols]))
 
-    def col_list(self, j):
-        return list(map(self.ring.wrap, self.payloads[j - 1::self.cols]))
-
     def column(self, j):
-        return ColumnVector(self.ring, self.col_list(j))
+        return _dense(self.ring, self.rows, 1, self.payloads[j - 1::self.cols])
 
     def payload_grid(self):
         c = self.cols
         return [list(self.payloads[r * c:(r + 1) * c]) for r in range(self.rows)]
 
     def _map(self, op, *others):
-        return ExactMatrix(self.ring, self.rows, self.cols,
-                           map(op, self.payloads, *others))
+        return _dense(self.ring, self.rows, self.cols,
+                      map(op, self.payloads, *others))
 
     def __add__(self, other):
         self._shape_check(other)
@@ -84,8 +81,6 @@ class ExactMatrix:
             raise ValueError("ring mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, ColumnVector):
-            return self.apply(other)
         ring = self.ring
         if not isinstance(other, ExactMatrix):
             s = ring.el(other).payload
@@ -107,7 +102,7 @@ class ExactMatrix:
                 for c, btc in bcells:
                     acc[c] = p_add(acc[c], p_mul(art, btc))
             out.extend(acc)
-        return ExactMatrix(ring, self.rows, m, out)
+        return _dense(ring, self.rows, m, out)
 
     def __rmul__(self, other):
         ring = self.ring
@@ -115,25 +110,10 @@ class ExactMatrix:
         p_mul = ring.p_mul
         return self._map(lambda p: p_mul(s, p))
 
-    def apply(self, v):
-        """Matrix times column vector."""
-        if self.cols != v.length:
-            raise ValueError("inner dimension mismatch")
-        ring = self.ring
-        p_add, p_mul = ring.p_add, ring.p_mul
-        vp = [ring.el(e).payload for e in v.entries]
-        out = []
-        for row in self.payload_grid():
-            acc = ring.from_int(0)
-            for a, x in zip(row, vp):
-                acc = p_add(acc, p_mul(a, x))
-            out.append(ring.wrap(acc))
-        return ColumnVector(ring, out)
-
     def transpose(self):
-        return ExactMatrix(self.ring, self.cols, self.rows,
-                           [self.payloads[r * self.cols + c]
-                            for c in range(self.cols) for r in range(self.rows)])
+        return _dense(self.ring, self.cols, self.rows,
+                      [self.payloads[r * self.cols + c]
+                       for c in range(self.cols) for r in range(self.rows)])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -175,71 +155,59 @@ class ExactMatrix:
         return "[" + ",\n ".join(rows) + "]"
 
 
-class ColumnVector:
-    """Immutable column vector."""
+class ColumnVector(ExactMatrix):
+    """Immutable column vector: an n x 1 ExactMatrix.
 
-    __slots__ = ("ring", "length", "entries")
-    __hash__ = None
+    The constructor coerces each entry once; arithmetic, ==, transpose
+    and the product m * v are ExactMatrix's, and every operation result
+    with one column is a ColumnVector.
+    """
+
+    __slots__ = ()
 
     def __init__(self, ring, entries):
-        entries = tuple(ring.el(e) for e in entries)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "length", len(entries))
-        object.__setattr__(self, "entries", entries)
+        payloads = [ring.el(e).payload for e in entries]
+        super().__init__(ring, len(payloads), 1, payloads)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("vectors are immutable")
+    @property
+    def length(self):
+        return self.rows
 
-    def entry(self, i):
-        return self.entries[i - 1]
+    def entry(self, i, j=1):
+        """Coordinate i (1-based)."""
+        return ExactMatrix.entry(self, i, j)
 
-    def __add__(self, other):
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return ColumnVector(self.ring,
-                            [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return ColumnVector(self.ring,
-                            [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return ColumnVector(self.ring, [-a for a in self.entries])
-
-    def scale(self, s):
-        s = self.ring.el(s)
-        return ColumnVector(self.ring, [s * a for a in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        return (self.length == other.length
-                and all(a == b for a, b in zip(self.entries, other.entries)))
+    # v.scale(s) is s * v
+    scale = ExactMatrix.__rmul__
 
     def is_zero(self):
-        return all(e.is_zero() for e in self.entries)
+        return all(map(self.ring.p_is_zero, self.payloads))
 
     def dot(self, other):
         if self.length != other.length:
             raise ValueError("length mismatch")
-        acc = self.ring.zero
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a * b
-        return acc
+        return _dot(self.ring, self.payloads, other.payloads)
 
     def support(self):
         """1-based indices of nonzero coordinates."""
-        return [i + 1 for i, e in enumerate(self.entries) if not e.is_zero()]
+        p_is_zero = self.ring.p_is_zero
+        return [i + 1 for i, p in enumerate(self.payloads) if not p_is_zero(p)]
 
     def with_entry(self, i, value):
-        ents = list(self.entries)
-        ents[i - 1] = self.ring.el(value)
-        return ColumnVector(self.ring, ents)
+        ps = list(self.payloads)
+        ps[i - 1] = self.ring.el(value).payload
+        return _dense(self.ring, self.rows, 1, ps)
 
     def __repr__(self):
-        return "col(%s)" % ", ".join(repr(e) for e in self.entries)
+        return "col(%s)" % ", ".join(map(repr, self.entries))
+
+
+def _dense(ring, rows, cols, payloads):
+    """The matrix of the given payloads, taken as given: a ColumnVector
+    when it has one column, else an ExactMatrix."""
+    out = object.__new__(ColumnVector if cols == 1 else ExactMatrix)
+    ExactMatrix.__init__(out, ring, rows, cols, payloads)
+    return out
 
 
 def identity(ring, n):
@@ -253,13 +221,12 @@ def zero_matrix(ring, rows, cols):
 
 
 def zero_vector(ring, n):
-    return ColumnVector(ring, [ring.zero] * n)
+    return _dense(ring, n, 1, [ring.from_int(0)] * n)
 
 
 def basis_vector(ring, n, i):
     """Standard basis column e_i (1-based) of length n."""
-    return ColumnVector(ring, [ring.one if k == i - 1 else ring.zero
-                               for k in range(n)])
+    return zero_vector(ring, n).with_entry(i, 1)
 
 
 def from_rows(ring, rows):
@@ -330,12 +297,11 @@ def tilde(v):
     """The row vector v^t psi as a 1 x 2n matrix."""
     if v.length % 2 != 0:
         raise OddDimension("tilde needs an even-length vector")
-    ring = v.ring
+    p_neg, ps = v.ring.p_neg, v.payloads
     out = []
-    for ell in range(1, v.length + 1):
-        partner = v.entry(sigma_index(ell)).payload
-        out.append(ring.p_neg(partner) if ell % 2 == 1 else partner)
-    return ExactMatrix(ring, 1, v.length, out)
+    for k in range(0, v.length, 2):
+        out += (p_neg(ps[k + 1]), ps[k])
+    return ExactMatrix(v.ring, 1, v.length, out)
 
 
 def sigma_index(i):
@@ -347,19 +313,23 @@ def sigma_index(i):
 
 def tilde_pair(v, w):
     """The scalar tilde(v) . w, the symplectic pairing of v and w."""
-    t = tilde(v)
-    acc = v.ring.zero
-    for k in range(1, w.length + 1):
-        acc = acc + t.entry(1, k) * w.entry(k)
-    return acc
+    return _dot(v.ring, tilde(v).payloads, w.payloads)
+
+
+def _dot(ring, xs, ys):
+    """The ring element sum x_k y_k over two payload sequences."""
+    p_add, p_mul = ring.p_add, ring.p_mul
+    acc = ring.from_int(0)
+    for a, b in zip(xs, ys):
+        acc = p_add(acc, p_mul(a, b))
+    return ring.wrap(acc)
 
 
 def col_times_row(v, r):
     """Outer product: column vector times 1 x m row matrix."""
     p_mul = v.ring.p_mul
-    return ExactMatrix(v.ring, v.length, r.cols,
-                       [p_mul(a.payload, b) for a in v.entries
-                        for b in r.payloads])
+    return _dense(v.ring, v.length, r.cols,
+                  [p_mul(a, b) for a in v.payloads for b in r.payloads])
 
 
 def pfaffian(phi):

@@ -197,4 +197,11 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
     return emb.transpose() * psi * emb, eps0
 
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    "MODULI", "trial_seed", "trial_rng", "prime_of", "sample_modulus",
+    "sample_zmod", "sample_relation_ring", "sample_element",
+    "sample_certified", "sample_vector", "sample_alternating",
+    "sample_linear_index1", "sample_index1_symplectic",
+    "sample_symplectic_word", "sample_index1_linear_word",
+    "sample_index1_symplectic_word", "sample_relative_form",
+]

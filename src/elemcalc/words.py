@@ -213,20 +213,11 @@ class _TransvectionLetter(_Letter):
         # -q^t form) along row 1. The one entry of N^2 that can be
         # nonzero is +-q^t form q, which vanishes because the form is
         # alternating; -N is the letter at -q and -scalar.
-        ring = self.ring
-        p_add, p_mul, p_neg = ring.p_add, ring.p_mul, ring.p_neg
-        n2 = self.q.length
-        qp = [e.payload for e in self.q.entries]
-        s = self.scalar.payload
+        p_neg = self.ring.p_neg
+        q, s = self.q, self.scalar.payload
         if inverted:
-            qp = [p_neg(x) for x in qp]
-            s = p_neg(s)
-        qf = []
-        for ell in range(n2):
-            acc = ring.from_int(0)
-            for x, f in zip(qp, self.form.payloads[ell::n2]):
-                acc = p_add(acc, p_mul(x, f))
-            qf.append(acc)
+            q, s = -q, p_neg(s)
+        qp, qf = q.payloads, (q.transpose() * self.form).payloads
         if self.row_kind:
             head, tail, s = 2, 1, p_neg(s)
         else:

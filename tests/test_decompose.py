@@ -298,6 +298,16 @@ def test_decompose_empty_conjugator():
     assert res.lemma_trace[0][0] == "include-square"
 
 
+def test_decomposition_result_is_immutable():
+    a = certify(I3, [Z27.el(1)])
+    res = decompose_conjugate(Word(Z27, 6, ()), 1, 2, a, a)
+    for name, value in (("verified", False), ("achieved", None),
+                        ("output", Word(Z27, 6, ())), ("lemma_trace", ())):
+        with pytest.raises(AttributeError):
+            setattr(res, name, value)
+    assert res.verified and res.achieved == res.target
+
+
 def test_decompose_errors():
     a = certify(I3, [Z27.el(1)])
     g4 = Word(Z27, 4, ())

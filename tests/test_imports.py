@@ -1,12 +1,14 @@
-"""Every library module uses every name it imports.
+"""Every library module uses every name it imports and exports only
+names it defines.
 
 A name imported and never used is dead weight a reader still has to
-trace. __init__.py is left out: importing names is how it exports
-them.
+trace, and an __all__ that lists an imported name re-exports it.
+__init__.py is left out: importing names is how it exports them.
 """
 
 import ast
 import glob
+import importlib
 import os
 
 import pytest
@@ -35,3 +37,26 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_module_uses_its_imports(path):
     assert unused_imports(path) == []
+
+
+def defined_names(path):
+    """Names bound at the top level of the module at path by a def, a
+    class or an assignment."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_module_exports_only_its_own_names(path):
+    name = os.path.splitext(os.path.basename(path))[0]
+    module = importlib.import_module("elemcalc." + name)
+    exported = getattr(module, "__all__", [])
+    assert sorted(set(exported) - defined_names(path)) == []

@@ -449,6 +449,20 @@ def test_cli_expand_round_trip(monkeypatch, capsys):
     assert kinds == ["rho"]
 
 
+@pytest.mark.parametrize("q_cert", [5, None], ids=["int", "null"])
+def test_cli_transvection_cert_q_must_be_a_list(monkeypatch, capsys, q_cert):
+    phi = jsonio.matrix_to_json(standard_symplectic_form(Z27, 1))
+    request = {"ring": {"kind": "zmod", "m": 27}, "ideal": [3],
+               "direction": "expand",
+               "word": [{"gen": "rho", "q": [3, 6], "alpha": 9, "form": phi,
+                         "cert": {"scalar": [3], "q": q_cert}}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["expand"]) == 2
+    err = capsys.readouterr().err
+    assert "transvection certificate field 'q' must be a list" in err
+    assert "Traceback" not in err
+
+
 def test_cli_expand_empty_word_is_identity(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(expand_request())))
     rc = cli.main(["expand"])

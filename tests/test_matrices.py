@@ -92,7 +92,7 @@ def test_matrix_basics():
     assert (m - m) == zero_matrix(Z27, 2, 2)
     assert (m * identity(Z27, 2)) == m
     v = ColumnVector(Z27, (Z27.el(1), Z27.el(1)))
-    assert m.apply(v).entries == (Z27.el(3), Z27.el(7))
+    assert (m * v).entries == (Z27.el(3), Z27.el(7))
 
 
 def test_first_mismatch():
@@ -110,6 +110,35 @@ def test_vectors():
     assert w.entry(4) == Z27.el(10)
     assert zero_vector(Z27, 3).is_zero()
     assert v.dot(basis_vector(Z27, 4, 2)) == Z27.one
+
+
+def test_one_column_results_are_vectors():
+    m = from_rows(Z27, [[1, 2], [3, 4]])
+    v = ColumnVector(Z27, (1, 2))
+    w = ColumnVector(Z27, (5, 26))
+    cases = [
+        (m * v, (5, 11)),
+        (v + w, (6, 1)),
+        (v - w, (23, 3)),
+        (-v, (26, 25)),
+        (v.scale(3), (3, 6)),
+        (m.column(2), (2, 4)),
+        (tilde(v).transpose(), (25, 1)),
+        (v.with_entry(2, 7), (1, 7)),
+        (basis_vector(Z27, 2, 2), (0, 1)),
+    ]
+    for got, want in cases:
+        assert type(got) is ColumnVector
+        assert got.payloads == want
+        assert got.length == 2
+        assert [got.entry(i) for i in (1, 2)] == [Z27.el(x) for x in want]
+        assert repr(got) == "col(%d, %d)" % want
+    # a vector is the n x 1 matrix of its entries; shape and ring are
+    # compared, and a mismatch in + raises as for any matrix
+    assert v == from_rows(Z27, [[1], [2]])
+    assert v != ColumnVector(ZmodRing(9), (1, 2))
+    with pytest.raises(ValueError):
+        v + ColumnVector(Z27, (1, 2, 3))
 
 
 def test_block_diagonal_matches_from_rows():

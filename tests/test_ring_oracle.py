@@ -13,7 +13,7 @@ import random
 import pytest
 
 from elemcalc.matrices import (ColumnVector, block_diagonal, col_times_row,
-                               det, from_rows, pfaffian, tilde)
+                               det, from_rows, pfaffian, tilde, tilde_pair)
 from elemcalc.rings import LocRing, PolyRing, ZmodRing, substitute
 from test_matrices import pfaffian_matching_oracle
 
@@ -154,14 +154,17 @@ def standard_psi(size):
 
 
 def arithmetic_cases(ring, grids, scalar):
-    """(name, library result, sympy result) for every matrix operation,
-    from three (elements, sympy expressions) grids of one size and one
-    (element, expression) scalar."""
+    """(name, library result, sympy result) for every matrix and vector
+    operation, from three (elements, sympy expressions) grids of one size
+    and one (element, expression) scalar; the vectors are first columns
+    of the third and second grids."""
     (a, ae), (b, be), (c, ce) = grids
     A, B = from_rows(ring, a), from_rows(ring, b)
     MA, MB, MC = sympy.Matrix(ae), sympy.Matrix(be), sympy.Matrix(ce)
     size = len(a)
     v = ColumnVector(ring, [row[0] for row in c])
+    u = ColumnVector(ring, [row[0] for row in b])
+    MV, MU = MC[:, 0], MB[:, 0]
     s, se = scalar
     yield "A + B", A + B, MA + MB
     yield "A - B", A - B, MA - MB
@@ -170,12 +173,19 @@ def arithmetic_cases(ring, grids, scalar):
     yield "A * s", A * s, MA * se
     yield "s * A", s * A, se * MA
     yield "transpose", A.transpose(), MA.T
-    yield "apply", A.apply(v), MA * MC[:, 0]
+    yield "A * v", A * v, MA * MV
+    yield "v + u", v + u, MV + MU
+    yield "v - u", v - u, MV - MU
+    yield "-v", -v, -MV
+    yield "v.scale(s)", v.scale(s), se * MV
+    yield "v.dot(u)", ColumnVector(ring, [v.dot(u)]), MV.T * MU
     yield "block_diagonal", block_diagonal(A, B), sympy.diag(MA, MB)
     if size % 2 == 0:
         w = ColumnVector(ring, [row[1] for row in c])
         yield ("col_times_row", col_times_row(v, tilde(w)),
                MC[:, 0] * (MC[:, 1].T * standard_psi(size)))
+        yield ("tilde_pair", ColumnVector(ring, [tilde_pair(v, w)]),
+               MV.T * standard_psi(size) * MC[:, 1])
 
 
 def assert_cases_match(cases, to_payload):

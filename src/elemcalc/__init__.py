@@ -51,8 +51,6 @@ from .rings import (
     certify,
     half,
     invert_unit,
-    lift_certificate,
-    lift_ideal,
     product_certificate,
     substitute,
 )
@@ -73,7 +71,6 @@ from .matrices import (
     standard_symplectic_form,
     tilde,
     tilde_pair,
-    zero_matrix,
     zero_vector,
 )
 from .words import (
@@ -90,9 +87,6 @@ from .words import (
     expand_mu,
     expand_rho,
     invert_word,
-    make_linear_generator,
-    make_symplectic_generator,
-    normalize_symplectic_indices,
     symplectic_entry_pattern,
     word,
     word_certified,
@@ -127,10 +121,8 @@ from .bridge import (
     UpperTransLetter,
     etrans_word_to_E1,
     etranssp_word_to_ESp1,
-    linear_transvection_matrix,
     mu_matrix,
     rho_matrix,
-    standard_form,
     standardize_alternating,
     transport_conjugation,
 )

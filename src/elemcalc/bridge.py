@@ -54,10 +54,6 @@ class AlternatingForm:
     def entry(self, i, j):
         return self.matrix.entry(i, j)
 
-    def is_standard(self):
-        n = self.size // 2
-        return self.matrix == standard_symplectic_form(self.ring, n)
-
     def __eq__(self, other):
         if not isinstance(other, AlternatingForm):
             return NotImplemented
@@ -66,11 +62,6 @@ class AlternatingForm:
     def __repr__(self):
         return "AlternatingForm(%dx%d, pf=%r)" % (
             self.size, self.size, self.pfaffian_cache)
-
-
-def standard_form(ring, n):
-    """The block form with hyperbolic 2x2 cells down the diagonal."""
-    return AlternatingForm(standard_symplectic_form(ring, n))
 
 
 def _check_isometry(m, form_matrix):
@@ -100,21 +91,6 @@ def rho_matrix(q, alpha, phi):
 def mu_matrix(q, beta, phi):
     """Column-type transvection matrix for the form phi, isometry-checked."""
     return _checked_block(MuLetter, q, beta, phi)
-
-
-def linear_transvection_matrix(kind, vec, n=None):
-    """Unipotent block matrix shearing between head and tail.
-
-    kind "lower" sends (a, p) to (a, p + a*vec); kind "upper" sends
-    (a, p) to (a + vec.p, p). Size is one more than the vector length.
-    """
-    if n is not None and n != vec.length:
-        raise LengthMismatch("vector length %d against stated rank %d"
-                             % (vec.length, n))
-    if kind not in ("lower", "upper"):
-        raise BadIndices("unknown transvection kind %r" % (kind,))
-    cls = LowerTransLetter if kind == "lower" else UpperTransLetter
-    return cls(vec).matrix()
 
 
 def _checked_certs(vec, certs):
@@ -591,30 +567,22 @@ def standardize_alternating(phi, ideal):
                 raise VerificationFailed("pivot normalization failed to "
                                          "stabilize")
             b = trailing[0]
-            sq = ideal.square()
-            cert2 = _member_cert(sq, gap, p, k)
-            if cert2 is not None:
-                pairs = ideal.square_pairs()
-                for idx, (pi, qi) in enumerate(pairs):
-                    cm = cert2.coefficients[idx]
-                    gpv = ideal.generators[pi]
-                    gqv = ideal.generators[qi]
-                    if cm.is_zero() or gpv.is_zero() or gqv.is_zero():
-                        continue
-                    ucur = W[a1 - 1][a2 - 1]
-                    lam2 = -(cm * gqv) * invert_unit(ucur)
-                    apply_op(a2, b, gpv)
-                    apply_op(b, a2, lam2)
-                    apply_op(a2, b, -gpv)
-                    res = W[a1 - 1][b - 1]
-                    if not res.is_zero():
-                        apply_op(a2, b,
-                                 -(res * invert_unit(W[a1 - 1][a2 - 1])))
+            # Each step (x, y) runs the sandwich x, -y/pivot, -x, which
+            # takes x y off the pivot; the products x y sum to the gap.
+            cert2 = _member_cert(ideal.square(), gap, p, k)
+            if cert2 is None:
+                steps = [(ring.one, gap)]
             else:
-                lam2 = -gap * invert_unit(u)
-                apply_op(a2, b, ring.one)
-                apply_op(b, a2, lam2)
-                apply_op(a2, b, -ring.one)
+                gens = ideal.generators
+                steps = [(gens[pi], cm * gens[qi]) for (pi, qi), cm
+                         in zip(ideal.square_pairs(), cert2.coefficients)
+                         if not (cm.is_zero() or gens[pi].is_zero()
+                                 or gens[qi].is_zero())]
+            for x, y in steps:
+                lam = -y * invert_unit(W[a1 - 1][a2 - 1])
+                apply_op(a2, b, x)
+                apply_op(b, a2, lam)
+                apply_op(a2, b, -x)
                 res = W[a1 - 1][b - 1]
                 if not res.is_zero():
                     apply_op(a2, b, -(res * invert_unit(W[a1 - 1][a2 - 1])))

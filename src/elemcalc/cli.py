@@ -54,6 +54,10 @@ sampling distributions used by the verify suites:
 # power of it; documented requests stay at 12.
 MAX_REQUEST_SIZE = 64
 
+# The most conjugator letters r a rewrite request may give. The derived
+# word grows 2-4x per letter, and r = 8 already takes up to 30 s.
+MAX_REWRITE_LETTERS = 8
+
 
 def _int_field(data, key, minimum=None, maximum=None, default=None):
     """The integer data[key]; default when it is absent or null."""
@@ -117,6 +121,10 @@ def cmd_rewrite(data):
     size = n if mode == "linear" else 2 * n
     if "eps" not in data or "aPoly" not in data:
         raise DescriptorMismatch("input needs fields eps and aPoly")
+    if (isinstance(data["eps"], list)
+            and len(data["eps"]) > MAX_REWRITE_LETTERS):
+        raise DescriptorMismatch("field %r must have at most %d letters"
+                                 % ("eps", MAX_REWRITE_LETTERS))
     eps = jsonio.word_from_json(ring, size, data["eps"], ideal)
     i = _int_field(data, "i")
     j = _int_field(data, "j")
@@ -257,8 +265,6 @@ def build_parser():
                        help="ring descriptor overriding the input field")
         q.add_argument("--ideal", metavar="JSON",
                        help="ideal generators overriding the input field")
-        q.add_argument("--json", action="store_true",
-                       help="accepted for symmetry; output is always JSON")
     return parser
 
 

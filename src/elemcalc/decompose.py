@@ -36,13 +36,16 @@ from .matrices import (
     ColumnVector,
     col_times_row,
     identity,
+    kernel_decomposition,
     sigma_index as sigma,
     tilde,
     tilde_pair,
     zero_vector,
 )
+from .rewrite import include_I2_symplectic
 from .rings import half, product_certificate, square_factors
-from .words import SympLetter, Word, check_evaluation, evaluate, invert_word
+from .words import (SympLetter, Word, check_evaluation, commutator_word,
+                    conjugate_word, evaluate, invert_word)
 
 
 class DecompositionResult:
@@ -155,7 +158,7 @@ def short_root_pair(v, a, b, auxiliary_pair, trace=None):
     w2 = _pair_transvection_word(
         ring, size, pbar,
         _scaled_params(v, size, (p, pbar), b, -1))
-    out = w1 * w2 * invert_word(w1) * invert_word(w2)
+    out = commutator_word(w1, w2)
     closed = identity(ring, size) + sym_outer(v) * (av * bv)
     check_evaluation(out, closed,
                      "short-root-pair: evaluation differs from closed form")
@@ -185,7 +188,7 @@ def long_root_pair(v, w, a, b, auxiliary_pair, trace=None):
     m2 = _pair_transvection_word(
         ring, size, p,
         _scaled_params(w, size, (p, pbar), b, 1))
-    out = m1 * m2 * invert_word(m1) * invert_word(m2)
+    out = commutator_word(m1, m2)
     closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
     check_evaluation(out, closed,
                      "long-root-pair: evaluation differs from closed form")
@@ -332,7 +335,6 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
     if trace is not None:
         trace.append(("long-root-unimodular", "v-support=%r" % (v.support(),)))
     av, bv = a.value, b.value
-    from .matrices import kernel_decomposition
     c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
     if trace is not None:
@@ -370,13 +372,7 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
     for idx in ordering:
         i, j = piece_pairs[idx]
         used = {(i + 1) // 2, (j + 1) // 2}
-        free = None
-        for t in range(1, n + 1):
-            if t not in used:
-                free = t
-                break
-        if free is None:
-            raise DimensionTooSmall("no free pair for kernel piece")
+        free = next(t for t in range(1, n + 1) if t not in used)
         piece_word = long_root_reduce(raw_pieces[idx], w, a, b, free,
                                       trace=trace)
         out = out * piece_word
@@ -404,10 +400,9 @@ def decompose_conjugate(g, i, j, a, b, trace=None):
         raise BadIndices("bad target indices (%d, %d)" % (i, j))
     lemma_trace = [] if trace is None else trace
     ab = a.value * b.value
-    target = evaluate(g * Word(ring, size, ((SympLetter(size, i, j, ab), False),))
-                      * invert_word(g))
+    target = evaluate(conjugate_word(
+        g, Word(ring, size, ((SympLetter(size, i, j, ab), False),))))
     if len(g) == 0:
-        from .rewrite import include_I2_symplectic
         lemma_trace.append(("include-square", "empty conjugator"))
         out = include_I2_symplectic(n, i, j, product_certificate(a, b))
     else:

@@ -216,10 +216,6 @@ def identity(ring, n):
                                     for r in range(n) for c in range(n)])
 
 
-def zero_matrix(ring, rows, cols):
-    return ExactMatrix(ring, rows, cols, [ring.from_int(0)] * (rows * cols))
-
-
 def zero_vector(ring, n):
     return _dense(ring, n, 1, [ring.from_int(0)] * n)
 

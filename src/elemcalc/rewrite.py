@@ -29,8 +29,8 @@ from .words import (
     SympLetter,
     Word,
     check_evaluation,
+    conjugate_word,
     evaluate,
-    invert_word,
     word_in_E1,
     word_in_ESp1,
 )
@@ -46,6 +46,30 @@ def _single_letter_cert(p):
     return cert
 
 
+def _include_I2(letter, size, i, j, p, halve_short=False):
+    """Each product term of p becomes the corner commutator
+    [x_i1(x), x_1j(y)]; with halve_short, a target at (i, sigma(i))
+    takes y / 2, since that commutator doubles its entry."""
+    ring = p.ideal.base.ring
+    if i == j or not (1 <= i <= size and 1 <= j <= size):
+        raise BadIndices("bad letter indices (%d, %d)" % (i, j))
+    if letter.index1_form(i, j) is not None:
+        if p.value.is_zero():
+            return Word(ring, size)
+        cert = _single_letter_cert(p)
+        return Word(ring, size,
+                    ((letter(size, i, j, cert.value, cert), False),))
+    h = half(ring) if halve_short and j == sigma(i) else None
+    letters = []
+    for x, y in square_factors(p):
+        if h is not None:
+            y = y.scale(h)
+        a = letter(size, i, 1, x.value, x)
+        b = letter(size, 1, j, y.value, y)
+        letters += [(a, False), (b, False), (a, True), (b, True)]
+    return Word(ring, size, letters)
+
+
 def include_I2_linear(n, i, j, p):
     """Word of ideal-certified letters equal to E_ij(p) for p a sum
     of pairwise products of ideal generators.
@@ -53,20 +77,7 @@ def include_I2_linear(n, i, j, p):
     When neither index is 1 each product term becomes a four-letter
     commutator through the corner; otherwise one letter suffices.
     """
-    ring = p.ideal.base.ring
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise BadIndices("bad letter indices (%d, %d)" % (i, j))
-    if LinLetter.index1_form(i, j) is not None:
-        if p.value.is_zero():
-            return Word(ring, n)
-        cert = _single_letter_cert(p)
-        return Word(ring, n, ((LinLetter(n, i, j, cert.value, cert), False),))
-    letters = []
-    for x, y in square_factors(p):
-        a = LinLetter(n, i, 1, x.value, x)
-        b = LinLetter(n, 1, j, y.value, y)
-        letters += [(a, False), (b, False), (a, True), (b, True)]
-    return Word(ring, n, letters)
+    return _include_I2(LinLetter, n, i, j, p)
 
 
 def include_I2_symplectic(n, i, j, p):
@@ -78,32 +89,9 @@ def include_I2_symplectic(n, i, j, p):
     through the plain corner commutator. Needs n >= 2 and, for short
     targets, 2 a unit.
     """
-    ring = p.ideal.base.ring
-    size = 2 * n
     if n < 2:
         raise DimensionTooSmall("inclusion needs at least two pairs")
-    if i == j or not (1 <= i <= size and 1 <= j <= size):
-        raise BadIndices("bad letter indices (%d, %d)" % (i, j))
-    if SympLetter.index1_form(i, j) is not None:
-        if p.value.is_zero():
-            return Word(ring, size)
-        cert = _single_letter_cert(p)
-        return Word(ring, size,
-                    ((SympLetter(size, i, j, cert.value, cert), False),))
-    letters = []
-    if j == sigma(i):
-        h = half(ring)
-        for x, y in square_factors(p):
-            yh = y.scale(h)
-            a = SympLetter(size, i, 1, x.value, x)
-            b = SympLetter(size, 1, sigma(i), yh.value, yh)
-            letters += [(a, False), (b, False), (a, True), (b, True)]
-    else:
-        for x, y in square_factors(p):
-            a = SympLetter(size, i, 1, x.value, x)
-            b = SympLetter(size, 1, j, y.value, y)
-            letters += [(a, False), (b, False), (a, True), (b, True)]
-    return Word(ring, size, letters)
+    return _include_I2(SympLetter, 2 * n, i, j, p, halve_short=True)
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +705,7 @@ def _finish(system, eps, i, j, a_poly, ideal):
     y_pow = ring.var(_YVAR, 4 ** len(eps))
     target = system.make_letter(i, j, y_pow * a_poly.value,
                                 a_poly.scale(y_pow))
-    lhs = eps * Word(ring, system.size, ((target, False),)) \
-        * invert_word(eps)
+    lhs = conjugate_word(eps, Word(ring, system.size, ((target, False),)))
     check_evaluation(output, evaluate(lhs),
                      "derived word fails the exact comparison")
     return RewriteResult(output, lhs, True, tuple(trace))

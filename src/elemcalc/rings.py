@@ -552,11 +552,6 @@ class IdealPresentation:
     def zero_cert(self):
         return CertifiedElement(self, (self.ring.zero,) * len(self.generators))
 
-    def principal_cert(self, coeffs_or_value):
-        """Certificate from an explicit coefficient list."""
-        return certify(self, coeffs_or_value)
-
-
 class PairwiseSquare(IdealPresentation):
     """Square-ideal presentation remembering its base factorization."""
 
@@ -680,15 +675,3 @@ def square_factors(p):
         out.append((CertifiedElement(base, cx, c * gens[i]),
                     CertifiedElement(base, cy, gens[j])))
     return out
-
-
-def lift_ideal(ideal, ring):
-    """Reinterpret an ideal presentation inside an extension ring."""
-    return IdealPresentation(ring, [ring.el(g) for g in ideal.generators])
-
-
-def lift_certificate(cert, target_ideal):
-    """Reinterpret a certificate inside an extension ring's presentation."""
-    ring = target_ideal.ring
-    coeffs = tuple(ring.el(c) for c in cert.coefficients)
-    return CertifiedElement(target_ideal, coeffs, ring.el(cert.value))

@@ -51,12 +51,8 @@ def prime_of(m):
     return m
 
 
-def sample_modulus(rng):
-    return rng.choice(MODULI)
-
-
 def sample_zmod(rng):
-    return ZmodRing(sample_modulus(rng))
+    return ZmodRing(rng.choice(MODULI))
 
 
 def sample_relation_ring(rng):
@@ -149,31 +145,28 @@ def sample_symplectic_word(rng, ring, size, letters, max_degree=1):
     return out
 
 
-def sample_index1_linear_word(rng, ideal, n, letters, variables=None):
-    """Certified first-index linear word over the given ideal."""
-    ring = ideal.ring
-    out = Word(ring, n)
+def _index1_word(rng, ideal, size, letters, variables, letter, indices):
+    out = Word(ideal.ring, size)
     for _ in range(letters):
-        i, j = sample_linear_index1(rng, n)
+        i, j = indices(rng, size)
         cert = sample_certified(rng, ideal, max_degree=1,
                                 variables=variables)
-        out = out.append(LinLetter(n, i, j, cert.value, cert=cert),
+        out = out.append(letter(size, i, j, cert.value, cert=cert),
                          inverted=rng.random() < 0.3)
     return out
+
+
+def sample_index1_linear_word(rng, ideal, n, letters, variables=None):
+    """Certified first-index linear word over the given ideal."""
+    return _index1_word(rng, ideal, n, letters, variables, LinLetter,
+                        sample_linear_index1)
 
 
 def sample_index1_symplectic_word(rng, ideal, size, letters,
                                   variables=None):
     """Certified first-index symplectic word over the given ideal."""
-    ring = ideal.ring
-    out = Word(ring, size)
-    for _ in range(letters):
-        i, j = sample_index1_symplectic(rng, size)
-        cert = sample_certified(rng, ideal, max_degree=1,
-                                variables=variables)
-        out = out.append(SympLetter(size, i, j, cert.value, cert=cert),
-                         inverted=rng.random() < 0.3)
-    return out
+    return _index1_word(rng, ideal, size, letters, variables, SympLetter,
+                        sample_index1_symplectic)
 
 
 def sample_relative_form(rng, ring, n, ideal, letters=3):
@@ -198,7 +191,7 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
 
 
 __all__ = [
-    "MODULI", "trial_seed", "trial_rng", "prime_of", "sample_modulus",
+    "MODULI", "trial_seed", "trial_rng", "prime_of",
     "sample_zmod", "sample_relation_ring", "sample_element",
     "sample_certified", "sample_vector", "sample_alternating",
     "sample_linear_index1", "sample_index1_symplectic",

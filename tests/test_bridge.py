@@ -29,7 +29,6 @@ from elemcalc import (
     etranssp_word_to_ESp1,
     evaluate,
     from_rows,
-    linear_transvection_matrix,
     mu_matrix,
     rho_matrix,
     standard_symplectic_form,
@@ -111,21 +110,17 @@ def test_transvection_form_mismatch():
 
 def test_linear_transvection_frozen():
     v = cvec(Z27, 3, 0)
-    assert linear_transvection_matrix("lower", v) == from_rows(
+    assert LowerTransLetter(v).matrix() == from_rows(
         Z27, [[1, 0, 0], [3, 1, 0], [0, 0, 1]])
-    assert linear_transvection_matrix("upper", v) == from_rows(
+    assert UpperTransLetter(v).matrix() == from_rows(
         Z27, [[1, 3, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(BadIndices):
-        linear_transvection_matrix("sideways", v)
-    with pytest.raises(LengthMismatch):
-        linear_transvection_matrix("lower", v, n=3)
 
 
 def test_shear_letter_certs_must_match():
     v = cvec(Z27, 3, 0)
     good = (certify(I3, [Z27.el(1)]), certify(I3, [Z27.el(0)]))
     letter = LowerTransLetter(v, good)
-    assert letter.matrix() == linear_transvection_matrix("lower", v)
+    assert letter.matrix() == LowerTransLetter(v).matrix()
     with pytest.raises(NotCertified):
         LowerTransLetter(v, (certify(I3, [Z27.el(2)]), good[1]))
     with pytest.raises(LengthMismatch):
@@ -267,7 +262,7 @@ def test_alternating_form_container():
     phi = AlternatingForm(PSI2)
     assert phi.size == 4
     assert phi.pfaffian_cache == Z27.one
-    assert phi.is_standard()
+    assert phi.matrix == PSI2
     with pytest.raises(NotAlternating):
         AlternatingForm(from_rows(Z27, [[0, 1], [1, 0]]))
     with pytest.raises(NotAlternating):

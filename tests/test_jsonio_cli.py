@@ -367,6 +367,19 @@ def test_cli_rewrite_n_must_be_an_integer(monkeypatch, capsys):
     assert "field 'n' must be an integer" in capsys.readouterr().err
 
 
+def test_cli_rewrite_letter_bound(monkeypatch, capsys):
+    # the letters are refused before they are decoded: at the bound the
+    # undecodable letters are reached, one past it they are not
+    bound = "field 'eps' must have at most %d letters" % (
+        cli.MAX_REWRITE_LETTERS,)
+    for letters, refused in ((cli.MAX_REWRITE_LETTERS, False),
+                             (cli.MAX_REWRITE_LETTERS + 1, True)):
+        request = dict(rewrite_request(), eps=[{}] * letters)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        assert cli.main(["rewrite"]) == 2
+        assert (bound in capsys.readouterr().err) is refused
+
+
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
     orig = rewrite_module.REWRITE_CASES[("linear", "overlap")]
 

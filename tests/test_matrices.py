@@ -22,7 +22,6 @@ from elemcalc.matrices import (
     standard_symplectic_form,
     tilde,
     tilde_pair,
-    zero_matrix,
     zero_vector,
 )
 from elemcalc.rings import ZmodRing
@@ -89,7 +88,7 @@ def test_matrix_basics():
     assert m.entry(1, 2) == Z27.el(2)
     assert m.transpose().entry(2, 1) == Z27.el(2)
     assert (m + m).entry(2, 2) == Z27.el(8)
-    assert (m - m) == zero_matrix(Z27, 2, 2)
+    assert (m - m) == from_rows(Z27, [[0, 0], [0, 0]])
     assert (m * identity(Z27, 2)) == m
     v = ColumnVector(Z27, (Z27.el(1), Z27.el(1)))
     assert (m * v).entries == (Z27.el(3), Z27.el(7))
@@ -245,7 +244,7 @@ def test_pfaffian_congruence_covariance():
 
 def test_pfaffian_odd_size_rejected():
     with pytest.raises(OddDimension):
-        pfaffian(zero_matrix(Z27, 3, 3))
+        pfaffian(from_rows(Z27, [[0, 0, 0]] * 3))
 
 
 @pytest.mark.parametrize("which", ["pfaffian", "det"])

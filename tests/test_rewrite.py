@@ -21,8 +21,6 @@ from elemcalc import (
     include_I2_linear,
     include_I2_symplectic,
     invert_word,
-    make_linear_generator,
-    make_symplectic_generator,
     rewrite_conjugation_linear,
     rewrite_conjugation_symplectic,
     specialize_and_check,
@@ -62,7 +60,7 @@ def test_include_linear_single_letter():
     p = CertifiedElement(sq, [Z27.el(2)])
     out = include_I2_linear(3, 1, 2, p)
     assert len(out) == 1
-    assert evaluate(out) == make_linear_generator(Z27, 3, 1, 2, 18)
+    assert evaluate(out) == LinLetter(3, 1, 2, Z27.el(18)).matrix()
     assert word_in_E1(out, I)
 
 
@@ -70,7 +68,7 @@ def test_include_linear_corner_commutator():
     I = IdealPresentation(Z27, (Z27.el(3),))
     p = CertifiedElement(I.square(), [Z27.el(2)])
     out = include_I2_linear(3, 2, 3, p)
-    assert evaluate(out) == make_linear_generator(Z27, 3, 2, 3, 18)
+    assert evaluate(out) == LinLetter(3, 2, 3, Z27.el(18)).matrix()
     assert word_in_E1(out, I)
     zero = include_I2_linear(3, 2, 3, I.square().zero_cert())
     assert len(zero) == 0 and evaluate(zero).is_identity()
@@ -82,13 +80,13 @@ def test_include_symplectic_cases():
     I = IdealPresentation(Z27, (Z27.el(3),))
     p = CertifiedElement(I.square(), [Z27.el(2)])
     out = include_I2_symplectic(2, 1, 4, p)
-    assert evaluate(out) == make_symplectic_generator(Z27, 2, 1, 4, 18)
+    assert evaluate(out) == SympLetter(4, 1, 4, Z27.el(18)).matrix()
     assert word_in_ESp1(out, I)
     out = include_I2_symplectic(2, 3, 4, p)
-    assert evaluate(out) == make_symplectic_generator(Z27, 2, 3, 4, 18)
+    assert evaluate(out) == SympLetter(4, 3, 4, Z27.el(18)).matrix()
     assert word_in_ESp1(out, I)
     out = include_I2_symplectic(3, 3, 5, p)
-    assert evaluate(out) == make_symplectic_generator(Z27, 3, 3, 5, 18)
+    assert evaluate(out) == SympLetter(6, 3, 5, Z27.el(18)).matrix()
     assert word_in_ESp1(out, I)
     with pytest.raises(DimensionTooSmall):
         include_I2_symplectic(1, 1, 2, p)
@@ -99,7 +97,7 @@ def test_include_symplectic_short_needs_half():
     I = IdealPresentation(Z8, (Z8.el(2),))
     p = CertifiedElement(I.square(), [Z8.el(1)])
     assert evaluate(include_I2_symplectic(2, 1, 3, p)) == \
-        make_symplectic_generator(Z8, 2, 1, 3, 4)
+        SympLetter(4, 1, 3, Z8.el(4)).matrix()
     with pytest.raises(TwoNotInvertible):
         include_I2_symplectic(2, 3, 4, p)
 

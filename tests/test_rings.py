@@ -20,8 +20,6 @@ from elemcalc.rings import (
     certify,
     half,
     invert_unit,
-    lift_certificate,
-    lift_ideal,
     product_certificate,
     square_factors,
     substitute,
@@ -282,20 +280,9 @@ def test_product_certificate_always_valid(a1, a2, b1, b2):
     assert ab.value == a.value * b.value
 
 
-def test_lift_ideal_and_certificate():
-    P = make_pxy()
-    I = IdealPresentation(Z27, (Z27.el(3),))
-    J = lift_ideal(I, P)
-    assert J.ring == P
-    assert J.generators == (P.el(3),)
-    c = certify(I, [Z27.el(2)])
-    lc = lift_certificate(c, J)
-    assert lc.check() and lc.value == P.el(6)
-
-
 def test_principal_cert():
     I = IdealPresentation(Z27, (Z27.el(3), Z27.el(6)))
-    c = I.principal_cert([Z27.el(2), Z27.el(1)])
+    c = certify(I, [Z27.el(2), Z27.el(1)])
     assert c.check() and c.value == Z27.el(12)
 
 

@@ -27,9 +27,6 @@ from elemcalc import (
     from_rows,
     identity,
     invert_word,
-    make_linear_generator,
-    make_symplectic_generator,
-    normalize_symplectic_indices,
     sigma_index,
     standard_symplectic_form,
     symplectic_entry_pattern,
@@ -53,23 +50,23 @@ def product_oracle(w):
 
 
 def test_linear_generator_frozen():
-    g = make_linear_generator(Z27, 3, 1, 2, 5)
+    g = LinLetter(3, 1, 2, Z27.el(5)).matrix()
     assert g == from_rows(Z27, [[1, 5, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(BadIndices):
-        make_linear_generator(Z27, 3, 2, 2, 5)
+        LinLetter(3, 2, 2, Z27.el(5))
     with pytest.raises(BadIndices):
-        make_linear_generator(Z27, 3, 0, 2, 5)
+        LinLetter(3, 0, 2, Z27.el(5))
 
 
 def test_symplectic_generator_frozen():
-    g = make_symplectic_generator(Z27, 2, 2, 1, 5)
+    g = SympLetter(4, 2, 1, Z27.el(5)).matrix()
     assert g == from_rows(Z27, [
         [1, 0, 0, 0], [5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    g = make_symplectic_generator(Z27, 2, 1, 3, 5)
+    g = SympLetter(4, 1, 3, Z27.el(5)).matrix()
     assert g == from_rows(Z27, [
         [1, 0, 5, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 22, 0, 1]])
     with pytest.raises(BadIndices):
-        make_symplectic_generator(Z27, 2, 3, 3, 5)
+        SympLetter(4, 3, 3, Z27.el(5))
 
 
 def test_entry_pattern():
@@ -87,19 +84,11 @@ def test_sigma_identification():
         if i == j:
             continue
         z = rng.randrange(27)
-        left = make_symplectic_generator(Z27, n, i, j, z)
+        left = SympLetter(2 * n, i, j, Z27.el(z)).matrix()
         zz = z if (i + j) % 2 == 1 else -z
-        right = make_symplectic_generator(
-            Z27, n, sigma_index(j), sigma_index(i), zz)
+        right = SympLetter(
+            2 * n, sigma_index(j), sigma_index(i), Z27.el(zz)).matrix()
         assert left == right
-
-
-def test_normalize_indices():
-    assert normalize_symplectic_indices(3, 5, Z27.el(4)) == (3, 5, Z27.el(4))
-    i, j, p = normalize_symplectic_indices(4, 1, Z27.el(4))
-    assert (i, j) == (2, 3) and p == 4
-    i, j, p = normalize_symplectic_indices(3, 1, Z27.el(4))
-    assert (i, j) == (2, 4) and p == -4
 
 
 def test_letters_are_immutable():
@@ -113,10 +102,11 @@ def test_letters_are_immutable():
 
 def test_letter_matrices_match_generators():
     a = LinLetter(3, 2, 3, Z27.el(7))
-    assert a.matrix() == make_linear_generator(Z27, 3, 2, 3, 7)
-    assert a.matrix(inverted=True) == make_linear_generator(Z27, 3, 2, 3, -7)
+    assert a.matrix() == from_rows(Z27, [[1, 0, 0], [0, 1, 7], [0, 0, 1]])
+    assert a.matrix(inverted=True) == LinLetter(3, 2, 3, Z27.el(-7)).matrix()
     s = SympLetter(4, 1, 3, Z27.el(7))
-    assert s.matrix() == make_symplectic_generator(Z27, 2, 1, 3, 7)
+    assert s.matrix() == from_rows(Z27, [
+        [1, 0, 7, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, -7, 0, 1]])
     assert s.matrix() * s.matrix(inverted=True) == identity(Z27, 4)
     # every letter class: evaluation (column operations where the class
     # has them) agrees with the letter's own matrix, inverted or not

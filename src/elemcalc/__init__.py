@@ -87,6 +87,7 @@ from .words import (
     expand_mu,
     expand_rho,
     invert_word,
+    recording,
     symplectic_entry_pattern,
     word,
     word_certified,
@@ -104,7 +105,6 @@ from .decompose import (
     sum_to_product,
 )
 from .rewrite import (
-    REWRITE_CASES,
     RewriteResult,
     include_I2_linear,
     include_I2_symplectic,

@@ -45,7 +45,7 @@ from .matrices import (
 from .rewrite import include_I2_symplectic
 from .rings import half, product_certificate, square_factors
 from .words import (SympLetter, Word, check_evaluation, commutator_word,
-                    conjugate_word, evaluate, invert_word)
+                    conjugate_word, evaluate, invert_word, note, recording)
 
 
 class DecompositionResult:
@@ -64,8 +64,8 @@ class DecompositionResult:
         raise AttributeError("results are immutable")
 
     def __repr__(self):
-        return "DecompositionResult(verified=%r, letters=%d, trace=%r)" % (
-            self.verified, len(self.output), self.lemma_trace)
+        return "DecompositionResult(%d letters, verified=%r)" % (
+            len(self.output), self.verified)
 
 
 def sym_outer(v):
@@ -102,15 +102,17 @@ def _resolve_pair(v, auxiliary_pair):
     return v, size, p, pbar
 
 
-def _pair_transvection_word(ring, size, s, params):
+def _pair_transvection_word(v, s, cert, factor):
     """Word for I + c (v etilde_s + e_s vtilde), v vanishing on the pair of s.
 
-    params maps k (k not in the pair of s) to the certified z_k =
-    (-1)^(s+1) c v_k. The word is one long letter per support coordinate
-    plus, in front, one short letter cancelling their cross terms in the
-    (s, sbar) cell.
+    Each k off the pair of s with v_k != 0 gets the certified z_k =
+    cert.scale(factor * v_k), which must equal (-1)^(s+1) c v_k. The
+    word is one long letter per z_k plus, in front, one short letter
+    cancelling their cross terms in the (s, sbar) cell.
     """
-    sbar = sigma(s)
+    size, sbar = v.length, sigma(s)
+    params = {k: cert.scale(factor * vk) for k, vk in enumerate(v.entries, 1)
+              if k not in (s, sbar) and not vk.is_zero()}
     cross = None
     for k in sorted(params):
         if k % 2 == 1 and sigma(k) in params:
@@ -125,20 +127,10 @@ def _pair_transvection_word(ring, size, s, params):
         zk = params[k]
         if not zk.is_zero():
             letters.append((SympLetter(size, k, sbar, zk.value, zk), False))
-    return Word(ring, size, letters)
+    return Word(v.ring, size, letters)
 
 
-def _scaled_params(v, size, skip, cert, factor):
-    """The certified z_k = cert.scale(factor * v_k), k off skip, v_k != 0."""
-    params = {}
-    for k in range(1, size + 1):
-        vk = v.entry(k)
-        if k not in skip and not vk.is_zero():
-            params[k] = cert.scale(factor * vk)
-    return params
-
-
-def short_root_pair(v, a, b, auxiliary_pair, trace=None):
+def short_root_pair(v, a, b, auxiliary_pair):
     """Commutator word equal to I + a b v vtilde, built on a spare pair.
 
     v must vanish on the auxiliary pair (which may be one past the end
@@ -147,25 +139,16 @@ def short_root_pair(v, a, b, auxiliary_pair, trace=None):
     ring = v.ring
     h = half(ring)
     v, size, p, pbar = _resolve_pair(v, auxiliary_pair)
-    if trace is not None:
-        trace.append(("short-root-pair",
-                      "pair=%d support=%r" % (auxiliary_pair, v.support())))
-    av = a.value
-    bv = b.value
-    w1 = _pair_transvection_word(
-        ring, size, p,
-        _scaled_params(v, size, (p, pbar), a, h))
-    w2 = _pair_transvection_word(
-        ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), b, -1))
-    out = commutator_word(w1, w2)
-    closed = identity(ring, size) + sym_outer(v) * (av * bv)
+    note("short-root-pair", "pair=%d support=%r", auxiliary_pair, v.support())
+    out = commutator_word(_pair_transvection_word(v, p, a, h),
+                          _pair_transvection_word(v, pbar, b, -1))
+    closed = identity(ring, size) + sym_outer(v) * (a.value * b.value)
     check_evaluation(out, closed,
                      "short-root-pair: evaluation differs from closed form")
     return out
 
 
-def long_root_pair(v, w, a, b, auxiliary_pair, trace=None):
+def long_root_pair(v, w, a, b, auxiliary_pair):
     """Commutator word equal to I + a b (v wtilde + w vtilde).
 
     Requires tilde(w) . v = 0 and both vectors to vanish on the
@@ -176,26 +159,17 @@ def long_root_pair(v, w, a, b, auxiliary_pair, trace=None):
         raise PairingNonzero("tilde(w) . v must vanish")
     v, size, p, pbar = _resolve_pair(v, auxiliary_pair)
     w, _, _, _ = _resolve_pair(w, auxiliary_pair)
-    if trace is not None:
-        trace.append(("long-root-pair",
-                      "pair=%d supports=%r/%r"
-                      % (auxiliary_pair, v.support(), w.support())))
-    av = a.value
-    bv = b.value
-    m1 = _pair_transvection_word(
-        ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), a, 1))
-    m2 = _pair_transvection_word(
-        ring, size, p,
-        _scaled_params(w, size, (p, pbar), b, 1))
-    out = commutator_word(m1, m2)
-    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
+    note("long-root-pair", "pair=%d supports=%r/%r", auxiliary_pair,
+         v.support(), w.support())
+    out = commutator_word(_pair_transvection_word(v, pbar, a, 1),
+                          _pair_transvection_word(w, p, b, 1))
+    closed = identity(ring, size) + pair_outer(v, w) * (a.value * b.value)
     check_evaluation(out, closed,
                      "long-root-pair: evaluation differs from closed form")
     return out
 
 
-def long_root_reduce(v, w, a, b, zero_pair, trace=None):
+def long_root_reduce(v, w, a, b, zero_pair):
     """Word equal to I + a b (v wtilde + w vtilde) with v off one pair.
 
     v must vanish on the zero pair; w is unrestricted there. Requires
@@ -210,27 +184,19 @@ def long_root_reduce(v, w, a, b, zero_pair, trace=None):
     if not tilde_pair(w, v).is_zero():
         raise PairingNonzero("tilde(w) . v must vanish")
     size = v.length
-    if trace is not None:
-        trace.append(("long-root-reduce",
-                      "pair=%d v-support=%r" % (zero_pair, v.support())))
+    note("long-root-reduce", "pair=%d v-support=%r", zero_pair, v.support())
     av, bv = a.value, b.value
     x = w.entry(p)
     y = w.entry(pbar)
     w_off = w.with_entry(p, 0).with_entry(pbar, 0)
     parts = []
     if not w_off.is_zero():
-        parts.append(long_root_pair(v, w_off, a, b, zero_pair, trace=trace))
-    f2 = _pair_transvection_word(
-        ring, size, pbar,
-        _scaled_params(v, size, (p, pbar), a, -(bv * y)))
-    f3 = _pair_transvection_word(
-        ring, size, p,
-        _scaled_params(v, size, (p, pbar), a, bv * x))
-    parts.append(f2)
-    parts.append(f3)
+        parts.append(long_root_pair(v, w_off, a, b, zero_pair))
+    parts.append(_pair_transvection_word(v, pbar, a, -(bv * y)))
+    parts.append(_pair_transvection_word(v, p, a, bv * x))
     if not (x * y * av * bv).is_zero():
         parts.append(short_root_pair(v, a.scale(bv * x), b.scale(av * y),
-                                     zero_pair, trace=trace))
+                                     zero_pair))
     out = parts[0]
     for piece in parts[1:]:
         out = out * piece
@@ -240,7 +206,7 @@ def long_root_reduce(v, w, a, b, zero_pair, trace=None):
     return out
 
 
-def short_root_split(v, a, b, trace=None):
+def short_root_split(v, a, b):
     """Word equal to I + a b v vtilde with no support restriction on v.
 
     Splits v into its last-pair part and the rest; needs at least two
@@ -250,8 +216,7 @@ def short_root_split(v, a, b, trace=None):
     n = v.length // 2
     if n < 2:
         raise DimensionTooSmall("the split needs at least two pairs")
-    if trace is not None:
-        trace.append(("short-root-split", "support=%r" % (v.support(),)))
+    note("short-root-split", "support=%r", v.support())
     last = n
     p, pbar = _pair_coords(last)
     v_tail = zero_vector(ring, v.length)
@@ -259,12 +224,11 @@ def short_root_split(v, a, b, trace=None):
     v_head = v.with_entry(p, 0).with_entry(pbar, 0)
     parts = []
     if not v_head.is_zero():
-        parts.append(short_root_pair(v_head, a, b, last, trace=trace))
+        parts.append(short_root_pair(v_head, a, b, last))
         if not v_tail.is_zero():
-            parts.append(long_root_reduce(v_head, v_tail, a, b, last,
-                                          trace=trace))
+            parts.append(long_root_reduce(v_head, v_tail, a, b, last))
     if not v_tail.is_zero():
-        parts.append(short_root_pair(v_tail, a, b, 1, trace=trace))
+        parts.append(short_root_pair(v_tail, a, b, 1))
     out = Word(ring, v.length)
     for piece in parts:
         out = out * piece
@@ -274,7 +238,7 @@ def short_root_split(v, a, b, trace=None):
     return out
 
 
-def sum_to_product(us, us_certs, w, trace=None):
+def sum_to_product(us, us_certs, w):
     """Regroup I + sum (u_i wtilde + w utilde_i) into product form.
 
     Each u_i must pair to zero with w and carry coordinatewise
@@ -286,8 +250,7 @@ def sum_to_product(us, us_certs, w, trace=None):
     for u in us:
         if not tilde_pair(u, w).is_zero():
             raise PairingNonzero("each tilde(u_i) . w must vanish")
-    if trace is not None:
-        trace.append(("sum-to-product", "%d pieces" % len(us)))
+    note("sum-to-product", "%d pieces", len(us))
     x_cert = None
     for i in range(len(us)):
         for j in range(i + 1, len(us)):
@@ -320,10 +283,11 @@ def sum_to_product(us, us_certs, w, trace=None):
     return ordering, x_cert
 
 
-def long_root_unimodular(v, w, a, b, u, trace=None):
+def long_root_unimodular(v, w, a, b, u):
     """Word equal to I + a b (v wtilde + w vtilde), w unimodular via u.
 
-    Needs tilde(v) . w = 0, u^t w = 1, and at least three pairs.
+    Needs tilde(v) . w = 0, u^t w = 1, and at least three pairs. For
+    v = 0 the target is I and the word is empty.
     """
     ring = v.ring
     size = v.length
@@ -332,13 +296,17 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
         raise DimensionTooSmall("the unimodular case needs three pairs")
     if not tilde_pair(v, w).is_zero():
         raise PairingNonzero("tilde(v) . w must vanish")
-    if trace is not None:
-        trace.append(("long-root-unimodular", "v-support=%r" % (v.support(),)))
+    note("long-root-unimodular", "v-support=%r", v.support())
     av, bv = a.value, b.value
     c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
-    if trace is not None:
-        trace.append(("kernel-decomposition", "%d pieces" % len(coeffs)))
+    note("kernel-decomposition", "%d pieces", len(coeffs))
+    if not coeffs:
+        # v = 0: the target I + ab (0 wtilde + w 0tilde) is I
+        out = Word(ring, size)
+        check_evaluation(out, identity(ring, size), "long-root-unimodular: "
+                         "the empty word differs from I")
+        return out
     pieces = []
     raw_pieces = []
     piece_certs = []
@@ -367,24 +335,22 @@ def long_root_unimodular(v, w, a, b, u, trace=None):
         recon = recon + vec
     if recon != v.scale(av * bv):
         raise VerificationFailed("kernel pieces do not rebuild a b v")
-    ordering, x_cert = sum_to_product(pieces, piece_certs, w, trace=trace)
+    ordering, x_cert = sum_to_product(pieces, piece_certs, w)
     out = Word(ring, size)
     for idx in ordering:
         i, j = piece_pairs[idx]
         used = {(i + 1) // 2, (j + 1) // 2}
         free = next(t for t in range(1, n + 1) if t not in used)
-        piece_word = long_root_reduce(raw_pieces[idx], w, a, b, free,
-                                      trace=trace)
-        out = out * piece_word
+        out = out * long_root_reduce(raw_pieces[idx], w, a, b, free)
     for x, y in square_factors(x_cert):
-        out = out * short_root_split(w, x, y, trace=trace)
+        out = out * short_root_split(w, x, y)
     closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
     check_evaluation(out, closed, "long-root-unimodular: evaluation "
                      "differs from closed form")
     return out
 
 
-def decompose_conjugate(g, i, j, a, b, trace=None):
+def decompose_conjugate(g, i, j, a, b):
     """Rewrite g . se_ij(a b) . g^-1 over certified ideal generators.
 
     g is a word of symplectic letters at size 2n, n >= 3; a and b are
@@ -398,32 +364,26 @@ def decompose_conjugate(g, i, j, a, b, trace=None):
         raise DimensionTooSmall("decomposition needs at least three pairs")
     if i == j or not (1 <= i <= size and 1 <= j <= size):
         raise BadIndices("bad target indices (%d, %d)" % (i, j))
-    lemma_trace = [] if trace is None else trace
     ab = a.value * b.value
     target = evaluate(conjugate_word(
         g, Word(ring, size, ((SympLetter(size, i, j, ab), False),))))
-    if len(g) == 0:
-        lemma_trace.append(("include-square", "empty conjugator"))
-        out = include_I2_symplectic(n, i, j, product_certificate(a, b))
-    else:
-        G = evaluate(g)
-        if j == sigma(i):
-            v = G.column(i)
+    with recording() as lemma_trace:
+        if len(g) == 0:
+            note("include-square", "empty conjugator")
+            out = include_I2_symplectic(n, i, j, product_certificate(a, b))
+        elif j == sigma(i):
+            note("conjugated-short-root", "column %d extracted", i)
             a_eff = a if i % 2 == 1 else -a
-            lemma_trace.append(("conjugated-short-root",
-                                "column %d extracted" % i))
-            out = short_root_split(v, a_eff, b, trace=lemma_trace)
+            out = short_root_split(evaluate(g).column(i), a_eff, b)
         else:
-            Ginv = evaluate(invert_word(g))
-            v = G.column(i)
-            w = G.column(sigma(j))
+            G = evaluate(g)
             sj = sigma(j)
+            v = G.column(i)
             if sj % 2 == 0:
                 v = -v
-            u = ColumnVector(ring, Ginv.row_list(sj))
-            lemma_trace.append(("conjugated-long-root",
-                                "columns %d and %d extracted" % (i, sigma(j))))
-            out = long_root_unimodular(v, w, a, b, u, trace=lemma_trace)
+            u = ColumnVector(ring, evaluate(invert_word(g)).row_list(sj))
+            note("conjugated-long-root", "columns %d and %d extracted", i, sj)
+            out = long_root_unimodular(v, G.column(sj), a, b, u)
     achieved = check_evaluation(
         out, target, "decomposition does not reproduce the conjugate")
     return DecompositionResult(out, target, achieved, True, lemma_trace)

@@ -24,6 +24,12 @@ from .rings import (
 from .words import LinLetter, MuLetter, RhoLetter, SympLetter, Word
 
 
+# The largest exponent of the denominator a localization element may
+# give. Arithmetic on it raises the denominator to that power, so the
+# work grows about quadratically with it.
+MAX_LOC_EXPONENT = 64
+
+
 def _need(data, key, what):
     if not isinstance(data, dict) or key not in data:
         raise DescriptorMismatch("%s is missing field %r" % (what, key))
@@ -132,7 +138,7 @@ def element_from_json(ring, data):
     if isinstance(ring, LocRing):
         num = element_from_json(ring.base, _need(data, "num", "loc element"))
         exp = _need_int(_need(data, "exp", "loc element"),
-                        "loc element field 'exp'", 0)
+                        "loc element field 'exp'", 0, MAX_LOC_EXPONENT)
         return ring.wrap((num.payload, exp))
     raise DescriptorMismatch("cannot decode element of %r" % (ring,))
 

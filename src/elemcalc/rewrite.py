@@ -31,6 +31,8 @@ from .words import (
     check_evaluation,
     conjugate_word,
     evaluate,
+    note,
+    recording,
     word_in_E1,
     word_in_ESp1,
 )
@@ -519,28 +521,10 @@ def _peel(system, grid, rounds=500):
 
 
 # ---------------------------------------------------------------------------
-# One conjugation step, dispatched through a registry of case handlers.
-# Every handler's emission is checked by exact evaluation before it is
-# accepted; a wrong case formula surfaces as VerificationFailed, never
-# as silent bad output.
-
-
-def _case_pass(system, g_rec, t_rec, grid):
-    return [t_rec]
-
-
-def _case_peel(system, g_rec, t_rec, grid):
-    return _peel(system, grid)
-
-
-REWRITE_CASES = {
-    ("linear", "untouched"): _case_pass,
-    ("linear", "overlap"): _case_peel,
-    ("linear", "reflection"): _case_peel,
-    ("symplectic", "untouched"): _case_pass,
-    ("symplectic", "overlap"): _case_peel,
-    ("symplectic", "reflection"): _case_peel,
-}
+# One conjugation step: an untouched target passes through, any other
+# residual is peeled. Every emission is checked by exact evaluation
+# before it is accepted; a wrong peel surfaces as VerificationFailed,
+# never as silent bad output.
 
 
 def _classify(system, grid, t_rec):
@@ -580,8 +564,7 @@ def _conjugate_one(system, g_rec, t_rec):
     grid.mul_letter_left(gpat, gpoly)
     grid.mul_letter_right(gpat, gpoly, invert=True)
     shape = _classify(system, grid, t_rec)
-    handler = REWRITE_CASES[(system.kind, shape)]
-    records = handler(system, g_rec, t_rec, grid)
+    records = [t_rec] if shape == "untouched" else _peel(system, grid)
     lhs = Word(system.ring, system.size, (
         (system.make_letter(gi, gj, gpoly.value()), False),
         (system.make_letter(ti, tj, tpoly.value()), False),
@@ -594,26 +577,24 @@ def _conjugate_one(system, g_rec, t_rec):
         "case emission does not reproduce the conjugate "
         "(%s conjugator (%d, %d), target (%d, %d))"
         % (system.kind, gi, gj, ti, tj))
-    tag = "%s/%s g=(%d,%d) t=(%d,%d) -> %d letters" % (
-        system.kind, shape, gi, gj, ti, tj, len(records))
-    return records, tag
+    note(system.kind + "/" + shape, "g=(%d,%d) t=(%d,%d) -> %d letters",
+         gi, gj, ti, tj, len(records))
+    return records
 
 
 # ---------------------------------------------------------------------------
 # The rewriter: trade conjugating letters for fourth powers of Y.
 
 
-def _rewrite_rec(system, gs, i, j, a_tpoly, trace):
+def _rewrite_rec(system, gs, i, j, a_tpoly):
     if not gs:
         return [(i, j, a_tpoly.with_extra_y(1))]
-    inner = _rewrite_rec(system, gs[1:], i, j, a_tpoly, trace)
+    inner = _rewrite_rec(system, gs[1:], i, j, a_tpoly)
     memo = {}
     inner = [(p, q, poly.subst_y4(memo)) for p, q, poly in inner]
     out = []
     for rec in inner:
-        records, tag = _conjugate_one(system, gs[0], rec)
-        trace.append(tag)
-        out.extend(records)
+        out.extend(_conjugate_one(system, gs[0], rec))
     return out
 
 
@@ -693,9 +674,8 @@ def _g_records(ring, eps):
 def _finish(system, eps, i, j, a_poly, ideal):
     ring = system.ring
     a_tpoly = _TPoly(ring, [_Term(ring, 0, (a_poly,), ring.one)])
-    trace = []
-    records = _rewrite_rec(system, _g_records(ring, eps), i, j,
-                           a_tpoly, trace)
+    with recording() as events:
+        records = _rewrite_rec(system, _g_records(ring, eps), i, j, a_tpoly)
     output = _records_word(system, records, with_certs=True)
     for letter, _ in output.letters:
         if not substitute(letter.param, {_YVAR: ring.zero}).is_zero():
@@ -708,7 +688,8 @@ def _finish(system, eps, i, j, a_poly, ideal):
     lhs = conjugate_word(eps, Word(ring, system.size, ((target, False),)))
     check_evaluation(output, evaluate(lhs),
                      "derived word fails the exact comparison")
-    return RewriteResult(output, lhs, True, tuple(trace))
+    return RewriteResult(output, lhs, True,
+                         tuple("%s %s" % event for event in events))
 
 
 def rewrite_conjugation_linear(eps, i, j, a_poly):

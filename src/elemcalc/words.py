@@ -15,6 +15,9 @@ se_{sigma(j) sigma(i)}(-(-1)^(i+j) z), which the index-1 test exploits.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 from .errors import (BadIndices, NonstandardForm, NotAlternating,
                      SideConditionViolated, VerificationFailed)
 from .matrices import (
@@ -321,6 +324,32 @@ def check_evaluation(w, want, what):
     if got != want:
         raise VerificationFailed("%s at %r" % (what, got.first_mismatch(want)))
     return got
+
+
+_EVENTS = contextvars.ContextVar("events", default=None)
+
+
+@contextlib.contextmanager
+def recording():
+    """Collect the (stage, detail) events noted inside the block.
+
+    Yields the event list; the recording closes on exit, also on error,
+    and an inner recording hides the outer one until it closes.
+    """
+    events = []
+    token = _EVENTS.set(events)
+    try:
+        yield events
+    finally:
+        _EVENTS.reset(token)
+
+
+def note(stage, detail, *args):
+    """Append (stage, detail % args) to the open recording, if any;
+    outside a recording detail is never formatted."""
+    events = _EVENTS.get()
+    if events is not None:
+        events.append((stage, detail % args))
 
 
 def invert_word(w):

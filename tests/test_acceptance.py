@@ -194,7 +194,7 @@ def test_pfaffian_properties():
         assert pfaffian(A.transpose() * phi * A) == det(A) * pfaffian(phi)
 
 
-def test_negative_controls():
+def test_negative_controls(monkeypatch):
     Z8 = ZmodRing(8)
     I8 = IdealPresentation(Z8, (Z8.el(2),))
     a8 = certify(I8, [Z8.el(1)])
@@ -209,35 +209,26 @@ def test_negative_controls():
     rng = trial_rng(SEED, 77)
     eps = sample_index1_linear_word(rng, ideal, 3, 1, variables=("X",))
     ap = sample_certified(rng, ideal, max_degree=1, variables=("X",))
-    orig_handlers = dict(rewrite_module.REWRITE_CASES)
+    orig_peel = rewrite_module._peel
 
-    def corrupt(key):
-        orig = orig_handlers[key]
+    def corrupt_peel(system, grid):
+        records = list(orig_peel(system, grid))
+        for k, (i, j, poly) in enumerate(records):
+            if not poly.value().is_zero():
+                records[k] = (i, j, poly.neg())
+                break
+        return records
 
-        def handler(system, g_rec, t_rec, grid):
-            records = list(orig(system, g_rec, t_rec, grid))
-            for k, (i, j, poly) in enumerate(records):
-                if not poly.value().is_zero():
-                    records[k] = (i, j, poly.neg())
-                    break
-            return records
-
-        return handler
-
-    try:
-        for key in orig_handlers:
-            rewrite_module.REWRITE_CASES[key] = corrupt(key)
-        with pytest.raises(VerificationFailed):
-            for index in range(10):
-                rng = trial_rng(SEED, 500 + index)
-                eps = sample_index1_linear_word(rng, ideal, 3, 1,
-                                                variables=("X",))
-                i, j = sample_linear_index1(rng, 3)
-                ap = sample_certified(rng, ideal, max_degree=1,
-                                      variables=("X",))
-                rewrite_conjugation_linear(eps, i, j, ap)
-    finally:
-        rewrite_module.REWRITE_CASES.update(orig_handlers)
+    monkeypatch.setattr(rewrite_module, "_peel", corrupt_peel)
+    with pytest.raises(VerificationFailed):
+        for index in range(10):
+            rng = trial_rng(SEED, 500 + index)
+            eps = sample_index1_linear_word(rng, ideal, 3, 1,
+                                            variables=("X",))
+            i, j = sample_linear_index1(rng, 3)
+            ap = sample_certified(rng, ideal, max_degree=1,
+                                  variables=("X",))
+            rewrite_conjugation_linear(eps, i, j, ap)
 
 
 def test_decompose_demo_script():

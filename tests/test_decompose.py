@@ -21,6 +21,7 @@ from elemcalc import (
     long_root_pair,
     long_root_reduce,
     long_root_unimodular,
+    recording,
     short_root_pair,
     short_root_split,
     sigma_index,
@@ -29,6 +30,7 @@ from elemcalc import (
     word_certified,
 )
 import elemcalc.decompose as decompose_module
+import elemcalc.words as words_module
 from elemcalc.matrices import ColumnVector, zero_vector
 
 Z27 = ZmodRing(27)
@@ -86,8 +88,8 @@ def test_short_root_pair():
     v = vec(Z27, 3, 6, 0, 0)
     a = certify(I3, [Z27.el(1)])
     b = certify(I3, [Z27.el(2)])
-    trace = []
-    out = short_root_pair(v, a, b, 2, trace=trace)
+    with recording() as trace:
+        out = short_root_pair(v, a, b, 2)
     assert evaluate(out) == closed_short(v, a.value * b.value)
     assert word_certified(out, I3)
     assert trace and trace[0][0] == "short-root-pair"
@@ -137,8 +139,8 @@ def test_long_root_reduce():
     w = vec(Z27, 0, 0, 12, 0, 9, 3)
     a = certify(I3, [Z27.el(1)])
     b = certify(I3, [Z27.el(2)])
-    trace = []
-    out = long_root_reduce(v, w, a, b, 3, trace=trace)
+    with recording() as trace:
+        out = long_root_reduce(v, w, a, b, 3)
     assert out.size == 6
     assert evaluate(out) == closed_long(v, w, a.value * b.value)
     assert word_certified(out, I3)
@@ -159,8 +161,8 @@ def test_short_root_split():
     v = vec(Z27, 3, 6, 9, 12)
     a = certify(I3, [Z27.el(2)])
     b = certify(I3, [Z27.el(3)])
-    trace = []
-    out = short_root_split(v, a, b, trace=trace)
+    with recording() as trace:
+        out = short_root_split(v, a, b)
     assert evaluate(out) == closed_short(v, a.value * b.value)
     assert word_certified(out, I3)
     tags = {t for t, _ in trace}
@@ -217,12 +219,26 @@ def test_long_root_unimodular():
     for c in range(6):
         pairing = pairing + tilde_entries(v)[c] * w.entry(c + 1)
     assert pairing.is_zero()
-    trace = []
-    out = long_root_unimodular(v, w, a, b, u, trace=trace)
+    with recording() as trace:
+        out = long_root_unimodular(v, w, a, b, u)
     assert evaluate(out) == closed_long(v, w, a.value * b.value)
     assert word_certified(out, I3)
     tags = {t for t, _ in trace}
     assert "long-root-unimodular" in tags and "kernel-decomposition" in tags
+
+
+def test_long_root_unimodular_zero_v():
+    # I + ab (0 wtilde + w 0tilde) = I: the empty word, not a refusal
+    w = vec(Z27, 5, 0, 0, 2, 0, 1)
+    u = zero_vector(Z27, 6).with_entry(6, 1)
+    a = certify(I3, [Z27.el(1)])
+    b = certify(I3, [Z27.el(2)])
+    out = long_root_unimodular(zero_vector(Z27, 6), w, a, b, u)
+    assert out.size == 6 and len(out) == 0
+    # u is still checked
+    with pytest.raises(CertificateInvalid):
+        long_root_unimodular(zero_vector(Z27, 6), w, a, b,
+                             vec(Z27, 0, 1, 0, 0, 0, 0))
 
 
 def test_long_root_unimodular_errors():
@@ -281,9 +297,23 @@ def test_decompose_long_case():
     assert res.verified
     assert res.target == conjugate_oracle(g, 1, 4, a.value * b.value)
     assert word_certified(res.output, I3)
-    tags = {t for t, _ in res.lemma_trace}
-    assert "conjugated-long-root" in tags
-    assert "long-root-unimodular" in tags
+    assert res.lemma_trace == LONG_CASE_TRACE
+
+
+LONG_CASE_TRACE = (
+    ("conjugated-long-root", "columns 1 and 3 extracted"),
+    ("long-root-unimodular", "v-support=[1, 3]"),
+    ("kernel-decomposition", "4 pieces"),
+    ("sum-to-product", "4 pieces"),
+    ("long-root-reduce", "pair=2 v-support=[]"),
+    ("long-root-pair", "pair=2 supports=[]/[5]"),
+    ("long-root-reduce", "pair=3 v-support=[]"),
+    ("long-root-pair", "pair=3 supports=[]/[3]"),
+    ("long-root-reduce", "pair=3 v-support=[1]"),
+    ("long-root-pair", "pair=3 supports=[1]/[3]"),
+    ("long-root-reduce", "pair=1 v-support=[3]"),
+    ("long-root-pair", "pair=1 supports=[3]/[3, 5]"),
+)
 
 
 def test_decompose_empty_conjugator():
@@ -350,3 +380,21 @@ def test_corrupted_lemma_is_caught(monkeypatch):
         decompose_conjugate(short, 1, 2, a, b)
     with pytest.raises(VerificationFailed, match="differs from closed form"):
         decompose_conjugate(long_, 1, 4, a, b)
+
+
+def test_failed_decomposition_closes_its_recording(monkeypatch):
+    monkeypatch.setattr(decompose_module, "_pair_transvection_word",
+                        lambda v, s, cert, factor: Word(v.ring, v.length, ()))
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    g = word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
+             SympLetter(6, 4, 6, Z27.el(8)))
+    with recording() as outer:
+        with pytest.raises(VerificationFailed, match="long-root-pair"):
+            decompose_conjugate(g, 1, 4, a, b)
+        # the failed call's recording is closed; the outer one is back
+        assert words_module._EVENTS.get() is outer
+    assert words_module._EVENTS.get() is None
+    monkeypatch.undo()
+    assert decompose_conjugate(g, 1, 4, a, b).lemma_trace == LONG_CASE_TRACE
+    assert outer == []

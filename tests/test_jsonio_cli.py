@@ -381,18 +381,17 @@ def test_cli_rewrite_letter_bound(monkeypatch, capsys):
 
 
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
-    orig = rewrite_module.REWRITE_CASES[("linear", "overlap")]
+    orig = rewrite_module._peel
 
-    def sabotaged(system, g_rec, t_rec, grid):
-        records = list(orig(system, g_rec, t_rec, grid))
+    def sabotaged(system, grid):
+        records = list(orig(system, grid))
         for k, (i, j, poly) in enumerate(records):
             if not poly.value().is_zero():
                 records[k] = (i, j, poly.neg())
                 break
         return records
 
-    monkeypatch.setitem(rewrite_module.REWRITE_CASES,
-                        ("linear", "overlap"), sabotaged)
+    monkeypatch.setattr(rewrite_module, "_peel", sabotaged)
     req = tmp_path / "req.json"
     req.write_text(json.dumps(rewrite_request()))
     rc = cli.main(["rewrite", "--in", str(req)])
@@ -562,3 +561,26 @@ def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
     assert time.perf_counter() - start < 1.0
     assert "field %r must have at most %d rows" % (key, cli.MAX_REQUEST_SIZE) \
         in capsys.readouterr().err
+
+
+def test_cli_loc_exponent_bound(monkeypatch, capsys):
+    # the bound holds before any arithmetic: one past it exits 2 at once
+    ring = {"kind": "loc",
+            "base": {"kind": "poly", "base": {"kind": "zmod", "m": 27},
+                     "vars": ["X"]},
+            "denom": [[{"X": 1}, 1], [{}, 1]]}
+    bound = "loc element field 'exp' must be at most %d" % (
+        jsonio.MAX_LOC_EXPONENT,)
+    for exp, rc in ((jsonio.MAX_LOC_EXPONENT, 0),
+                    (jsonio.MAX_LOC_EXPONENT + 1, 2)):
+        zero = {"num": [], "exp": 0}
+        entry = {"num": [[{}, 1]], "exp": exp}
+        request = {"ring": ring,
+                   "matrix": [[zero, entry],
+                              [dict(entry, num=[[{}, -1]]), zero]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        assert cli.main(["pfaffian"]) == rc
+        captured = capsys.readouterr()
+        assert (bound in captured.err) is (rc == 2)
+        if rc == 0:
+            assert json.loads(captured.out)["pfaffian"] == entry

@@ -207,7 +207,7 @@ def test_finish_target_cost_is_independent_of_exponent(poly_mul_calls,
     # is the target itself, E_12(Y^(4^r) a); stand in for the recursion
     # to keep _finish's own work: the Y^(4^r) target, the divisibility
     # check and the exact comparison.
-    def commuting(system, gs, i, j, a_tpoly, trace):
+    def commuting(system, gs, i, j, a_tpoly):
         return [(i, j, a_tpoly.with_extra_y(4 ** len(gs)))]
 
     monkeypatch.setattr(rewrite_module, "_rewrite_rec", commuting)
@@ -277,18 +277,17 @@ def test_corrupted_case_table_is_caught(monkeypatch):
     a = c(2, 0)
     g = c(1, 0)
     eps = word(R, 3, LinLetter(3, 2, 1, g.value, cert=g))
-    orig = rewrite_module.REWRITE_CASES[("linear", "overlap")]
+    orig = rewrite_module._peel
 
-    def sabotaged(system, g_rec, t_rec, grid):
-        records = list(orig(system, g_rec, t_rec, grid))
+    def sabotaged(system, grid):
+        records = list(orig(system, grid))
         for k, (i, j, poly) in enumerate(records):
             if not poly.value().is_zero():
                 records[k] = (i, j, poly.neg())
                 break
         return records
 
-    monkeypatch.setitem(rewrite_module.REWRITE_CASES,
-                        ("linear", "overlap"), sabotaged)
+    monkeypatch.setattr(rewrite_module, "_peel", sabotaged)
     with pytest.raises(VerificationFailed):
         rewrite_conjugation_linear(eps, 1, 3, a)
 
@@ -301,6 +300,22 @@ def test_rewrite_deterministic():
     r2 = rewrite_conjugation_symplectic(eps, 1, 4, a)
     assert repr(r1.output.letters) == repr(r2.output.letters)
     assert r1.case_trace == r2.case_trace
+
+
+def test_symplectic_case_trace_frozen():
+    # one line per conjugation step, innermost conjugator first
+    a, g, k, h = c(1, 1), c(2, 0), c(0, 1), c(1, 2)
+    eps = word(R, 6, SympLetter(6, 2, 3, g.value, cert=g),
+               SympLetter(6, 1, 3, k.value, cert=k),
+               SympLetter(6, 1, 5, h.value, cert=h))
+    res = rewrite_conjugation_symplectic(eps, 1, 4, a)
+    assert len(res.output) == 6
+    assert res.case_trace == (
+        "symplectic/untouched g=(1,5) t=(1,4) -> 1 letters",
+        "symplectic/overlap g=(1,3) t=(1,4) -> 2 letters",
+        "symplectic/untouched g=(2,3) t=(1,2) -> 1 letters",
+        "symplectic/reflection g=(2,3) t=(1,4) -> 5 letters",
+    )
 
 
 @pytest.mark.parametrize("mode, seed", [("linear", 10), ("symplectic", 0)])

@@ -27,6 +27,7 @@ from elemcalc import (
     from_rows,
     identity,
     invert_word,
+    recording,
     sigma_index,
     standard_symplectic_form,
     symplectic_entry_pattern,
@@ -36,6 +37,7 @@ from elemcalc import (
     word_in_ESp1,
 )
 from elemcalc.matrices import ColumnVector, adjugate_inverse
+from elemcalc.words import note
 
 Z27 = ZmodRing(27)
 Z25 = ZmodRing(25)
@@ -254,6 +256,23 @@ def test_word_algebra():
     w2 = ab.append(LinLetter(3, 1, 3, Z27.el(2)), inverted=True)
     assert len(ab) == 2 and len(w2) == 3
     assert evaluate(Word(Z27, 3, ())).is_identity()
+
+
+def test_note_outside_a_recording_formats_nothing():
+    class Loud:
+        def __repr__(self):
+            raise AssertionError("formatted")
+
+    note("stage", "%r", Loud())
+    with recording() as events:
+        with pytest.raises(AssertionError):
+            note("stage", "%r", Loud())
+        note("stage", "%d pieces", 3)
+        with recording() as inner:
+            note("inner", "no arguments")
+    note("stage", "%r", Loud())
+    assert events == [("stage", "3 pieces")]
+    assert inner == [("inner", "no arguments")]
 
 
 def test_relation_tags_frozen():

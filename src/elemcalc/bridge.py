@@ -17,9 +17,9 @@ from .errors import (BadIndices, FormMismatch, FormRelationFails,
                      IdealMismatch, LengthMismatch, NotAlternating,
                      NotCertified, NotCongruentToStandard, NotLocalRing,
                      NonstandardForm, PfaffianNotOne, VerificationFailed)
-from .matrices import (ColumnVector, block_diagonal, identity,
-                       is_alternating, pfaffian, sigma_index as sigma,
-                       standard_symplectic_form)
+from .matrices import (ColumnVector, block_diagonal, check_equal,
+                       from_rows, identity, is_alternating, pfaffian,
+                       sigma_index as sigma, standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
 from .sampling import prime_of
 from .words import (LinLetter, MuLetter, RhoLetter, SympLetter, Word,
@@ -64,22 +64,16 @@ class AlternatingForm:
             self.size, self.size, self.pfaffian_cache)
 
 
-def _check_isometry(m, form_matrix):
-    # the form on two extra head coordinates followed by the given block
-    big = block_diagonal(standard_symplectic_form(form_matrix.ring, 1),
-                         form_matrix)
-    if m.transpose() * big * m != big:
-        raise VerificationFailed("transvection matrix does not preserve "
-                                 "the extended form")
-
-
 def _checked_block(letter_cls, q, scalar, phi):
     fm = phi.matrix if isinstance(phi, AlternatingForm) else phi
     if q.length != fm.rows:
         raise FormMismatch("vector length %d against form size %d"
                            % (q.length, fm.rows))
     m = letter_cls(q, scalar, fm).matrix()
-    _check_isometry(m, fm)
+    # the form on two extra head coordinates followed by the given block
+    big = block_diagonal(standard_symplectic_form(fm.ring, 1), fm)
+    check_equal(m.transpose() * big * m, big,
+                "transvection matrix does not preserve the extended form")
     return m
 
 
@@ -290,7 +284,7 @@ def _transvection_letters(letter, inv, std):
         raise NonstandardForm("expansion requires the standard form")
     sc, qc = (None, None) if letter.certs is None else letter.certs
     expand = expand_rho if letter.kind == "rho" else expand_mu
-    sub = expand(letter.q, letter.scalar, sc, qc, form=letter.form)
+    sub = expand(letter.q, letter.scalar, sc, qc)
     return (invert_word(sub) if inv else sub).letters
 
 
@@ -413,9 +407,8 @@ def transport_conjugation(letter, eps, target_form=None):
     new_letter = type(letter)(q_new, letter.scalar, phi_new, certs)
     big = block_diagonal(one, one, emb)
     big_inv = block_diagonal(one, one, emb_inv)
-    if big_inv * letter.matrix() * big != new_letter.matrix():
-        raise VerificationFailed("transported letter does not reproduce "
-                                 "the conjugate")
+    check_equal(big_inv * letter.matrix() * big, new_letter.matrix(),
+                "transported letter does not reproduce the conjugate")
     return new_letter
 
 
@@ -609,12 +602,8 @@ def standardize_alternating(phi, ideal):
                 raise VerificationFailed("partner-row clearing failed to "
                                          "stabilize")
 
-    for r in range(size):
-        for c in range(size):
-            if W[r][c] != std.entry(r + 1, c + 1):
-                raise VerificationFailed(
-                    "working form did not reach the standard form at "
-                    "(%d, %d)" % (r + 1, c + 1))
+    check_equal(from_rows(ring, W), std,
+                "working form did not reach the standard form")
 
     relative = True
     letters = []
@@ -626,7 +615,6 @@ def standardize_alternating(phi, ideal):
     eps_word = invert_word(Word(ring, size - 1, letters))
 
     emb = block_diagonal(identity(ring, 1), evaluate(eps_word))
-    if emb.transpose() * std * emb != fm:
-        raise VerificationFailed("recorded word does not reconstruct the "
-                                 "input form")
+    check_equal(emb.transpose() * std * emb, fm,
+                "recorded word does not reconstruct the input form")
     return StandardizationResult(eps_word, True, relative)

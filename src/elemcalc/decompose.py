@@ -30,10 +30,10 @@ from .errors import (
     PairNotZero,
     PairingNonzero,
     SupportOverlap,
-    VerificationFailed,
 )
 from .matrices import (
     ColumnVector,
+    check_equal,
     col_times_row,
     identity,
     kernel_decomposition,
@@ -82,6 +82,12 @@ def _extend(v, size):
     if v.length == size:
         return v
     return ColumnVector(v.ring, list(v.entries) + [v.ring.zero] * (size - v.length))
+
+
+def _check_closed_form(out, outer, s, what):
+    """Check the word out against the closed form I + s . outer."""
+    check_evaluation(out, identity(out.ring, out.size) + outer * s,
+                     what + ": evaluation differs from closed form")
 
 
 def _pair_coords(t):
@@ -136,15 +142,12 @@ def short_root_pair(v, a, b, auxiliary_pair):
     v must vanish on the auxiliary pair (which may be one past the end
     of v, enlarging the matrix by one pair). Needs 2 to be a unit.
     """
-    ring = v.ring
-    h = half(ring)
-    v, size, p, pbar = _resolve_pair(v, auxiliary_pair)
+    h = half(v.ring)
+    v, _, p, pbar = _resolve_pair(v, auxiliary_pair)
     note("short-root-pair", "pair=%d support=%r", auxiliary_pair, v.support())
     out = commutator_word(_pair_transvection_word(v, p, a, h),
                           _pair_transvection_word(v, pbar, b, -1))
-    closed = identity(ring, size) + sym_outer(v) * (a.value * b.value)
-    check_evaluation(out, closed,
-                     "short-root-pair: evaluation differs from closed form")
+    _check_closed_form(out, sym_outer(v), a.value * b.value, "short-root-pair")
     return out
 
 
@@ -154,18 +157,16 @@ def long_root_pair(v, w, a, b, auxiliary_pair):
     Requires tilde(w) . v = 0 and both vectors to vanish on the
     auxiliary pair.
     """
-    ring = v.ring
     if not tilde_pair(w, v).is_zero():
         raise PairingNonzero("tilde(w) . v must vanish")
-    v, size, p, pbar = _resolve_pair(v, auxiliary_pair)
+    v, _, p, pbar = _resolve_pair(v, auxiliary_pair)
     w, _, _, _ = _resolve_pair(w, auxiliary_pair)
     note("long-root-pair", "pair=%d supports=%r/%r", auxiliary_pair,
          v.support(), w.support())
     out = commutator_word(_pair_transvection_word(v, pbar, a, 1),
                           _pair_transvection_word(w, p, b, 1))
-    closed = identity(ring, size) + pair_outer(v, w) * (a.value * b.value)
-    check_evaluation(out, closed,
-                     "long-root-pair: evaluation differs from closed form")
+    _check_closed_form(out, pair_outer(v, w), a.value * b.value,
+                       "long-root-pair")
     return out
 
 
@@ -175,7 +176,6 @@ def long_root_reduce(v, w, a, b, zero_pair):
     v must vanish on the zero pair; w is unrestricted there. Requires
     tilde(w) . v = 0. Works in place (no embedding).
     """
-    ring = v.ring
     p, pbar = _pair_coords(zero_pair)
     if p > v.length:
         raise BadIndices("zero pair out of range")
@@ -183,7 +183,6 @@ def long_root_reduce(v, w, a, b, zero_pair):
         raise PairNotZero("v must vanish on the zero pair")
     if not tilde_pair(w, v).is_zero():
         raise PairingNonzero("tilde(w) . v must vanish")
-    size = v.length
     note("long-root-reduce", "pair=%d v-support=%r", zero_pair, v.support())
     av, bv = a.value, b.value
     x = w.entry(p)
@@ -200,9 +199,7 @@ def long_root_reduce(v, w, a, b, zero_pair):
     out = parts[0]
     for piece in parts[1:]:
         out = out * piece
-    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
-    check_evaluation(out, closed,
-                     "long-root-reduce: evaluation differs from closed form")
+    _check_closed_form(out, pair_outer(v, w), av * bv, "long-root-reduce")
     return out
 
 
@@ -219,9 +216,8 @@ def short_root_split(v, a, b):
     note("short-root-split", "support=%r", v.support())
     last = n
     p, pbar = _pair_coords(last)
-    v_tail = zero_vector(ring, v.length)
-    v_tail = v_tail.with_entry(p, v.entry(p)).with_entry(pbar, v.entry(pbar))
     v_head = v.with_entry(p, 0).with_entry(pbar, 0)
+    v_tail = v - v_head
     parts = []
     if not v_head.is_zero():
         parts.append(short_root_pair(v_head, a, b, last))
@@ -232,9 +228,8 @@ def short_root_split(v, a, b):
     out = Word(ring, v.length)
     for piece in parts:
         out = out * piece
-    closed = identity(ring, v.length) + sym_outer(v) * (a.value * b.value)
-    check_evaluation(out, closed,
-                     "short-root-split: evaluation differs from closed form")
+    _check_closed_form(out, sym_outer(v), a.value * b.value,
+                       "short-root-split")
     return out
 
 
@@ -246,12 +241,14 @@ def sum_to_product(us, us_certs, w):
     the square ideal such that the product over the ordering times
     I + x w wtilde equals the sum, exactly.
     """
+    if not us:
+        raise PairingNonzero("sum_to_product needs at least one piece")
     ring = w.ring
     for u in us:
         if not tilde_pair(u, w).is_zero():
             raise PairingNonzero("each tilde(u_i) . w must vanish")
     note("sum-to-product", "%d pieces", len(us))
-    x_cert = None
+    x_cert = us_certs[0][0].ideal.square().zero_cert()
     for i in range(len(us)):
         for j in range(i + 1, len(us)):
             for ell in range(1, w.length + 1):
@@ -260,16 +257,7 @@ def sum_to_product(us, us_certs, w):
                 if ci.value.is_zero() or cj.value.is_zero():
                     continue
                 piece = product_certificate(ci, cj)
-                if ell % 2 == 1:
-                    piece = -piece
-                x_cert = piece if x_cert is None else x_cert + piece
-    if x_cert is None:
-        ideal = us_certs[0][0].ideal if us_certs and us_certs[0] else None
-        if ideal is None:
-            raise PairingNonzero("sum_to_product needs at least one piece")
-        x_cert = ideal.square().zero_cert()
-    else:
-        x_cert = -x_cert
+                x_cert = x_cert + piece if ell % 2 == 1 else x_cert - piece
     ordering = list(range(len(us)))
     lhs = identity(ring, w.length)
     for u in us:
@@ -278,8 +266,7 @@ def sum_to_product(us, us_certs, w):
     for i in ordering:
         rhs = rhs * (identity(ring, w.length) + pair_outer(us[i], w))
     rhs = rhs * (identity(ring, w.length) + sym_outer(w) * x_cert.value)
-    if lhs != rhs:
-        raise VerificationFailed("sum_to_product regrouping identity failed")
+    check_equal(rhs, lhs, "sum_to_product regrouping identity failed")
     return ordering, x_cert
 
 
@@ -307,46 +294,33 @@ def long_root_unimodular(v, w, a, b, u):
         check_evaluation(out, identity(ring, size), "long-root-unimodular: "
                          "the empty word differs from I")
         return out
+    # one piece of v per a_ij, supported on the pairs of i and j, and
+    # the first pair that piece leaves free
     pieces = []
-    raw_pieces = []
-    piece_certs = []
-    piece_pairs = []
-    for (i, j) in sorted(coeffs):
-        aij = coeffs[(i, j)]
-        vec = zero_vector(ring, size)
-        si, sj = sigma(i), sigma(j)
+    for (i, j), aij in sorted(coeffs.items()):
         ci = aij * w.entry(j)
         if i % 2 == 1:
             ci = -ci
         cj = aij * w.entry(i)
         if j % 2 == 0:
             cj = -cj
-        vec = vec.with_entry(si, vec.entry(si) + ci)
-        vec = vec.with_entry(sj, vec.entry(sj) + cj)
-        certs = []
-        for ell in range(1, size + 1):
-            certs.append(a.scale(bv * vec.entry(ell)))
-        pieces.append(vec.scale(av * bv))
-        raw_pieces.append(vec)
-        piece_certs.append(certs)
-        piece_pairs.append((i, j))
-    recon = zero_vector(ring, size)
-    for vec in pieces:
-        recon = recon + vec
-    if recon != v.scale(av * bv):
-        raise VerificationFailed("kernel pieces do not rebuild a b v")
-    ordering, x_cert = sum_to_product(pieces, piece_certs, w)
-    out = Word(ring, size)
-    for idx in ordering:
-        i, j = piece_pairs[idx]
+        vec = zero_vector(ring, size).with_entry(sigma(i), ci)
+        vec = vec.with_entry(sigma(j), cj)
         used = {(i + 1) // 2, (j + 1) // 2}
         free = next(t for t in range(1, n + 1) if t not in used)
-        out = out * long_root_reduce(raw_pieces[idx], w, a, b, free)
+        pieces.append((vec, free))
+    scaled = [vec.scale(av * bv) for vec, _ in pieces]
+    check_equal(sum(scaled, zero_vector(ring, size)), v.scale(av * bv),
+                "kernel pieces do not rebuild a b v")
+    certs = [[a.scale(bv * x) for x in vec.entries] for vec, _ in pieces]
+    ordering, x_cert = sum_to_product(scaled, certs, w)
+    out = Word(ring, size)
+    for idx in ordering:
+        vec, free = pieces[idx]
+        out = out * long_root_reduce(vec, w, a, b, free)
     for x, y in square_factors(x_cert):
         out = out * short_root_split(w, x, y)
-    closed = identity(ring, size) + pair_outer(v, w) * (av * bv)
-    check_evaluation(out, closed, "long-root-unimodular: evaluation "
-                     "differs from closed form")
+    _check_closed_form(out, pair_outer(v, w), av * bv, "long-root-unimodular")
     return out
 
 

@@ -12,6 +12,7 @@ from .errors import (
     NotAlternating,
     NotInKernel,
     OddDimension,
+    VerificationFailed,
 )
 
 
@@ -153,6 +154,14 @@ class ExactMatrix:
         for r in range(1, self.rows + 1):
             rows.append("[" + ", ".join(repr(e) for e in self.row_list(r)) + "]")
         return "[" + ",\n ".join(rows) + "]"
+
+
+def check_equal(got, want, what):
+    """Return got if it equals want; else raise VerificationFailed
+    naming what and the first differing (row, col, got, want)."""
+    if got == want:
+        return got
+    raise VerificationFailed("%s at %r" % (what, got.first_mismatch(want)))
 
 
 class ColumnVector(ExactMatrix):
@@ -487,6 +496,5 @@ def kernel_decomposition(c, w, u):
         term = zero_vector(ring, n)
         term = term.with_entry(i, w.entry(j)).with_entry(j, -w.entry(i))
         recon = recon + term.scale(a)
-    if recon != c:
-        raise CertificateInvalid("kernel reconstruction failed")
+    check_equal(recon, c, "kernel reconstruction failed")
     return coeffs

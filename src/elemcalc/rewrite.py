@@ -156,8 +156,7 @@ class _Term:
             if got is None:
                 got = memo[a] = a.substitute({_YVAR: y4})
             atoms.append(got)
-        return _Term(ring, 4 * self.y_exp, atoms,
-                     substitute(self.coeff, {_YVAR: y4}))
+        return _Term(ring, 4 * self.y_exp, atoms, self.coeff)
 
     def split(self, lo, hi, extra=None):
         """Factor into (left, right) with Y-exponents lo and hi.
@@ -300,14 +299,6 @@ class _Grid:
             for (t2, q), p in lam.items():
                 if t == t2:
                     self.add((r, q), d.times(p))
-
-    def prune(self):
-        for cell in [c for c, p in self.cells.items() if p.is_zero()]:
-            del self.cells[cell]
-
-    def is_identity(self):
-        self.prune()
-        return not self.cells
 
     def min_y(self):
         return min(p.min_y() for p in self.cells.values())
@@ -486,7 +477,7 @@ def _apply_records(grid, system, records):
 def _peel(system, grid, rounds=500):
     """Factor grid into first-index letter records; empties the grid."""
     out = []
-    while not grid.is_identity():
+    while grid.cells:
         rounds -= 1
         if rounds < 0:
             raise VerificationFailed(
@@ -528,7 +519,6 @@ def _peel(system, grid, rounds=500):
 
 
 def _classify(system, grid, t_rec):
-    grid.prune()
     if any(p == q for p, q in grid.cells):
         return "reflection"
     ti, tj, tpoly = t_rec
@@ -671,7 +661,7 @@ def _g_records(ring, eps):
     return out
 
 
-def _finish(system, eps, i, j, a_poly, ideal):
+def _finish(system, eps, i, j, a_poly):
     ring = system.ring
     a_tpoly = _TPoly(ring, [_Term(ring, 0, (a_poly,), ring.one)])
     with recording() as events:
@@ -709,7 +699,7 @@ def rewrite_conjugation_linear(eps, i, j, a_poly):
     if not word_in_E1(eps, ideal):
         raise NotCertified(
             "conjugator must be certified first-index linear letters")
-    return _finish(_LinearSystem(eps.ring, n), eps, i, j, a_poly, ideal)
+    return _finish(_LinearSystem(eps.ring, n), eps, i, j, a_poly)
 
 
 def rewrite_conjugation_symplectic(eps, i, j, a_poly):
@@ -731,8 +721,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
     if not word_in_ESp1(eps, ideal):
         raise NotCertified(
             "conjugator must be certified first-index symplectic letters")
-    return _finish(_SymplecticSystem(eps.ring, size), eps, i, j,
-                   a_poly, ideal)
+    return _finish(_SymplecticSystem(eps.ring, size), eps, i, j, a_poly)
 
 
 def specialize_and_check(result, x0, y0):

@@ -100,12 +100,6 @@ class RingElement:
             return self.ring.p_eq(self.payload, o.payload)
         return NotImplemented
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
-
     def is_zero(self):
         return self.ring.p_is_zero(self.payload)
 
@@ -264,7 +258,7 @@ class PolyRing(Ring):
         if isinstance(x, RingElement):
             if x.ring == self.base:
                 return self.wrap(self._embed(x.payload))
-            inner = self.base.try_lift(x) if hasattr(self.base, "try_lift") else None
+            inner = self.base.try_lift(x)
             if inner is not None:
                 return self.wrap(self._embed(inner.payload))
         return None
@@ -440,7 +434,7 @@ class LocRing(Ring):
         if isinstance(x, RingElement):
             if x.ring == self.base:
                 return self.wrap((x.payload, 0))
-            inner = self.base.try_lift(x) if hasattr(self.base, "try_lift") else None
+            inner = self.base.try_lift(x)
             if inner is not None:
                 return self.wrap((inner.payload, 0))
         return None
@@ -619,7 +613,6 @@ class CertifiedElement:
 
     def substitute(self, bindings):
         """Apply a polynomial substitution fixing every generator."""
-        ring = self.ideal.ring
         for g in self.ideal.generators:
             if substitute(g, bindings) != g:
                 raise IdealMismatch(

@@ -19,9 +19,10 @@ import contextlib
 import contextvars
 
 from .errors import (BadIndices, NonstandardForm, NotAlternating,
-                     SideConditionViolated, VerificationFailed)
+                     SideConditionViolated)
 from .matrices import (
     ExactMatrix,
+    check_equal,
     identity,
     is_alternating,
     is_symplectic,
@@ -320,10 +321,7 @@ def check_evaluation(w, want, what):
     Returns the evaluated matrix; raises VerificationFailed naming what
     and the first differing entry when the two disagree.
     """
-    got = evaluate(w)
-    if got != want:
-        raise VerificationFailed("%s at %r" % (what, got.first_mismatch(want)))
-    return got
+    return check_equal(evaluate(w), want, what)
 
 
 _EVENTS = contextvars.ContextVar("events", default=None)

@@ -199,6 +199,20 @@ def test_sum_to_product():
     assert lhs == rhs
 
 
+def test_sum_to_product_names_the_failed_entry(monkeypatch):
+    # a wrong correction term x breaks the regrouping identity
+    orig = decompose_module.product_certificate
+    monkeypatch.setattr(decompose_module, "product_certificate",
+                        lambda ci, cj: -orig(ci, cj))
+    w = vec(Z27, 5, 0, 0, 0, 0, 0)
+    us = [vec(Z27, 3, 0, 6, 0, 0, 0), vec(Z27, 0, 0, 0, 3, 9, 0)]
+    certs = [[certify(I3, [Z27.el(u.entry(k).payload // 3)])
+              for k in range(1, 7)] for u in us]
+    with pytest.raises(VerificationFailed,
+                       match=r"regrouping identity failed at \("):
+        sum_to_product(us, certs, w)
+
+
 def test_sum_to_product_errors():
     w = vec(Z27, 5, 0, 0, 0)
     bad = vec(Z27, 0, 3, 0, 0)

@@ -1,5 +1,6 @@
 """Every library module uses every name it imports and exports only
-names it defines, and every exported name has a reader.
+names it defines, every exported name has a reader, and no function
+assigns a local it never reads.
 
 A name imported and never used is dead weight a reader still has to
 trace, and an __all__ that lists an imported name re-exports it.
@@ -75,6 +76,41 @@ def test_module_exports_only_its_own_names(path):
 def _parse(path):
     with open(path) as f:
         return ast.parse(f.read(), path)
+
+
+def _own_nodes(fn):
+    """Nodes of fn's body, not descending into nested functions,
+    lambdas or classes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(path):
+    """"function: name" for each name that a plain `name = ...` in the
+    function's own body binds and that nothing in the function, nested
+    functions included, reads; names starting with _ are skipped."""
+    out = []
+    for fn in ast.walk(_parse(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        bound = {t.id for n in _own_nodes(fn) if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        out.extend("%s: %s" % (fn.name, name) for name in sorted(bound - read)
+                   if not name.startswith("_"))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "*.py"))),
+                         ids=os.path.basename)
+def test_module_has_no_dead_locals(path):
+    assert dead_locals(path) == []
 
 
 def _reads(node):

@@ -4,13 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elemcalc.errors import NotAUnit, NotInKernel, OddDimension
+from elemcalc.errors import (NotAUnit, NotInKernel, OddDimension,
+                             VerificationFailed)
 from elemcalc.matrices import (
     ColumnVector,
     ExactMatrix,
     adjugate_inverse,
     basis_vector,
     block_diagonal,
+    check_equal,
     det,
     from_rows,
     identity,
@@ -99,6 +101,19 @@ def test_first_mismatch():
     b = from_rows(Z27, [[1, 2], [5, 4]])
     assert a.first_mismatch(b) == (2, 1, Z27.el(3), Z27.el(5))
     assert a.first_mismatch(a) is None
+
+
+def test_check_equal():
+    a = from_rows(Z27, [[1, 2], [3, 4]])
+    assert check_equal(a, from_rows(Z27, [[1, 2], [3, 4]]), "same") is a
+    v = ColumnVector(Z27, [1, 2, 3])
+    assert check_equal(v, ColumnVector(Z27, [1, 2, 30]), "same") is v
+    for got, want, where in (
+            (a, from_rows(Z27, [[1, 2], [5, 4]]), "(2, 1, 3, 5)"),
+            (v, ColumnVector(Z27, [1, 7, 3]), "(2, 1, 2, 7)")):
+        with pytest.raises(VerificationFailed) as caught:
+            check_equal(got, want, "check")
+        assert str(caught.value) == "check at " + where
 
 
 def test_vectors():

@@ -15,11 +15,12 @@ BENCHMARK.json's run_seconds. Pair k uses seed k mod 10 on both sides,
 and the side that runs first alternates from pair to pair, so a slow
 spell of the machine does not favour one side.
 
-The output file keeps, per workload: every run's end-to-end metrics and
-golden-digest status, each side's median and quartiles per metric, and
-how many pairs each side won (better as BENCHMARK.json defines it; ties
-count for neither). Each run writes a fresh report; name every workload
-it should cover with a --workload of its own.
+The output file keeps, per workload: every run's end-to-end metrics,
+golden-digest status and oracle verdict ("correct"), each side's set of
+golden statuses and of oracle verdicts, its median and quartiles per
+metric, and how many pairs each side won (better as BENCHMARK.json
+defines it; ties count for neither). Each run writes a fresh report;
+name every workload it should cover with a --workload of its own.
 """
 
 import argparse
@@ -50,7 +51,8 @@ def compile_tree(root):
 
 
 def run_once(root, workload, seed, seconds):
-    """One benchmark run in checkout root: (metrics, golden status)."""
+    """One benchmark run in checkout root: (metrics, golden status,
+    the oracle's verdict)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -60,7 +62,7 @@ def run_once(root, workload, seed, seconds):
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["failed"] = result["failed"]
-    return metrics, golden["status"]
+    return metrics, golden["status"], result["correct"]
 
 
 def quartiles(values):
@@ -132,20 +134,24 @@ def main(argv=None):
                 order = ("parent", "change") if k % 2 == 0 \
                     else ("change", "parent")
                 for position, side in enumerate(order):
-                    metrics, golden = run_once(roots[side], workload, seed,
-                                               seconds)
+                    metrics, golden, correct = run_once(
+                        roots[side], workload, seed, seconds)
                     runs.append({"pair": k, "seed": seed, "side": side,
                                  "order": position, "golden": golden,
-                                 "metrics": metrics})
+                                 "correct": correct, "metrics": metrics})
                     print("%s pair %d seed %d %s: calls_per_s %.1f golden %s"
-                          % (workload, k, seed, side,
-                             metrics["calls_per_s"], golden), flush=True)
+                          " correct %s" % (workload, k, seed, side,
+                                           metrics["calls_per_s"], golden,
+                                           correct), flush=True)
             report["workloads"][workload] = {
                 "parent": parent_rev, "change": "working tree",
                 "seconds": seconds, "pairs": args.pairs,
                 "golden": {side: sorted({r["golden"] for r in runs
                                          if r["side"] == side})
                            for side in roots},
+                "correct": {side: sorted({r["correct"] for r in runs
+                                          if r["side"] == side})
+                            for side in roots},
                 "summary": summarize(runs, better),
                 "runs": runs,
             }

@@ -174,6 +174,11 @@ class _Fold:
         else:
             self.certs[slot] = self.certs[slot] + cert
 
+    def is_zero(self):
+        """True when the run sums to zero in every slot: its letter would
+        be the identity, so the fold drops it."""
+        return all(v.is_zero() for v in self.vals)
+
     def packed(self):
         """The slot certificates, empty slots zero-filled from the first
         certified slot's ideal; None for an uncertified run."""
@@ -260,7 +265,7 @@ class _ShearFold(_Fold):
     feed = _Fold.add
 
     def letter(self):
-        if all(v.is_zero() for v in self.vals):
+        if self.is_zero():
             return None
         cls = (LowerTransLetter if self.direction == "lower"
                else UpperTransLetter)
@@ -327,7 +332,7 @@ class _TransvFold(_Fold):
     """A run of rho or mu summands: slot 0 the scalar, slots 1..2n the
     vector. The composition rule is exact: adding qhat to the vector
     turns (q, s) into (q + qhat, s + q.form.qhat), which is verified a
-    posteriori by evaluation. A run that sums to zero stays a letter."""
+    posteriori by evaluation. A run that sums to zero is dropped."""
 
     def __init__(self, ring, form_matrix, direction):
         super().__init__(ring, form_matrix.rows + 1, direction)
@@ -343,6 +348,8 @@ class _TransvFold(_Fold):
         self.add(slot, p, cert)
 
     def letter(self):
+        if self.is_zero():
+            return None
         packed = self.packed()
         if packed is not None:
             packed = (packed[0], packed[1:])

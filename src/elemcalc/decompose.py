@@ -27,12 +27,14 @@ from __future__ import annotations
 from .errors import (
     BadIndices,
     DimensionTooSmall,
+    NotAUnit,
     PairNotZero,
     PairingNonzero,
     SupportOverlap,
 )
 from .matrices import (
     ColumnVector,
+    basis_vector,
     check_equal,
     col_times_row,
     identity,
@@ -43,7 +45,7 @@ from .matrices import (
     zero_vector,
 )
 from .rewrite import include_I2_symplectic
-from .rings import half, product_certificate, square_factors
+from .rings import half, invert_unit, product_certificate, square_factors
 from .words import (SympLetter, Word, check_evaluation, commutator_word,
                     conjugate_word, evaluate, invert_word, note, recording)
 
@@ -324,6 +326,23 @@ def long_root_unimodular(v, w, a, b, u):
     return out
 
 
+def _unimodular_certificate(w, c, dense_row):
+    """A vector u with u^t w = 1 for the kernel decomposition of c.
+
+    A unit coordinate w_k gives u = w_k^-1 e_k, which leaves only the
+    pieces (i, k); the first such k in supp(c) is preferred, since the
+    piece (k, k) does not exist. With no unit coordinate in w, the dense
+    row dense_row() is used.
+    """
+    for k in c.support() + list(range(1, w.length + 1)):
+        try:
+            return basis_vector(w.ring, w.length, k).scale(
+                invert_unit(w.entry(k)))
+        except NotAUnit:
+            continue
+    return ColumnVector(w.ring, dense_row())
+
+
 def decompose_conjugate(g, i, j, a, b):
     """Rewrite g . se_ij(a b) . g^-1 over certified ideal generators.
 
@@ -355,9 +374,12 @@ def decompose_conjugate(g, i, j, a, b):
             v = G.column(i)
             if sj % 2 == 0:
                 v = -v
-            u = ColumnVector(ring, evaluate(invert_word(g)).row_list(sj))
+            w = G.column(sj)
+            u = _unimodular_certificate(
+                w, tilde(v).transpose(),
+                lambda: evaluate(invert_word(g)).row_list(sj))
             note("conjugated-long-root", "columns %d and %d extracted", i, sj)
-            out = long_root_unimodular(v, G.column(sj), a, b, u)
+            out = long_root_unimodular(v, w, a, b, u)
     achieved = check_evaluation(
         out, target, "decomposition does not reproduce the conjugate")
     return DecompositionResult(out, target, achieved, True, lemma_trace)

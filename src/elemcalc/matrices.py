@@ -158,9 +158,13 @@ class ExactMatrix:
 
 def check_equal(got, want, what):
     """Return got if it equals want; else raise VerificationFailed
-    naming what and the first differing (row, col, got, want)."""
+    naming what and the first differing (row, col, got, want), or both
+    shapes when they differ."""
     if got == want:
         return got
+    if (got.rows, got.cols) != (want.rows, want.cols):
+        raise VerificationFailed("%s: shape %dx%d vs %dx%d" % (
+            what, got.rows, got.cols, want.rows, want.cols))
     raise VerificationFailed("%s at %r" % (what, got.first_mismatch(want)))
 
 
@@ -477,7 +481,9 @@ def kernel_decomposition(c, w, u):
 
     Given u^t w = 1 and c^t w = 0, returns the map (i, j) -> a_ij
     (1-based, i < j) with c = sum a_ij (w_j e_i - w_i e_j), using
-    a_ij = c_i u_j - c_j u_i. The reconstruction is re-checked.
+    a_ij = c_i u_j - c_j u_i. Only pairs meeting supp(u) can give a
+    nonzero a_ij, so only those are visited. The reconstruction is
+    re-checked.
     """
     ring = c.ring
     if u.dot(w) != ring.one:
@@ -485,9 +491,14 @@ def kernel_decomposition(c, w, u):
     if not c.dot(w).is_zero():
         raise NotInKernel("c^t w must vanish exactly")
     n = c.length
+    u_support = u.support()
     coeffs = {}
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
+        if i in u_support:
+            partners = range(i + 1, n + 1)
+        else:
+            partners = [j for j in u_support if j > i]
+        for j in partners:
             a = c.entry(i) * u.entry(j) - c.entry(j) * u.entry(i)
             if not a.is_zero():
                 coeffs[(i, j)] = a

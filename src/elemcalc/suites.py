@@ -472,7 +472,8 @@ def _suite_pfaffian(rng):
                             "Pf of standard form is 1", repr(pf))
     size = rng.choice((4, 6))
     A = sample_alternating(rng, ring, size)
-    if pfaffian(A) * pfaffian(A) != det(A):
+    pf_a = pfaffian(A)
+    if pf_a * pf_a != det(A):
         raise _TrialFailure("pfaffian square A=%r" % (A,), "Pf^2 = det",
                             "differs")
     phi = sample_alternating(rng, ring, 4)

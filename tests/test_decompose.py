@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from elemcalc import (
@@ -32,10 +34,13 @@ from elemcalc import (
 import elemcalc.decompose as decompose_module
 import elemcalc.words as words_module
 from elemcalc.matrices import ColumnVector, zero_vector
+from elemcalc.sampling import sample_symplectic_word
 
 Z27 = ZmodRing(27)
 Z8 = ZmodRing(8)
+Z15 = ZmodRing(15)
 I3 = IdealPresentation(Z27, (Z27.el(3),))
+I15 = IdealPresentation(Z15, (Z15.el(3),))
 
 
 def vec(ring, *entries):
@@ -241,6 +246,22 @@ def test_long_root_unimodular():
     assert "long-root-unimodular" in tags and "kernel-decomposition" in tags
 
 
+def test_long_root_unimodular_dense_certificate():
+    # Z/15 is not local: no coordinate of w = (3, 5, 0, ...) is a unit,
+    # and u = (12, 2, 0, ...) (36 + 10 = 1 mod 15) is dense on its pair,
+    # so c on coordinates 3..6 meets both u_1 and u_2: 4 x 2 pieces
+    v = vec(Z15, 0, 0, 1, 2, 4, 7)
+    w = vec(Z15, 3, 5, 0, 0, 0, 0)
+    u = vec(Z15, 12, 2, 0, 0, 0, 0)
+    a = certify(I15, [Z15.el(1)])
+    b = certify(I15, [Z15.el(2)])
+    with recording() as trace:
+        out = long_root_unimodular(v, w, a, b, u)
+    assert evaluate(out) == closed_long(v, w, a.value * b.value)
+    assert word_certified(out, I15)
+    assert ("kernel-decomposition", "8 pieces") in trace
+
+
 def test_long_root_unimodular_zero_v():
     # I + ab (0 wtilde + w 0tilde) = I: the empty word, not a refusal
     w = vec(Z27, 5, 0, 0, 2, 0, 1)
@@ -301,7 +322,20 @@ def test_decompose_short_case():
     assert "conjugated-short-root" in tags
 
 
-def test_decompose_long_case():
+def _counting_invert_word(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return invert_word(w)
+
+    monkeypatch.setattr(decompose_module, "invert_word", counted)
+    return calls
+
+
+def test_decompose_long_case(monkeypatch):
+    # over Z/27 some coordinate of w is a unit: G^-1 is never evaluated
+    calls = _counting_invert_word(monkeypatch)
     a = certify(I3, [Z27.el(2)])
     b = certify(I3, [Z27.el(1)])
     g = word(Z27, 6,
@@ -312,22 +346,59 @@ def test_decompose_long_case():
     assert res.target == conjugate_oracle(g, 1, 4, a.value * b.value)
     assert word_certified(res.output, I3)
     assert res.lemma_trace == LONG_CASE_TRACE
+    assert calls == []
 
 
+# w = column 3 of G = (0, 0, 1, 0, 19, 0) has no unit on supp(c) = {2, 4},
+# so the pivot is its first unit coordinate, 3: pieces (2, 3) and (3, 4)
 LONG_CASE_TRACE = (
     ("conjugated-long-root", "columns 1 and 3 extracted"),
     ("long-root-unimodular", "v-support=[1, 3]"),
-    ("kernel-decomposition", "4 pieces"),
-    ("sum-to-product", "4 pieces"),
-    ("long-root-reduce", "pair=2 v-support=[]"),
-    ("long-root-pair", "pair=2 supports=[]/[5]"),
-    ("long-root-reduce", "pair=3 v-support=[]"),
-    ("long-root-pair", "pair=3 supports=[]/[3]"),
+    ("kernel-decomposition", "2 pieces"),
+    ("sum-to-product", "2 pieces"),
     ("long-root-reduce", "pair=3 v-support=[1]"),
     ("long-root-pair", "pair=3 supports=[1]/[3]"),
     ("long-root-reduce", "pair=1 v-support=[3]"),
     ("long-root-pair", "pair=1 supports=[3]/[3, 5]"),
 )
+
+
+def test_decompose_long_case_without_unit_coordinate(monkeypatch):
+    # over Z/15, column 3 of G is (0, 0, 10, 0, 0, 3): no unit
+    # coordinate, so the certificate is the dense row 3 of G^-1
+    calls = _counting_invert_word(monkeypatch)
+    a = certify(I15, [Z15.el(1)])
+    b = certify(I15, [Z15.el(2)])
+    g = word(Z15, 6, SympLetter(6, 5, 4, Z15.el(3)),
+             SympLetter(6, 4, 5, Z15.el(3)))
+    assert evaluate(g).column(3) == vec(Z15, 0, 0, 10, 0, 0, 3)
+    res = decompose_conjugate(g, 1, 4, a, b)
+    assert len(calls) == 1
+    assert res.verified
+    assert res.target == conjugate_oracle(g, 1, 4, a.value * b.value)
+    assert word_certified(res.output, I15)
+
+
+@pytest.mark.parametrize("size", [6, 8, 12, 20, 32])
+def test_unit_pivot_bounds_the_kernel_pieces(size):
+    rng = random.Random(size)
+    a = certify(I3, [Z27.el(1)])
+    b = certify(I3, [Z27.el(2)])
+    for _ in range(3):
+        g = sample_symplectic_word(rng, Z27, size, size)
+        i = rng.randrange(1, size + 1)
+        j = rng.choice([k for k in range(1, size + 1)
+                        if k not in (i, sigma_index(i))])
+        G = evaluate(g)
+        c_support = {sigma_index(k) for k in G.column(i).support()}
+        w = G.column(sigma_index(j))
+        pivot_in_c = any(w.entry(k).payload % 3 for k in c_support)
+        res = decompose_conjugate(g, i, j, a, b)
+        assert res.target == conjugate_oracle(g, i, j, a.value * b.value)
+        pieces = [int(d.split()[0]) for t, d in res.lemma_trace
+                  if t == "kernel-decomposition"]
+        assert len(pieces) == 1
+        assert pieces[0] <= len(c_support) - (1 if pivot_in_c else 0)
 
 
 def test_decompose_empty_conjugator():

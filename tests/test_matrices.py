@@ -114,6 +114,10 @@ def test_check_equal():
         with pytest.raises(VerificationFailed) as caught:
             check_equal(got, want, "check")
         assert str(caught.value) == "check at " + where
+    # different shapes name both; the common block may agree
+    with pytest.raises(VerificationFailed) as caught:
+        check_equal(identity(Z27, 2), identity(Z27, 3), "x")
+    assert str(caught.value) == "x: shape 2x2 vs 3x3"
 
 
 def test_vectors():
@@ -337,6 +341,19 @@ def test_kernel_decomposition_contract():
             term = term.with_entry(i, w.entry(j)).with_entry(j, -w.entry(i))
             recon = recon + term.scale(a)
         assert recon == c
+        # a dense u = e_m0/w_m0 + (c1 - e_m0 (c1 . w)/w_m0) works too; both
+        # give the a_ij of the full double loop, in the same order
+        c1 = ColumnVector(Z27, tuple(Z27.el(rng.randrange(27))
+                                     for _ in range(size)))
+        dense = u + c1 - u.scale(c1.dot(w))
+        assert dense.dot(w) == Z27.one
+        for cert in (u, dense):
+            full = [((i, j), c.entry(i) * cert.entry(j)
+                     - c.entry(j) * cert.entry(i))
+                    for i in range(1, size + 1)
+                    for j in range(i + 1, size + 1)]
+            assert list(kernel_decomposition(c, w, cert).items()) == [
+                (ij, a) for ij, a in full if not a.is_zero()]
         done += 1
 
 

@@ -13,13 +13,17 @@ Both sides are byte-compiled first (`python3 -m compileall`), then each
 runs its own `perfbench/run.py --trace 0`, one run at a time, for
 BENCHMARK.json's run_seconds. Pair k uses seed k mod 10 on both sides,
 and the side that runs first alternates from pair to pair, so a slow
-spell of the machine does not favour one side.
+spell of the machine does not favour one side. After the pairs, each
+side makes one more run of the workload, at seed 0 with --trace 1, for
+the per-layer counts in TRACE_COUNTS; a count is exact per pass, so one
+run per side is enough to compare them.
 
 The output file keeps, per workload: every run's end-to-end metrics,
 golden-digest status and oracle verdict ("correct"), each side's set of
 golden statuses and of oracle verdicts, its median and quartiles per
 metric, and how many pairs each side won (better as BENCHMARK.json
-defines it; ties count for neither). Each run writes a fresh report;
+defines it; ties count for neither), and each side's traced counts
+("trace_counts"). Each run writes a fresh report;
 name every workload it should cover with a --workload of its own.
 """
 
@@ -33,6 +37,11 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# per-layer counts of the traced run, kept in the report: ring products
+# and the self-checks (every evaluate and matrix comparison)
+TRACE_COUNTS = ("rings.poly_mul.calls", "rings.zmod_mul.calls",
+                "words.evaluate.calls", "matrices.eq.calls")
 
 
 def export(rev, dest):
@@ -50,12 +59,13 @@ def compile_tree(root):
                     "perfbench"], cwd=root, check=True)
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed, seconds, trace=0):
     """One benchmark run in checkout root: (metrics, golden status,
-    the oracle's verdict)."""
+    the oracle's verdict); per-layer metrics when trace is 1."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     golden = dict(f.split("=", 1) for f in lines[-2].split()[1:])
@@ -143,6 +153,15 @@ def main(argv=None):
                           " correct %s" % (workload, k, seed, side,
                                            metrics["calls_per_s"], golden,
                                            correct), flush=True)
+            trace_counts = {}
+            for side, root in roots.items():
+                metrics, golden, correct = run_once(root, workload, 0,
+                                                    seconds, trace=1)
+                trace_counts[side] = dict(
+                    {name: metrics[name] for name in TRACE_COUNTS},
+                    golden=golden, correct=correct)
+                print("%s traced seed 0 %s: %s" % (
+                    workload, side, trace_counts[side]), flush=True)
             report["workloads"][workload] = {
                 "parent": parent_rev, "change": "working tree",
                 "seconds": seconds, "pairs": args.pairs,
@@ -153,6 +172,7 @@ def main(argv=None):
                                           if r["side"] == side})
                             for side in roots},
                 "summary": summarize(runs, better),
+                "trace_counts": trace_counts,
                 "runs": runs,
             }
             with open(out_path, "w") as f:

@@ -35,6 +35,7 @@ from .rewrite import (
     rewrite_conjugation_linear,
     rewrite_conjugation_symplectic,
 )
+from .rings import LocRing
 from .suites import SUITE_NAMES, run_all, run_suite
 
 _DISTRIBUTIONS = """\
@@ -54,6 +55,13 @@ sampling distributions used by the verify suites:
 # power of it; documented requests stay at 12.
 MAX_REQUEST_SIZE = 64
 
+# The largest rows x exp a pfaffian or standardize matrix over a
+# localization may give, exp the largest denominator exponent among its
+# entries: elimination raises the denominators further with every row.
+# A dense 8x8 Pfaffian over loc((Z/27)[X], X+1) takes 0.5 s at exp 16
+# and 8.9 s at exp 64.
+MAX_LOC_MATRIX_WORK = 128
+
 # The most conjugator letters r a rewrite request may give. The derived
 # word grows 2-4x per letter, and r = 8 already takes up to 30 s.
 MAX_REWRITE_LETTERS = 8
@@ -68,14 +76,23 @@ def _int_field(data, key, minimum=None, maximum=None, default=None):
 
 def _matrix_field(data, key, ring):
     """The matrix data[key], refused before its entries are decoded when
-    it has more than MAX_REQUEST_SIZE rows."""
+    it has more than MAX_REQUEST_SIZE rows, and before any arithmetic
+    when it lies over a localization and its rows times its largest
+    denominator exponent exceed MAX_LOC_MATRIX_WORK."""
     if key not in data:
         raise DescriptorMismatch("input needs a %s" % (key,))
     rows = data[key]
     if isinstance(rows, list) and len(rows) > MAX_REQUEST_SIZE:
         raise DescriptorMismatch("field %r must have at most %d rows"
                                  % (key, MAX_REQUEST_SIZE))
-    return jsonio.matrix_from_json(ring, rows)
+    m = jsonio.matrix_from_json(ring, rows)
+    if isinstance(ring, LocRing):
+        work = m.rows * max(exp for _, exp in m.payloads)
+        if work > MAX_LOC_MATRIX_WORK:
+            raise DescriptorMismatch(
+                "field %r: rows x largest loc 'exp' must be at most %d"
+                % (key, MAX_LOC_MATRIX_WORK))
+    return m
 
 
 def _ring_of(data):

@@ -290,14 +290,9 @@ def long_root_unimodular(v, w, a, b, u):
     c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
     note("kernel-decomposition", "%d pieces", len(coeffs))
-    if not coeffs:
-        # v = 0: the target I + ab (0 wtilde + w 0tilde) is I
-        out = Word(ring, size)
-        check_evaluation(out, identity(ring, size), "long-root-unimodular: "
-                         "the empty word differs from I")
-        return out
     # one piece of v per a_ij, supported on the pairs of i and j, and
-    # the first pair that piece leaves free
+    # the first pair that piece leaves free; a piece whose vector
+    # vanishes (a_ij killed by both w_i and w_j) is dropped
     pieces = []
     for (i, j), aij in sorted(coeffs.items()):
         ci = aij * w.entry(j)
@@ -308,12 +303,20 @@ def long_root_unimodular(v, w, a, b, u):
             cj = -cj
         vec = zero_vector(ring, size).with_entry(sigma(i), ci)
         vec = vec.with_entry(sigma(j), cj)
+        if vec.is_zero():
+            continue
         used = {(i + 1) // 2, (j + 1) // 2}
         free = next(t for t in range(1, n + 1) if t not in used)
         pieces.append((vec, free))
     scaled = [vec.scale(av * bv) for vec, _ in pieces]
     check_equal(sum(scaled, zero_vector(ring, size)), v.scale(av * bv),
                 "kernel pieces do not rebuild a b v")
+    if not pieces:
+        # v = 0: the target I + ab (0 wtilde + w 0tilde) is I
+        out = Word(ring, size)
+        check_evaluation(out, identity(ring, size), "long-root-unimodular: "
+                         "the empty word differs from I")
+        return out
     certs = [[a.scale(bv * x) for x in vec.entries] for vec, _ in pieces]
     ordering, x_cert = sum_to_product(scaled, certs, w)
     out = Word(ring, size)

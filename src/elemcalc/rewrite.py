@@ -108,17 +108,23 @@ def include_I2_symplectic(n, i, j, p):
 # positive power of Y.  Atoms hash and compare by identity (a certified
 # element defines no __eq__): term merging and the substitution memo key
 # on the atom objects themselves.
+#
+# Values are carried, not recomputed: a term derived from known values
+# (a sign, a scale, a product, a Y-shift, a merge) gets its value from
+# theirs by one ring operation, which distributivity makes equal to its
+# factors multiplied out; only terms with new atoms (a split, a Y -> Y^4
+# substitution) multiply their factors out.  A sum caches its total.
 
 
 class _Term:
     __slots__ = ("ring", "y_exp", "atoms", "coeff", "_value")
 
-    def __init__(self, ring, y_exp, atoms, coeff):
+    def __init__(self, ring, y_exp, atoms, coeff, value=None):
         self.ring = ring
         self.y_exp = y_exp
         self.atoms = tuple(atoms)
         self.coeff = coeff
-        self._value = None
+        self._value = value
 
     def value(self):
         if self._value is None:
@@ -139,13 +145,16 @@ class _Term:
 
     def times(self, other):
         return _Term(self.ring, self.y_exp + other.y_exp,
-                     self.atoms + other.atoms, self.coeff * other.coeff)
+                     self.atoms + other.atoms, self.coeff * other.coeff,
+                     self.value() * other.value())
 
     def scaled(self, r):
-        return _Term(self.ring, self.y_exp, self.atoms, self.coeff * r)
+        return _Term(self.ring, self.y_exp, self.atoms, self.coeff * r,
+                     self.value() * r)
 
     def neg(self):
-        return self.scaled(-self.ring.one)
+        return _Term(self.ring, self.y_exp, self.atoms, -self.coeff,
+                     -self.value())
 
     def subst_y4(self, memo):
         ring = self.ring
@@ -179,31 +188,31 @@ class _Term:
 
 
 class _TPoly:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_value")
 
     def __init__(self, ring, terms=()):
         merged = {}
-        order = []
         for t in terms:
-            if t.value().is_zero():
+            value = t.value()
+            if value.is_zero():
                 continue
             key = (t.y_exp, t.atoms)
-            if key in merged:
-                old = merged[key]
-                merged[key] = _Term(ring, t.y_exp, t.atoms,
-                                    old.coeff + t.coeff)
-            else:
-                merged[key] = t
-                order.append(key)
+            old = merged.get(key)
+            merged[key] = t if old is None else _Term(
+                ring, t.y_exp, t.atoms, old.coeff + t.coeff,
+                old.value() + value)
         self.ring = ring
-        self.terms = tuple(merged[k] for k in order
-                           if not merged[k].value().is_zero())
+        self.terms = tuple(t for t in merged.values()
+                           if not t.value().is_zero())
+        self._value = None
 
     def value(self):
-        acc = self.ring.zero
-        for t in self.terms:
-            acc = acc + t.value()
-        return acc
+        if self._value is None:
+            acc = self.ring.zero
+            for t in self.terms:
+                acc = acc + t.value()
+            self._value = acc
+        return self._value
 
     def cert(self):
         acc = None
@@ -232,8 +241,10 @@ class _TPoly:
         return _TPoly(self.ring, [t.scaled(r) for t in self.terms])
 
     def with_extra_y(self, d):
+        y_d = self.ring.var(_YVAR, d)
         return _TPoly(self.ring, [_Term(self.ring, t.y_exp + d, t.atoms,
-                                        t.coeff) for t in self.terms])
+                                        t.coeff, t.value() * y_d)
+                                  for t in self.terms])
 
     def subst_y4(self, memo):
         return _TPoly(self.ring,
@@ -272,10 +283,7 @@ class _Grid:
     def _lam(self, pattern, poly, invert):
         lam = {}
         for r, c, sg in pattern:
-            p = poly if sg == 1 else poly.neg()
-            if invert:
-                p = p.neg()
-            lam[(r, c)] = p
+            lam[(r, c)] = poly if (sg == 1) != invert else poly.neg()
         return lam
 
     def mul_letter_left(self, pattern, poly, invert=False):

@@ -18,6 +18,7 @@ multiply out to its value, exactly.
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 
 from .errors import (
@@ -318,20 +319,14 @@ class PolyRing(Ring):
         out = {}
         badd = self.base.p_add
         bmul = self.base.p_mul
-        bzero = self.base.p_is_zero
+        add = operator.add
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 prod = bmul(ca, cb)
-                if exps in out:
-                    s = badd(out[exps], prod)
-                    if bzero(s):
-                        del out[exps]
-                    else:
-                        out[exps] = s
-                elif not bzero(prod):
-                    out[exps] = prod
-        return out
+                out[e] = badd(out[e], prod) if e in out else prod
+        bzero = self.base.p_is_zero
+        return {e: c for e, c in out.items() if not bzero(c)}
 
     def p_is_zero(self, a):
         if self.structural:

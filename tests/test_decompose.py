@@ -349,6 +349,30 @@ def test_decompose_long_case(monkeypatch):
     assert calls == []
 
 
+def test_long_root_unimodular_drops_zero_pieces():
+    # the same v and w with the dense certificate u = row 3 of G^-1: two
+    # of its four nonzero a_ij are killed by both w_i and w_j, and their
+    # zero pieces used to cost a long-root-reduce word each
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    g = word(Z27, 6,
+             SympLetter(6, 3, 1, Z27.el(5)),
+             SympLetter(6, 4, 6, Z27.el(8)))
+    G = evaluate(g)
+    v, w = -G.column(1), G.column(3)
+    u = ColumnVector(Z27, evaluate(invert_word(g)).row_list(3))
+    with recording() as trace:
+        out = long_root_unimodular(v, w, a, b, u)
+    assert evaluate(out) == closed_long(v, w, a.value * b.value)
+    assert word_certified(out, I3)
+    assert ("kernel-decomposition", "4 pieces") in trace
+    assert ("sum-to-product", "2 pieces") in trace
+    reduces = [detail for what, detail in trace
+               if what == "long-root-reduce"]
+    assert len(reduces) == 2
+    assert not any(d.endswith("v-support=[]") for d in reduces)
+
+
 # w = column 3 of G = (0, 0, 1, 0, 19, 0) has no unit on supp(c) = {2, 4},
 # so the pivot is its first unit coordinate, 3: pieces (2, 3) and (3, 4)
 LONG_CASE_TRACE = (

@@ -563,19 +563,21 @@ def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
         in capsys.readouterr().err
 
 
+LOC_X_PLUS_1 = {"kind": "loc",
+                "base": {"kind": "poly", "base": {"kind": "zmod", "m": 27},
+                         "vars": ["X"]},
+                "denom": [[{"X": 1}, 1], [{}, 1]]}
+
+
 def test_cli_loc_exponent_bound(monkeypatch, capsys):
     # the bound holds before any arithmetic: one past it exits 2 at once
-    ring = {"kind": "loc",
-            "base": {"kind": "poly", "base": {"kind": "zmod", "m": 27},
-                     "vars": ["X"]},
-            "denom": [[{"X": 1}, 1], [{}, 1]]}
     bound = "loc element field 'exp' must be at most %d" % (
         jsonio.MAX_LOC_EXPONENT,)
     for exp, rc in ((jsonio.MAX_LOC_EXPONENT, 0),
                     (jsonio.MAX_LOC_EXPONENT + 1, 2)):
         zero = {"num": [], "exp": 0}
         entry = {"num": [[{}, 1]], "exp": exp}
-        request = {"ring": ring,
+        request = {"ring": LOC_X_PLUS_1,
                    "matrix": [[zero, entry],
                               [dict(entry, num=[[{}, -1]]), zero]]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
@@ -584,3 +586,36 @@ def test_cli_loc_exponent_bound(monkeypatch, capsys):
         assert (bound in captured.err) is (rc == 2)
         if rc == 0:
             assert json.loads(captured.out)["pfaffian"] == entry
+
+
+def dense_loc_alternating(rows, exp):
+    """Alternating matrix over loc((Z/27)[X], X+1): every entry above
+    the diagonal (kX + 1) / (X + 1)^exp."""
+    out = [[{"num": [], "exp": 0}] * rows for _ in range(rows)]
+    for r in range(rows):
+        for c in range(r + 1, rows):
+            k = 1 + (r * rows + c) % 26
+            out[r][c] = {"num": [[{"X": 1}, k], [{}, 1]], "exp": exp}
+            out[c][r] = {"num": [[{"X": 1}, 27 - k], [{}, 26]], "exp": exp}
+    return out
+
+
+@pytest.mark.parametrize("command, key, extra", [
+    ("pfaffian", "matrix", {}),
+    ("standardize", "form", {"ideal": [{"num": [[{}, 3]], "exp": 0}]}),
+])
+def test_cli_loc_matrix_work_bound(monkeypatch, capsys, command, key, extra):
+    # every exp is within MAX_LOC_EXPONENT, but rows x exp is past the
+    # bound: refused before any arithmetic (test_cli_loc_exponent_bound's
+    # 2 rows at MAX_LOC_EXPONENT sit at the bound and are accepted)
+    rows = 8
+    exp = cli.MAX_LOC_MATRIX_WORK // rows + 1
+    assert exp <= jsonio.MAX_LOC_EXPONENT
+    request = dict(extra, ring=LOC_X_PLUS_1)
+    request[key] = dense_loc_alternating(rows, exp)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    start = time.perf_counter()
+    assert cli.main([command]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("field %r: rows x largest loc 'exp' must be at most %d"
+            % (key, cli.MAX_LOC_MATRIX_WORK)) in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from elemcalc import (
@@ -30,7 +32,9 @@ from elemcalc import (
     word_in_ESp1,
 )
 import elemcalc.rewrite as rewrite_module
+from elemcalc import jsonio
 from elemcalc.sampling import (
+    prime_of,
     sample_certified,
     sample_index1_linear_word,
     sample_index1_symplectic,
@@ -340,3 +344,81 @@ def test_rewrite_six_letter_conjugator(mode, seed):
         assert y_divisible(letter.param)
     specialize_and_check(res, 5, 2)
     assert specialize_and_check(res, 4, 0).is_identity()
+
+
+# Seeded rewrites over (Z/m)[X, Y] with the ideal (p, pX), p the prime
+# of m: r conjugator letters, size 4 (linear) or 6 (symplectic).
+SEEDED = [(mode, m, r) for r in (1, 2, 3, 4) for m in (25, 27, 121)
+          for mode in ("linear", "symplectic")]
+
+
+def seeded_rewrite(index):
+    mode, m, r = SEEDED[index]
+    ring = PolyRing(ZmodRing(m), ("X", "Y"))
+    p = prime_of(m)
+    ideal = IdealPresentation(ring, (ring.el(p), ring.el(p) * ring.var("X")))
+    rng = trial_rng(3, index)
+    if mode == "linear":
+        eps = sample_index1_linear_word(rng, ideal, 4, r, variables=("X",))
+        i, j = sample_linear_index1(rng, 4)
+        rewrite = rewrite_conjugation_linear
+    else:
+        eps = sample_index1_symplectic_word(rng, ideal, 6, r,
+                                            variables=("X",))
+        i, j = sample_index1_symplectic(rng, 6)
+        rewrite = rewrite_conjugation_symplectic
+    a = sample_certified(rng, ideal, max_degree=1, variables=("X",))
+    return rewrite(eps, i, j, a)
+
+
+def term_multiplied_out(term):
+    acc = term.coeff * term.ring.var("Y", term.y_exp)
+    for a in term.atoms:
+        acc = acc * a.value
+    return acc
+
+
+def test_carried_values_equal_their_products(monkeypatch):
+    # every value a term is handed (sign, scale, product, Y-shift,
+    # merge) and every cached sum is the one multiplied out afresh
+    Term, TPoly = rewrite_module._Term, rewrite_module._TPoly
+    init, value = Term.__init__, TPoly.value
+    carried = []
+
+    def checked_init(self, ring, y_exp, atoms, coeff, value=None):
+        init(self, ring, y_exp, atoms, coeff, value)
+        if value is not None:
+            assert value.payload == term_multiplied_out(self).payload
+            carried.append(value)
+
+    def checked_value(self):
+        got = value(self)
+        want = self.ring.zero
+        for t in self.terms:
+            want = want + term_multiplied_out(t)
+        assert got.payload == want.payload
+        return got
+
+    monkeypatch.setattr(Term, "__init__", checked_init)
+    monkeypatch.setattr(TPoly, "value", checked_value)
+    for index in range(len(SEEDED)):
+        assert seeded_rewrite(index).verified
+    assert len(carried) > 1000
+
+
+# SHA-256 of the canonical JSON of six seeded rewrites, pinned from the
+# rewriter that multiplied every tracked value out afresh
+SEEDED_DIGESTS = {
+    2: "2764f6e7b9031ea0bf1a0c45d42741e13f9b87c65d6210489013c8239f04f0bf",
+    8: "01a138733ff036bae555c0c38bfe6cb6d7249ba3f12e24d63e44b65fdc124330",
+    13: "527728c11fcfba26bd01373031ed8d87b81c70910ddb3a8cde520d90b14fe480",
+    15: "373cc023d4ccd689d299ec6261c2f01966d783816c4b6d7033aa6af7bdc921ca",
+    20: "6cae35de240567ddc80279d819e2fdc35d201985dbccc9eafb4f2a56c31e42b2",
+    22: "054c12c501b873db8ab5f1d30d6cb28926c6a85f8eada4c60fe04b0ad4dda200",
+}
+
+
+@pytest.mark.parametrize("index", sorted(SEEDED_DIGESTS))
+def test_seeded_rewrite_output_is_pinned(index):
+    text = jsonio.dumps(jsonio.rewrite_to_json(seeded_rewrite(index)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[index]

@@ -1,7 +1,7 @@
 """Ring and matrix arithmetic checked against independent oracles.
 
-Polynomial substitution, powers, determinants and matrix arithmetic
-over Z/m and (Z/m)[X, Y] are checked against sympy: the same
+Polynomial products, substitution, powers, determinants and matrix
+arithmetic over Z/m and (Z/m)[X, Y] are checked against sympy: the same
 computation over the integers, reduced mod m afterwards. Pfaffians are checked against the
 sum over perfect matchings of tests/test_matrices.py, and at sizes
 beyond its reach against Pf^2 = det. Localizations are checked through
@@ -15,6 +15,7 @@ import pytest
 from elemcalc.matrices import (ColumnVector, block_diagonal, col_times_row,
                                det, from_rows, pfaffian, tilde, tilde_pair)
 from elemcalc.rings import LocRing, PolyRing, ZmodRing, substitute
+from elemcalc.sampling import prime_of
 from test_matrices import pfaffian_matching_oracle
 
 sympy = pytest.importorskip("sympy")
@@ -60,6 +61,24 @@ def test_substitute_matches_sympy(m):
         got = substitute(p, bindings)
         want = reduced(sympy.expand(pe.subs(subs, simultaneous=True)), m)
         assert got.payload == want
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_product_matches_sympy(m):
+    # each factor is a multiple of p half the time, so that sums of
+    # coefficient products cancel mod m = p^2 or p^3
+    p = prime_of(m)
+    rng = random.Random(m)
+    for _ in range(24):
+        f, fe = sparse_pair(rng, m, Y_EXPONENTS, terms=rng.randint(1, 5))
+        g, ge = sparse_pair(rng, m, (0, 1, 2, 4), terms=rng.randint(1, 5))
+        if rng.random() < 0.5:
+            f, fe = f * p, fe * p
+        if rng.random() < 0.5:
+            g, ge = g * p, ge * p
+        got = f.ring.p_mul(f.payload, g.payload)
+        assert got == reduced(sympy.expand(fe * ge), m)
+        assert all(c % m for c in got.values())
 
 
 @pytest.mark.parametrize("m", MODULI)

@@ -140,6 +140,17 @@ def test_substitute_raises_by_squaring(poly_mul_calls):
         * P.var("Y", 4 ** 8)
 
 
+def test_poly_product_prunes_cancelled_terms():
+    # (3X + 3) * 9X = 27X^2 + 27X = 0 over (Z/27)[X]
+    P = PolyRing(Z27, ("X",))
+    x = P.var("X")
+    assert P.p_mul((P.el(3) * x + P.el(3)).payload,
+                   (P.el(9) * x).payload) == {}
+    # one coefficient cancels, the other stays
+    assert P.p_mul((P.el(3) * x + P.el(1)).payload,
+                   (P.el(9) * x).payload) == {(1,): 9}
+
+
 def test_poly_lifts_base_elements():
     P = make_pxy()
     assert P.el(Z27.el(5)) == P.el(5)

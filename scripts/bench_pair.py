@@ -19,12 +19,16 @@ the per-layer counts in TRACE_COUNTS; a count is exact per pass, so one
 run per side is enough to compare them.
 
 The output file keeps, per workload: every run's end-to-end metrics,
-golden-digest status and oracle verdict ("correct"), each side's set of
-golden statuses and of oracle verdicts, its median and quartiles per
-metric, and how many pairs each side won (better as BENCHMARK.json
-defines it; ties count for neither), and each side's traced counts
-("trace_counts"). Each run writes a fresh report;
-name every workload it should cover with a --workload of its own.
+output digest ("sha256"), golden-digest status and oracle verdict
+("correct"), each side's set of golden statuses and of oracle verdicts,
+whether both sides gave one and the same digest on each seed the pairs
+ran ("digests"), each side's median and quartiles per metric, how many
+pairs each side won (better as BENCHMARK.json defines it; ties count
+for neither), and each side's traced counts ("trace_counts"). The
+digest comparison does not read golden.json, so it still shows
+byte-identical outputs when both sides read "mismatch". Each run writes
+a fresh report; name every workload it should cover with a --workload
+of its own.
 """
 
 import argparse
@@ -60,8 +64,9 @@ def compile_tree(root):
 
 
 def run_once(root, workload, seed, seconds, trace=0):
-    """One benchmark run in checkout root: (metrics, golden status,
-    the oracle's verdict); per-layer metrics when trace is 1."""
+    """One benchmark run in checkout root: (metrics, output digest,
+    golden status, the oracle's verdict); per-layer metrics when trace
+    is 1."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -72,7 +77,7 @@ def run_once(root, workload, seed, seconds, trace=0):
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["failed"] = result["failed"]
-    return metrics, golden["status"], result["correct"]
+    return metrics, golden["sha256"], golden["status"], result["correct"]
 
 
 def quartiles(values):
@@ -80,6 +85,17 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def compare_digests(runs):
+    """Per seed, whether every run of both sides gave the same output
+    digest, and whether that holds on every seed."""
+    digests = {}
+    for run in runs:
+        digests.setdefault(run["seed"], set()).add(run["sha256"])
+    per_seed = {str(seed): len(found) == 1
+                for seed, found in sorted(digests.items())}
+    return {"equal": all(per_seed.values()), "per_seed": per_seed}
 
 
 def summarize(runs, better):
@@ -144,24 +160,28 @@ def main(argv=None):
                 order = ("parent", "change") if k % 2 == 0 \
                     else ("change", "parent")
                 for position, side in enumerate(order):
-                    metrics, golden, correct = run_once(
+                    metrics, digest, golden, correct = run_once(
                         roots[side], workload, seed, seconds)
                     runs.append({"pair": k, "seed": seed, "side": side,
-                                 "order": position, "golden": golden,
-                                 "correct": correct, "metrics": metrics})
+                                 "order": position, "sha256": digest,
+                                 "golden": golden, "correct": correct,
+                                 "metrics": metrics})
                     print("%s pair %d seed %d %s: calls_per_s %.1f golden %s"
                           " correct %s" % (workload, k, seed, side,
                                            metrics["calls_per_s"], golden,
                                            correct), flush=True)
             trace_counts = {}
             for side, root in roots.items():
-                metrics, golden, correct = run_once(root, workload, 0,
-                                                    seconds, trace=1)
+                metrics, digest, golden, correct = run_once(
+                    root, workload, 0, seconds, trace=1)
                 trace_counts[side] = dict(
                     {name: metrics[name] for name in TRACE_COUNTS},
-                    golden=golden, correct=correct)
+                    sha256=digest, golden=golden, correct=correct)
                 print("%s traced seed 0 %s: %s" % (
                     workload, side, trace_counts[side]), flush=True)
+            digests = compare_digests(runs)
+            print("%s digests equal on every seed: %s %s" % (
+                workload, digests["equal"], digests["per_seed"]), flush=True)
             report["workloads"][workload] = {
                 "parent": parent_rev, "change": "working tree",
                 "seconds": seconds, "pairs": args.pairs,
@@ -171,6 +191,7 @@ def main(argv=None):
                 "correct": {side: sorted({r["correct"] for r in runs
                                           if r["side"] == side})
                             for side in roots},
+                "digests": digests,
                 "summary": summarize(runs, better),
                 "trace_counts": trace_counts,
                 "runs": runs,

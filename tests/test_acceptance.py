@@ -5,15 +5,21 @@ asserts exact equality throughout, with a wall-clock ceiling. Seeds are
 fixed so failures are reproducible with the reported trial seed.
 """
 
+import contextlib
+import copy
 import hashlib
+import io
+import json
 import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elemcalc import (
     AlternatingForm,
@@ -41,7 +47,7 @@ from elemcalc import (
     word_in_E1,
     word_in_ESp1,
 )
-from elemcalc import cli
+from elemcalc import cli, jsonio
 import elemcalc.rewrite as rewrite_module
 from elemcalc.sampling import (
     sample_alternating,
@@ -261,16 +267,82 @@ README_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(README_DIGESTS))
-def test_readme_request_bytes(tmp_path, command):
-    """Each README request, run through --in/--out, gives pinned bytes."""
+def readme_request(command):
+    """The text of the README's request for command: the first json
+    block under the command's heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    # the first json block under the command's heading is its request
     found = re.search(r"^### %s\n.*?```json\n(.*?)```" % command, text,
                       re.S | re.M)
     assert found, "README has no %s request" % command
+    return found.group(1)
+
+
+@pytest.mark.parametrize("command", sorted(README_DIGESTS))
+def test_readme_request_bytes(tmp_path, command):
+    """Each README request, run through --in/--out, gives pinned bytes."""
     req, out = tmp_path / "req.json", tmp_path / "out.json"
-    req.write_text(found.group(1))
+    req.write_text(readme_request(command))
     assert cli.main([command, "--in", str(req), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == README_DIGESTS[command]
+
+
+def json_paths(node, path=()):
+    """The path of every value inside a JSON document, root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+# wrong types, null, a negative, an empty list, and one past each named
+# request limit
+HOSTILE = (
+    "x", 1.5, True, {}, None, -1, [],
+    cli.MAX_REQUEST_SIZE + 1, cli.MAX_REWRITE_LETTERS + 1,
+    cli.MAX_POLY_MATRIX_ROWS + 1, cli.MAX_LOC_MATRIX_WORK + 1,
+    jsonio.MAX_LOC_EXPONENT + 1,
+    [{}] * (cli.MAX_REWRITE_LETTERS + 1),
+    [[0] * (cli.MAX_REQUEST_SIZE + 1)] * (cli.MAX_REQUEST_SIZE + 1),
+    [[0] * (cli.MAX_POLY_MATRIX_ROWS + 1)] * (cli.MAX_POLY_MATRIX_ROWS + 1),
+    {"num": [[{}, 1]], "exp": jsonio.MAX_LOC_EXPONENT + 1},
+)
+
+README_REQUESTS = {command: json.loads(readme_request(command))
+                   for command in sorted(README_DIGESTS)}
+
+
+@st.composite
+def mutated_requests(draw):
+    """A README request with one field replaced by a hostile value."""
+    command = draw(st.sampled_from(sorted(README_REQUESTS)))
+    request = copy.deepcopy(README_REQUESTS[command])
+    path = draw(st.sampled_from(list(json_paths(request))))
+    node = request
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+    return command, request
+
+
+@settings(max_examples=60, deadline=1000)
+@given(mutated_requests())
+def test_cli_fuzz_readme_requests(case):
+    """Exit 0, 1 or 2; 1 only with a {"verified": false} payload; never
+    a traceback."""
+    command, request = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(request))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert json.loads(out.getvalue())["verified"] is (rc == 0)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import time
@@ -490,6 +491,65 @@ def test_cli_no_command(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("path", ["success", "verification-failed",
+                                  "verify"])
+def test_cli_unwritable_out(monkeypatch, tmp_path, capsys, path):
+    # every write is refused like an unreadable --in: exit 2, no traceback
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    if path == "verify":
+        argv = ["verify", "--suite", "relations", "--trials", "1"]
+    else:
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"ring": {"kind": "zmod", "m": 27},
+                                   "matrix": [[0, 1], [-1, 0]]}))
+        argv = ["pfaffian", "--in", str(req)]
+        if path == "verification-failed":
+            monkeypatch.setattr(cli, "det", lambda m: m.ring.el(5))
+    assert cli.main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and out in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_parser_carries_no_state(monkeypatch, tmp_path, capsys):
+    """Repeated calls in one process answer alike, and only the first
+    builds the parser."""
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"ring": {"kind": "zmod", "m": 27},
+                               "matrix": [[0, 1], [-1, 0]]}))
+    argvs = [["pfaffian", "--in", str(req)],
+             ["verify"],
+             ["verify", "--suite", "relations", "--trials", "-3"],
+             ["no-such-command"],
+             []]
+    built = []
+    orig = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    rounds = []
+    for _ in range(2):
+        del built[:]
+        answers = []
+        for argv in argvs:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+            captured = capsys.readouterr()
+            answers.append((rc, captured.out, captured.err))
+        rounds.append((answers, len(built)))
+    (first, built_first), (second, built_second) = rounds
+    assert first == second
+    assert [rc for rc, _, _ in first] == [0, 2, 2, 2, 2]
+    assert built_first > 0 and built_second == 0
+
+
 def test_result_serializers_have_expected_keys():
     from elemcalc import decompose_conjugate
     c = certify(I3, [Z27.el(1)])
@@ -546,27 +606,66 @@ def test_booleans_are_not_integers():
         jsonio.ring_from_json({"kind": "zmod", "m": True})
 
 
+POLY_X = {"kind": "poly", "base": {"kind": "zmod", "m": 27}, "vars": ["X"]}
+
+LOC_X_PLUS_1 = {"kind": "loc", "base": POLY_X,
+                "denom": [[{"X": 1}, 1], [{}, 1]]}
+
+
+def dense_poly_alternating(rows):
+    """Alternating matrix over (Z/27)[X]: every entry above the diagonal
+    kX + 1."""
+    out = [[[]] * rows for _ in range(rows)]
+    for r in range(rows):
+        for c in range(r + 1, rows):
+            k = 1 + (r * rows + c) % 26
+            out[r][c] = [[{"X": 1}, k], [{}, 1]]
+            out[c][r] = [[{"X": 1}, 27 - k], [{}, 26]]
+    return out
+
+
+def dense_loc_alternating(rows, exp):
+    """Alternating matrix over loc((Z/27)[X], X+1): every entry above
+    the diagonal (kX + 1) / (X + 1)^exp."""
+    return [[{"num": e, "exp": exp if e else 0} for e in row]
+            for row in dense_poly_alternating(rows)]
+
+
+# per ring kind: its descriptor, the ideal (3) over it, its row bound
+# and a dense alternating matrix with the given rows
+ROW_BOUND_RINGS = [
+    ({"kind": "zmod", "m": 27}, [3], cli.MAX_REQUEST_SIZE,
+     lambda rows: [[(c > r) - (c < r) for c in range(rows)]
+                   for r in range(rows)]),
+    (POLY_X, [[[{}, 3]]], cli.MAX_POLY_MATRIX_ROWS, dense_poly_alternating),
+    (LOC_X_PLUS_1, [{"num": [[{}, 3]], "exp": 0}], cli.MAX_POLY_MATRIX_ROWS,
+     lambda rows: dense_loc_alternating(rows, 0)),
+]
+
+
 @pytest.mark.parametrize("command, key, extra", [
     ("pfaffian", "matrix", {}),
     ("standardize", "form", {"ideal": [3]}),
 ])
 def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
-    rows = cli.MAX_REQUEST_SIZE + 1
-    request = dict(extra, ring={"kind": "zmod", "m": 27})
-    request[key] = [[(c > r) - (c < r) for c in range(rows)]
-                    for r in range(rows)]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
-    start = time.perf_counter()
-    assert cli.main([command]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert "field %r must have at most %d rows" % (key, cli.MAX_REQUEST_SIZE) \
-        in capsys.readouterr().err
-
-
-LOC_X_PLUS_1 = {"kind": "loc",
-                "base": {"kind": "poly", "base": {"kind": "zmod", "m": 27},
-                         "vars": ["X"]},
-                "denom": [[{"X": 1}, 1], [{}, 1]]}
+    # one past the bound is refused before its entries are decoded; at
+    # the bound the undecodable entries are reached
+    assert cli.MAX_POLY_MATRIX_ROWS < cli.MAX_REQUEST_SIZE
+    for ring, ideal, bound, dense in ROW_BOUND_RINGS:
+        message = "field %r must have at most %d rows" % (key, bound)
+        request = {"ring": ring, key: dense(bound + 1)}
+        if "ideal" in extra:
+            request["ideal"] = ideal
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        start = time.perf_counter()
+        assert cli.main([command]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+        request[key] = [[None] * bound] * bound
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        assert cli.main([command]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message not in err
 
 
 def test_cli_loc_exponent_bound(monkeypatch, capsys):
@@ -586,18 +685,6 @@ def test_cli_loc_exponent_bound(monkeypatch, capsys):
         assert (bound in captured.err) is (rc == 2)
         if rc == 0:
             assert json.loads(captured.out)["pfaffian"] == entry
-
-
-def dense_loc_alternating(rows, exp):
-    """Alternating matrix over loc((Z/27)[X], X+1): every entry above
-    the diagonal (kX + 1) / (X + 1)^exp."""
-    out = [[{"num": [], "exp": 0}] * rows for _ in range(rows)]
-    for r in range(rows):
-        for c in range(r + 1, rows):
-            k = 1 + (r * rows + c) % 26
-            out[r][c] = {"num": [[{"X": 1}, k], [{}, 1]], "exp": exp}
-            out[c][r] = {"num": [[{"X": 1}, 27 - k], [{}, 26]], "exp": exp}
-    return out
 
 
 @pytest.mark.parametrize("command, key, extra", [

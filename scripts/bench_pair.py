@@ -24,7 +24,10 @@ output digest ("sha256"), golden-digest status and oracle verdict
 whether both sides gave one and the same digest on each seed the pairs
 ran ("digests"), each side's median and quartiles per metric, how many
 pairs each side won (better as BENCHMARK.json defines it; ties count
-for neither), and each side's traced counts ("trace_counts"). The
+for neither), and each side's traced counts ("trace_counts"). At its
+top level it keeps each side's total line count of src/elemcalc/*.py
+("src_lines"), the measure of ROADMAP aim 2 (the same results from
+fewer lines). The
 digest comparison does not read golden.json, so it still shows
 byte-identical outputs when both sides read "mismatch". Each run writes
 a fresh report; name every workload it should cover with a --workload
@@ -32,6 +35,7 @@ of its own.
 """
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -46,6 +50,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # and the self-checks (every evaluate and matrix comparison)
 TRACE_COUNTS = ("rings.poly_mul.calls", "rings.zmod_mul.calls",
                 "words.evaluate.calls", "matrices.eq.calls")
+
+
+def src_lines(root):
+    """Total line count of root's src/elemcalc/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "elemcalc", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
 
 
 def export(rev, dest):
@@ -151,6 +164,8 @@ def main(argv=None):
     try:
         export(parent_rev, parent_dir)
         roots = {"parent": parent_dir, "change": ROOT}
+        report["src_lines"] = {side: src_lines(root)
+                               for side, root in roots.items()}
         for root in roots.values():
             compile_tree(root)
         for workload in args.workload:

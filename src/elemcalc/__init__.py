@@ -74,18 +74,25 @@ from .matrices import (
     zero_vector,
 )
 from .words import (
+    ElementaryLetter,
     LinLetter,
+    LowerTransLetter,
     MuLetter,
     RELATION_TAGS,
     RhoLetter,
+    ShearLetter,
     SympLetter,
+    TransvectionLetter,
+    UpperTransLetter,
     Word,
     check_relation,
     commutator_word,
     conjugate_word,
+    entry_pattern,
     evaluate,
     expand_mu,
     expand_rho,
+    index1_form,
     invert_word,
     recording,
     symplectic_entry_pattern,
@@ -116,9 +123,7 @@ from .bridge import (
     AlternatingForm,
     E1_to_etrans,
     ESp1_to_etranssp,
-    LowerTransLetter,
     StandardizationResult,
-    UpperTransLetter,
     etrans_word_to_E1,
     etranssp_word_to_ESp1,
     mu_matrix,

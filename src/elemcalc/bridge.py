@@ -14,17 +14,17 @@ returned.
 """
 
 from .errors import (BadIndices, FormMismatch, FormRelationFails,
-                     IdealMismatch, LengthMismatch, NotAlternating,
-                     NotCertified, NotCongruentToStandard, NotLocalRing,
-                     NonstandardForm, PfaffianNotOne, VerificationFailed)
+                     IdealMismatch, NotAlternating, NotCertified,
+                     NotCongruentToStandard, NotLocalRing, NonstandardForm,
+                     PfaffianNotOne, VerificationFailed)
 from .matrices import (ColumnVector, block_diagonal, check_equal,
                        from_rows, identity, is_alternating, pfaffian,
                        sigma_index as sigma, standard_symplectic_form)
 from .rings import ZmodRing, certify, invert_unit
 from .sampling import prime_of
-from .words import (LinLetter, MuLetter, RhoLetter, SympLetter, Word,
-                    _Letter, check_evaluation, evaluate, expand_mu, expand_rho,
-                    invert_word, word_in_E1, word_in_ESp1)
+from .words import (ElementaryLetter, ShearLetter, TransvectionLetter, Word,
+                    check_evaluation, evaluate, expand_mu, expand_rho,
+                    index1_form, invert_word, word_in_E1, word_in_ESp1)
 
 
 class AlternatingForm:
@@ -51,25 +51,17 @@ class AlternatingForm:
     def size(self):
         return self.matrix.rows
 
-    def entry(self, i, j):
-        return self.matrix.entry(i, j)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlternatingForm):
-            return NotImplemented
-        return self.matrix == other.matrix
-
     def __repr__(self):
         return "AlternatingForm(%dx%d, pf=%r)" % (
             self.size, self.size, self.pfaffian_cache)
 
 
-def _checked_block(letter_cls, q, scalar, phi):
+def _checked_block(kind, q, scalar, phi):
     fm = phi.matrix if isinstance(phi, AlternatingForm) else phi
     if q.length != fm.rows:
         raise FormMismatch("vector length %d against form size %d"
                            % (q.length, fm.rows))
-    m = letter_cls(q, scalar, fm).matrix()
+    m = TransvectionLetter(kind, q, scalar, fm).matrix()
     # the form on two extra head coordinates followed by the given block
     big = block_diagonal(standard_symplectic_form(fm.ring, 1), fm)
     check_equal(m.transpose() * big * m, big,
@@ -79,88 +71,22 @@ def _checked_block(letter_cls, q, scalar, phi):
 
 def rho_matrix(q, alpha, phi):
     """Row-type transvection matrix for the form phi, isometry-checked."""
-    return _checked_block(RhoLetter, q, alpha, phi)
+    return _checked_block("rho", q, alpha, phi)
 
 
 def mu_matrix(q, beta, phi):
     """Column-type transvection matrix for the form phi, isometry-checked."""
-    return _checked_block(MuLetter, q, beta, phi)
-
-
-def _checked_certs(vec, certs):
-    if certs is None:
-        return None
-    certs = tuple(certs)
-    if len(certs) != vec.length:
-        raise LengthMismatch("%d certificates for %d entries"
-                             % (len(certs), vec.length))
-    for idx, c in enumerate(certs):
-        if c is not None and c.value != vec.entry(idx + 1):
-            raise NotCertified("certificate value does not match entry %d"
-                               % (idx + 1,))
-    return certs
-
-
-class _ShearLetter(_Letter):
-    """Linear shear between the head coordinate and the tail as a word
-    letter; subclasses place vector entry idx (0-based) at cell(idx)."""
-
-    __slots__ = ("vec", "certs", "size")
-
-    def __init__(self, vec, certs=None):
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "certs", _checked_certs(vec, certs))
-        object.__setattr__(self, "size", vec.length + 1)
-
-    @property
-    def ring(self):
-        return self.vec.ring
-
-    def column_ops(self, inverted=False):
-        ring = self.ring
-        ops = []
-        for idx, p in enumerate(self.vec.payloads):
-            if ring.p_is_zero(p):
-                continue
-            ops.append(self.cell(idx) + (ring.p_neg(p) if inverted else p,))
-        return ops
-
-    def __repr__(self):
-        return "shear-%s(%r)" % (self.direction, self.vec)
-
-
-class LowerTransLetter(_ShearLetter):
-    """Tail shear (a, p) -> (a, p + a*vec) as a word letter."""
-
-    kind = "trans-lower"
-    direction = "lower"
-    __slots__ = ()
-
-    @staticmethod
-    def cell(idx):
-        return idx + 2, 1
-
-
-class UpperTransLetter(_ShearLetter):
-    """Head shear (a, p) -> (a + vec.p, p) as a word letter."""
-
-    kind = "trans-upper"
-    direction = "upper"
-    __slots__ = ()
-
-    @staticmethod
-    def cell(idx):
-        return 1, idx + 2
+    return _checked_block("mu", q, beta, phi)
 
 
 class _Fold:
-    """Per-slot sums of a run of same-direction letters: a value and a
+    """Per-slot sums of a run of same-kind letters: a value and a
     certificate per slot. One uncertified summand leaves the run
     without certificates."""
 
-    def __init__(self, ring, slots, direction):
+    def __init__(self, ring, slots, kind):
         self.ring = ring
-        self.direction = direction
+        self.kind = kind
         self.vals = [ring.zero] * slots
         self.certs = [None] * slots
         self.certified = True
@@ -189,18 +115,18 @@ class _Fold:
 
 
 def _regroup(w, classify, new_fold):
-    """Fold each maximal run of one direction into one letter.
+    """Fold each maximal run of one kind into one letter.
 
-    classify(letter, inv) gives (direction, slot, p, cert); a fold's
+    classify(letter, inv) gives (kind, slot, p, cert); a fold's
     letter() may drop its run by returning None.
     """
     letters = []
     fold = None
     for letter, inv in w.letters:
-        direction, slot, p, cert = classify(letter, inv)
-        if fold is None or fold.direction != direction:
+        kind, slot, p, cert = classify(letter, inv)
+        if fold is None or fold.kind != kind:
             letters.append(None if fold is None else fold.letter())
-            fold = new_fold(direction)
+            fold = new_fold(kind)
         fold.feed(slot, p, cert)
     letters.append(None if fold is None else fold.letter())
     result = Word(w.ring, w.size,
@@ -222,7 +148,7 @@ def _spell(w, letters_of, what):
 
 
 def _shear_letters(letter, inv):
-    if not isinstance(letter, _ShearLetter):
+    if letter.kind not in ("trans-lower", "trans-upper"):
         raise BadIndices("expected linear shear letters, got %r"
                          % (letter.kind,))
     out = []
@@ -234,7 +160,7 @@ def _shear_letters(letter, inv):
         if c is None:
             raise NotCertified("shear parameters need certificates")
         i, j = letter.cell(idx)
-        out.append((LinLetter(letter.size, i, j, p, c), inv))
+        out.append((ElementaryLetter("E", letter.size, i, j, p, c), inv))
     return out
 
 
@@ -247,15 +173,15 @@ def _linear_summand(letter, inv):
     if letter.kind != "E":
         raise BadIndices("expected linear letters, got %r" % (letter.kind,))
     if letter.j == 1 and letter.i >= 2:
-        direction, slot = "lower", letter.i - 2
+        kind, slot = "trans-lower", letter.i - 2
     elif letter.i == 1 and letter.j >= 2:
-        direction, slot = "upper", letter.j - 2
+        kind, slot = "trans-upper", letter.j - 2
     else:
         raise BadIndices("letters must touch the first index")
     p, c = letter.param, letter.cert
     if inv:
         p, c = -p, None if c is None else -c
-    return direction, slot, p, c
+    return kind, slot, p, c
 
 
 class _ShearFold(_Fold):
@@ -267,9 +193,8 @@ class _ShearFold(_Fold):
     def letter(self):
         if self.is_zero():
             return None
-        cls = (LowerTransLetter if self.direction == "lower"
-               else UpperTransLetter)
-        return cls(ColumnVector(self.ring, self.vals), self.packed())
+        return ShearLetter(self.kind, ColumnVector(self.ring, self.vals),
+                           self.packed())
 
 
 def E1_to_etrans(w, ideal=None):
@@ -278,7 +203,7 @@ def E1_to_etrans(w, ideal=None):
         raise NotCertified("expected a certified first-index linear word")
     n = w.size - 1
     return _regroup(w, _linear_summand,
-                    lambda direction: _ShearFold(w.ring, n, direction))
+                    lambda kind: _ShearFold(w.ring, n, kind))
 
 
 def _transvection_letters(letter, inv, std):
@@ -306,7 +231,7 @@ def _symplectic_summand(letter, inv):
     if letter.kind != "se":
         raise BadIndices("expected symplectic letters, got %r"
                          % (letter.kind,))
-    form = SympLetter.index1_form(letter.i, letter.j)
+    form = index1_form("se", letter.i, letter.j)
     if form is None:
         raise BadIndices("letters must touch the first index "
                          "up to the pairing swap")
@@ -315,17 +240,17 @@ def _symplectic_summand(letter, inv):
         sign = -sign
     if j == 1:
         # row type: se_(i,1)(p) adds -p to the scalar or coordinate i - 2
-        direction, slot, sign = "rho", (0 if i == 2 else i - 2), -sign
+        kind, slot, sign = "rho", (0 if i == 2 else i - 2), -sign
     elif j == 2:
-        direction, slot = "mu", 0
+        kind, slot = "mu", 0
     else:
-        direction, slot = "mu", sigma(j - 2)
+        kind, slot = "mu", sigma(j - 2)
         if j % 2 == 0:
             sign = -sign
     p, c = letter.param, letter.cert
     if sign == -1:
         p, c = -p, None if c is None else -c
-    return direction, slot, p, c
+    return kind, slot, p, c
 
 
 class _TransvFold(_Fold):
@@ -334,8 +259,8 @@ class _TransvFold(_Fold):
     turns (q, s) into (q + qhat, s + q.form.qhat), which is verified a
     posteriori by evaluation. A run that sums to zero is dropped."""
 
-    def __init__(self, ring, form_matrix, direction):
-        super().__init__(ring, form_matrix.rows + 1, direction)
+    def __init__(self, ring, form_matrix, kind):
+        super().__init__(ring, form_matrix.rows + 1, kind)
         self.form = form_matrix
 
     def feed(self, slot, p, cert):
@@ -353,9 +278,9 @@ class _TransvFold(_Fold):
         packed = self.packed()
         if packed is not None:
             packed = (packed[0], packed[1:])
-        cls = RhoLetter if self.direction == "rho" else MuLetter
-        return cls(ColumnVector(self.ring, self.vals[1:]), self.vals[0],
-                   self.form, packed)
+        return TransvectionLetter(self.kind,
+                                  ColumnVector(self.ring, self.vals[1:]),
+                                  self.vals[0], self.form, packed)
 
 
 def ESp1_to_etranssp(w, ideal=None):
@@ -366,7 +291,7 @@ def ESp1_to_etranssp(w, ideal=None):
         raise BadIndices("need at least one form coordinate pair")
     std = standard_symplectic_form(w.ring, (w.size - 2) // 2)
     return _regroup(w, _symplectic_summand,
-                    lambda direction: _TransvFold(w.ring, std, direction))
+                    lambda kind: _TransvFold(w.ring, std, kind))
 
 
 def transport_conjugation(letter, eps, target_form=None):
@@ -411,7 +336,8 @@ def transport_conjugation(letter, eps, target_form=None):
                     acc = piece if acc is None else acc + piece
                 moved.append(acc if acc is not None else sc.ideal.zero_cert())
             certs = (sc, tuple(moved))
-    new_letter = type(letter)(q_new, letter.scalar, phi_new, certs)
+    new_letter = TransvectionLetter(letter.kind, q_new, letter.scalar, phi_new,
+                                    certs)
     big = block_diagonal(one, one, emb)
     big_inv = block_diagonal(one, one, emb_inv)
     check_equal(big_inv * letter.matrix() * big, new_letter.matrix(),
@@ -618,7 +544,8 @@ def standardize_alternating(phi, ideal):
         cert = _member_cert(ideal, lam, p, k)
         if cert is None:
             relative = False
-        letters.append((LinLetter(size - 1, c - 1, d - 1, lam, cert), False))
+        letter = ElementaryLetter("E", size - 1, c - 1, d - 1, lam, cert)
+        letters.append((letter, False))
     eps_word = invert_word(Word(ring, size - 1, letters))
 
     emb = block_diagonal(identity(ring, 1), evaluate(eps_word))

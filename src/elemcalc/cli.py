@@ -85,17 +85,21 @@ def _int_field(data, key, minimum=None, maximum=None, default=None):
 def _matrix_field(data, key, ring):
     """The matrix data[key], refused before its entries are decoded when
     it has more than MAX_REQUEST_SIZE rows, or more than
-    MAX_POLY_MATRIX_ROWS over a polynomial ring or a localization, and
-    before any arithmetic when it lies over a localization and its rows
-    times its largest denominator exponent exceed MAX_LOC_MATRIX_WORK."""
+    MAX_POLY_MATRIX_ROWS over a polynomial ring or a localization, or
+    when it is not square, and before any arithmetic when it lies over a
+    localization and its rows times its largest denominator exponent
+    exceed MAX_LOC_MATRIX_WORK."""
     if key not in data:
         raise DescriptorMismatch("input needs a %s" % (key,))
     rows = data[key]
     bound = MAX_POLY_MATRIX_ROWS if isinstance(ring, (PolyRing, LocRing)) \
         else MAX_REQUEST_SIZE
-    if isinstance(rows, list) and len(rows) > bound:
-        raise DescriptorMismatch("field %r must have at most %d rows"
-                                 % (key, bound))
+    if isinstance(rows, list):
+        if len(rows) > bound:
+            raise DescriptorMismatch("field %r must have at most %d rows"
+                                     % (key, bound))
+        jsonio._need_square(rows, len(rows),
+                            "field %r must be square" % (key,))
     m = jsonio.matrix_from_json(ring, rows)
     if isinstance(ring, LocRing):
         work = m.rows * max(exp for _, exp in m.payloads)

@@ -21,7 +21,7 @@ from .rings import (
     ZmodRing,
     certify,
 )
-from .words import LinLetter, MuLetter, RhoLetter, SympLetter, Word
+from .words import ElementaryLetter, TransvectionLetter, Word
 
 
 # The largest exponent of the denominator a localization element may
@@ -216,17 +216,19 @@ def _cert_or_none(cert):
     return None if cert is None else certified_to_json(cert)
 
 
+# the JSON field that holds a transvection letter's scalar, per kind
+_SCALAR_KEY = {"rho": "alpha", "mu": "beta"}
+
+
 def letter_to_json(letter, inv):
-    if isinstance(letter, (LinLetter, SympLetter)):
-        gen = "E" if isinstance(letter, LinLetter) else "se"
+    gen = letter.kind
+    if gen in ("E", "se"):
         return {"gen": gen, "i": letter.i, "j": letter.j,
                 "param": element_to_json(letter.param),
                 "inv": bool(inv), "cert": _cert_or_none(letter.cert)}
-    if isinstance(letter, (RhoLetter, MuLetter)):
-        rho = isinstance(letter, RhoLetter)
-        out = {"gen": "rho" if rho else "mu",
-               "q": vector_to_json(letter.q),
-               ("alpha" if rho else "beta"): element_to_json(letter.scalar),
+    if gen in _SCALAR_KEY:
+        out = {"gen": gen, "q": vector_to_json(letter.q),
+               _SCALAR_KEY[gen]: element_to_json(letter.scalar),
                "form": matrix_to_json(letter.form),
                "inv": bool(inv)}
         if letter.certs is None:
@@ -239,6 +241,14 @@ def letter_to_json(letter, inv):
     raise DescriptorMismatch("cannot encode letter %r" % (letter,))
 
 
+def _need_square(rows, n, message):
+    """Refuse a list of rows that is not n x n before any of its entries
+    is decoded; anything else is left to matrix_from_json."""
+    if isinstance(rows, list) and (len(rows) != n or any(
+            isinstance(row, list) and len(row) != n for row in rows)):
+        raise DescriptorMismatch(message)
+
+
 def letter_from_json(ring, size, data, ideal=None):
     gen = _need(data, "gen", "letter")
     inv = data.get("inv")
@@ -246,35 +256,32 @@ def letter_from_json(ring, size, data, ideal=None):
         inv = False
     elif not isinstance(inv, bool):
         raise DescriptorMismatch("letter field 'inv' must be true or false")
+    cert_data = data.get("cert")
+    if cert_data is not None and ideal is None:
+        raise DescriptorMismatch(
+            "certificate supplied without an ideal in context")
     if gen in ("E", "se"):
         i = _need_int(_need(data, "i", "letter"), "letter field 'i'")
         j = _need_int(_need(data, "j", "letter"), "letter field 'j'")
         param = element_from_json(ring, _need(data, "param", "letter"))
-        cert_data = data.get("cert")
         cert = None
         if cert_data is not None:
-            if ideal is None:
-                raise DescriptorMismatch(
-                    "certificate supplied without an ideal in context")
             cert = certified_from_json(ideal, cert_data)
             if cert.value != param:
                 raise DescriptorMismatch(
                     "certificate does not reproduce the parameter")
-        cls = LinLetter if gen == "E" else SympLetter
-        return cls(size, i, j, param, cert), inv
+        return ElementaryLetter(gen, size, i, j, param, cert), inv
     if gen in ("rho", "mu"):
         q = vector_from_json(ring, _need(data, "q", "transvection letter"))
-        key = "alpha" if gen == "rho" else "beta"
-        scalar = element_from_json(ring, _need(data, key,
+        scalar = element_from_json(ring, _need(data, _SCALAR_KEY[gen],
                                                "transvection letter"))
-        form = matrix_from_json(ring, _need(data, "form",
-                                            "transvection letter"))
-        cert_data = data.get("cert")
+        form_data = _need(data, "form", "transvection letter")
+        _need_square(form_data, q.length,
+                     "transvection letter field 'form' must be %d x %d"
+                     % (q.length, q.length))
+        form = matrix_from_json(ring, form_data)
         certs = None
         if cert_data is not None:
-            if ideal is None:
-                raise DescriptorMismatch(
-                    "certificate supplied without an ideal in context")
             sc = certified_from_json(
                 ideal, _need(cert_data, "scalar", "transvection certificate"))
             q_data = _need(cert_data, "q", "transvection certificate")
@@ -288,8 +295,7 @@ def letter_from_json(ring, size, data, ideal=None):
                 raise DescriptorMismatch(
                     "certificates do not reproduce the letter data")
             certs = (sc, qcs)
-        cls = RhoLetter if gen == "rho" else MuLetter
-        return cls(q, scalar, form, certs), inv
+        return TransvectionLetter(gen, q, scalar, form, certs), inv
     raise DescriptorMismatch("unknown generator tag %r" % (gen,))
 
 

@@ -25,12 +25,13 @@ from .matrices import identity as identity_matrix
 from .matrices import sigma_index as sigma
 from .rings import PolyRing, half, square_factors, substitute
 from .words import (
-    LinLetter,
-    SympLetter,
+    ElementaryLetter,
     Word,
     check_evaluation,
     conjugate_word,
+    entry_pattern,
     evaluate,
+    index1_form,
     note,
     recording,
     word_in_E1,
@@ -48,26 +49,26 @@ def _single_letter_cert(p):
     return cert
 
 
-def _include_I2(letter, size, i, j, p, halve_short=False):
+def _include_I2(kind, size, i, j, p, halve_short=False):
     """Each product term of p becomes the corner commutator
     [x_i1(x), x_1j(y)]; with halve_short, a target at (i, sigma(i))
     takes y / 2, since that commutator doubles its entry."""
     ring = p.ideal.base.ring
     if i == j or not (1 <= i <= size and 1 <= j <= size):
         raise BadIndices("bad letter indices (%d, %d)" % (i, j))
-    if letter.index1_form(i, j) is not None:
+    if index1_form(kind, i, j) is not None:
         if p.value.is_zero():
             return Word(ring, size)
         cert = _single_letter_cert(p)
-        return Word(ring, size,
-                    ((letter(size, i, j, cert.value, cert), False),))
+        return Word(ring, size, ((ElementaryLetter(
+            kind, size, i, j, cert.value, cert), False),))
     h = half(ring) if halve_short and j == sigma(i) else None
     letters = []
     for x, y in square_factors(p):
         if h is not None:
             y = y.scale(h)
-        a = letter(size, i, 1, x.value, x)
-        b = letter(size, 1, j, y.value, y)
+        a = ElementaryLetter(kind, size, i, 1, x.value, x)
+        b = ElementaryLetter(kind, size, 1, j, y.value, y)
         letters += [(a, False), (b, False), (a, True), (b, True)]
     return Word(ring, size, letters)
 
@@ -79,7 +80,7 @@ def include_I2_linear(n, i, j, p):
     When neither index is 1 each product term becomes a four-letter
     commutator through the corner; otherwise one letter suffices.
     """
-    return _include_I2(LinLetter, n, i, j, p)
+    return _include_I2("E", n, i, j, p)
 
 
 def include_I2_symplectic(n, i, j, p):
@@ -93,7 +94,7 @@ def include_I2_symplectic(n, i, j, p):
     """
     if n < 2:
         raise DimensionTooSmall("inclusion needs at least two pairs")
-    return _include_I2(SympLetter, 2 * n, i, j, p, halve_short=True)
+    return _include_I2("se", 2 * n, i, j, p, halve_short=True)
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +324,20 @@ def _halves(term, extra=None):
 
 
 class _System:
-    """An alphabet: entry patterns, letters and index-1 presentations
-    come from the letter class."""
+    """An alphabet of elementary letters of one kind: its entry pattern,
+    letters and index-1 presentations come from words; name labels the
+    trace and the check messages."""
 
     def __init__(self, ring, size):
         self.ring = ring
         self.size = size
-        self.pattern = self.letter.entry_pattern
+        self.pattern = entry_pattern(self.kind)
 
     def make_letter(self, i, j, value, cert=None):
-        return self.letter(self.size, i, j, value, cert)
+        return ElementaryLetter(self.kind, self.size, i, j, value, cert)
 
     def literal_index1(self, i, j, poly):
-        form = self.letter.index1_form(i, j)
+        form = index1_form(self.kind, i, j)
         if form is None:
             return None
         i, j, sign = form
@@ -343,8 +345,8 @@ class _System:
 
 
 class _LinearSystem(_System):
-    kind = "linear"
-    letter = LinLetter
+    kind = "E"
+    name = "linear"
 
     def split_cell(self, p, q, term):
         u, v = _halves(term)
@@ -370,8 +372,8 @@ class _LinearSystem(_System):
 
 
 class _SymplecticSystem(_System):
-    kind = "symplectic"
-    letter = SympLetter
+    kind = "se"
+    name = "symplectic"
 
     def __init__(self, ring, size):
         super().__init__(ring, size)
@@ -574,8 +576,8 @@ def _conjugate_one(system, g_rec, t_rec):
         _records_word(system, records), want,
         "case emission does not reproduce the conjugate "
         "(%s conjugator (%d, %d), target (%d, %d))"
-        % (system.kind, gi, gj, ti, tj))
-    note(system.kind + "/" + shape, "g=(%d,%d) t=(%d,%d) -> %d letters",
+        % (system.name, gi, gj, ti, tj))
+    note(system.name + "/" + shape, "g=(%d,%d) t=(%d,%d) -> %d letters",
          gi, gj, ti, tj, len(records))
     return records
 
@@ -702,7 +704,7 @@ def rewrite_conjugation_linear(eps, i, j, a_poly):
     if n < 3:
         raise DimensionTooSmall("linear rewriting needs size at least 3")
     ideal = _check_inputs(eps, i, j, a_poly, n)
-    if LinLetter.index1_form(i, j) is None:
+    if index1_form("E", i, j) is None:
         raise BadIndices("target generator must be first-index")
     if not word_in_E1(eps, ideal):
         raise NotCertified(
@@ -723,7 +725,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
             "symplectic rewriting needs even size at least 4")
     half(eps.ring)
     ideal = _check_inputs(eps, i, j, a_poly, size)
-    if SympLetter.index1_form(i, j) is None:
+    if index1_form("se", i, j) is None:
         raise BadIndices(
             "target generator must be first-index up to sigma")
     if not word_in_ESp1(eps, ideal):

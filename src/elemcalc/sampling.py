@@ -26,7 +26,7 @@ from .matrices import (
     standard_symplectic_form,
 )
 from .rings import PolyRing, ZmodRing, certify
-from .words import LinLetter, SympLetter, Word, evaluate
+from .words import ElementaryLetter, LinLetter, SympLetter, Word, evaluate
 
 MODULI = (25, 27, 121)
 
@@ -145,27 +145,27 @@ def sample_symplectic_word(rng, ring, size, letters, max_degree=1):
     return out
 
 
-def _index1_word(rng, ideal, size, letters, variables, letter, indices):
+def _index1_word(rng, ideal, size, letters, variables, kind, indices):
     out = Word(ideal.ring, size)
     for _ in range(letters):
         i, j = indices(rng, size)
         cert = sample_certified(rng, ideal, max_degree=1,
                                 variables=variables)
-        out = out.append(letter(size, i, j, cert.value, cert=cert),
+        out = out.append(ElementaryLetter(kind, size, i, j, cert.value, cert),
                          inverted=rng.random() < 0.3)
     return out
 
 
 def sample_index1_linear_word(rng, ideal, n, letters, variables=None):
     """Certified first-index linear word over the given ideal."""
-    return _index1_word(rng, ideal, n, letters, variables, LinLetter,
+    return _index1_word(rng, ideal, n, letters, variables, "E",
                         sample_linear_index1)
 
 
 def sample_index1_symplectic_word(rng, ideal, size, letters,
                                   variables=None):
     """Certified first-index symplectic word over the given ideal."""
-    return _index1_word(rng, ideal, size, letters, variables, SympLetter,
+    return _index1_word(rng, ideal, size, letters, variables, "se",
                         sample_index1_symplectic)
 
 

@@ -24,8 +24,6 @@ from .bridge import (
     AlternatingForm,
     E1_to_etrans,
     ESp1_to_etranssp,
-    LowerTransLetter,
-    UpperTransLetter,
     etrans_word_to_E1,
     etranssp_word_to_ESp1,
     rho_matrix,
@@ -83,9 +81,11 @@ from .sampling import (
 )
 from .words import (
     LinLetter,
+    LowerTransLetter,
     MuLetter,
     RELATION_TAGS,
     RhoLetter,
+    UpperTransLetter,
     Word,
     check_relation,
     evaluate,
@@ -392,8 +392,8 @@ def _sample_etrans_word(rng, ring, ideal, nvec, letters):
     out = Word(ring, nvec + 1)
     for _ in range(letters):
         vec, certs = _certified_vector(rng, ideal, nvec)
-        cls = LowerTransLetter if rng.random() < 0.5 else UpperTransLetter
-        out = out.append(cls(vec, certs), inverted=rng.random() < 0.3)
+        make = LowerTransLetter if rng.random() < 0.5 else UpperTransLetter
+        out = out.append(make(vec, certs), inverted=rng.random() < 0.3)
     return out
 
 
@@ -403,8 +403,8 @@ def _sample_transvection_word(rng, ring, ideal, nq, letters):
     for _ in range(letters):
         q, qcs = _certified_vector(rng, ideal, 2 * nq)
         sc = sample_certified(rng, ideal)
-        cls = RhoLetter if rng.random() < 0.5 else MuLetter
-        out = out.append(cls(q, sc.value, form, (sc, qcs)),
+        make = RhoLetter if rng.random() < 0.5 else MuLetter
+        out = out.append(make(q, sc.value, form, (sc, qcs)),
                          inverted=rng.random() < 0.3)
     return out
 

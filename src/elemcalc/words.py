@@ -1,8 +1,10 @@
 """Symbolic generator alphabet and words over it.
 
-Three letter families: elementary letters (linear E_ij and symplectic
-se_ij), the block transvections rho and mu relative to an alternating
-form, and the linear shears of the bridge module. Every letter is
+Three letter shapes, one class each, whose kind field names the
+family: elementary letters (kind "E" for linear E_ij, "se" for
+symplectic se_ij), block transvections relative to an alternating form
+("rho", "mu") and linear shears ("trans-lower", "trans-upper"). This
+module alone maps a kind to its cells and checks. Every letter is
 1 + N with N^2 = 0, given by the few cells of N. Words are ordered
 products of letters with inversion flags; evaluation is exact and
 applies each letter's cells as column operations.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 
-from .errors import (BadIndices, NonstandardForm, NotAlternating,
-                     SideConditionViolated)
+from .errors import (BadIndices, LengthMismatch, NonstandardForm,
+                     NotAlternating, NotCertified, SideConditionViolated)
 from .matrices import (
     ExactMatrix,
     check_equal,
@@ -40,14 +42,69 @@ def symplectic_entry_pattern(i, j):
     return ((i, j, 1), sigma_swap(i, j))
 
 
+def sigma_swap(i, j):
+    """The other presentation of se_ij as (sigma(j), sigma(i), sign).
+
+    se_ij(z) = se_{sigma(j) sigma(i)}(sign z) as matrices, with
+    sign = (-1)^(i+j+1).
+    """
+    return sigma(j), sigma(i), (1 if (i + j) % 2 == 1 else -1)
+
+
+# the entry pattern of each elementary kind: E_ij is one cell, se_ij
+# one cell or a sigma-symmetric pair
+_ENTRY_PATTERNS = {"E": lambda i, j: ((i, j, 1),),
+                   "se": symplectic_entry_pattern}
+
+
+def entry_pattern(kind):
+    """The function (i, j) -> cells ((row, col, sign), ...) of the
+    elementary kind "E" or "se"; sign multiplies the parameter."""
+    if kind not in _ENTRY_PATTERNS:
+        raise BadIndices("unknown elementary kind %r" % (kind,))
+    return _ENTRY_PATTERNS[kind]
+
+
+def index1_form(kind, i, j):
+    """(i', j', sign) with x_ij(z) = x_i'j'(sign z) and 1 in (i', j'),
+    for x the elementary kind "E" or "se"; None when no presentation
+    touches index 1. An se letter has a second presentation, its
+    sigma_swap, so it is index-1 iff an index lies in the first pair.
+    """
+    if i == 1 or j == 1:
+        return i, j, 1
+    if kind == "se" and (sigma(i) == 1 or sigma(j) == 1):
+        return sigma_swap(i, j)
+    return None
+
+
+def _check_cert(cert, value, what):
+    if cert is not None and cert.value != value:
+        raise NotCertified("certificate value does not match %s" % (what,))
+
+
+def _checked_certs(vec, certs):
+    """certs as a tuple, one certificate (or None) per entry of vec;
+    LengthMismatch for a wrong count, NotCertified for a wrong value."""
+    if certs is not None:
+        certs = tuple(certs)
+        if len(certs) != vec.length:
+            raise LengthMismatch("%d certificates for %d entries"
+                                 % (len(certs), vec.length))
+        for idx, c in enumerate(certs):
+            _check_cert(c, vec.entry(idx + 1), "entry %d" % (idx + 1,))
+    return certs
+
+
 class _Letter:
     """A letter 1 + N with N^2 = 0, given by the cells of N.
 
-    Subclasses supply size, ring and column_ops(inverted): the cells of
-    N (of -N when inverted) as (row, col, payload) triples, ordered so
-    that no cell's row is the column of an earlier cell. Applying the
-    cells in turn as column operations then multiplies by the letter,
-    and since N^2 = 0 the inverse 1 - N is the same letter at -N.
+    Each shape supplies kind, size, ring and column_ops(inverted): the
+    cells of N (of -N when inverted) as (row, col, payload) triples,
+    ordered so that no cell's row is the column of an earlier cell.
+    Applying the cells in turn as column operations then multiplies by
+    the letter, and since N^2 = 0 the inverse 1 - N is the same letter
+    at -N.
     """
 
     __slots__ = ()
@@ -57,34 +114,39 @@ class _Letter:
         raise AttributeError("letters are immutable")
 
     def matrix(self, inverted=False):
-        """The dense matrix: the letter's cells written into the identity."""
+        """The dense matrix: the letter's cells written into the identity;
+        an se letter's is checked against the standard form."""
         n = self.size
         m = list(identity(self.ring, n).payloads)
         for r, c, p in self.column_ops(inverted):
             m[(r - 1) * n + c - 1] = p
-        return ExactMatrix(self.ring, n, n, m)
+        out = ExactMatrix(self.ring, n, n, m)
+        if self.kind == "se" and not is_symplectic(out):
+            raise NotAlternating("symplectic generator failed its form check")
+        return out
 
 
-class _ElementaryLetter(_Letter):
-    """Identity plus param times the class's entry pattern at (i, j).
+class ElementaryLetter(_Letter):
+    """Identity plus param times the kind's entry pattern at (i, j):
+    E_ij(param) for kind "E", se_ij(param) at even size for kind "se"."""
 
-    Subclasses supply kind, entry_pattern(i, j) and index1_form(i, j).
-    """
+    __slots__ = ("kind", "size", "i", "j", "param", "cert", "_pattern")
 
-    __slots__ = ("size", "i", "j", "param", "cert", "_pattern")
-
-    def __init__(self, size, i, j, param, cert=None):
+    def __init__(self, kind, size, i, j, param, cert=None):
+        pattern = entry_pattern(kind)
+        if kind == "se" and size % 2 != 0:
+            raise BadIndices("symplectic letters need an even size")
         if not (1 <= i <= size and 1 <= j <= size) or i == j:
             raise BadIndices("bad letter indices (%d, %d) at size %d"
                              % (i, j, size))
-        if cert is not None and cert.value != param:
-            raise BadIndices("certificate value does not match parameter")
+        _check_cert(cert, param, "the parameter")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "_pattern", self.entry_pattern(i, j))
+        object.__setattr__(self, "_pattern", pattern(i, j))
 
     @property
     def ring(self):
@@ -99,87 +161,40 @@ class _ElementaryLetter(_Letter):
                 for r, c, sg in self._pattern]
 
     def with_param(self, param, cert=None):
-        return type(self)(self.size, self.i, self.j, param, cert)
+        return ElementaryLetter(self.kind, self.size, self.i, self.j, param,
+                                cert)
 
     def is_index1(self):
-        return self.index1_form(self.i, self.j) is not None
+        return index1_form(self.kind, self.i, self.j) is not None
 
     def __repr__(self):
         return "%s[%d,%d](%r)" % (self.kind, self.i, self.j, self.param)
 
 
-class LinLetter(_ElementaryLetter):
-    """Linear elementary generator E_ij(param) at matrix size n."""
+class TransvectionLetter(_Letter):
+    """Block transvection relative to an alternating form: row type for
+    kind "rho", column type for kind "mu".
 
-    kind = "E"
-    __slots__ = ()
-
-    @staticmethod
-    def entry_pattern(i, j):
-        return ((i, j, 1),)
-
-    @staticmethod
-    def index1_form(i, j):
-        """(i, j, 1) when the letter touches index 1, else None."""
-        return (i, j, 1) if i == 1 or j == 1 else None
-
-
-def sigma_swap(i, j):
-    """The other presentation of se_ij as (sigma(j), sigma(i), sign).
-
-    se_ij(z) = se_{sigma(j) sigma(i)}(sign z) as matrices, with
-    sign = (-1)^(i+j+1).
-    """
-    return sigma(j), sigma(i), (1 if (i + j) % 2 == 1 else -1)
-
-
-class SympLetter(_ElementaryLetter):
-    """Symplectic elementary generator se_ij(param) at even size."""
-
-    kind = "se"
-    __slots__ = ()
-    entry_pattern = staticmethod(symplectic_entry_pattern)
-
-    def __init__(self, size, i, j, param, cert=None):
-        if size % 2 != 0:
-            raise BadIndices("symplectic letters need an even size")
-        super().__init__(size, i, j, param, cert)
-
-    def matrix(self, inverted=False):
-        out = super().matrix(inverted)
-        if not is_symplectic(out):
-            raise NotAlternating("symplectic generator failed its form check")
-        return out
-
-    @staticmethod
-    def index1_form(i, j):
-        """(i', j', sign) with se_ij(z) = se_i'j'(sign z) and 1 in (i', j').
-
-        None when neither presentation touches index 1: the letter is
-        index-1 up to sigma iff an index lies in the first pair.
-        """
-        if i == 1 or j == 1:
-            return i, j, 1
-        if sigma(i) == 1 or sigma(j) == 1:
-            return sigma_swap(i, j)
-        return None
-
-
-class _TransvectionLetter(_Letter):
-    """Block transvection relative to an alternating form.
-
-    Subclasses supply kind and row_kind (row type rho or column type
-    mu) and name the scalar: alpha for rho, beta for mu.
+    certs is None or (scalar certificate, one certificate per entry of
+    q).
     """
 
-    __slots__ = ("q", "scalar", "form", "certs", "size")
+    __slots__ = ("kind", "q", "scalar", "form", "certs", "size")
 
-    def __init__(self, q, scalar, form, certs=None):
+    def __init__(self, kind, q, scalar, form, certs=None):
+        if kind not in ("rho", "mu"):
+            raise BadIndices("unknown transvection kind %r" % (kind,))
         if not is_alternating(form) or form.rows != q.length:
             raise NotAlternating("transvection letters need an alternating "
                                  "form matching the vector length")
+        scalar = q.ring.el(scalar)
+        if certs is not None:
+            sc, qcs = certs
+            _check_cert(sc, scalar, "the scalar")
+            certs = (sc, _checked_certs(q, qcs))
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "scalar", q.ring.el(scalar))
+        object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "certs", certs)
         object.__setattr__(self, "size", q.length + 2)
@@ -199,7 +214,7 @@ class _TransvectionLetter(_Letter):
         if inverted:
             q, s = -q, p_neg(s)
         qp, qf = q.payloads, (q.transpose() * self.form).payloads
-        if self.row_kind:
+        if self.kind == "rho":
             head, tail, s = 2, 1, p_neg(s)
         else:
             head, tail, qf = 1, 2, [p_neg(x) for x in qf]
@@ -212,34 +227,72 @@ class _TransvectionLetter(_Letter):
         return "%s(%r, %r)" % (self.kind, self.q, self.scalar)
 
 
-class RhoLetter(_TransvectionLetter):
+class ShearLetter(_Letter):
+    """Linear shear between the head coordinate 1 and the tail 2..n+1.
+
+    Kind "trans-lower" is the tail shear (a, p) -> (a, p + a*vec), entry
+    idx (0-based) of vec in cell (idx + 2, 1); kind "trans-upper" the
+    head shear (a, p) -> (a + vec.p, p), cell (1, idx + 2).
+    """
+
+    __slots__ = ("kind", "vec", "certs", "size")
+
+    def __init__(self, kind, vec, certs=None):
+        if kind not in ("trans-lower", "trans-upper"):
+            raise BadIndices("unknown shear kind %r" % (kind,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "certs", _checked_certs(vec, certs))
+        object.__setattr__(self, "size", vec.length + 1)
+
+    @property
+    def ring(self):
+        return self.vec.ring
+
+    def cell(self, idx):
+        return (idx + 2, 1) if self.kind == "trans-lower" else (1, idx + 2)
+
+    def column_ops(self, inverted=False):
+        ring = self.ring
+        ops = []
+        for idx, p in enumerate(self.vec.payloads):
+            if ring.p_is_zero(p):
+                continue
+            ops.append(self.cell(idx) + (ring.p_neg(p) if inverted else p,))
+        return ops
+
+    def __repr__(self):
+        return "%s(%r)" % (self.kind.replace("trans", "shear"), self.vec)
+
+
+def LinLetter(size, i, j, param, cert=None):
+    """Linear elementary generator E_ij(param) at matrix size n."""
+    return ElementaryLetter("E", size, i, j, param, cert)
+
+
+def SympLetter(size, i, j, param, cert=None):
+    """Symplectic elementary generator se_ij(param) at even size."""
+    return ElementaryLetter("se", size, i, j, param, cert)
+
+
+def RhoLetter(q, alpha, form, certs=None):
     """Row-type transvection relative to an alternating form."""
-
-    kind = "rho"
-    row_kind = True
-    __slots__ = ()
-
-    def __init__(self, q, alpha, form, certs=None):
-        super().__init__(q, alpha, form, certs)
-
-    @property
-    def alpha(self):
-        return self.scalar
+    return TransvectionLetter("rho", q, alpha, form, certs)
 
 
-class MuLetter(_TransvectionLetter):
+def MuLetter(q, beta, form, certs=None):
     """Column-type transvection relative to an alternating form."""
+    return TransvectionLetter("mu", q, beta, form, certs)
 
-    kind = "mu"
-    row_kind = False
-    __slots__ = ()
 
-    def __init__(self, q, beta, form, certs=None):
-        super().__init__(q, beta, form, certs)
+def LowerTransLetter(vec, certs=None):
+    """Tail shear (a, p) -> (a, p + a*vec) as a word letter."""
+    return ShearLetter("trans-lower", vec, certs)
 
-    @property
-    def beta(self):
-        return self.scalar
+
+def UpperTransLetter(vec, certs=None):
+    """Head shear (a, p) -> (a + vec.p, p) as a word letter."""
+    return ShearLetter("trans-upper", vec, certs)
 
 
 class Word:
@@ -274,9 +327,6 @@ class Word:
     def append(self, letter, inverted=False):
         return Word(self.ring, self.size,
                     self.letters + ((letter, inverted),))
-
-    def __iter__(self):
-        return iter(self.letters)
 
     def __repr__(self):
         parts = []
@@ -394,68 +444,48 @@ def word_certified(w, ideal=None):
     return all(_letter_certified(letter, ideal) for letter, inv in w.letters)
 
 
-def _expansion_head(q, head, head_cert, q_certs, form):
-    """head + sum_k q_(2k-1) q_(2k), with its certificate when head_cert
-    is given; checks that q has even length and form is standard."""
+def _expand(kind, q, scalar, scalar_cert, q_certs, form):
+    """Word of first-index symplectic letters equal to the rho or mu
+    letter (q, scalar): q has even length 2n and the word lives at size
+    2n + 2. When the optional certificates are supplied they propagate
+    to every letter. The expansion is only valid for the standard form.
+    """
     ring = q.ring
     n2 = q.length
     if n2 % 2 != 0:
         raise BadIndices("transvection vector length must be even")
     if form is not None and form != standard_symplectic_form(ring, n2 // 2):
         raise NonstandardForm("expansion requires the standard form")
+    rho = kind == "rho"
+    head, head_cert = ring.el(scalar), scalar_cert
+    if rho:
+        head, head_cert = -head, None if head_cert is None else -head_cert
     for k in range(1, n2 // 2 + 1):
-        head = head + q.entry(2 * k - 1) * q.entry(2 * k)
+        x = q.entry(2 * k - 1)
+        head = head + x * q.entry(2 * k)
         if head_cert is not None:
-            head_cert = head_cert + q_certs[2 * k - 1].scale(q.entry(2 * k - 1))
-    return head, head_cert
+            head_cert = head_cert + q_certs[2 * k - 1].scale(x)
+    size = n2 + 2
+    cells = [((2, 1) if rho else (1, 2), head, head_cert)]
+    for i in range(3, size + 1):
+        # rho: se_i1(-q_(i-2)); mu: se_1i(q_sigma(i-2)), negated at even i
+        src = i - 2 if rho else sigma(i - 2)
+        p, c = q.entry(src), None if q_certs is None else q_certs[src - 1]
+        if rho or i % 2 == 0:
+            p, c = -p, None if c is None else -c
+        cells.append(((i, 1) if rho else (1, i), p, c))
+    return Word(ring, size, [(ElementaryLetter("se", size, *cell, p, c), False)
+                             for cell, p, c in cells if not p.is_zero()])
 
 
 def expand_rho(q, alpha, alpha_cert=None, q_certs=None, form=None):
-    """Word of symplectic letters equal to the row-type transvection.
-
-    q has even length 2n; the word lives at size 2n + 2. When the
-    optional certificates are supplied they propagate to every letter.
-    The expansion is only valid for the standard form.
-    """
-    ring = q.ring
-    size = q.length + 2
-    head, head_cert = _expansion_head(
-        q, -ring.el(alpha), None if alpha_cert is None else -alpha_cert,
-        q_certs, form)
-    letters = []
-    if not head.is_zero():
-        letters.append((SympLetter(size, 2, 1, head, head_cert), False))
-    for i in range(3, size + 1):
-        p = -q.entry(i - 2)
-        if p.is_zero():
-            continue
-        c = None if q_certs is None else -q_certs[i - 3]
-        letters.append((SympLetter(size, i, 1, p, c), False))
-    return Word(ring, size, letters)
+    """Word of symplectic letters equal to the row-type transvection."""
+    return _expand("rho", q, alpha, alpha_cert, q_certs, form)
 
 
 def expand_mu(q, beta, beta_cert=None, q_certs=None, form=None):
     """Word of symplectic letters equal to the column-type transvection."""
-    ring = q.ring
-    size = q.length + 2
-    head, head_cert = _expansion_head(q, ring.el(beta), beta_cert, q_certs,
-                                      form)
-    letters = []
-    if not head.is_zero():
-        letters.append((SympLetter(size, 1, 2, head, head_cert), False))
-    for i in range(3, size + 1):
-        sgn = 1 if (i + 1) % 2 == 0 else -1
-        qv = q.entry(sigma(i - 2))
-        p = qv if sgn == 1 else -qv
-        if p.is_zero():
-            continue
-        c = None
-        if q_certs is not None:
-            c = q_certs[sigma(i - 2) - 1]
-            if sgn == -1:
-                c = -c
-        letters.append((SympLetter(size, 1, i, p, c), False))
-    return Word(ring, size, letters)
+    return _expand("mu", q, beta, beta_cert, q_certs, form)
 
 
 _LINEAR_TAG = "linear"

@@ -226,7 +226,7 @@ def test_transport_identity():
     assert moved.kind == "rho"
     assert moved.form == PSI2
     assert moved.q == q
-    assert moved.alpha == rho.alpha
+    assert moved.scalar == rho.scalar
 
 
 def test_transport_real_conjugator():
@@ -245,7 +245,7 @@ def test_transport_real_conjugator():
             emb[1 + r][1 + c] = emb_small.entry(r + 1, c + 1).payload
     emb = from_rows(Z27, [[Z27.wrap(p) for p in row] for row in emb])
     assert moved.form == emb.transpose() * PSI2 * emb
-    assert moved.alpha == rho.alpha
+    assert moved.scalar == rho.scalar
     assert moved.certs is not None
     sc, qc = moved.certs
     for idx, c in enumerate(qc):

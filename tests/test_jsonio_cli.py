@@ -668,6 +668,43 @@ def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
         assert "error:" in err and message not in err
 
 
+@pytest.mark.parametrize("command, key, extra", [
+    ("pfaffian", "matrix", {}),
+    ("standardize", "form", {"ideal": [3]}),
+])
+def test_cli_matrix_must_be_square(monkeypatch, capsys, command, key, extra):
+    # 64 rows of 20,000 zeros and ones (3.8 MB) are refused before any
+    # entry is decoded; decoding them all took 3.6 s
+    rows = cli.MAX_REQUEST_SIZE
+    request = dict(extra, ring={"kind": "zmod", "m": 27})
+    request[key] = [[(r + c) % 2 for c in range(20000)] for r in range(rows)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    start = time.perf_counter()
+    assert cli.main([command]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: field %r must be square" % (key,) in captured.err
+    # one short row among square ones, and undecodable entries: the
+    # shape is refused first
+    request[key] = [[None] * 4, [None] * 4, [None] * 3, [None] * 4]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main([command]) == 2
+    assert "field %r must be square" % (key,) in capsys.readouterr().err
+
+
+def test_transvection_form_must_match_vector():
+    # a form that is not len(q) x len(q) is refused before its entries
+    # are decoded
+    base = {"gen": "rho", "q": [3, 6], "alpha": 9}
+    for form in ([[None] * 2] * 3, [[None] * 20000] * 2,
+                 [[None] * 2, [None]]):
+        with pytest.raises(DescriptorMismatch, match="'form' must be 2 x 2"):
+            jsonio.letter_from_json(Z27, 4, dict(base, form=form))
+    with pytest.raises(DescriptorMismatch, match="zmod element"):
+        jsonio.letter_from_json(Z27, 4, dict(base, form=[[None] * 2] * 2))
+
+
 def test_cli_loc_exponent_bound(monkeypatch, capsys):
     # the bound holds before any arithmetic: one past it exits 2 at once
     bound = "loc element field 'exp' must be at most %d" % (

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,11 +7,14 @@ import pytest
 from elemcalc import (
     BadIndices,
     CertifiedElement,
+    DescriptorMismatch,
     IdealPresentation,
+    LengthMismatch,
     LinLetter,
     LowerTransLetter,
     MuLetter,
     NotAlternating,
+    NotCertified,
     RELATION_TAGS,
     RhoLetter,
     SideConditionViolated,
@@ -26,7 +31,9 @@ from elemcalc import (
     expand_rho,
     from_rows,
     identity,
+    index1_form,
     invert_word,
+    jsonio,
     recording,
     sigma_index,
     standard_symplectic_form,
@@ -41,6 +48,7 @@ from elemcalc.words import note
 
 Z27 = ZmodRing(27)
 Z25 = ZmodRing(25)
+I3_27 = IdealPresentation(Z27, (Z27.el(3),))
 
 
 def product_oracle(w):
@@ -135,6 +143,89 @@ def test_letter_matrices_match_generators():
         assert letter.matrix() * letter.matrix(True) == identity(Z27, size)
         if kind in ("rho", "mu"):   # closed-form inverse
             assert letter.matrix(True) == adjugate_inverse(letter.matrix())
+
+
+def kind_table():
+    """One letter per public constructor, certified over (3) in Z/27,
+    with the repr each constructor gave before the letter classes were
+    merged."""
+    c = [certify(I3_27, [Z27.el(k)]) for k in range(4)]
+    qc, vc = (c[1], c[2], c[0], c[3]), (c[2], c[0], c[1])
+    q = ColumnVector(Z27, [x.value for x in qc])
+    v = ColumnVector(Z27, [x.value for x in vc])
+    phi = standard_symplectic_form(Z27, 2)
+    return {
+        "E": (LinLetter(3, 2, 3, c[2].value, cert=c[2]), "E[2,3](6)"),
+        "se": (SympLetter(6, 1, 4, c[1].value, cert=c[1]), "se[1,4](3)"),
+        "rho": (RhoLetter(q, c[3].value, phi, certs=(c[3], qc)),
+                "rho(col(3, 6, 0, 9), 9)"),
+        "mu": (MuLetter(q, c[1].value, phi, certs=(c[1], qc)),
+               "mu(col(3, 6, 0, 9), 3)"),
+        "trans-lower": (LowerTransLetter(v, vc), "shear-lower(col(6, 0, 3))"),
+        "trans-upper": (UpperTransLetter(v, vc), "shear-upper(col(6, 0, 3))"),
+    }
+
+
+# sha256 of repr([(size, i, j, form), ...]) over every i != j at sizes
+# 3-8, recorded from LinLetter.index1_form and SympLetter.index1_form
+# before index1_form(kind, i, j) replaced them
+INDEX1_DIGESTS = {
+    "E": "faa4d68fb030692b8357a3ce0e54fb91c69b3388f282948660547b86cd81bd14",
+    "se": "3ce120fbc16d0f3ebd53aaae6f637e2f0524d0e7d0885d8ba4f7aeeeb4fc9527",
+}
+
+
+def check_index1_table(kind):
+    make = LinLetter if kind == "E" else SympLetter
+    rows = []
+    for size in range(3, 9):
+        for i in range(1, size + 1):
+            for j in range(1, size + 1):
+                if i == j:
+                    continue
+                form = index1_form(kind, i, j)
+                rows.append((size, i, j, form))
+                touching = {i, j} if kind == "E" else \
+                    {i, j, sigma_index(i), sigma_index(j)}
+                assert (form is None) is (1 not in touching)
+                if form is None:
+                    continue
+                assert 1 in form[:2]
+                if 1 in (i, j):
+                    assert form == (i, j, 1)
+                if kind == "E" or size % 2 == 0:
+                    i2, j2, sign = form
+                    assert make(size, i, j, Z27.el(5)).matrix() \
+                        == make(size, i2, j2, Z27.el(5 * sign)).matrix()
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == INDEX1_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("inv", [False, True], ids=["plain", "inverted"])
+@pytest.mark.parametrize("kind", ["E", "se", "rho", "mu", "trans-lower",
+                                  "trans-upper"])
+def test_kind_table(kind, inv):
+    """Each constructor keeps its kind and repr; the four JSON kinds
+    encode as gen = kind and decode to the same bytes; index1_form
+    gives the old class methods' table."""
+    letter, text = kind_table()[kind]
+    assert letter.kind == kind and repr(letter) == text
+    assert evaluate(word(Z27, letter.size, (letter, inv))) \
+        == letter.matrix(inv)
+    if kind.startswith("trans-"):
+        with pytest.raises(DescriptorMismatch):
+            jsonio.letter_to_json(letter, inv)
+        return
+    data = jsonio.letter_to_json(letter, inv)
+    assert data["gen"] == letter.kind and data["inv"] is inv
+    back, back_inv = jsonio.letter_from_json(Z27, letter.size,
+                                             json.loads(jsonio.dumps(data)),
+                                             I3_27)
+    assert back.kind == kind and repr(back) == text
+    assert jsonio.dumps(jsonio.letter_to_json(back, back_inv)) \
+        == jsonio.dumps(data)
+    if kind in ("E", "se"):
+        check_index1_table(kind)
 
 
 DENSE = from_rows(Z27, [[0, 2, 5, 1], [-2, 0, 3, 4], [-5, -3, 0, 6],
@@ -407,7 +498,30 @@ def test_word_membership_predicates():
 def test_certificate_value_must_match_param():
     ideal = IdealPresentation(Z27, (Z27.el(3),))
     cert = certify(ideal, [Z27.el(2)])
-    with pytest.raises(BadIndices):
+    with pytest.raises(NotCertified):
         LinLetter(3, 1, 2, Z27.el(5), cert=cert)
-    with pytest.raises(BadIndices):
+    with pytest.raises(NotCertified):
         SympLetter(4, 1, 2, Z27.el(5), cert=cert)
+
+
+def test_block_letters_check_their_certificates():
+    """Every shape checks its certificates where the letter is made: a
+    wrong count raises LengthMismatch, a wrong value NotCertified."""
+    ideal = IdealPresentation(Z27, (Z27.el(3),))
+    c3, c6 = certify(ideal, [Z27.el(1)]), certify(ideal, [Z27.el(2)])
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(6)])
+    form = standard_symplectic_form(Z27, 1)
+    for make in (RhoLetter, MuLetter):
+        assert make(q, 6, form, certs=(c6, (c3, c6))).certs == (c6, (c3, c6))
+        with pytest.raises(LengthMismatch):
+            make(q, 6, form, certs=(c6, (c3,)))
+        with pytest.raises(NotCertified):
+            make(q, 3, form, certs=(c6, (c3, c6)))
+        with pytest.raises(NotCertified):
+            make(q, 6, form, certs=(c6, (c6, c6)))
+    v = ColumnVector(Z27, [Z27.el(3), Z27.el(6), Z27.el(0)])
+    for make in (LowerTransLetter, UpperTransLetter):
+        with pytest.raises(LengthMismatch):
+            make(v, (c3, c6))
+        with pytest.raises(NotCertified):
+            make(v, (c6, c6, None))

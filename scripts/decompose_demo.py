@@ -49,7 +49,6 @@ def letter_line(word_obj, limit=6):
 
 def show_decomposition(g, i, j, a, b, ideal, label):
     res = decompose_conjugate(g, i, j, a, b)
-    assert res.verified
     assert word_certified(res.output, ideal)
     print("%s: conjugate se_%d,%d(%r) by a %d-letter word"
           % (label, i, j, (a.value * b.value), len(g.letters)))

@@ -346,22 +346,22 @@ def transport_conjugation(letter, eps, target_form=None):
 
 
 class StandardizationResult:
-    """Recorded congruence word bringing the standard form to the input."""
+    """Recorded congruence word bringing the standard form to the input,
+    built only after it was checked to reconstruct the input exactly."""
 
-    __slots__ = ("eps_word", "verified", "relative")
+    __slots__ = ("eps_word", "relative")
     __hash__ = None
 
-    def __init__(self, eps_word, verified, relative):
+    def __init__(self, eps_word, relative):
         object.__setattr__(self, "eps_word", eps_word)
-        object.__setattr__(self, "verified", verified)
         object.__setattr__(self, "relative", relative)
 
     def __setattr__(self, name, value):
         raise AttributeError("results are immutable")
 
     def __repr__(self):
-        return ("StandardizationResult(%d letters, verified=%r, relative=%r)"
-                % (len(self.eps_word), self.verified, self.relative))
+        return ("StandardizationResult(%d letters, relative=%r)"
+                % (len(self.eps_word), self.relative))
 
 
 def _local_data(ring):
@@ -551,4 +551,4 @@ def standardize_alternating(phi, ideal):
     emb = block_diagonal(identity(ring, 1), evaluate(eps_word))
     check_equal(emb.transpose() * std * emb, fm,
                 "recorded word does not reconstruct the input form")
-    return StandardizationResult(eps_word, True, relative)
+    return StandardizationResult(eps_word, relative)

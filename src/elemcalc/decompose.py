@@ -51,23 +51,22 @@ from .words import (SympLetter, Word, check_evaluation, commutator_word,
 
 
 class DecompositionResult:
-    """Outcome of the top-level decomposition."""
+    """Outcome of the top-level decomposition, built only after
+    achieved was checked equal to target."""
 
-    __slots__ = ("output", "target", "achieved", "verified", "lemma_trace")
+    __slots__ = ("output", "target", "achieved", "lemma_trace")
 
-    def __init__(self, output, target, achieved, verified, lemma_trace):
+    def __init__(self, output, target, achieved, lemma_trace):
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "achieved", achieved)
-        object.__setattr__(self, "verified", verified)
         object.__setattr__(self, "lemma_trace", tuple(lemma_trace))
 
     def __setattr__(self, name, value):
         raise AttributeError("results are immutable")
 
     def __repr__(self):
-        return "DecompositionResult(%d letters, verified=%r)" % (
-            len(self.output), self.verified)
+        return "DecompositionResult(%d letters)" % (len(self.output),)
 
 
 def sym_outer(v):
@@ -385,4 +384,4 @@ def decompose_conjugate(g, i, j, a, b):
             out = long_root_unimodular(v, w, a, b, u)
     achieved = check_evaluation(
         out, target, "decomposition does not reproduce the conjugate")
-    return DecompositionResult(out, target, achieved, True, lemma_trace)
+    return DecompositionResult(out, target, achieved, lemma_trace)

@@ -49,10 +49,10 @@ def _single_letter_cert(p):
     return cert
 
 
-def _include_I2(kind, size, i, j, p, halve_short=False):
+def _include_I2(kind, size, i, j, p):
     """Each product term of p becomes the corner commutator
-    [x_i1(x), x_1j(y)]; with halve_short, a target at (i, sigma(i))
-    takes y / 2, since that commutator doubles its entry."""
+    [x_i1(x), x_1j(y)]; a symplectic target at (i, sigma(i)) takes
+    y / 2, since that commutator doubles its entry."""
     ring = p.ideal.base.ring
     if i == j or not (1 <= i <= size and 1 <= j <= size):
         raise BadIndices("bad letter indices (%d, %d)" % (i, j))
@@ -62,7 +62,7 @@ def _include_I2(kind, size, i, j, p, halve_short=False):
         cert = _single_letter_cert(p)
         return Word(ring, size, ((ElementaryLetter(
             kind, size, i, j, cert.value, cert), False),))
-    h = half(ring) if halve_short and j == sigma(i) else None
+    h = half(ring) if kind == "se" and j == sigma(i) else None
     letters = []
     for x, y in square_factors(p):
         if h is not None:
@@ -94,7 +94,7 @@ def include_I2_symplectic(n, i, j, p):
     """
     if n < 2:
         raise DimensionTooSmall("inclusion needs at least two pairs")
-    return _include_I2("se", 2 * n, i, j, p, halve_short=True)
+    return _include_I2("se", 2 * n, i, j, p)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +377,10 @@ class _SymplecticSystem(_System):
 
     def __init__(self, ring, size):
         super().__init__(ring, size)
-        self._half = None
-
-    def half(self):
-        if self._half is None:
-            self._half = half(self.ring)
-        return self._half
+        self.half = half(ring)
 
     def split_cell(self, p, q, term):
-        u, v = _halves(term, self.half() if q == sigma(p) else None)
+        u, v = _halves(term, self.half if q == sigma(p) else None)
         return ((p, 1, u), (1, q, v))
 
     def diag_records(self, comp):
@@ -404,7 +399,7 @@ class _SymplecticSystem(_System):
                 raise VerificationFailed(
                     "diagonal residual is not form-compatible at index %d"
                     % p)
-        hf = self.half()
+        hf = self.half
         zero = _TPoly(self.ring)
         delta1 = diag.get(1, zero)
         pairs = sorted({(p + 1) // 2 for p in diag if p > 2})
@@ -602,29 +597,23 @@ class RewriteResult:
     """Outcome of a conjugation rewrite.
 
     output holds the derived word of first-index letters, lhs the word
-    it must equal (conjugators, target, inverted conjugators), verified
-    records that the exact comparison was made, and case_trace lists
-    one line per conjugation step in derivation order.
+    it must equal (conjugators, target, inverted conjugators), checked
+    exactly before the result is built, and case_trace lists one line
+    per conjugation step in derivation order.
     """
 
-    __slots__ = ("output", "lhs", "verified", "case_trace")
+    __slots__ = ("output", "lhs", "case_trace")
 
-    def __init__(self, output, lhs, verified, case_trace):
+    def __init__(self, output, lhs, case_trace):
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "verified", verified)
         object.__setattr__(self, "case_trace", case_trace)
 
     def __setattr__(self, name, value):
         raise AttributeError("results are immutable")
 
-    @property
-    def parameters(self):
-        return tuple(letter.param for letter, _ in self.output.letters)
-
     def __repr__(self):
-        return "RewriteResult(%d letters, verified=%r)" % (
-            len(self.output), self.verified)
+        return "RewriteResult(%d letters)" % (len(self.output),)
 
 
 def _require_y_ring(ring):
@@ -688,7 +677,7 @@ def _finish(system, eps, i, j, a_poly):
     lhs = conjugate_word(eps, Word(ring, system.size, ((target, False),)))
     check_evaluation(output, evaluate(lhs),
                      "derived word fails the exact comparison")
-    return RewriteResult(output, lhs, True,
+    return RewriteResult(output, lhs,
                          tuple("%s %s" % event for event in events))
 
 
@@ -723,7 +712,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
     if size % 2 != 0 or size < 4:
         raise DimensionTooSmall(
             "symplectic rewriting needs even size at least 4")
-    half(eps.ring)
+    system = _SymplecticSystem(eps.ring, size)
     ideal = _check_inputs(eps, i, j, a_poly, size)
     if index1_form("se", i, j) is None:
         raise BadIndices(
@@ -731,7 +720,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
     if not word_in_ESp1(eps, ideal):
         raise NotCertified(
             "conjugator must be certified first-index symplectic letters")
-    return _finish(_SymplecticSystem(eps.ring, size), eps, i, j, a_poly)
+    return _finish(system, eps, i, j, a_poly)
 
 
 def specialize_and_check(result, x0, y0):

@@ -111,8 +111,6 @@ class RingElement:
 class Ring:
     """Base class; subclasses provide payload-level arithmetic."""
 
-    kind = None
-
     def __init__(self):
         self._zero = None
         self._one = None
@@ -176,7 +174,6 @@ class Ring:
 class ZmodRing(Ring):
     """Integers modulo m, m >= 2; payloads are ints in [0, m)."""
 
-    kind = "zmod"
     structural = True
 
     def __init__(self, m):
@@ -230,8 +227,6 @@ class PolyRing(Ring):
     to nonzero base payloads. The empty dict is zero. Pruning keeps the
     form canonical, so equality over a structural base is dict equality.
     """
-
-    kind = "poly"
 
     def __init__(self, base, variables):
         variables = tuple(variables)
@@ -404,7 +399,6 @@ class LocRing(Ring):
     to be a non-zero-divisor.
     """
 
-    kind = "loc"
     structural = False
 
     def __init__(self, base, denominator):

@@ -20,8 +20,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 
-from .errors import (BadIndices, LengthMismatch, NonstandardForm,
-                     NotAlternating, NotCertified, SideConditionViolated)
+from .errors import (BadIndices, LengthMismatch, NotAlternating,
+                     NotCertified, SideConditionViolated)
 from .matrices import (
     ExactMatrix,
     check_equal,
@@ -29,7 +29,6 @@ from .matrices import (
     is_alternating,
     is_symplectic,
     sigma_index,
-    standard_symplectic_form,
 )
 
 sigma = sigma_index
@@ -417,9 +416,10 @@ def commutator_word(a, b):
 
 
 def _letter_certified(letter, ideal):
+    # the constructor already checked cert.value == letter.param
     cert = letter.cert
     return (cert is not None and (ideal is None or cert.ideal == ideal)
-            and cert.check() and cert.value == letter.param)
+            and cert.check())
 
 
 def _index1_certified(w, ideal, kind):
@@ -444,18 +444,16 @@ def word_certified(w, ideal=None):
     return all(_letter_certified(letter, ideal) for letter, inv in w.letters)
 
 
-def _expand(kind, q, scalar, scalar_cert, q_certs, form):
+def _expand(kind, q, scalar, scalar_cert, q_certs):
     """Word of first-index symplectic letters equal to the rho or mu
-    letter (q, scalar): q has even length 2n and the word lives at size
-    2n + 2. When the optional certificates are supplied they propagate
-    to every letter. The expansion is only valid for the standard form.
+    letter (q, scalar) relative to the standard form: q has even length
+    2n and the word lives at size 2n + 2. When the optional certificates
+    are supplied they propagate to every letter.
     """
     ring = q.ring
     n2 = q.length
     if n2 % 2 != 0:
         raise BadIndices("transvection vector length must be even")
-    if form is not None and form != standard_symplectic_form(ring, n2 // 2):
-        raise NonstandardForm("expansion requires the standard form")
     rho = kind == "rho"
     head, head_cert = ring.el(scalar), scalar_cert
     if rho:
@@ -478,14 +476,16 @@ def _expand(kind, q, scalar, scalar_cert, q_certs, form):
                              for cell, p, c in cells if not p.is_zero()])
 
 
-def expand_rho(q, alpha, alpha_cert=None, q_certs=None, form=None):
-    """Word of symplectic letters equal to the row-type transvection."""
-    return _expand("rho", q, alpha, alpha_cert, q_certs, form)
+def expand_rho(q, alpha, alpha_cert=None, q_certs=None):
+    """Word of symplectic letters equal to the row-type transvection
+    relative to the standard form."""
+    return _expand("rho", q, alpha, alpha_cert, q_certs)
 
 
-def expand_mu(q, beta, beta_cert=None, q_certs=None, form=None):
-    """Word of symplectic letters equal to the column-type transvection."""
-    return _expand("mu", q, beta, beta_cert, q_certs, form)
+def expand_mu(q, beta, beta_cert=None, q_certs=None):
+    """Word of symplectic letters equal to the column-type transvection
+    relative to the standard form."""
+    return _expand("mu", q, beta, beta_cert, q_certs)
 
 
 _LINEAR_TAG = "linear"

@@ -271,7 +271,7 @@ def test_alternating_form_container():
 
 def test_standardize_trivial():
     res = standardize_alternating(AlternatingForm(PSI2), I3)
-    assert res.verified and res.relative
+    assert res.relative
     assert len(res.eps_word) == 0
 
 
@@ -298,7 +298,6 @@ def test_standardize_relative_instance():
                (LinLetter(3, 3, 2, Z27.el(12)), True))
     phi_matrix = reconstruct(eps, 2)
     res = standardize_alternating(AlternatingForm(phi_matrix), I3)
-    assert res.verified
     assert res.relative
     assert word_certified(res.eps_word, I3)
     assert reconstruct(res.eps_word, 2) == phi_matrix
@@ -308,7 +307,6 @@ def test_standardize_congruent_but_not_relative():
     phi = from_rows(Z27, [[0, 4, 0, 0], [-4, 0, 0, 0],
                           [0, 0, 0, 7], [0, 0, -7, 0]])
     res = standardize_alternating(AlternatingForm(phi), I3)
-    assert res.verified
     assert not res.relative
     assert reconstruct(res.eps_word, 2) == phi
 

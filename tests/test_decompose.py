@@ -314,7 +314,6 @@ def test_decompose_short_case():
              (SympLetter(6, 5, 2, Z27.el(7)), True),
              SympLetter(6, 2, 1, Z27.el(11)))
     res = decompose_conjugate(g, 1, 2, a, b)
-    assert res.verified
     assert res.achieved == res.target
     assert res.target == conjugate_oracle(g, 1, 2, a.value * b.value)
     assert word_certified(res.output, I3)
@@ -342,7 +341,6 @@ def test_decompose_long_case(monkeypatch):
              SympLetter(6, 3, 1, Z27.el(5)),
              SympLetter(6, 4, 6, Z27.el(8)))
     res = decompose_conjugate(g, 1, 4, a, b)
-    assert res.verified
     assert res.target == conjugate_oracle(g, 1, 4, a.value * b.value)
     assert word_certified(res.output, I3)
     assert res.lemma_trace == LONG_CASE_TRACE
@@ -398,7 +396,6 @@ def test_decompose_long_case_without_unit_coordinate(monkeypatch):
     assert evaluate(g).column(3) == vec(Z15, 0, 0, 10, 0, 0, 3)
     res = decompose_conjugate(g, 1, 4, a, b)
     assert len(calls) == 1
-    assert res.verified
     assert res.target == conjugate_oracle(g, 1, 4, a.value * b.value)
     assert word_certified(res.output, I15)
 
@@ -430,7 +427,6 @@ def test_decompose_empty_conjugator():
     b = certify(I3, [Z27.el(2)])
     g = Word(Z27, 6, ())
     res = decompose_conjugate(g, 2, 5, a, b)
-    assert res.verified
     assert res.target == evaluate(word(
         Z27, 6, SympLetter(6, 2, 5, a.value * b.value)))
     assert word_certified(res.output, I3)
@@ -440,11 +436,11 @@ def test_decompose_empty_conjugator():
 def test_decomposition_result_is_immutable():
     a = certify(I3, [Z27.el(1)])
     res = decompose_conjugate(Word(Z27, 6, ()), 1, 2, a, a)
-    for name, value in (("verified", False), ("achieved", None),
-                        ("output", Word(Z27, 6, ())), ("lemma_trace", ())):
+    for name, value in (("achieved", None), ("output", Word(Z27, 6, ())),
+                        ("lemma_trace", ())):
         with pytest.raises(AttributeError):
             setattr(res, name, value)
-    assert res.verified and res.achieved == res.target
+    assert res.achieved == res.target
 
 
 def test_decompose_errors():

@@ -8,9 +8,11 @@ import pytest
 from elemcalc import (
     DescriptorMismatch,
     IdealPresentation,
+    LengthMismatch,
     LinLetter,
     LocRing,
     MuLetter,
+    NotCertified,
     PolyRing,
     RhoLetter,
     SympLetter,
@@ -139,6 +141,19 @@ def test_transvection_letter_codec():
     bad[0]["cert"]["scalar"] = [2]
     with pytest.raises(DescriptorMismatch):
         jsonio.word_from_json(Z27, 4, bad, ideal=I3)
+
+
+@pytest.mark.parametrize("letter, cause", [
+    ({"gen": "rho", "q": [3, 6], "alpha": 3, "form": [[0, 1], [-1, 0]],
+      "cert": {"scalar": [1], "q": [[1]]}}, LengthMismatch),
+    ({"gen": "se", "i": 2, "j": 1, "param": 6, "cert": [1]}, NotCertified),
+], ids=["rho-cert-count", "se-cert-value"])
+def test_letter_certificate_errors_keep_their_cause(letter, cause):
+    # the letter constructor checks each certificate against its value;
+    # the JSON boundary reports its error as DescriptorMismatch
+    with pytest.raises(DescriptorMismatch) as info:
+        jsonio.letter_from_json(Z27, 4, letter, ideal=I3)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def test_dumps_is_canonical():

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import elemcalc.suites as suites
-from elemcalc import BadTrialCount, Word
+from elemcalc import BadTrialCount, ElementaryLetter, Word
 from elemcalc.suites import SUITE_NAMES, _digest, run_all, run_suite
 
 
@@ -20,13 +20,27 @@ def _raise(*args, **kwargs):
     raise RuntimeError("injected fault")
 
 
-def _unverified(name):
+def _faulty_output(name, rebuild):
+    """name's result reduced to its output word, each letter passed
+    through rebuild."""
     orig = getattr(suites, name)
 
     def fault(*args, **kwargs):
-        return SimpleNamespace(verified=False,
-                               output=orig(*args, **kwargs).output)
+        out = orig(*args, **kwargs).output
+        return SimpleNamespace(output=Word(out.ring, out.size, [
+            (rebuild(letter), inv) for letter, inv in out.letters]))
     return fault
+
+
+def _uncertified(letter):
+    return letter.with_param(letter.param)
+
+
+def _off_first_index(letter):
+    """The letter moved to the long-root cell (3, 5), which no sigma
+    swap brings to a first index."""
+    return ElementaryLetter(letter.kind, letter.size, 3, 5, letter.param,
+                            letter.cert)
 
 
 RAISED = "raised RuntimeError: injected fault"
@@ -55,24 +69,26 @@ FAULTS = [
     ("unimodular", "long_root_unimodular", _raise,
      ("unimodular v=col(12, 25, 4, 9, 15, 11) w=col(12, 24, 13, 1, 8, 16) "
       "u=col(0, 0, 0, 0, 0, 22)", "verified word", RAISED)),
-    ("decompose", "decompose_conjugate", _unverified("decompose_conjugate"),
+    ("decompose", "decompose_conjugate",
+     _faulty_output("decompose_conjugate", _uncertified),
      ("decompose g=se[4,1](8) . se[4,3](15) . se[2,5](4)^-1 . "
       "se[1,5](25)^-1 . se[5,6](25) . se[2,3](3) target=(6,3) a=18 b=24",
-      "verified decomposition", "verification flag unset")),
+      "all letters certified", "uncertified letter")),
     ("rewrite-linear", "specialize_and_check", _raise,
      ("rewrite-linear mod 27 r=2 eps=E[1,2](21 + 18*X^2)^-1 . "
       "E[3,1](24 + 9*X^2) target=(2,1) a=6 + 3*X + 15*X^2",
       "verified rewrite", RAISED)),
     ("rewrite-symplectic", "rewrite_conjugation_symplectic",
-     _unverified("rewrite_conjugation_symplectic"),
+     _faulty_output("rewrite_conjugation_symplectic", _off_first_index),
      ("rewrite-symplectic mod 27 r=2 eps=se[3,1](12*X + 18*X^2)^-1 . "
       "se[5,2](24 + 9*X^2) target=(1,5) a=6 + 24*X + 6*X^2",
-      "verified rewrite", "verification flag unset")),
+      "verified rewrite",
+      "output letter outside the certified first-index family")),
     ("dictionaries", "etranssp_word_to_ESp1", lambda w: Word(w.ring, w.size),
      ("dictionary symplectic w=mu(col(12, 0), 12) . mu(col(24, 24), 12) . "
       "rho(col(0, 9), 15)", "same evaluation", "forward image differs")),
     ("standardize", "standardize_alternating",
-     lambda *a, **k: SimpleNamespace(verified=True, relative=False),
+     lambda *a, **k: SimpleNamespace(relative=False),
      ("standardize n=3 eps0=E[1,3](21) . E[3,4](6) . E[2,5](12)^-1 . "
       "E[1,5](21)^-1", "relative congruence", "letters left the ideal")),
     ("pfaffian", "pfaffian", lambda m: m.ring.zero,

@@ -430,7 +430,7 @@ def test_expand_rho_matches_block_matrix():
         q = ColumnVector(Z27, [Z27.el(rng.randrange(27)) for _ in range(4)])
         alpha = rng.randrange(27)
         letter = RhoLetter(q, alpha, phi)
-        w = expand_rho(q, alpha, form=phi)
+        w = expand_rho(q, alpha)
         assert evaluate(w) == letter.matrix()
         for lt, inv in w.letters:
             assert lt.is_index1() and not inv
@@ -443,7 +443,7 @@ def test_expand_mu_matches_block_matrix():
         q = ColumnVector(Z27, [Z27.el(rng.randrange(27)) for _ in range(4)])
         beta = rng.randrange(27)
         letter = MuLetter(q, beta, phi)
-        w = expand_mu(q, beta, form=phi)
+        w = expand_mu(q, beta)
         assert evaluate(w) == letter.matrix()
         for lt, inv in w.letters:
             assert lt.is_index1() and not inv
@@ -451,14 +451,13 @@ def test_expand_mu_matches_block_matrix():
 
 def test_expand_carries_certificates():
     ideal = IdealPresentation(Z27, (Z27.el(3),))
-    phi = standard_symplectic_form(Z27, 2)
     q = ColumnVector(Z27, [Z27.el(3), Z27.el(6), Z27.el(0), Z27.el(12)])
     q_certs = [certify(ideal, [Z27.el(1)]), certify(ideal, [Z27.el(2)]),
                certify(ideal, [Z27.el(0)]), certify(ideal, [Z27.el(4)])]
     a_cert = certify(ideal, [Z27.el(5)])
-    w = expand_rho(q, 15, alpha_cert=a_cert, q_certs=q_certs, form=phi)
+    w = expand_rho(q, 15, alpha_cert=a_cert, q_certs=q_certs)
     assert word_in_ESp1(w, ideal)
-    w = expand_mu(q, 15, beta_cert=a_cert, q_certs=q_certs, form=phi)
+    w = expand_mu(q, 15, beta_cert=a_cert, q_certs=q_certs)
     assert word_in_ESp1(w, ideal)
 
 

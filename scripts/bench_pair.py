@@ -46,10 +46,12 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# per-layer counts of the traced run, kept in the report: ring products
-# and the self-checks (every evaluate and matrix comparison)
+# per-layer counts of the traced run, kept in the report: ring products,
+# dense matrix-matrix products and the self-checks (every evaluate and
+# matrix comparison)
 TRACE_COUNTS = ("rings.poly_mul.calls", "rings.zmod_mul.calls",
-                "words.evaluate.calls", "matrices.eq.calls")
+                "matrices.matmul.calls", "words.evaluate.calls",
+                "matrices.eq.calls")
 
 
 def src_lines(root):

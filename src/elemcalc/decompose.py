@@ -19,7 +19,10 @@ through a small tower of identities:
   (long_root_unimodular).
 
 Every operation evaluates its output and compares against the closed
-form, raising VerificationFailed on any mismatch.
+form, raising VerificationFailed on any mismatch. Each closed form is
+a rank-two update of the identity, built in O(n^2), and the
+regrouping's product is built one rank-two factor at a time, in
+O(n^2) per factor.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from .matrices import (
     ColumnVector,
     basis_vector,
     check_equal,
-    col_times_row,
     identity,
     kernel_decomposition,
+    rank_two_update,
     sigma_index as sigma,
     tilde,
     tilde_pair,
@@ -69,14 +72,14 @@ class DecompositionResult:
         return "DecompositionResult(%d letters)" % (len(self.output),)
 
 
-def sym_outer(v):
-    """The matrix v . tilde(v)."""
-    return col_times_row(v, tilde(v))
+def sym_outer(v, s):
+    """The closed form I + s . v tilde(v)."""
+    return rank_two_update(v, tilde(v), s=s)
 
 
-def pair_outer(v, w):
-    """The matrix v . tilde(w) + w . tilde(v)."""
-    return col_times_row(v, tilde(w)) + col_times_row(w, tilde(v))
+def pair_outer(v, w, s=None):
+    """The closed form I + s . (v tilde(w) + w tilde(v)), s = 1 if None."""
+    return rank_two_update(v, tilde(w), w, tilde(v), s=s)
 
 
 def _extend(v, size):
@@ -85,10 +88,9 @@ def _extend(v, size):
     return ColumnVector(v.ring, list(v.entries) + [v.ring.zero] * (size - v.length))
 
 
-def _check_closed_form(out, outer, s, what):
-    """Check the word out against the closed form I + s . outer."""
-    check_evaluation(out, identity(out.ring, out.size) + outer * s,
-                     what + ": evaluation differs from closed form")
+def _check_closed_form(out, closed, what):
+    """Check the word out against the matrix closed."""
+    check_evaluation(out, closed, what + ": evaluation differs from closed form")
 
 
 def _pair_coords(t):
@@ -148,7 +150,7 @@ def short_root_pair(v, a, b, auxiliary_pair):
     note("short-root-pair", "pair=%d support=%r", auxiliary_pair, v.support())
     out = commutator_word(_pair_transvection_word(v, p, a, h),
                           _pair_transvection_word(v, pbar, b, -1))
-    _check_closed_form(out, sym_outer(v), a.value * b.value, "short-root-pair")
+    _check_closed_form(out, sym_outer(v, a.value * b.value), "short-root-pair")
     return out
 
 
@@ -166,7 +168,7 @@ def long_root_pair(v, w, a, b, auxiliary_pair):
          v.support(), w.support())
     out = commutator_word(_pair_transvection_word(v, pbar, a, 1),
                           _pair_transvection_word(w, p, b, 1))
-    _check_closed_form(out, pair_outer(v, w), a.value * b.value,
+    _check_closed_form(out, pair_outer(v, w, a.value * b.value),
                        "long-root-pair")
     return out
 
@@ -200,7 +202,7 @@ def long_root_reduce(v, w, a, b, zero_pair):
     out = parts[0]
     for piece in parts[1:]:
         out = out * piece
-    _check_closed_form(out, pair_outer(v, w), av * bv, "long-root-reduce")
+    _check_closed_form(out, pair_outer(v, w, av * bv), "long-root-reduce")
     return out
 
 
@@ -229,7 +231,7 @@ def short_root_split(v, a, b):
     out = Word(ring, v.length)
     for piece in parts:
         out = out * piece
-    _check_closed_form(out, sym_outer(v), a.value * b.value,
+    _check_closed_form(out, sym_outer(v, a.value * b.value),
                        "short-root-split")
     return out
 
@@ -244,7 +246,6 @@ def sum_to_product(us, us_certs, w):
     """
     if not us:
         raise PairingNonzero("sum_to_product needs at least one piece")
-    ring = w.ring
     for u in us:
         if not tilde_pair(u, w).is_zero():
             raise PairingNonzero("each tilde(u_i) . w must vanish")
@@ -260,15 +261,22 @@ def sum_to_product(us, us_certs, w):
                 piece = product_certificate(ci, cj)
                 x_cert = x_cert + piece if ell % 2 == 1 else x_cert - piece
     ordering = list(range(len(us)))
-    lhs = identity(ring, w.length)
-    for u in us:
-        lhs = lhs + pair_outer(u, w)
-    rhs = identity(ring, w.length)
-    for i in ordering:
-        rhs = rhs * (identity(ring, w.length) + pair_outer(us[i], w))
-    rhs = rhs * (identity(ring, w.length) + sym_outer(w) * x_cert.value)
+    # tilde is linear, so the sum of the pieces is one closed form
+    lhs = pair_outer(sum(us[1:], us[0]), w)
+    rhs = _product_form([us[i] for i in ordering], w, x_cert.value)
     check_equal(rhs, lhs, "sum_to_product regrouping identity failed")
     return ordering, x_cert
+
+
+def _product_form(us, w, x):
+    """The product of I + u tilde(w) + w tilde(u) over us, in order,
+    times I + x w tilde(w), one rank-two update per factor:
+    M (I + u tilde(w) + w tilde(u)) = M + (M u) tilde(w) + (M w) tilde(u)."""
+    tw = tilde(w)
+    rhs = identity(w.ring, w.length)
+    for u in us:
+        rhs = rank_two_update(rhs * u, tw, rhs * w, tilde(u), base=rhs)
+    return rank_two_update(rhs * w, tw, s=x, base=rhs)
 
 
 def long_root_unimodular(v, w, a, b, u):
@@ -324,7 +332,8 @@ def long_root_unimodular(v, w, a, b, u):
         out = out * long_root_reduce(vec, w, a, b, free)
     for x, y in square_factors(x_cert):
         out = out * short_root_split(w, x, y)
-    _check_closed_form(out, pair_outer(v, w), av * bv, "long-root-unimodular")
+    _check_closed_form(out, pair_outer(v, w, av * bv),
+                       "long-root-unimodular")
     return out
 
 

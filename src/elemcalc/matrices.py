@@ -334,11 +334,38 @@ def _dot(ring, xs, ys):
     return ring.wrap(acc)
 
 
-def col_times_row(v, r):
-    """Outer product: column vector times 1 x m row matrix."""
-    p_mul = v.ring.p_mul
-    return _dense(v.ring, v.length, r.cols,
-                  [p_mul(a, b) for a in v.payloads for b in r.payloads])
+def rank_two_update(x, xrow, y=None, yrow=None, s=None, base=None):
+    """The n x m matrix base + s (x xrow + y yrow), in O(n m).
+
+    x and y are length-n columns, xrow and yrow 1 x m rows; the y term
+    is optional, s defaults to 1 and base to the identity. The nonzero
+    entries of each row are scaled by s once, and zero entries of the
+    scaled rows and of the columns are skipped.
+    """
+    ring = x.ring
+    n, m = x.rows, xrow.cols
+    if base is None:
+        base = identity(ring, n)
+    if (base.rows, base.cols) != (n, m):
+        raise ValueError("shape mismatch")
+    p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
+    sp = None if s is None else ring.el(s).payload
+    out = list(base.payloads)
+    for col, row in ((x, xrow), (y, yrow)):
+        if col is None:
+            continue
+        cells = _nonzero_cells(ring, [row.payloads])[0]
+        if sp is not None:
+            scaled = ((c, p_mul(sp, r)) for c, r in cells)
+            cells = [(c, r) for c, r in scaled if not p_is_zero(r)]
+        if not cells:
+            continue
+        for off, a in zip(range(0, n * m, m), col.payloads):
+            if p_is_zero(a):
+                continue
+            for c, r in cells:
+                out[off + c] = p_add(out[off + c], p_mul(a, r))
+    return _dense(ring, n, m, out)
 
 
 def pfaffian(phi):

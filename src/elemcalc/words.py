@@ -103,7 +103,8 @@ class _Letter:
     ordered so that no cell's row is the column of an earlier cell.
     Applying the cells in turn as column operations then multiplies by
     the letter, and since N^2 = 0 the inverse 1 - N is the same letter
-    at -N.
+    at -N. certificates() gives the letter's certificate slots, None
+    where one is missing.
     """
 
     __slots__ = ()
@@ -159,6 +160,10 @@ class ElementaryLetter(_Letter):
         return [(r, c, p if sg == 1 else p_neg(p))
                 for r, c, sg in self._pattern]
 
+    def certificates(self):
+        """The letter's certificate slots: its one parameter's."""
+        return (self.cert,)
+
     def with_param(self, param, cert=None):
         return ElementaryLetter(self.kind, self.size, self.i, self.j, param,
                                 cert)
@@ -201,6 +206,14 @@ class TransvectionLetter(_Letter):
     @property
     def ring(self):
         return self.q.ring
+
+    def certificates(self):
+        """The letter's certificate slots, None where one is missing:
+        the scalar's, then one per entry of q."""
+        if self.certs is None:
+            return (None,)
+        sc, qcs = self.certs
+        return (sc,) + ((None,) if qcs is None else qcs)
 
     def column_ops(self, inverted=False):
         # rho: N is -q down tail column 1, then (-scalar, q^t form)
@@ -247,6 +260,11 @@ class ShearLetter(_Letter):
     @property
     def ring(self):
         return self.vec.ring
+
+    def certificates(self):
+        """The letter's certificate slots, one per entry of vec; None
+        where one is missing."""
+        return (None,) if self.certs is None else self.certs
 
     def cell(self, idx):
         return (idx + 2, 1) if self.kind == "trans-lower" else (1, idx + 2)
@@ -295,9 +313,13 @@ def UpperTransLetter(vec, certs=None):
 
 
 class Word:
-    """Ordered product of letters, each with an inversion flag."""
+    """Ordered product of letters, each with an inversion flag.
 
-    __slots__ = ("ring", "size", "letters")
+    Words are immutable, and so are their letters: evaluate stores a
+    word's value in it on the first call and returns it on later ones.
+    """
+
+    __slots__ = ("ring", "size", "letters", "_value")
     __hash__ = None
 
     def __init__(self, ring, size, letters=()):
@@ -309,6 +331,7 @@ class Word:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_value", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("words are immutable")
@@ -347,7 +370,10 @@ def word(ring, size, *letters):
 
 def evaluate(w):
     """Exact ordered product of a word's letters: each letter's cells
-    applied in turn as column operations."""
+    applied in turn as column operations. The product is stored in w,
+    so a later call returns the same matrix without recomputing it."""
+    if w._value is not None:
+        return w._value
     ring = w.ring
     n = w.size
     grid = identity(ring, n).payload_grid()
@@ -361,7 +387,9 @@ def evaluate(w):
                 gs = row[s]
                 if not p_is_zero(gs):
                     row[d] = p_add(row[d], p_mul(gs, cp))
-    return ExactMatrix(ring, n, n, [p for row in grid for p in row])
+    value = ExactMatrix(ring, n, n, [p for row in grid for p in row])
+    object.__setattr__(w, "_value", value)
+    return value
 
 
 def check_evaluation(w, want, what):
@@ -416,10 +444,9 @@ def commutator_word(a, b):
 
 
 def _letter_certified(letter, ideal):
-    # the constructor already checked cert.value == letter.param
-    cert = letter.cert
-    return (cert is not None and (ideal is None or cert.ideal == ideal)
-            and cert.check())
+    # the constructors already checked each certificate's value
+    return all(cert is not None and (ideal is None or cert.ideal == ideal)
+               and cert.check() for cert in letter.certificates())
 
 
 def _index1_certified(w, ideal, kind):
@@ -440,7 +467,10 @@ def word_in_ESp1(w, ideal):
 
 
 def word_certified(w, ideal=None):
-    """Every letter carries a valid certificate (optionally over ideal)."""
+    """Every certificate slot of every letter holds a valid certificate
+    (optionally over ideal): an elementary letter's parameter, a
+    transvection's scalar and each entry of its q, each entry of a
+    shear's vector."""
     return all(_letter_certified(letter, ideal) for letter, inv in w.letters)
 
 

@@ -7,8 +7,10 @@ from elemcalc import (
     CertificateInvalid,
     DimensionTooSmall,
     IdealPresentation,
+    LocRing,
     PairNotZero,
     PairingNonzero,
+    PolyRing,
     SupportOverlap,
     SympLetter,
     TwoNotInvertible,
@@ -32,8 +34,9 @@ from elemcalc import (
     word_certified,
 )
 import elemcalc.decompose as decompose_module
+from elemcalc.decompose import _product_form, pair_outer, sym_outer
 import elemcalc.words as words_module
-from elemcalc.matrices import ColumnVector, zero_vector
+from elemcalc.matrices import ColumnVector, identity, tilde, zero_vector
 from elemcalc.sampling import sample_symplectic_word
 
 Z27 = ZmodRing(27)
@@ -204,6 +207,71 @@ def test_sum_to_product():
     assert lhs == rhs
 
 
+def dense_sym(v, s):
+    """I + v tilde(v) s, from dense matrix products: the reference for
+    sym_outer's rank-two update."""
+    return identity(v.ring, v.length) + (v * tilde(v)) * s
+
+
+def dense_pair(v, w, s):
+    """I + (v tilde(w) + w tilde(v)) s, the reference for pair_outer."""
+    return identity(v.ring, v.length) + (v * tilde(w) + w * tilde(v)) * s
+
+
+P27 = PolyRing(Z27, ("X",))
+L27 = LocRing(P27, P27.var("X") + 1)
+
+
+def random_element(rng, ring):
+    """A random element, zero about one time in three."""
+    if rng.random() < 0.3:
+        return ring.zero
+    if isinstance(ring, ZmodRing):
+        return ring.el(rng.randrange(ring.m))
+    if isinstance(ring, LocRing):
+        num = random_element(rng, ring.base)
+        return ring.wrap((num.payload, rng.randrange(3)))
+    return sum((ring.el(rng.randrange(ring.base.m)) * ring.var("X", e)
+                for e in range(rng.randrange(1, 4))), ring.zero)
+
+
+def random_vector(rng, ring, size):
+    return ColumnVector(ring, [random_element(rng, ring)
+                               for _ in range(size)])
+
+
+@pytest.mark.parametrize("ring", [Z27, ZmodRing(25), Z15, P27, L27],
+                         ids=["Z27", "Z25", "Z15", "Z27[X]", "loc"])
+def test_closed_forms_match_dense_products(ring):
+    rng = random.Random(repr(ring))
+    for size in (2, 4, 6):
+        zero = zero_vector(ring, size)
+        for trial in range(6):
+            v, w = random_vector(rng, ring, size), random_vector(rng, ring, size)
+            s = ring.zero if trial == 0 else random_element(rng, ring)
+            for x, y in ((v, w), (zero, w), (v, zero), (zero, zero)):
+                assert sym_outer(x, s) == dense_sym(x, s)
+                assert pair_outer(x, y, s) == dense_pair(x, y, s)
+            assert pair_outer(v, w) == dense_pair(v, w, ring.one)
+
+
+@pytest.mark.parametrize("ring", [Z27, P27, L27], ids=["Z27", "Z27[X]", "loc"])
+def test_product_form_matches_dense_products(ring):
+    """sum_to_product's product, one rank-two update per factor, equals
+    the product of the dense factors."""
+    rng = random.Random(repr(ring))
+    for size in (2, 4, 6):
+        for pieces in (1, 2, 3):
+            w = random_vector(rng, ring, size)
+            us = [random_vector(rng, ring, size) for _ in range(pieces)]
+            x = random_element(rng, ring)
+            want = identity(ring, size)
+            for u in us:
+                want = want * dense_pair(u, w, ring.one)
+            want = want * dense_sym(w, x)
+            assert _product_form(us, w, x) == want
+
+
 def test_sum_to_product_names_the_failed_entry(monkeypatch):
     # a wrong correction term x breaks the regrouping identity
     orig = decompose_module.product_certificate
@@ -345,6 +413,41 @@ def test_decompose_long_case(monkeypatch):
     assert word_certified(res.output, I3)
     assert res.lemma_trace == LONG_CASE_TRACE
     assert calls == []
+
+
+def test_decompose_applies_each_output_letter_once(monkeypatch):
+    """The last lemma's check evaluates the output word once and stores
+    its value, so the final check against the conjugate applies no
+    letter again."""
+    applied = []
+    orig_ops = words_module.ElementaryLetter.column_ops
+
+    def counted(self, inverted=False):
+        applied.append(self)
+        return orig_ops(self, inverted)
+
+    checks = []
+    orig_check = decompose_module.check_evaluation
+
+    def check(w, want, what):
+        before = len(applied)
+        out = orig_check(w, want, what)
+        checks.append((what, w, len(applied) - before))
+        return out
+
+    monkeypatch.setattr(words_module.ElementaryLetter, "column_ops", counted)
+    monkeypatch.setattr(decompose_module, "check_evaluation", check)
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    g = word(Z27, 6,
+             SympLetter(6, 3, 1, Z27.el(5)),
+             SympLetter(6, 4, 6, Z27.el(8)))
+    res = decompose_conjugate(g, 1, 4, a, b)
+    (lemma, lemma_word, lemma_ops), (final, final_word, final_ops) = checks[-2:]
+    assert lemma.startswith("long-root-unimodular")
+    assert lemma_word is res.output and lemma_ops == len(res.output)
+    assert final == "decomposition does not reproduce the conjugate"
+    assert final_word is res.output and final_ops == 0
 
 
 def test_long_root_unimodular_drops_zero_pieces():

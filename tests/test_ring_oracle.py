@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from elemcalc.matrices import (ColumnVector, block_diagonal, col_times_row,
-                               det, from_rows, pfaffian, tilde, tilde_pair)
+from elemcalc.matrices import (ColumnVector, block_diagonal, det, from_rows,
+                               pfaffian, rank_two_update, tilde, tilde_pair)
 from elemcalc.rings import LocRing, PolyRing, ZmodRing, substitute
 from elemcalc.sampling import prime_of
 from test_matrices import pfaffian_matching_oracle
@@ -201,7 +201,8 @@ def arithmetic_cases(ring, grids, scalar):
     yield "block_diagonal", block_diagonal(A, B), sympy.diag(MA, MB)
     if size % 2 == 0:
         w = ColumnVector(ring, [row[1] for row in c])
-        yield ("col_times_row", col_times_row(v, tilde(w)),
+        zero = from_rows(ring, [[0] * size for _ in range(size)])
+        yield ("rank_two_update", rank_two_update(v, tilde(w), base=zero),
                MC[:, 0] * (MC[:, 1].T * standard_psi(size)))
         yield ("tilde_pair", ColumnVector(ring, [tilde_pair(v, w)]),
                MV.T * standard_psi(size) * MC[:, 1])

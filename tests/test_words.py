@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -44,7 +45,8 @@ from elemcalc import (
     word_in_ESp1,
 )
 from elemcalc.matrices import ColumnVector, adjugate_inverse
-from elemcalc.words import note
+from elemcalc.words import (ElementaryLetter, ShearLetter, TransvectionLetter,
+                            note)
 
 Z27 = ZmodRing(27)
 Z25 = ZmodRing(25)
@@ -524,3 +526,81 @@ def test_block_letters_check_their_certificates():
             make(v, (c3, c6))
         with pytest.raises(NotCertified):
             make(v, (c6, c6, None))
+
+
+def uncertified_variants(letter):
+    """The kind_table letter rebuilt with one certificate slot empty, or
+    forged: a certificate of the right value 6 whose coefficients give 3
+    (entry 2 of q, entry 1 of the shear vector)."""
+    forged = CertifiedElement(I3_27, (Z27.el(1),), Z27.el(6))
+    if letter.kind in ("E", "se"):
+        yield letter.with_param(letter.param)
+        yield letter.with_param(Z27.el(6), forged)
+    elif letter.kind in ("rho", "mu"):
+        sc, qcs = letter.certs
+        make = functools.partial(TransvectionLetter, letter.kind, letter.q,
+                                 letter.scalar, letter.form)
+        yield make()
+        yield make((sc, None))
+        yield make((None, qcs))
+        yield make((sc, (None,) + qcs[1:]))
+        yield make((sc, qcs[:1] + (forged,) + qcs[2:]))
+    else:
+        make = functools.partial(ShearLetter, letter.kind, letter.vec)
+        yield make()
+        yield make(letter.certs[:1] + (None,) + letter.certs[2:])
+        yield make((forged,) + letter.certs[1:])
+
+
+@pytest.mark.parametrize("kind", ["E", "se", "rho", "mu", "trans-lower",
+                                  "trans-upper"])
+def test_word_certified_reads_every_shape(kind):
+    """word_certified answers for every letter shape: each certificate
+    slot must be filled, over the given ideal, and pass check()."""
+    letter, _ = kind_table()[kind]
+    I9 = IdealPresentation(Z27, (Z27.el(9),))
+    for inv in (False, True):
+        w = word(Z27, letter.size, (letter, inv))
+        assert word_certified(w) and word_certified(w, I3_27)
+        assert not word_certified(w, I9)
+        for bare in uncertified_variants(letter):
+            w = word(Z27, letter.size, (letter, inv), (bare, inv))
+            assert not word_certified(w)
+            assert not word_certified(w, I3_27)
+
+
+def count_column_ops(monkeypatch):
+    """Record every letter whose column_ops is called."""
+    applied = []
+    for cls in (ElementaryLetter, TransvectionLetter, ShearLetter):
+        def counted(self, inverted=False, _orig=cls.column_ops):
+            applied.append(self)
+            return _orig(self, inverted)
+        monkeypatch.setattr(cls, "column_ops", counted)
+    return applied
+
+
+def test_evaluate_stores_the_value(monkeypatch):
+    applied = count_column_ops(monkeypatch)
+    for letter, _ in kind_table().values():
+        w = word(Z27, letter.size, letter, (letter, True))
+        first = evaluate(w)
+        assert applied == [letter, letter]
+        assert evaluate(w) is first
+        assert applied == [letter, letter]
+        assert first == product_oracle(w)
+        del applied[:]
+
+
+def test_derived_words_start_without_a_value():
+    a = word(Z27, 3, LinLetter(3, 1, 2, Z27.el(4)))
+    b = word(Z27, 3, LinLetter(3, 2, 3, Z27.el(5)))
+    evaluate(a)
+    evaluate(b)
+    derived = (a * b, a.append(LinLetter(3, 1, 3, Z27.el(2))),
+               invert_word(a), conjugate_word(a, b), commutator_word(a, b))
+    for w in derived:
+        assert w._value is None
+        assert evaluate(w) == product_oracle(w)
+    with pytest.raises(AttributeError):
+        a._value = None

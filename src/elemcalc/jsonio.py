@@ -30,6 +30,11 @@ from .words import ElementaryLetter, TransvectionLetter, Word
 # work grows about quadratically with it.
 MAX_LOC_EXPONENT = 64
 
+# The most bits the modulus m of a zmod descriptor may have. Every
+# product of two elements costs time that grows with it; documented
+# moduli stay below 2^7.
+MAX_MODULUS_BITS = 256
+
 
 def _need(data, key, what):
     if not isinstance(data, dict) or key not in data:
@@ -72,6 +77,10 @@ def ring_from_json(data):
     if kind == "zmod":
         m = _need_int(_need(data, "m", "zmod descriptor"),
                       "zmod descriptor field 'm'", 2)
+        if m.bit_length() > MAX_MODULUS_BITS:
+            raise DescriptorMismatch(
+                "zmod descriptor field 'm' must have at most %d bits"
+                % (MAX_MODULUS_BITS,))
         make, args = ZmodRing, (m,)
     elif kind == "poly":
         base = ring_from_json(_need(data, "base", "poly descriptor"))

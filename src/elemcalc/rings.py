@@ -203,6 +203,9 @@ class ZmodRing(Ring):
     def p_mul(self, a, b):
         return (a * b) % self.m
 
+    def p_pow(self, a, k):
+        return pow(a, k, self.m)
+
     def p_is_zero(self, a):
         return a == 0
 
@@ -349,8 +352,12 @@ class PolyRing(Ring):
     def p_substitute(self, a, bindings):
         """bindings: variable name -> payload of this ring.
 
-        Each bound value is raised by square-and-multiply, once per
-        distinct (variable, exponent) in a.
+        The substitution is simultaneous. When every bound value is one
+        term c*X^f (a constant has f = 0, zero has no term), each term
+        of a maps to one term in closed form: its coefficient times c^e
+        in the base ring, its exponents plus e*f. Otherwise each bound
+        value is raised by square-and-multiply. Either way one power is
+        computed per distinct (variable, exponent) in a.
         """
         positions = {}
         for name in bindings:
@@ -359,6 +366,43 @@ class PolyRing(Ring):
             positions[self.variables.index(name)] = bindings[name]
         powers = {}
         out = {}
+        if all(len(val) <= 1 for val in positions.values()):
+            base = self.base
+            bmul, badd, bzero = base.p_mul, base.p_add, base.p_is_zero
+            zero = base.from_int(0)
+            terms = [(pos, next(iter(val.items()), None))
+                     for pos, val in positions.items()]
+            for exps, c in a.items():
+                rest = list(exps)
+                for pos in positions:
+                    rest[pos] = 0
+                for pos, term in terms:
+                    e = exps[pos]
+                    if not e:
+                        continue
+                    if term is None:        # zero to a positive power
+                        c = zero
+                        break
+                    f, cv = term
+                    cp = powers.get((pos, e))
+                    if cp is None:
+                        cp = powers[(pos, e)] = base.p_pow(cv, e)
+                    c = bmul(c, cp)
+                    for i, fi in enumerate(f):
+                        if fi:
+                            rest[i] += e * fi
+                if bzero(c):
+                    continue
+                key = tuple(rest)
+                if key in out:
+                    s = badd(out[key], c)
+                    if bzero(s):
+                        del out[key]
+                    else:
+                        out[key] = s
+                else:
+                    out[key] = c
+            return out
         for exps, c in a.items():
             rest = list(exps)
             for pos in positions:

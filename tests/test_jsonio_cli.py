@@ -739,6 +739,31 @@ def test_cli_loc_exponent_bound(monkeypatch, capsys):
             assert json.loads(captured.out)["pfaffian"] == entry
 
 
+def test_cli_modulus_bound(monkeypatch, capsys):
+    # a modulus of MAX_MODULUS_BITS bits is accepted; one bit more is
+    # refused before any element is decoded, also as the base of a poly
+    # or loc descriptor
+    bound = "zmod descriptor field 'm' must have at most %d bits" % (
+        jsonio.MAX_MODULUS_BITS,)
+    at, over = 3 ** 161, 1 << jsonio.MAX_MODULUS_BITS
+    assert at.bit_length() == jsonio.MAX_MODULUS_BITS
+    request = {"ring": {"kind": "zmod", "m": at},
+               "matrix": [[0, 1], [-1, 0]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["pfaffian"]) == 0
+    assert json.loads(capsys.readouterr().out)["pfaffian"] == 1
+    zmod = {"kind": "zmod", "m": over}
+    for ring in (zmod, {"kind": "poly", "base": zmod, "vars": ["X"]},
+                 {"kind": "loc", "base": zmod, "denom": None}):
+        request = {"ring": ring, "matrix": [[None] * 2] * 2}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        assert cli.main(["pfaffian"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and bound in captured.err
+        with pytest.raises(DescriptorMismatch, match=bound):
+            jsonio.ring_from_json(ring)
+
+
 @pytest.mark.parametrize("command, key, extra", [
     ("pfaffian", "matrix", {}),
     ("standardize", "form", {"ideal": [{"num": [[{}, 3]], "exp": 0}]}),

@@ -415,3 +415,25 @@ SEEDED_DIGESTS = {
 def test_seeded_rewrite_output_is_pinned(index):
     text = jsonio.dumps(jsonio.rewrite_to_json(seeded_rewrite(index)))
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[index]
+
+
+@pytest.mark.parametrize("index", [14, 15])
+def test_point_specialization_makes_no_polynomial_product(poly_mul_calls,
+                                                          monkeypatch,
+                                                          index):
+    # every parameter of an r = 3 rewrite is bound at a point: the
+    # substitutions map each term to a constant in closed form
+    assert SEEDED[index][2] == 3
+    res = seeded_rewrite(index)
+    products = []
+
+    def counting(p, bindings):
+        before = len(poly_mul_calls)
+        out = substitute(p, bindings)
+        products.append(len(poly_mul_calls) - before)
+        return out
+
+    monkeypatch.setattr(rewrite_module, "substitute", counting)
+    specialize_and_check(res, 5, 2)
+    assert len(products) == len(res.output) + len(res.lhs)
+    assert not any(products)

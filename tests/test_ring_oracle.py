@@ -14,7 +14,7 @@ import pytest
 
 from elemcalc.matrices import (ColumnVector, block_diagonal, det, from_rows,
                                pfaffian, rank_two_update, tilde, tilde_pair)
-from elemcalc.rings import LocRing, PolyRing, ZmodRing, substitute
+from elemcalc.rings import LocRing, PolyRing, Ring, ZmodRing, substitute
 from elemcalc.sampling import prime_of
 from test_matrices import pfaffian_matching_oracle
 
@@ -43,24 +43,100 @@ def reduced(expr, m):
     return {k: int(c) % m for k, c in coeffs.items() if int(c) % m}
 
 
+def assert_substitute_matches(p, pe, bindings, subs, m):
+    got = substitute(p, bindings)
+    want = reduced(sympy.expand(pe.subs(subs, simultaneous=True)), m)
+    assert got.payload == want
+    return got
+
+
 @pytest.mark.parametrize("m", MODULI)
 def test_substitute_matches_sympy(m):
+    # one-term values (constants, zero, c X^i Y^k) take the closed form,
+    # two-term values the square-and-multiply path; the latter only at
+    # small Y-exponents, since their powers have many terms
     rng = random.Random(m)
-    for _ in range(12):
-        p, pe = sparse_pair(rng, m, Y_EXPONENTS)
-        if rng.random() < 0.5:
-            c = rng.randrange(m)        # constant value, Y -> c
-            v, ve = p.ring.el(c), sympy.Integer(c)
-        else:                           # monomial value, Y -> c X^i Y^k
-            v, ve = sparse_pair(rng, m, (0, 1, 4), terms=1)
+    P = PolyRing(ZmodRing(m), ("X", "Y"))
+    for kind in ("constant", "zero", "one-term", "two-term") * 6:
+        small = kind == "two-term"
+        p, pe = sparse_pair(rng, m, (0, 1, 2, 3, 16) if small else Y_EXPONENTS)
+        if kind == "constant":          # Y -> c
+            c = rng.randrange(m)
+            v, ve = P.el(c), sympy.Integer(c)
+        elif kind == "zero":            # Y -> 0
+            v, ve = P.zero, sympy.Integer(0)
+        else:                           # Y -> c X^i Y^k (+ c' X^i' Y^k')
+            v, ve = sparse_pair(rng, m, (0, 1, 4), terms=1 + small)
         bindings, subs = {"Y": v}, {Y: ve}
         if rng.random() < 0.5:
             x0 = rng.randrange(m)
             bindings["X"] = x0
             subs[X] = x0
-        got = substitute(p, bindings)
-        want = reduced(sympy.expand(pe.subs(subs, simultaneous=True)), m)
-        assert got.payload == want
+        assert_substitute_matches(p, pe, bindings, subs, m)
+    # two terms that cannot merge, so the square-and-multiply path runs
+    p, pe = sparse_pair(rng, m, (1, 3, 16))
+    v, ve = P.el(2) * P.var("X") + P.el(m - 1) * P.var("Y", 4), 2 * X - Y ** 4
+    assert_substitute_matches(p, pe, {"Y": v}, {Y: ve}, m)
+    # the simultaneous swap, plain and scaled
+    for c, d in ((1, 1), (2, m - 3)):
+        p, pe = sparse_pair(rng, m, Y_EXPONENTS, terms=5)
+        bindings = {"X": P.el(c) * P.var("Y"), "Y": P.el(d) * P.var("X")}
+        assert_substitute_matches(p, pe, bindings, {X: c * Y, Y: d * X}, m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_substitute_drops_vanishing_powers(m):
+    # X -> qX with m = q^k: a term of X-degree k or more vanishes, and
+    # the result keeps no zero coefficient
+    q = prime_of(m)
+    P = PolyRing(ZmodRing(m), ("X", "Y"))
+    p, pe = P.zero, sympy.Integer(0)
+    for e in (0, 1, 2, 3, 4, 4 ** 5):
+        p, pe = p + P.var("X", e) * P.var("Y", e), pe + X ** e * Y ** e
+    for bindings, subs in (({"X": P.el(q) * P.var("X")}, {X: q * X}),
+                           ({"X": P.el(q) * P.var("Y", 4)}, {X: q * Y ** 4}),
+                           ({"Y": P.el(q)}, {Y: q})):
+        got = assert_substitute_matches(p, pe, bindings, subs, m)
+        assert all(got.payload.values())
+
+
+@pytest.mark.parametrize("m", MODULI + (8,))
+def test_zmod_power_matches_pow(m):
+    # every residue, zero divisors and zero included
+    Z = ZmodRing(m)
+    for a in range(m):
+        for k in (0, 1, 4 ** 8):
+            assert Z.p_pow(a, k) == pow(a, k, m)
+            assert Z.p_pow(a, k) == Ring.p_pow(Z, a, k)
+
+
+def test_substitute_over_a_localization():
+    # the base loc((Z/27)[X], X+1) is not structural: the substitution is
+    # checked with == against each term multiplied out with **
+    Q = PolyRing(ZmodRing(27), ("X",))
+    x = Q.var("X")
+    L = LocRing(Q, x + Q.one)
+    P = PolyRing(L, ("S", "T"))
+
+    def frac(num, exp):
+        return P.el(L.wrap((num.payload, exp)))
+
+    coeffs = (frac(x * 2 + Q.el(1), 1), frac(x * 3, 2), frac(Q.el(5), 0),
+              frac(x * x + Q.el(4), 3))
+    exps = ((0, 0), (1, 2), (3, 1), (4 ** 4, 5))
+    p = P.zero
+    for c, (es, et) in zip(coeffs, exps):
+        p = p + c * P.var("S", es) * P.var("T", et)
+    values = (frac(x + Q.el(2), 1),                      # a constant
+              frac(x * 3, 1) * P.var("T", 2),            # one term
+              P.zero,                                    # zero
+              P.var("S") + frac(x * 3, 2) * P.var("T"))  # two terms
+    for vs in values:
+        for vt in (frac(Q.el(3), 0), P.var("S")):
+            want = P.zero
+            for c, (es, et) in zip(coeffs, exps):
+                want = want + c * vs ** es * vt ** et
+            assert substitute(p, {"S": vs, "T": vt}) == want
 
 
 @pytest.mark.parametrize("m", MODULI)

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,21 +124,48 @@ def test_monomial_from_named_exponents(poly_mul_calls):
         sample_element(rng, P, variables=("X", "Z"), terms=1, max_degree=0)
 
 
-def test_substitute_raises_by_squaring(poly_mul_calls):
+def test_substitute_one_term_values_cost_no_product(poly_mul_calls):
+    # each term maps to one term: coefficient times c^e, exponents plus
+    # e*f, with no polynomial product however large e is
     P = make_pxy()
-    y = P.var("Y")
-    p = P.var("Y", 4 ** 8)
+    n = 4 ** 8
+    p = P.var("X") * P.var("Y", n) + P.var("Y", n) + P.el(5)
+    x1 = P.var("X") + P.el(1)
+    cases = [
+        ({"Y": P.var("Y", 4)}, x1 * P.var("Y", 4 ** 9) + P.el(5)),
+        ({"Y": P.el(2)}, x1 * P.el(pow(2, n, 27)) + P.el(5)),
+        ({"Y": P.el(2) * P.var("Y")},
+         x1 * P.el(pow(2, n, 27)) * P.var("Y", n) + P.el(5)),
+        ({"Y": P.el(2) * P.var("X") * P.var("Y")},
+         P.monomial([("X", n), ("Y", n)], Z27.el(pow(2, n, 27))) * x1
+         + P.el(5)),
+        ({"Y": P.zero}, P.el(5)),
+        ({"Y": P.el(3) * P.var("X")}, P.el(5)),     # 3^n = 0 mod 27
+        ({"X": P.el(3), "Y": P.el(4)},
+         P.el((3 * pow(4, n, 27) + pow(4, n, 27) + 5) % 27)),
+    ]
     poly_mul_calls.clear()
-    q = substitute(p, {"Y": P.var("Y", 4)})
-    assert len(poly_mul_calls) <= (4 ** 8).bit_length() + 1
-    assert q == P.var("Y", 4 ** 9)
-    # one power per (variable, exponent), shared between monomials
-    p = P.var("X") * P.var("Y", 4 ** 8) + P.var("Y", 4 ** 8)
+    for bindings, want in cases:
+        assert substitute(p, bindings) == want
+    assert not poly_mul_calls
+
+
+def test_substitute_raises_by_squaring(poly_mul_calls):
+    # a value of two terms is raised by square-and-multiply, one power
+    # per (variable, exponent), shared between monomials; over Z/27,
+    # (Y^4 + 3X)^n keeps the three terms with 3^k != 0
+    P = make_pxy()
+    n = 4 ** 8
+    p = P.var("X") * P.var("Y", n) + P.var("Y", n)
+    want = P.zero
+    for k in range(3):
+        want = want + P.monomial([("X", k), ("Y", 4 * (n - k))],
+                                 Z27.el(comb(n, k) * 3 ** k))
+    want = want * (P.var("X") + P.el(1))
     poly_mul_calls.clear()
-    q = substitute(p, {"Y": P.el(2) * y})
-    assert len(poly_mul_calls) <= (4 ** 8).bit_length() + 2
-    assert q == (P.var("X") + P.el(1)) * P.el(pow(2, 4 ** 8, 27)) \
-        * P.var("Y", 4 ** 8)
+    q = substitute(p, {"Y": P.var("Y", 4) + P.el(3) * P.var("X")})
+    assert len(poly_mul_calls) <= n.bit_length() + 2
+    assert q == want
 
 
 def test_poly_product_prunes_cancelled_terms():

@@ -51,7 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # matrix comparison)
 TRACE_COUNTS = ("rings.poly_mul.calls", "rings.zmod_mul.calls",
                 "matrices.matmul.calls", "words.evaluate.calls",
-                "matrices.eq.calls")
+                "matrices.eq.calls", "rewrite.letters_out")
 
 
 def src_lines(root):

@@ -7,7 +7,10 @@ but the commutator relations. The rewriter proper takes a conjugating
 word whose parameters carry a power of the variable Y and rewrites the
 conjugate of a first-index generator as a product of first-index
 generators again, with every parameter divisible by Y; iterating it
-trades conjugators for fourth powers of Y.
+trades conjugators for fourth powers of Y. Each conjugating letter is one
+level: the derived word of the letters inside it, conjugated by it, is
+peeled into first-index generators once, so the output does not
+multiply per letter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import (
     UnknownVariable,
     VerificationFailed,
 )
-from .matrices import identity as identity_matrix
 from .matrices import sigma_index as sigma
 from .rings import PolyRing, half, square_factors, substitute
 from .words import (
@@ -193,18 +195,21 @@ class _TPoly:
 
     def __init__(self, ring, terms=()):
         merged = {}
+        cancelled = False
         for t in terms:
             value = t.value()
             if value.is_zero():
                 continue
             key = (t.y_exp, t.atoms)
             old = merged.get(key)
-            merged[key] = t if old is None else _Term(
-                ring, t.y_exp, t.atoms, old.coeff + t.coeff,
-                old.value() + value)
+            if old is not None:
+                value = old.value() + value
+                cancelled = cancelled or value.is_zero()
+                t = _Term(ring, t.y_exp, t.atoms, old.coeff + t.coeff, value)
+            merged[key] = t
         self.ring = ring
         self.terms = tuple(t for t in merged.values()
-                           if not t.value().is_zero())
+                           if not (cancelled and t.value().is_zero()))
         self._value = None
 
     def value(self):
@@ -225,8 +230,11 @@ class _TPoly:
     def is_zero(self):
         return self.value().is_zero()
 
-    def plus(self, other):
-        return _TPoly(self.ring, self.terms + other.terms)
+    def plus(self, other, total=None):
+        """self + other; total, when known, is the sum of their values."""
+        out = _TPoly(self.ring, self.terms + other.terms)
+        out._value = total
+        return out
 
     def times(self, other):
         out = []
@@ -251,12 +259,11 @@ class _TPoly:
         return _TPoly(self.ring,
                       [t.subst_y4(memo) for t in self.terms])
 
-    def min_y(self):
-        return min(t.y_exp for t in self.terms)
-
     def graded(self, nu):
-        return _TPoly(self.ring,
-                      [t for t in self.terms if t.y_exp == nu])
+        part = [t for t in self.terms if t.y_exp == nu]
+        if len(part) == len(self.terms):
+            return self
+        return _TPoly(self.ring, part)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +282,11 @@ class _Grid:
 
     def add(self, cell, poly):
         old = self.cells.get(cell)
-        new = poly if old is None else old.plus(poly)
-        if new.is_zero():
+        total = poly.value() if old is None else old.value() + poly.value()
+        if total.is_zero():
             self.cells.pop(cell, None)
         else:
-            self.cells[cell] = new
+            self.cells[cell] = poly if old is None else old.plus(poly, total)
 
     def _lam(self, pattern, poly, invert):
         lam = {}
@@ -309,8 +316,20 @@ class _Grid:
                 if t == t2:
                     self.add((r, q), d.times(p))
 
-    def min_y(self):
-        return min(p.min_y() for p in self.cells.values())
+    def lowest_layer(self):
+        """{cell: grade-nu part} for the lowest Y-grade nu whose terms
+        do not cancel in some cell. Terms with other factors can sum to
+        zero (18X + 9X over Z/27) yet stay apart, so the lowest exponent
+        present need not be that grade."""
+        grades = {t.y_exp for p in self.cells.values() for t in p.terms}
+        for nu in sorted(grades):
+            comp = {}
+            for cell, poly in self.cells.items():
+                g = poly.graded(nu)
+                if not g.is_zero():
+                    comp[cell] = g
+            if comp:
+                return comp
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +506,7 @@ def _peel(system, grid, rounds=500):
         if rounds < 0:
             raise VerificationFailed(
                 "residual failed to terminate while peeling")
-        nu = grid.min_y()
-        comp = {}
-        for cell, poly in grid.cells.items():
-            g = poly.graded(nu)
-            if not g.is_zero():
-                comp[cell] = g
+        comp = grid.lowest_layer()
         offdiag = sorted(c for c in comp if c[0] != c[1])
         if offdiag:
             p, q = offdiag[0]
@@ -516,28 +530,6 @@ def _peel(system, grid, rounds=500):
     return out
 
 
-# ---------------------------------------------------------------------------
-# One conjugation step: an untouched target passes through, any other
-# residual is peeled. Every emission is checked by exact evaluation
-# before it is accepted; a wrong peel surfaces as VerificationFailed,
-# never as silent bad output.
-
-
-def _classify(system, grid, t_rec):
-    if any(p == q for p, q in grid.cells):
-        return "reflection"
-    ti, tj, tpoly = t_rec
-    expected = {}
-    for r, c, sg in system.pattern(ti, tj):
-        expected[(r, c)] = tpoly if sg == 1 else tpoly.neg()
-    if set(grid.cells) == set(expected):
-        same = all(grid.cells[cell].value() == expected[cell].value()
-                   for cell in expected)
-        if same:
-            return "untouched"
-    return "overlap"
-
-
 def _records_word(system, records, with_certs=False):
     letters = []
     for i, j, poly in records:
@@ -549,36 +541,15 @@ def _records_word(system, records, with_certs=False):
     return Word(system.ring, system.size, letters)
 
 
-def _conjugate_one(system, g_rec, t_rec):
-    gi, gj, gpoly = g_rec
-    ti, tj, tpoly = t_rec
-    grid = _Grid(system.ring, system.size)
-    for r, c, sg in system.pattern(ti, tj):
-        grid.add((r, c), tpoly if sg == 1 else tpoly.neg())
-    gpat = system.pattern(gi, gj)
-    grid.mul_letter_left(gpat, gpoly)
-    grid.mul_letter_right(gpat, gpoly, invert=True)
-    shape = _classify(system, grid, t_rec)
-    records = [t_rec] if shape == "untouched" else _peel(system, grid)
-    lhs = Word(system.ring, system.size, (
-        (system.make_letter(gi, gj, gpoly.value()), False),
-        (system.make_letter(ti, tj, tpoly.value()), False),
-        (system.make_letter(gi, gj, gpoly.value()), True),
-    )) if not tpoly.is_zero() else None
-    want = evaluate(lhs) if lhs is not None \
-        else identity_matrix(system.ring, system.size)
-    check_evaluation(
-        _records_word(system, records), want,
-        "case emission does not reproduce the conjugate "
-        "(%s conjugator (%d, %d), target (%d, %d))"
-        % (system.name, gi, gj, ti, tj))
-    note(system.name + "/" + shape, "g=(%d,%d) t=(%d,%d) -> %d letters",
-         gi, gj, ti, tj, len(records))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # The rewriter: trade conjugating letters for fourth powers of Y.
+#
+# One step per level: the inner records, after Y -> Y^4, are multiplied
+# into one residual, conjugated by the level's letter and peeled once. A
+# conjugated product of Y-divisible records is congruent to I mod Y,
+# which is all _peel needs. Every level's emission is checked by exact
+# evaluation before it is accepted; a wrong peel surfaces as
+# VerificationFailed, never as silent bad output.
 
 
 def _rewrite_rec(system, gs, i, j, a_tpoly):
@@ -587,10 +558,23 @@ def _rewrite_rec(system, gs, i, j, a_tpoly):
     inner = _rewrite_rec(system, gs[1:], i, j, a_tpoly)
     memo = {}
     inner = [(p, q, poly.subst_y4(memo)) for p, q, poly in inner]
-    out = []
-    for rec in inner:
-        out.extend(_conjugate_one(system, gs[0], rec))
-    return out
+    grid = _Grid(system.ring, system.size)
+    for p, q, poly in inner:
+        grid.mul_letter_right(system.pattern(p, q), poly)
+    gi, gj, gpoly = gs[0]
+    gpat = system.pattern(gi, gj)
+    grid.mul_letter_left(gpat, gpoly)
+    grid.mul_letter_right(gpat, gpoly, invert=True)
+    records = _peel(system, grid)
+    check_evaluation(
+        _records_word(system, records),
+        evaluate(conjugate_word(_records_word(system, gs[:1]),
+                                _records_word(system, inner))),
+        "level emission does not reproduce the conjugate "
+        "(%s conjugator (%d, %d))" % (system.name, gi, gj))
+    note(system.name + "/level", "g=(%d,%d) %d -> %d letters",
+         gi, gj, len(inner), len(records))
+    return records
 
 
 class RewriteResult:
@@ -599,7 +583,7 @@ class RewriteResult:
     output holds the derived word of first-index letters, lhs the word
     it must equal (conjugators, target, inverted conjugators), checked
     exactly before the result is built, and case_trace lists one line
-    per conjugation step in derivation order.
+    per level (conjugating letter), innermost first.
     """
 
     __slots__ = ("output", "lhs", "case_trace")

@@ -366,16 +366,18 @@ class PolyRing(Ring):
             positions[self.variables.index(name)] = bindings[name]
         powers = {}
         out = {}
-        if all(len(val) <= 1 for val in positions.values()):
-            base = self.base
-            bmul, badd, bzero = base.p_mul, base.p_add, base.p_is_zero
+        base = self.base
+        bmul, badd, bzero = base.p_mul, base.p_add, base.p_is_zero
+        closed = all(len(val) <= 1 for val in positions.values())
+        if closed:
             zero = base.from_int(0)
             terms = [(pos, next(iter(val.items()), None))
                      for pos, val in positions.items()]
-            for exps, c in a.items():
-                rest = list(exps)
-                for pos in positions:
-                    rest[pos] = 0
+        for exps, c in a.items():
+            rest = list(exps)
+            for pos in positions:
+                rest[pos] = 0
+            if closed:
                 for pos, term in terms:
                     e = exps[pos]
                     if not e:
@@ -391,31 +393,26 @@ class PolyRing(Ring):
                     for i, fi in enumerate(f):
                         if fi:
                             rest[i] += e * fi
+                pieces = ((tuple(rest), c),)
+            else:
+                term = {tuple(rest): c}
+                for pos, val in positions.items():
+                    e = exps[pos]
+                    if e:
+                        pw = powers.get((pos, e))
+                        if pw is None:
+                            pw = powers[(pos, e)] = self.p_pow(val, e)
+                        term = self.p_mul(term, pw)
+                pieces = term.items()
+            for key, c in pieces:
                 if bzero(c):
                     continue
-                key = tuple(rest)
                 if key in out:
-                    s = badd(out[key], c)
-                    if bzero(s):
+                    c = badd(out[key], c)
+                    if bzero(c):
                         del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
-            return out
-        for exps, c in a.items():
-            rest = list(exps)
-            for pos in positions:
-                rest[pos] = 0
-            term = {tuple(rest): c}
-            for pos, val in positions.items():
-                e = exps[pos]
-                if e:
-                    pw = powers.get((pos, e))
-                    if pw is None:
-                        pw = powers[(pos, e)] = self.p_pow(val, e)
-                    term = self.p_mul(term, pw)
-            out = self.p_add(out, term)
+                        continue
+                out[key] = c
         return out
 
     def p_repr(self, a):

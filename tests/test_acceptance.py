@@ -255,7 +255,7 @@ README_DIGESTS = {
     "decompose":
         "135a3d8774d3261d6b24832c5f971e2c1cc42508a0797e4c4b5e89fecaf84a69",
     "rewrite":
-        "42bc72a3721f764c2a29653e20c5bf159a8b7af315979e3f9f09f6ec5977f7f9",
+        "40a3de48ca213da46d1a1457fd3bb16d7414bd25aaae2e7ac423a6b34f3d6eff",
     "pfaffian":
         "4fbe2ab0594c233051b28da40fe255dca62222bae61a6d8b0d97eebef01068ae",
     "standardize":

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from elemcalc import (
     BadIndices,
@@ -19,9 +20,11 @@ from elemcalc import (
     Word,
     ZmodRing,
     certify,
+    conjugate_word,
     evaluate,
     include_I2_linear,
     include_I2_symplectic,
+    index1_form,
     invert_word,
     rewrite_conjugation_linear,
     rewrite_conjugation_symplectic,
@@ -290,6 +293,68 @@ def test_corrupted_case_table_is_caught(monkeypatch):
         rewrite_conjugation_linear(eps, 1, 3, a)
 
 
+def letter_record(i, j, y_exp, atom, coeff=1):
+    """The rewriter's record of x_ij(coeff * Y^y_exp * atom)."""
+    term = rewrite_module._Term(R, y_exp, (atom,), R.el(coeff))
+    return i, j, rewrite_module._TPoly(R, [term])
+
+
+@st.composite
+def conjugated_products(draw):
+    """A rewriter system, one first-index letter record g (Y-free) and
+    a product of one to four Y-divisible first-index letter records,
+    each with one certified factor and Y-exponent a multiple of 4, as
+    the records of a level are after Y -> Y^4."""
+    if draw(st.booleans()):
+        system = rewrite_module._LinearSystem(R, 3)
+    else:
+        system = rewrite_module._SymplecticSystem(R, 6)
+    pairs = [(i, j) for i in range(1, system.size + 1)
+             for j in range(1, system.size + 1)
+             if i != j and index1_form(system.kind, i, j) is not None]
+
+    def record(y_exp):
+        i, j = draw(st.sampled_from(pairs))
+        atom = c(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+        return letter_record(i, j, y_exp, atom,
+                             draw(st.sampled_from([1, -1, 2])))
+
+    g = record(0)
+    exps = draw(st.lists(st.sampled_from([4, 8, 16]), min_size=1,
+                         max_size=4))
+    return system, g, [record(e) for e in exps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_products())
+# the residual's (1, 1) entry holds 18X Y^4 and 9X Y^4 from different
+# factors: they cancel over Z/27, but the lowest exponent present stayed
+# Y^4, so peeling found no layer and ran into its rounds guard
+@example((rewrite_module._SymplecticSystem(R, 6),
+          letter_record(2, 1, 0, c(0, 1)),
+          [letter_record(1, 2, 4, c(0, 1)), letter_record(1, 2, 8, c(0, 1))]))
+def test_peel_factors_a_conjugated_product(case):
+    # g . (L1 ... Lm) . g^-1, multiplied out as one residual, peels into
+    # certified, Y-divisible first-index letters of the same value
+    system, g, records = case
+    grid = rewrite_module._Grid(R, system.size)
+    for i, j, poly in records:
+        grid.mul_letter_right(system.pattern(i, j), poly)
+    gpat = system.pattern(g[0], g[1])
+    grid.mul_letter_left(gpat, g[2])
+    grid.mul_letter_right(gpat, g[2], invert=True)
+    peeled = rewrite_module._peel(system, grid)
+    assert not grid.cells
+    words = rewrite_module._records_word
+    out = words(system, peeled, with_certs=True)
+    want = conjugate_word(words(system, [g]), words(system, records))
+    assert evaluate(out) == evaluate(want)
+    in_group = word_in_E1 if system.kind == "E" else word_in_ESp1
+    assert in_group(out, I3)
+    for letter, _ in out.letters:
+        assert y_divisible(letter.param)
+
+
 def test_rewrite_deterministic():
     a = c(1, 1)
     g = c(2, 0)
@@ -301,7 +366,7 @@ def test_rewrite_deterministic():
 
 
 def test_symplectic_case_trace_frozen():
-    # one line per conjugation step, innermost conjugator first
+    # one line per level, innermost conjugator first
     a, g, k, h = c(1, 1), c(2, 0), c(0, 1), c(1, 2)
     eps = word(R, 6, SympLetter(6, 2, 3, g.value, cert=g),
                SympLetter(6, 1, 3, k.value, cert=k),
@@ -309,34 +374,55 @@ def test_symplectic_case_trace_frozen():
     res = rewrite_conjugation_symplectic(eps, 1, 4, a)
     assert len(res.output) == 6
     assert res.case_trace == (
-        "symplectic/untouched g=(1,5) t=(1,4) -> 1 letters",
-        "symplectic/overlap g=(1,3) t=(1,4) -> 2 letters",
-        "symplectic/untouched g=(2,3) t=(1,2) -> 1 letters",
-        "symplectic/reflection g=(2,3) t=(1,4) -> 5 letters",
+        "symplectic/level g=(1,5) 1 -> 1 letters",
+        "symplectic/level g=(1,3) 1 -> 2 letters",
+        "symplectic/level g=(2,3) 2 -> 6 letters",
     )
 
 
-@pytest.mark.parametrize("mode, seed", [("linear", 10), ("symplectic", 0)])
-def test_rewrite_six_letter_conjugator(mode, seed):
-    # the identity is proved at Y^4096
-    rng = trial_rng(seed, 6)
+def sampled_rewrite(mode, seed, r):
+    """A rewrite sampled at stream trial_rng(seed, r): an r-letter
+    conjugator over (Z/27)[X, Y], size 3 linear or size 6 symplectic;
+    returns it with its membership test."""
+    rng = trial_rng(seed, r)
     if mode == "linear":
-        eps = sample_index1_linear_word(rng, I3, 3, 6, variables=("X",))
+        eps = sample_index1_linear_word(rng, I3, 3, r, variables=("X",))
         i, j = sample_linear_index1(rng, 3)
         rewrite, in_group = rewrite_conjugation_linear, word_in_E1
     else:
-        eps = sample_index1_symplectic_word(rng, I3, 6, 6, variables=("X",))
+        eps = sample_index1_symplectic_word(rng, I3, 6, r, variables=("X",))
         i, j = sample_index1_symplectic(rng, 6)
         rewrite, in_group = rewrite_conjugation_symplectic, word_in_ESp1
     a = sample_certified(rng, I3, max_degree=1, variables=("X",))
-    res = rewrite(eps, i, j, a)
-    assert res.lhs.letters[6][0].param == R.var("Y", 4 ** 6) * a.value
-    assert len(res.output) > 100
+    return rewrite(eps, i, j, a), a, in_group
+
+
+def assert_sound_rewrite(res, in_group):
     assert in_group(res.output, I3)
     for letter, _ in res.output.letters:
         assert y_divisible(letter.param)
     specialize_and_check(res, 5, 2)
     assert specialize_and_check(res, 4, 0).is_identity()
+
+
+@pytest.mark.parametrize("mode, seed", [("linear", 10), ("symplectic", 0)])
+def test_rewrite_six_letter_conjugator(mode, seed):
+    # the identity is proved at Y^4096
+    res, a, in_group = sampled_rewrite(mode, seed, 6)
+    assert res.lhs.letters[6][0].param == R.var("Y", 4 ** 6) * a.value
+    # each level is peeled once, so the output stays short
+    assert len(res.output) <= 30
+    assert_sound_rewrite(res, in_group)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mode", ["linear", "symplectic"])
+def test_rewrite_output_does_not_grow_per_letter(mode, seed):
+    # sixteen conjugating letters (Y^(4^16)); peeling every inner record
+    # on its own multiplied the output 2-4x per letter
+    res, _, in_group = sampled_rewrite(mode, seed, 16)
+    assert len(res.output) <= 80
+    assert_sound_rewrite(res, in_group)
 
 
 # Seeded rewrites over (Z/m)[X, Y] with the ideal (p, pX), p the prime
@@ -373,9 +459,10 @@ def term_multiplied_out(term):
 
 def test_carried_values_equal_their_products(monkeypatch):
     # every value a term is handed (sign, scale, product, Y-shift,
-    # merge) and every cached sum is the one multiplied out afresh
+    # merge), every total a residual cell is handed and every cached sum
+    # is the one multiplied out afresh
     Term, TPoly = rewrite_module._Term, rewrite_module._TPoly
-    init, value = Term.__init__, TPoly.value
+    init, value, plus = Term.__init__, TPoly.value, TPoly.plus
     carried = []
 
     def checked_init(self, ring, y_exp, atoms, coeff, value=None):
@@ -392,22 +479,30 @@ def test_carried_values_equal_their_products(monkeypatch):
         assert got.payload == want.payload
         return got
 
+    def checked_plus(self, other, total=None):
+        out = plus(self, other, total)
+        if total is not None:
+            checked_value(out)
+            carried.append(total)
+        return out
+
     monkeypatch.setattr(Term, "__init__", checked_init)
     monkeypatch.setattr(TPoly, "value", checked_value)
+    monkeypatch.setattr(TPoly, "plus", checked_plus)
     for index in range(len(SEEDED)):
         seeded_rewrite(index)
-    assert len(carried) > 1000
+    assert len(carried) > 600
 
 
 # SHA-256 of the canonical JSON of six seeded rewrites, pinned from the
-# rewriter that multiplied every tracked value out afresh
+# rewriter that peels each level once
 SEEDED_DIGESTS = {
-    2: "2764f6e7b9031ea0bf1a0c45d42741e13f9b87c65d6210489013c8239f04f0bf",
-    8: "01a138733ff036bae555c0c38bfe6cb6d7249ba3f12e24d63e44b65fdc124330",
-    13: "527728c11fcfba26bd01373031ed8d87b81c70910ddb3a8cde520d90b14fe480",
-    15: "373cc023d4ccd689d299ec6261c2f01966d783816c4b6d7033aa6af7bdc921ca",
-    20: "6cae35de240567ddc80279d819e2fdc35d201985dbccc9eafb4f2a56c31e42b2",
-    22: "054c12c501b873db8ab5f1d30d6cb28926c6a85f8eada4c60fe04b0ad4dda200",
+    2: "eeec16f853eedb0bb2d59b7993808965c021c3822d71a5b0b46c672cc76fd7f6",
+    8: "1027a23f039ca406ff05f36d9ee129eeba16e481e3a2146fef35dac4b85cc728",
+    13: "45f1270093ee638007464df57b89323889a1f0223940830fc21d9ab48e4028cb",
+    15: "d37971aabd70fbca6fa4983280b6a944563c6b03c836ceb91779e298b294b378",
+    20: "1b025641f5fa14971af689dd25755dc15e998c0761f3b0695fa08372136da56c",
+    22: "7f5ef342019490164390d82c967153fd774759ac2f4985fc229fd752a7569214",
 }
 
 

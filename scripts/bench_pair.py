@@ -47,11 +47,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # per-layer counts of the traced run, kept in the report: ring products,
-# dense matrix-matrix products and the self-checks (every evaluate and
-# matrix comparison)
+# dense matrix-matrix products, the self-checks (every evaluate and
+# matrix comparison), the rewriters' output letters and the decomposer's
+# lemma calls
 TRACE_COUNTS = ("rings.poly_mul.calls", "rings.zmod_mul.calls",
                 "matrices.matmul.calls", "words.evaluate.calls",
-                "matrices.eq.calls", "rewrite.letters_out")
+                "matrices.eq.calls", "rewrite.letters_out",
+                "decompose.lemma.calls")
 
 
 def src_lines(root):

@@ -70,9 +70,16 @@ MAX_POLY_MATRIX_ROWS = 16
 # and 8.9 s at exp 64.
 MAX_LOC_MATRIX_WORK = 128
 
-# The most conjugator letters r a rewrite request may give. The derived
-# word grows 2-4x per letter, and r = 8 already takes up to 30 s.
+# The most conjugator letters r a rewrite request may give. Each level
+# is peeled once; r = 8 takes at most 0.07 s at n 64.
 MAX_REWRITE_LETTERS = 8
+
+# The most letters the conjugator g of a decompose request may give. At
+# n 64 a long root with 2,048 letters takes up to 0.8 s over Z/27 and
+# 5.6 s over Z/3^161 (256 bits); 8,192 letters take up to 2.2 s and 13 s.
+# Over a polynomial ring the entry degrees grow with the letters, and
+# this bound does not cover that: 128 letters at n 3 take 25 s.
+MAX_DECOMPOSE_LETTERS = 2048
 
 
 def _int_field(data, key, minimum=None, maximum=None, default=None):
@@ -80,6 +87,15 @@ def _int_field(data, key, minimum=None, maximum=None, default=None):
     value = data.get(key)
     return jsonio._need_int(default if value is None else value,
                             "field %r" % (key,), minimum, maximum)
+
+
+def _letters_field(data, key, bound):
+    """data[key] (or []), refused undecoded if it lists over bound letters."""
+    letters = data.get(key, [])
+    if isinstance(letters, list) and len(letters) > bound:
+        raise DescriptorMismatch("field %r must have at most %d letters"
+                                 % (key, bound))
+    return letters
 
 
 def _matrix_field(data, key, ring):
@@ -130,7 +146,8 @@ def cmd_decompose(data):
     ideal = _ideal_of(data, ring)
     n = _int_field(data, "n", 1, MAX_REQUEST_SIZE)
     size = 2 * n
-    g = jsonio.word_from_json(ring, size, data.get("g", []), ideal)
+    g = jsonio.word_from_json(
+        ring, size, _letters_field(data, "g", MAX_DECOMPOSE_LETTERS), ideal)
     i = _int_field(data, "i")
     j = _int_field(data, "j")
     if "a" not in data or "b" not in data:
@@ -153,11 +170,8 @@ def cmd_rewrite(data):
     size = n if mode == "linear" else 2 * n
     if "eps" not in data or "aPoly" not in data:
         raise DescriptorMismatch("input needs fields eps and aPoly")
-    if (isinstance(data["eps"], list)
-            and len(data["eps"]) > MAX_REWRITE_LETTERS):
-        raise DescriptorMismatch("field %r must have at most %d letters"
-                                 % ("eps", MAX_REWRITE_LETTERS))
-    eps = jsonio.word_from_json(ring, size, data["eps"], ideal)
+    eps = jsonio.word_from_json(
+        ring, size, _letters_field(data, "eps", MAX_REWRITE_LETTERS), ideal)
     i = _int_field(data, "i")
     j = _int_field(data, "j")
     a_poly = jsonio.certified_from_json(ideal, data["aPoly"])

@@ -15,8 +15,9 @@ through a small tower of identities:
   (short_root_split),
 * a regrouping of a sum of rank-two pieces into a product plus a
   scalar correction (sum_to_product),
-* the general rank-two case driven by a unimodularity certificate
-  (long_root_unimodular).
+* the general rank-two case driven by a unimodularity certificate,
+  with one reduction per free pair of its kernel pieces, so at most
+  three (long_root_unimodular).
 
 Every operation evaluates its output and compares against the closed
 form, raising VerificationFailed on any mismatch. Each closed form is
@@ -297,10 +298,10 @@ def long_root_unimodular(v, w, a, b, u):
     c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
     note("kernel-decomposition", "%d pieces", len(coeffs))
-    # one piece of v per a_ij, supported on the pairs of i and j, and
-    # the first pair that piece leaves free; a piece whose vector
-    # vanishes (a_ij killed by both w_i and w_j) is dropped
-    pieces = []
+    # one piece of v per a_ij, on the pairs of i and j; the pieces leaving
+    # one first pair free (1, 2 or 3) sum to a vector that still vanishes
+    # there and pairs to zero with w, so one long_root_reduce serves them
+    groups = {}
     for (i, j), aij in sorted(coeffs.items()):
         ci = aij * w.entry(j)
         if i % 2 == 1:
@@ -314,7 +315,8 @@ def long_root_unimodular(v, w, a, b, u):
             continue
         used = {(i + 1) // 2, (j + 1) // 2}
         free = next(t for t in range(1, n + 1) if t not in used)
-        pieces.append((vec, free))
+        groups[free] = groups[free] + vec if free in groups else vec
+    pieces = [(vec, t) for t, vec in groups.items() if not vec.is_zero()]
     scaled = [vec.scale(av * bv) for vec, _ in pieces]
     check_equal(sum(scaled, zero_vector(ring, size)), v.scale(av * bv),
                 "kernel pieces do not rebuild a b v")

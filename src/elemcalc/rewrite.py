@@ -212,6 +212,14 @@ class _TPoly:
                            if not (cancelled and t.value().is_zero()))
         self._value = None
 
+    @classmethod
+    def _merged(cls, ring, terms):
+        """Terms already distinct and nonzero (merged terms under a sign,
+        a Y-shift, Y -> Y^4 or a selection), kept as they are."""
+        out = cls.__new__(cls)
+        out.ring, out.terms, out._value = ring, tuple(terms), None
+        return out
+
     def value(self):
         if self._value is None:
             acc = self.ring.zero
@@ -244,26 +252,26 @@ class _TPoly:
         return _TPoly(self.ring, out)
 
     def neg(self):
-        return _TPoly(self.ring, [t.neg() for t in self.terms])
+        return _TPoly._merged(self.ring, [t.neg() for t in self.terms])
 
     def scaled(self, r):
         return _TPoly(self.ring, [t.scaled(r) for t in self.terms])
 
     def with_extra_y(self, d):
         y_d = self.ring.var(_YVAR, d)
-        return _TPoly(self.ring, [_Term(self.ring, t.y_exp + d, t.atoms,
-                                        t.coeff, t.value() * y_d)
-                                  for t in self.terms])
+        return _TPoly._merged(self.ring, [
+            _Term(self.ring, t.y_exp + d, t.atoms, t.coeff, t.value() * y_d)
+            for t in self.terms])
 
     def subst_y4(self, memo):
-        return _TPoly(self.ring,
-                      [t.subst_y4(memo) for t in self.terms])
+        return _TPoly._merged(self.ring,
+                              [t.subst_y4(memo) for t in self.terms])
 
     def graded(self, nu):
         part = [t for t in self.terms if t.y_exp == nu]
         if len(part) == len(self.terms):
             return self
-        return _TPoly(self.ring, part)
+        return _TPoly._merged(self.ring, part)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -523,6 +524,75 @@ def test_unit_pivot_bounds_the_kernel_pieces(size):
                   if t == "kernel-decomposition"]
         assert len(pieces) == 1
         assert pieces[0] <= len(c_support) - (1 if pivot_in_c else 0)
+
+
+def sampled_long_root(size, seed):
+    """A long root g se_ij(ab) g^-1 over Z/27 with |g| = 4 size."""
+    rng = random.Random(seed)
+    g = sample_symplectic_word(rng, Z27, size, 4 * size)
+    i = rng.randrange(1, size + 1)
+    j = rng.choice([k for k in range(1, size + 1)
+                    if k not in (i, sigma_index(i))])
+    return g, i, j, certify(I3, [Z27.el(1)]), certify(I3, [Z27.el(2)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_long_root_output_grows_linearly(size, seed):
+    # one long_root_reduce per free pair: O(size) letters, where one per
+    # kernel piece gave O(size^2) (381-7,144 letters here, 24-112 size).
+    # Over 580 sampled long roots at sizes 16, 32 and 64 the most was
+    # 13.25 size, so the bound leaves room
+    g, i, j, a, b = sampled_long_root(size, seed)
+    res = decompose_conjugate(g, i, j, a, b)
+    assert word_certified(res.output, I3)
+    # a fresh evaluation of both words, letter by letter
+    conj = g * word(Z27, size, SympLetter(size, i, j, a.value * b.value)) \
+        * invert_word(g)
+    assert evaluate(Word(Z27, size, res.output.letters)) == evaluate(conj)
+    assert len(res.output) <= 16 * size
+
+
+@pytest.mark.parametrize("size", [6, 8, 16, 32])
+def test_one_long_root_reduce_per_free_pair(monkeypatch, size):
+    """long_root_unimodular reduces each group of kernel pieces that
+    share a free pair once, so it calls long_root_reduce itself at most
+    three times (short_root_split's own calls are not counted)."""
+    orig = decompose_module.long_root_reduce
+    callers = []
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return orig(*args)
+
+    monkeypatch.setattr(decompose_module, "long_root_reduce", counted)
+    for seed in range(4):
+        callers.clear()
+        g, i, j, a, b = sampled_long_root(size, seed)
+        res = decompose_conjugate(g, i, j, a, b)
+        direct = callers.count("long_root_unimodular")
+        assert 1 <= direct <= 3
+        # one regrouping factor per reduced group
+        assert [d for t, d in res.lemma_trace if t == "sum-to-product"] \
+            == ["%d pieces" % direct]
+
+
+def test_long_root_unimodular_drops_zero_groups():
+    # the two pieces whose first free pair is 2 cancel: 9 pieces make
+    # two groups (free pairs 3 and 1), and pair 2 gets no reduction
+    a = certify(I3, [Z27.el(1)])
+    b = certify(I3, [Z27.el(2)])
+    v = vec(Z27, 18, 0, 16, 0, 0, 0)
+    w = vec(Z27, 18, 6, 5, 0, 22, 17)
+    u = vec(Z27, 14, 23, 23, 2, 8, 14)
+    with recording() as trace:
+        out = long_root_unimodular(v, w, a, b, u)
+    assert evaluate(out) == closed_long(v, w, a.value * b.value)
+    assert word_certified(out, I3)
+    assert ("kernel-decomposition", "9 pieces") in trace
+    assert ("sum-to-product", "2 pieces") in trace
+    assert [d.split()[0] for t, d in trace if t == "long-root-reduce"] \
+        == ["pair=3", "pair=1"]
 
 
 def test_decompose_empty_conjugator():

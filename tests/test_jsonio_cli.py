@@ -396,6 +396,19 @@ def test_cli_rewrite_letter_bound(monkeypatch, capsys):
         assert (bound in capsys.readouterr().err) is refused
 
 
+def test_cli_decompose_letter_bound(monkeypatch, capsys):
+    # as for eps: at the bound the undecodable letters of g are reached,
+    # one past it they are refused before decoding
+    bound = "field 'g' must have at most %d letters" % (
+        cli.MAX_DECOMPOSE_LETTERS,)
+    for letters, refused in ((cli.MAX_DECOMPOSE_LETTERS, False),
+                             (cli.MAX_DECOMPOSE_LETTERS + 1, True)):
+        request = dict(decompose_request(), g=[{}] * letters)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        assert cli.main(["decompose"]) == 2
+        assert (bound in capsys.readouterr().err) is refused
+
+
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
     orig = rewrite_module._peel
 

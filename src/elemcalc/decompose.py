@@ -23,7 +23,10 @@ Every operation evaluates its output and compares against the closed
 form, raising VerificationFailed on any mismatch. Each closed form is
 a rank-two update of the identity, built in O(n^2), and the
 regrouping's product is built one rank-two factor at a time, in
-O(n^2) per factor.
+O(n^2) per factor. A stacked word resumes its evaluation from the
+stored value of its first part, which that part's own check computed,
+and the conjugate target g . se_ij(ab) . g^-1 resumes from G = g's
+value, so it applies |g| + 1 letters.
 """
 
 from __future__ import annotations
@@ -371,6 +374,9 @@ def decompose_conjugate(g, i, j, a, b):
     if i == j or not (1 <= i <= size and 1 <= j <= size):
         raise BadIndices("bad target indices (%d, %d)" % (i, j))
     ab = a.value * b.value
+    # g's value is stored first, so the target resumes from it and
+    # applies |g| + 1 letters
+    G = evaluate(g)
     target = evaluate(conjugate_word(
         g, Word(ring, size, ((SympLetter(size, i, j, ab), False),))))
     with recording() as lemma_trace:
@@ -380,9 +386,8 @@ def decompose_conjugate(g, i, j, a, b):
         elif j == sigma(i):
             note("conjugated-short-root", "column %d extracted", i)
             a_eff = a if i % 2 == 1 else -a
-            out = short_root_split(evaluate(g).column(i), a_eff, b)
+            out = short_root_split(G.column(i), a_eff, b)
         else:
-            G = evaluate(g)
             sj = sigma(j)
             v = G.column(i)
             if sj % 2 == 0:

@@ -621,12 +621,11 @@ class CertifiedElement:
             raise IdealMismatch("certificates over different presentations")
         coeffs = tuple(a + b for a, b in
                        zip(self.coefficients, other.coefficients))
-        return CertifiedElement(self.ideal, coeffs, self.value + other.value)
+        return _derived(self.ideal, coeffs, self.value + other.value)
 
     def __neg__(self):
-        return CertifiedElement(self.ideal,
-                                tuple(-c for c in self.coefficients),
-                                -self.value)
+        return _derived(self.ideal, tuple(-c for c in self.coefficients),
+                        -self.value)
 
     def __sub__(self, other):
         neg = -other
@@ -636,7 +635,7 @@ class CertifiedElement:
         """Multiply by an arbitrary ring element (ideals absorb products)."""
         r = self.ideal.ring.el(r)
         coeffs = tuple(r * c for c in self.coefficients)
-        return CertifiedElement(self.ideal, coeffs, r * self.value)
+        return _derived(self.ideal, coeffs, r * self.value)
 
     def is_zero(self):
         return self.value.is_zero()
@@ -658,6 +657,17 @@ class CertifiedElement:
                        zip(self.coefficients, self.ideal.generators)))
 
 
+def _derived(ideal, coefficients, value):
+    """A CertifiedElement from a tuple of coefficients that ring
+    arithmetic already produced in ideal's ring, one per generator, and
+    their value: no coercion and no length check."""
+    out = object.__new__(CertifiedElement)
+    object.__setattr__(out, "ideal", ideal)
+    object.__setattr__(out, "coefficients", coefficients)
+    object.__setattr__(out, "value", value)
+    return out
+
+
 def certify(ideal, coefficients):
     """Build a CertifiedElement, computing its value exactly."""
     return CertifiedElement(ideal, coefficients)
@@ -677,7 +687,7 @@ def product_certificate(a, b):
             coeffs.append(ca[i] * cb[i])
         else:
             coeffs.append(ca[i] * cb[j] + ca[j] * cb[i])
-    return CertifiedElement(sq, tuple(coeffs), a.value * b.value)
+    return _derived(sq, tuple(coeffs), a.value * b.value)
 
 
 def square_factors(p):

@@ -317,9 +317,12 @@ class Word:
 
     Words are immutable, and so are their letters: evaluate stores a
     word's value in it on the first call and returns it on later ones.
+    A word built by w * v or w.append(...) also keeps its longest prefix
+    whose value was stored when it was built, so evaluate applies only
+    the letters after that prefix.
     """
 
-    __slots__ = ("ring", "size", "letters", "_value")
+    __slots__ = ("ring", "size", "letters", "_value", "_prefix")
     __hash__ = None
 
     def __init__(self, ring, size, letters=()):
@@ -332,6 +335,7 @@ class Word:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_value", None)
+        object.__setattr__(self, "_prefix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("words are immutable")
@@ -339,16 +343,34 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
+    def _extended(self, letters):
+        # self's letters then the already validated letters, with no
+        # per-letter size check; the prefix is self once evaluated
+        out = object.__new__(Word)
+        object.__setattr__(out, "ring", self.ring)
+        object.__setattr__(out, "size", self.size)
+        object.__setattr__(out, "letters", self.letters + letters)
+        object.__setattr__(out, "_value", None)
+        object.__setattr__(out, "_prefix", self if self._value is not None
+                           else self._prefix)
+        return out
+
     def __mul__(self, other):
         if isinstance(other, Word):
             if other.size != self.size or other.ring != self.ring:
                 raise BadIndices("cannot concatenate words of different shape")
-            return Word(self.ring, self.size, self.letters + other.letters)
+            if not other.letters:
+                return self
+            if not self.letters:
+                return other
+            return self._extended(other.letters)
         return NotImplemented
 
     def append(self, letter, inverted=False):
-        return Word(self.ring, self.size,
-                    self.letters + ((letter, inverted),))
+        if letter.size != self.size:
+            raise BadIndices("letter size %d in word of size %d"
+                             % (letter.size, self.size))
+        return self._extended(((letter, inverted),))
 
     def __repr__(self):
         parts = []
@@ -371,14 +393,20 @@ def word(ring, size, *letters):
 def evaluate(w):
     """Exact ordered product of a word's letters: each letter's cells
     applied in turn as column operations. The product is stored in w,
-    so a later call returns the same matrix without recomputing it."""
+    so a later call returns the same matrix without recomputing it.
+    When w keeps a prefix with a stored value, the operations resume
+    from that value and apply only the letters after the prefix."""
     if w._value is not None:
         return w._value
     ring = w.ring
     n = w.size
-    grid = identity(ring, n).payload_grid()
+    prefix = w._prefix
+    if prefix is None:
+        grid, letters = identity(ring, n).payload_grid(), w.letters
+    else:
+        grid, letters = prefix._value.payload_grid(), w.letters[len(prefix):]
     p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
-    for letter, inv in w.letters:
+    for letter, inv in letters:
         for src, dst, cp in letter.column_ops(inv):
             if p_is_zero(cp):
                 continue
@@ -389,6 +417,7 @@ def evaluate(w):
                     row[d] = p_add(row[d], p_mul(gs, cp))
     value = ExactMatrix(ring, n, n, [p for row in grid for p in row])
     object.__setattr__(w, "_value", value)
+    object.__setattr__(w, "_prefix", None)
     return value
 
 

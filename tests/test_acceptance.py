@@ -318,6 +318,7 @@ HOSTILE = (
     jsonio.MAX_LOC_EXPONENT + 1, 1 << jsonio.MAX_MODULUS_BITS,
     [{}] * (cli.MAX_REWRITE_LETTERS + 1),
     [{}] * (cli.MAX_DECOMPOSE_LETTERS + 1),
+    [{}] * (cli.MAX_EXPAND_LETTERS + 1),
     [[0] * (cli.MAX_REQUEST_SIZE + 1)] * (cli.MAX_REQUEST_SIZE + 1),
     [[0] * (cli.MAX_POLY_MATRIX_ROWS + 1)] * (cli.MAX_POLY_MATRIX_ROWS + 1),
     {"num": [[{}, 1]], "exp": jsonio.MAX_LOC_EXPONENT + 1},

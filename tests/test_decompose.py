@@ -417,9 +417,9 @@ def test_decompose_long_case(monkeypatch):
 
 
 def test_decompose_applies_each_output_letter_once(monkeypatch):
-    """The last lemma's check evaluates the output word once and stores
-    its value, so the final check against the conjugate applies no
-    letter again."""
+    """The last lemma's check resumes from the stored value of its first
+    reduction word and stores the output's value, so the final check
+    against the conjugate applies no letter again."""
     applied = []
     orig_ops = words_module.ElementaryLetter.column_ops
 
@@ -446,9 +446,53 @@ def test_decompose_applies_each_output_letter_once(monkeypatch):
     res = decompose_conjugate(g, 1, 4, a, b)
     (lemma, lemma_word, lemma_ops), (final, final_word, final_ops) = checks[-2:]
     assert lemma.startswith("long-root-unimodular")
-    assert lemma_word is res.output and lemma_ops == len(res.output)
+    first_reduce = next(w for what, w, _ in checks
+                        if what.startswith("long-root-reduce"))
+    assert res.output.letters[:len(first_reduce)] == first_reduce.letters
+    assert lemma_word is res.output
+    assert lemma_ops == len(res.output) - len(first_reduce) == 6
     assert final == "decomposition does not reproduce the conjugate"
     assert final_word is res.output and final_ops == 0
+
+
+@pytest.mark.parametrize("i, j, letters", [
+    (1, 4, 3),   # long root
+    (3, 4, 3),   # short root, j = sigma(i)
+    (1, 4, 0),   # empty conjugator
+], ids=["long", "short", "empty"])
+def test_conjugate_target_resumes_from_g(monkeypatch, i, j, letters):
+    """G = evaluate(g) is stored before the target g . se_ij(ab) . g^-1
+    is built, so the target applies |g| + 1 letters, not 2|g| + 1."""
+    applied = []
+    orig_ops = words_module.ElementaryLetter.column_ops
+
+    def counted(self, inverted=False):
+        applied.append(self)
+        return orig_ops(self, inverted)
+
+    evals = []
+    orig_evaluate = decompose_module.evaluate
+
+    def counted_evaluate(w):
+        before = len(applied)
+        out = orig_evaluate(w)
+        evals.append((w, len(applied) - before))
+        return out
+
+    monkeypatch.setattr(words_module.ElementaryLetter, "column_ops", counted)
+    monkeypatch.setattr(decompose_module, "evaluate", counted_evaluate)
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    g = word(Z27, 6, *[SympLetter(6, *cell, Z27.el(p)) for cell, p in
+                       (((3, 1), 5), ((4, 6), 8), ((2, 5), 4))[:letters]])
+    res = decompose_conjugate(g, i, j, a, b)
+    (g_word, g_ops), (target_word, target_ops) = evals[:2]
+    assert g_word is g and g_ops == len(g)
+    assert len(target_word) == 2 * len(g) + 1
+    assert target_ops == len(g) + 1
+    assert res.target is evaluate(target_word)
+    monkeypatch.undo()
+    assert res.target == evaluate(Word(Z27, 6, target_word.letters))
 
 
 def test_long_root_unimodular_drops_zero_pieces():

@@ -409,6 +409,22 @@ def test_cli_decompose_letter_bound(monkeypatch, capsys):
         assert (bound in capsys.readouterr().err) is refused
 
 
+def test_cli_expand_letter_bound(monkeypatch, capsys):
+    # as for g, in both directions: at the bound the undecodable letters
+    # of word are reached, one past it they are refused before decoding
+    bound = "field 'word' must have at most %d letters" % (
+        cli.MAX_EXPAND_LETTERS,)
+    for direction in ("expand", "group"):
+        for letters, refused in ((cli.MAX_EXPAND_LETTERS, False),
+                                 (cli.MAX_EXPAND_LETTERS + 1, True)):
+            request = dict(expand_request(), direction=direction,
+                           word=[{}] * letters)
+            monkeypatch.setattr("sys.stdin",
+                                io.StringIO(json.dumps(request)))
+            assert cli.main(["expand"]) == 2
+            assert (bound in capsys.readouterr().err) is refused
+
+
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
     orig = rewrite_module._peel
 

@@ -319,6 +319,37 @@ def test_product_certificate_always_valid(a1, a2, b1, b2):
     assert ab.value == a.value * b.value
 
 
+_CERT_RINGS = (Z27, PolyRing(Z27, ("X",)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CERT_RINGS),
+       st.lists(st.integers(0, 26), min_size=8, max_size=8))
+def test_derived_certificates_check(ring, ints):
+    # scale, +, - and product_certificate skip the constructor's
+    # coercion; their results still check, over Z/27 and (Z/27)[X]
+    if isinstance(ring, PolyRing):
+        x = ring.var("X")
+        gens = (ring.el(3), ring.el(3) * x)
+        els = [ring.el(ints[k]) + ring.el(ints[k + 1]) * x
+               for k in range(0, 8, 2)]
+    else:
+        gens = (ring.el(3), ring.el(6))
+        els = [ring.el(k) for k in ints[:4]]
+    I = IdealPresentation(ring, gens)
+    a, b = certify(I, els[:2]), certify(I, els[2:])
+    for c in (a.scale(els[0]), a.scale(ints[5]), a + b, -a, a - b,
+              product_certificate(a, b)):
+        assert c.check()
+        assert all(coeff.ring == ring for coeff in c.coefficients)
+        assert len(c.coefficients) == len(c.ideal.generators)
+        with pytest.raises(AttributeError):
+            c.value = ring.zero
+    assert (a + b).value == a.value + b.value
+    assert (-a).value == -a.value
+    assert product_certificate(a, b).value == a.value * b.value
+
+
 def test_principal_cert():
     I = IdealPresentation(Z27, (Z27.el(3), Z27.el(6)))
     c = certify(I, [Z27.el(2), Z27.el(1)])

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elemcalc import (
     BadIndices,
@@ -16,6 +17,7 @@ from elemcalc import (
     MuLetter,
     NotAlternating,
     NotCertified,
+    PolyRing,
     RELATION_TAGS,
     RhoLetter,
     SideConditionViolated,
@@ -604,3 +606,95 @@ def test_derived_words_start_without_a_value():
         assert evaluate(w) == product_oracle(w)
     with pytest.raises(AttributeError):
         a._value = None
+
+
+def test_empty_word_is_the_product_identity():
+    a = word(Z27, 3, LinLetter(3, 1, 2, Z27.el(4)))
+    one = Word(Z27, 3)
+    assert one * a is a and a * one is a
+    assert one * one is one
+    with pytest.raises(BadIndices):
+        Word(Z27, 4) * a
+
+
+def test_append_checks_the_letter_size():
+    with pytest.raises(BadIndices):
+        Word(Z27, 3).append(LinLetter(4, 1, 2, Z27.el(1)))
+
+
+_RESUME_RINGS = (Z27, PolyRing(Z27, ("X",)))
+
+
+def _resume_letter(ring, spec):
+    """A size-6 letter of one of the three shapes from integer draws."""
+    shape, ints = spec
+    els = [ring.el(x) for x in ints]
+    if ring != Z27:
+        x = ring.var("X")
+        els = [e + ring.el(y) * x for e, y in zip(els, reversed(ints))]
+    if shape in ("E", "se"):
+        i, j = ints[0] % 6 + 1, ints[1] % 6 + 1
+        if i == j:
+            j = j % 6 + 1
+        return ElementaryLetter(shape, 6, i, j, els[2])
+    if shape in ("rho", "mu"):
+        return TransvectionLetter(shape, ColumnVector(ring, els[:4]), els[4],
+                                  standard_symplectic_form(ring, 2))
+    return ShearLetter(shape, ColumnVector(ring, els[:5]))
+
+
+_RESUME_SPECS = st.tuples(
+    st.sampled_from(("E", "se", "rho", "mu", "trans-lower", "trans-upper")),
+    st.lists(st.integers(0, 26), min_size=5, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RESUME_RINGS),
+       st.lists(st.tuples(_RESUME_SPECS, st.booleans()), min_size=1,
+                max_size=6),
+       st.integers(0, 6), st.booleans())
+def test_evaluation_resumes_from_an_evaluated_prefix(ring, specs, cut,
+                                                     by_append):
+    """After evaluate(p), evaluate(p * s) resumes from p's stored value
+    and gives the value of a fresh word with the same letters."""
+    letters = [(_resume_letter(ring, spec), inv) for spec, inv in specs]
+    cut = min(cut, len(letters))
+    p = Word(ring, 6, letters[:cut])
+    evaluate(p)
+    if by_append:
+        w = p
+        for letter, inv in letters[cut:]:
+            w = w.append(letter, inv)
+    else:
+        w = p * Word(ring, 6, letters[cut:])
+    fresh = Word(ring, 6, letters)
+    assert evaluate(w) == evaluate(fresh)
+    assert evaluate(w) == product_oracle(fresh)
+
+
+def test_evaluation_applies_only_the_letters_after_the_prefix(monkeypatch):
+    applied = count_column_ops(monkeypatch)
+    a = word(Z27, 3, LinLetter(3, 1, 2, Z27.el(4)),
+             LinLetter(3, 2, 3, Z27.el(5)))
+    b = word(Z27, 3, LinLetter(3, 3, 1, Z27.el(7)))
+    c = word(Z27, 3, LinLetter(3, 1, 3, Z27.el(2)))
+    evaluate(a)
+    del applied[:]
+    # the prefix a carries through a product that was never evaluated
+    abc = a * b * c
+    evaluate(abc)
+    assert applied == [b.letters[0][0], c.letters[0][0]]
+    # once evaluated, abc is the prefix of what extends it
+    more = abc.append(LinLetter(3, 2, 1, Z27.el(1)), inverted=True)
+    evaluate(more)
+    assert len(applied) == 3
+    # a word whose prefix was never evaluated starts from the identity
+    bc = b * c
+    evaluate(bc)
+    assert len(applied) == 5
+    # the conjugate g . w . g^-1 of an evaluated g applies |g| + |w|
+    gw = conjugate_word(a, b)
+    evaluate(gw)
+    assert len(applied) == 5 + len(a) + len(b)
+    for w in (abc, more, bc, gw):
+        assert evaluate(w) == product_oracle(w)

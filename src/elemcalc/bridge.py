@@ -324,7 +324,8 @@ def transport_conjugation(letter, eps, target_form=None):
     certs = None
     if letter.certs is not None:
         sc, qc = letter.certs
-        if sc is not None and all(c is not None for c in qc):
+        if sc is not None and qc is not None and all(
+                c is not None for c in qc):
             moved = []
             for r in range(1, n2 + 1):
                 acc = None

@@ -241,9 +241,10 @@ def letter_to_json(letter, inv):
                _SCALAR_KEY[gen]: element_to_json(letter.scalar),
                "form": matrix_to_json(letter.form),
                "inv": bool(inv)}
-        if letter.certs is None:
-            out["cert"] = None
-        else:
+        # a partly certified letter is written uncertified, the only
+        # partial form letter_from_json reads back
+        out["cert"] = None
+        if all(c is not None for c in letter.certificates()):
             sc, qcs = letter.certs
             out["cert"] = {"scalar": certified_to_json(sc),
                            "q": [certified_to_json(c) for c in qcs]}

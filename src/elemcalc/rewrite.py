@@ -170,25 +170,6 @@ class _Term:
             atoms.append(got)
         return _Term(ring, 4 * self.y_exp, atoms, self.coeff)
 
-    def split(self, lo, hi, extra=None):
-        """Factor into (left, right) with Y-exponents lo and hi.
-
-        The left factor keeps the coefficient and all atoms but the
-        last; the right factor is the last atom alone, optionally
-        scaled.  Both halves end up certified and Y-divisible.
-        """
-        if len(self.atoms) < 2:
-            raise VerificationFailed(
-                "cannot split a one-factor parameter term")
-        if lo < 1 or hi < 1 or lo + hi != self.y_exp:
-            raise VerificationFailed(
-                "cannot distribute Y-powers %d = %d + %d"
-                % (self.y_exp, lo, hi))
-        left = _Term(self.ring, lo, self.atoms[:-1], self.coeff)
-        rc = self.ring.one if extra is None else extra
-        right = _Term(self.ring, hi, self.atoms[-1:], rc)
-        return left, right
-
 
 class _TPoly:
     __slots__ = ("ring", "terms", "_value")
@@ -341,112 +322,80 @@ class _Grid:
 
 
 # ---------------------------------------------------------------------------
-# The two letter alphabets, seen through one interface.
-
-
-def _halves(term, extra=None):
-    """Split a term into two factors sharing its Y-power, both positive."""
-    lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
-    return term.split(lo, term.y_exp - lo, extra)
+# One letter alphabet, its kind held as data.
 
 
 class _System:
-    """An alphabet of elementary letters of one kind: its entry pattern,
-    letters and index-1 presentations come from words; name labels the
-    trace and the check messages."""
+    """The elementary letters of kind "E" or "se": their entry pattern
+    and index-1 presentations come from words; name labels the trace
+    and the check messages; half (None for "E") halves the right factor
+    of a commutator at a short cell (q = sigma(p)), whose commutator
+    doubles its entry."""
 
-    def __init__(self, ring, size):
+    def __init__(self, kind, ring, size):
+        self.kind = kind
         self.ring = ring
         self.size = size
-        self.pattern = entry_pattern(self.kind)
-
-    def make_letter(self, i, j, value, cert=None):
-        return ElementaryLetter(self.kind, self.size, i, j, value, cert)
-
-    def literal_index1(self, i, j, poly):
-        form = index1_form(self.kind, i, j)
-        if form is None:
-            return None
-        i, j, sign = form
-        return i, j, poly if sign == 1 else poly.neg()
-
-
-class _LinearSystem(_System):
-    kind = "E"
-    name = "linear"
-
-    def split_cell(self, p, q, term):
-        u, v = _halves(term)
-        return ((p, 1, u), (1, q, v))
+        self.name = "linear" if kind == "E" else "symplectic"
+        self.pattern = entry_pattern(kind)
+        self.half = None if kind == "E" else half(ring)
 
     def diag_records(self, comp):
-        # [E_d1(u), E_1d(v)] contributes uv (e_dd - e_11); the graded
-        # layer is trace free, so clearing every d >= 2 clears position
-        # (1, 1) too.
-        records = []
+        """Records cancelling the diagonal of a graded layer: the
+        kind's solver picks each commutator cell (d, d) and its product
+        uv, and _emit_cell splits it."""
         diag = {p: poly for (p, q), poly in comp.items() if p == q}
-        total = self.ring.zero
-        for poly in diag.values():
-            total = total + poly.value()
-        if not total.is_zero():
+        solve = _linear_diag if self.kind == "E" else _symplectic_diag
+        records = []
+        for d, poly in solve(self, diag):
+            _emit_cell(self, d, d, poly, records)
+        return records
+
+
+def _linear_diag(system, diag):
+    # [E_d1(u), E_1d(v)] contributes uv (e_dd - e_11); the graded
+    # layer is trace free, so clearing every d >= 2 clears position
+    # (1, 1) too.
+    total = system.ring.zero
+    for poly in diag.values():
+        total = total + poly.value()
+    if not total.is_zero():
+        raise VerificationFailed(
+            "diagonal residual layer has nonzero trace")
+    return [(d, diag[d]) for d in sorted(diag) if d != 1]
+
+
+def _symplectic_diag(system, diag):
+    # Across one coordinate pair (k, k') and the first pair, the two
+    # commutators [se_k1, se_1k] and [se_k'1, se_1k'] contribute
+    #   w_A (e_kk + e_22 - e_11 - e_k'k')
+    #   w_B (e_k'k' + e_22 - e_11 - e_kk)
+    # and the form constraint makes the graded layer antisymmetric
+    # per pair, so w_A, w_B solve for any deficit at the cost of a
+    # halving.
+    for p, poly in diag.items():
+        partner = diag.get(sigma(p))
+        if partner is None or partner.value() != poly.neg().value():
             raise VerificationFailed(
-                "diagonal residual layer has nonzero trace")
-        for d in sorted(diag):
-            if d == 1:
-                continue
-            _insert_comm((d, 1), (1, d), diag[d], records)
-        return records
-
-
-class _SymplecticSystem(_System):
-    kind = "se"
-    name = "symplectic"
-
-    def __init__(self, ring, size):
-        super().__init__(ring, size)
-        self.half = half(ring)
-
-    def split_cell(self, p, q, term):
-        u, v = _halves(term, self.half if q == sigma(p) else None)
-        return ((p, 1, u), (1, q, v))
-
-    def diag_records(self, comp):
-        # Across one coordinate pair (k, k') and the first pair, the two
-        # commutators [se_k1, se_1k] and [se_k'1, se_1k'] contribute
-        #   w_A (e_kk + e_22 - e_11 - e_k'k')
-        #   w_B (e_k'k' + e_22 - e_11 - e_kk)
-        # and the form constraint makes the graded layer antisymmetric
-        # per pair, so w_A, w_B solve for any deficit at the cost of a
-        # halving.
-        records = []
-        diag = {p: poly for (p, q), poly in comp.items() if p == q}
-        for p, poly in diag.items():
-            partner = diag.get(sigma(p))
-            if partner is None or partner.value() != poly.neg().value():
-                raise VerificationFailed(
-                    "diagonal residual is not form-compatible at index %d"
-                    % p)
-        hf = self.half
-        zero = _TPoly(self.ring)
-        delta1 = diag.get(1, zero)
-        pairs = sorted({(p + 1) // 2 for p in diag if p > 2})
-        if not pairs and not delta1.is_zero():
-            free = [t for t in range(2, self.size // 2 + 1)]
-            if not free:
-                raise DimensionTooSmall(
-                    "no free coordinate pair for a diagonal insertion")
-            pairs = [free[0]]
-        first = True
-        for t in pairs:
-            k = 2 * t - 1
-            d_k = diag.get(k, zero)
-            share = delta1 if first else zero
-            first = False
-            w_a = d_k.plus(share.neg()).scaled(hf)
-            w_b = d_k.plus(share).scaled(hf).neg()
-            _insert_comm((k, 1), (1, k), w_a, records)
-            _insert_comm((sigma(k), 1), (1, sigma(k)), w_b, records)
-        return records
+                "diagonal residual is not form-compatible at index %d"
+                % p)
+    hf = system.half
+    zero = _TPoly(system.ring)
+    delta1 = diag.get(1, zero)
+    pairs = sorted({(p + 1) // 2 for p in diag if p > 2})
+    if not pairs and not delta1.is_zero():
+        if system.size < 4:
+            raise DimensionTooSmall(
+                "no free coordinate pair for a diagonal insertion")
+        pairs = [2]
+    out = []
+    for t in pairs:
+        k = 2 * t - 1
+        d_k = diag.get(k, zero)
+        share = delta1 if t == pairs[0] else zero
+        out.append((k, d_k.plus(share.neg()).scaled(hf)))
+        out.append((sigma(k), d_k.plus(share).scaled(hf).neg()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,36 +411,39 @@ class _SymplecticSystem(_System):
 # factor and a positive share of the Y-power.
 
 
-def _append_comm(ring, first, second, u, v, out):
-    """Append the four records of [x_first(u), x_second(v)]."""
-    up = _TPoly(ring, [u])
-    vp = _TPoly(ring, [v])
-    out.append((first[0], first[1], up))
-    out.append((second[0], second[1], vp))
-    out.append((first[0], first[1], up.neg()))
-    out.append((second[0], second[1], vp.neg()))
-
-
 def _emit_cell(system, p, q, poly, out):
-    lit = system.literal_index1(p, q, poly)
-    if lit is not None:
-        out.append(lit)
-        return
-    for term in poly.terms:
-        (ai, aj, u), (bi, bj, v) = system.split_cell(p, q, term)
-        _append_comm(system.ring, (ai, aj), (bi, bj), u, v, out)
+    """Append the records of x_pq(poly): one letter at an index-1 cell,
+    otherwise per term the commutator [x_p1(u), x_1q(v)], u the
+    coefficient times every atom but the last, v the last atom (halved
+    at a short symplectic cell), each with a positive share of the
+    term's Y-power.
 
-
-def _insert_comm(first, second, coeff, out):
-    """Append the commutator [x_first(u), x_second(v)] with uv = coeff.
-
-    A commutator has no first-order single-letter tail, so inserting it
+    At a diagonal cell (d, d) the commutator leaves uv on the diagonal
+    instead. It has no first-order single-letter tail, so inserting it
     cancels a diagonal deficit while only creating terms of strictly
     higher Y-grade; that is what makes the peeling loop terminate.
     """
-    for term in coeff.terms:
-        u, v = _halves(term)
-        _append_comm(coeff.ring, first, second, u, v, out)
+    form = index1_form(system.kind, p, q)
+    if form is not None:
+        i, j, sign = form
+        out.append((i, j, poly if sign == 1 else poly.neg()))
+        return
+    ring = system.ring
+    h = system.half if q == sigma(p) else None
+    for term in poly.terms:
+        if len(term.atoms) < 2:
+            raise VerificationFailed(
+                "cannot split a one-factor parameter term")
+        lo = max(1, min(term.y_exp - 1, term.y_exp // 2))
+        hi = term.y_exp - lo
+        if hi < 1:
+            raise VerificationFailed(
+                "cannot distribute Y-powers %d = %d + %d"
+                % (term.y_exp, lo, hi))
+        u = _TPoly(ring, [_Term(ring, lo, term.atoms[:-1], term.coeff)])
+        v = _TPoly(ring, [_Term(ring, hi, term.atoms[-1:],
+                                ring.one if h is None else h)])
+        out += [(p, 1, u), (1, q, v), (p, 1, u.neg()), (1, q, v.neg())]
 
 
 def _apply_records(grid, system, records):
@@ -545,7 +497,8 @@ def _records_word(system, records, with_certs=False):
         if value.is_zero():
             continue
         cert = poly.cert() if with_certs else None
-        letters.append((system.make_letter(i, j, value, cert), False))
+        letters.append((ElementaryLetter(system.kind, system.size, i, j,
+                                        value, cert), False))
     return Word(system.ring, system.size, letters)
 
 
@@ -608,12 +561,6 @@ class RewriteResult:
         return "RewriteResult(%d letters)" % (len(self.output),)
 
 
-def _require_y_ring(ring):
-    if not isinstance(ring, PolyRing) or _YVAR not in ring.variables:
-        raise UnknownVariable(
-            "rewriting needs a polynomial ring with variable %s" % _YVAR)
-
-
 def _y_free(value):
     ring = value.ring
     return substitute(value, {_YVAR: ring.zero}) == value
@@ -621,7 +568,9 @@ def _y_free(value):
 
 def _check_inputs(eps, i, j, a_poly, size):
     ring = eps.ring
-    _require_y_ring(ring)
+    if not isinstance(ring, PolyRing) or _YVAR not in ring.variables:
+        raise UnknownVariable(
+            "rewriting needs a polynomial ring with variable %s" % _YVAR)
     if not (1 <= i <= size and 1 <= j <= size) or i == j:
         raise BadIndices("bad target indices (%d, %d)" % (i, j))
     ideal = a_poly.ideal
@@ -664,13 +613,32 @@ def _finish(system, eps, i, j, a_poly):
                 "derived parameter %r is not divisible by %s"
                 % (letter.param, _YVAR))
     y_pow = ring.var(_YVAR, 4 ** len(eps))
-    target = system.make_letter(i, j, y_pow * a_poly.value,
-                                a_poly.scale(y_pow))
+    target = ElementaryLetter(system.kind, system.size, i, j,
+                              y_pow * a_poly.value, a_poly.scale(y_pow))
     lhs = conjugate_word(eps, Word(ring, system.size, ((target, False),)))
     check_evaluation(output, evaluate(lhs),
                      "derived word fails the exact comparison")
     return RewriteResult(output, lhs,
                          tuple("%s %s" % event for event in events))
+
+
+def _rewrite(kind, eps, i, j, a_poly):
+    size = eps.size
+    if kind == "E" and size < 3:
+        raise DimensionTooSmall("linear rewriting needs size at least 3")
+    if kind == "se" and (size % 2 != 0 or size < 4):
+        raise DimensionTooSmall(
+            "symplectic rewriting needs even size at least 4")
+    system = _System(kind, eps.ring, size)
+    ideal = _check_inputs(eps, i, j, a_poly, size)
+    if index1_form(kind, i, j) is None:
+        raise BadIndices("target generator must be first-index"
+                         + ("" if kind == "E" else " up to sigma"))
+    in_group = word_in_E1 if kind == "E" else word_in_ESp1
+    if not in_group(eps, ideal):
+        raise NotCertified("conjugator must be certified first-index "
+                           "%s letters" % system.name)
+    return _finish(system, eps, i, j, a_poly)
 
 
 def rewrite_conjugation_linear(eps, i, j, a_poly):
@@ -681,16 +649,7 @@ def rewrite_conjugation_linear(eps, i, j, a_poly):
     a first index itself.  Every parameter of the output is divisible
     by Y and certified in the same ideal as a_poly.
     """
-    n = eps.size
-    if n < 3:
-        raise DimensionTooSmall("linear rewriting needs size at least 3")
-    ideal = _check_inputs(eps, i, j, a_poly, n)
-    if index1_form("E", i, j) is None:
-        raise BadIndices("target generator must be first-index")
-    if not word_in_E1(eps, ideal):
-        raise NotCertified(
-            "conjugator must be certified first-index linear letters")
-    return _finish(_LinearSystem(eps.ring, n), eps, i, j, a_poly)
+    return _rewrite("E", eps, i, j, a_poly)
 
 
 def rewrite_conjugation_symplectic(eps, i, j, a_poly):
@@ -700,19 +659,7 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
     symplectic letters (up to the sigma identification) with Y-free
     parameters, and (i, j) must be first-index up to sigma as well.
     """
-    size = eps.size
-    if size % 2 != 0 or size < 4:
-        raise DimensionTooSmall(
-            "symplectic rewriting needs even size at least 4")
-    system = _SymplecticSystem(eps.ring, size)
-    ideal = _check_inputs(eps, i, j, a_poly, size)
-    if index1_form("se", i, j) is None:
-        raise BadIndices(
-            "target generator must be first-index up to sigma")
-    if not word_in_ESp1(eps, ideal):
-        raise NotCertified(
-            "conjugator must be certified first-index symplectic letters")
-    return _finish(system, eps, i, j, a_poly)
+    return _rewrite("se", eps, i, j, a_poly)
 
 
 def specialize_and_check(result, x0, y0):

@@ -507,13 +507,16 @@ def _expand(kind, q, scalar, scalar_cert, q_certs):
     """Word of first-index symplectic letters equal to the rho or mu
     letter (q, scalar) relative to the standard form: q has even length
     2n and the word lives at size 2n + 2. When the optional certificates
-    are supplied they propagate to every letter.
+    are supplied they propagate to every letter; the head letter, which
+    mixes the scalar with q, is certified only when both are.
     """
     ring = q.ring
     n2 = q.length
     if n2 % 2 != 0:
         raise BadIndices("transvection vector length must be even")
     rho = kind == "rho"
+    if q_certs is None or any(c is None for c in q_certs):
+        scalar_cert = None
     head, head_cert = ring.el(scalar), scalar_cert
     if rho:
         head, head_cert = -head, None if head_cert is None else -head_cert

@@ -219,6 +219,35 @@ def test_symplectic_expansion_needs_standard_form():
         etranssp_word_to_ESp1(word(Z27, 4, LinLetter(4, 1, 2, Z27.el(3))))
 
 
+def partly_certified(make, q, scalar):
+    """The letter certified in its scalar only, then in its q only."""
+    sc = certify(I3, [scalar // 3])
+    qc = tuple(certify(I3, [q.entry(k).payload // 3])
+               for k in range(1, q.length + 1))
+    return [make(q, Z27.el(scalar), PSI2, certs=certs)
+            for certs in ((sc, None), (None, qc))]
+
+
+def test_partly_certified_letters_expand():
+    q = cvec(Z27, 3, 6, 0, 3)
+    for rho, mu in zip(partly_certified(RhoLetter, q, 6),
+                       partly_certified(MuLetter, q, 3)):
+        w = Word(Z27, 6, ((rho, False), (mu, True)))
+        flat = etranssp_word_to_ESp1(w)
+        assert evaluate(flat) == evaluate(w)
+        assert not word_in_ESp1(flat, I3)
+
+
+def test_transport_partly_certified_letter():
+    q = cvec(Z27, 3, 6, 9, 3)
+    eps = word(Z27, 3, LinLetter(3, 1, 2, Z27.el(2)))
+    bare = transport_conjugation(RhoLetter(q, Z27.el(6), PSI2), eps)
+    for rho in partly_certified(RhoLetter, q, 6):
+        moved = transport_conjugation(rho, eps)
+        assert moved.certs is None
+        assert moved.q == bare.q and moved.form == bare.form
+
+
 def test_transport_identity():
     q = cvec(Z27, 3, 6, 0, 3)
     rho = RhoLetter(q, Z27.el(6), PSI2)

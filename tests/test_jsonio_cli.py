@@ -143,6 +143,19 @@ def test_transvection_letter_codec():
         jsonio.word_from_json(Z27, 4, bad, ideal=I3)
 
 
+def test_partly_certified_letter_is_written_uncertified():
+    c1 = certify(I3, [Z27.el(1)])
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(0)])
+    phi = standard_symplectic_form(Z27, 1)
+    for certs in ((c1, None), (None, (c1, c1.ideal.zero_cert()))):
+        rho = RhoLetter(q, Z27.el(3), phi, certs=certs)
+        data = jsonio.letter_to_json(rho, False)
+        assert data["cert"] is None
+        back, inv = jsonio.letter_from_json(Z27, 4, data, ideal=I3)
+        assert back.certs is None and not inv
+        assert back.matrix() == rho.matrix()
+
+
 @pytest.mark.parametrize("letter, cause", [
     ({"gen": "rho", "q": [3, 6], "alpha": 3, "form": [[0, 1], [-1, 0]],
       "cert": {"scalar": [1], "q": [[1]]}}, LengthMismatch),

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -226,51 +227,99 @@ def test_finish_target_cost_is_independent_of_exponent(poly_mul_calls,
     assert counts[2] - counts[1] == counts[1] - counts[0]
 
 
+def exactly(message):
+    """A pytest.raises pattern matching message and nothing else."""
+    return "^%s$" % re.escape(message)
+
+
+def rewriter(mode):
+    """The mode's rewriter, its size and its index-1 letter x_21 or
+    se_23 at a certified parameter."""
+    if mode == "linear":
+        return (rewrite_conjugation_linear, 3,
+                lambda cert: LinLetter(3, 2, 1, cert.value, cert=cert))
+    return (rewrite_conjugation_symplectic, 6,
+            lambda cert: SympLetter(6, 2, 3, cert.value, cert=cert))
+
+
 def test_rewrite_rejects_bad_inputs():
     a = c(2, 0)
     g = c(1, 0)
-    eps = word(R, 3, LinLetter(3, 2, 1, g.value, cert=g))
-    with pytest.raises(BadIndices):
-        rewrite_conjugation_linear(eps, 2, 3, a)
-    with pytest.raises(DimensionTooSmall):
-        rewrite_conjugation_linear(Word(R, 2, ()), 1, 2, a)
-    bare = word(R, 3, LinLetter(3, 2, 1, g.value))
-    with pytest.raises(NotCertified):
-        rewrite_conjugation_linear(bare, 1, 3, a)
     y_cert = certify(I3, [R.var("Y"), R.el(0)])
-    bad_eps = word(R, 3, LinLetter(3, 2, 1, y_cert.value, cert=y_cert))
-    with pytest.raises(SideConditionViolated):
-        rewrite_conjugation_linear(bad_eps, 1, 3, a)
-    with pytest.raises(SideConditionViolated):
-        rewrite_conjugation_linear(eps, 1, 3, y_cert)
     wrong = CertifiedElement(I3, [R.el(1), R.el(0)], value=R.el(5))
-    with pytest.raises(NotCertified):
-        rewrite_conjugation_linear(eps, 1, 3, wrong)
+    y_ideal = IdealPresentation(R, (R.el(3), R.var("Y")))
+    refusals = {
+        "linear": ((2, 3), "target generator must be first-index",
+                   "linear rewriting needs size at least 3"),
+        "symplectic": ((3, 5),
+                       "target generator must be first-index up to sigma",
+                       "symplectic rewriting needs even size at least 4"),
+    }
+    for mode, (bad_target, not_index1, too_small) in refusals.items():
+        rewrite, size, letter = rewriter(mode)
+        eps = word(R, size, letter(g))
+        with pytest.raises(BadIndices, match=exactly(not_index1)):
+            rewrite(eps, *bad_target, a)
+        with pytest.raises(BadIndices, match=exactly(
+                "bad target indices (1, %d)" % (size + 1))):
+            rewrite(eps, 1, size + 1, a)
+        with pytest.raises(DimensionTooSmall, match=exactly(too_small)):
+            rewrite(Word(R, 2, ()), 1, 2, a)
+        bare = word(R, size, letter(g).with_param(g.value))
+        with pytest.raises(NotCertified, match=exactly(
+                "conjugator must be certified first-index %s letters"
+                % mode)):
+            rewrite(bare, 1, 3, a)
+        with pytest.raises(SideConditionViolated, match=exactly(
+                "conjugator parameters must not involve Y")):
+            rewrite(word(R, size, letter(y_cert)), 1, 3, a)
+        with pytest.raises(SideConditionViolated, match=exactly(
+                "target parameter must not involve Y")):
+            rewrite(eps, 1, 3, y_cert)
+        with pytest.raises(NotCertified, match=exactly(
+                "target parameter certificate does not check")):
+            rewrite(eps, 1, 3, wrong)
+        with pytest.raises(SideConditionViolated, match=exactly(
+                "ideal generators must not involve Y")):
+            rewrite(Word(R, size, ()), 1, 3,
+                    certify(y_ideal, [R.el(1), R.el(0)]))
 
 
 def test_rewrite_rejects_wrong_rings():
     no_y = PolyRing(Z27, ("X",))
     J = IdealPresentation(no_y, (no_y.el(3),))
     a = certify(J, [no_y.el(2)])
-    with pytest.raises(UnknownVariable):
-        rewrite_conjugation_linear(Word(no_y, 3, ()), 1, 2, a)
     other = PolyRing(ZmodRing(25), ("X", "Y"))
     K = IdealPresentation(other, (other.el(5),))
     b = certify(K, [other.el(2)])
-    with pytest.raises(IdealMismatch):
-        rewrite_conjugation_linear(Word(R, 3, ()), 1, 2, b)
+    for mode in ("linear", "symplectic"):
+        rewrite, size, _ = rewriter(mode)
+        with pytest.raises(UnknownVariable, match=exactly(
+                "rewriting needs a polynomial ring with variable Y")):
+            rewrite(Word(no_y, size, ()), 1, 2, a)
+        with pytest.raises(IdealMismatch, match=exactly(
+                "target certificate lives over the wrong ring")):
+            rewrite(Word(R, size, ()), 1, 2, b)
     R8 = PolyRing(ZmodRing(8), ("X", "Y"))
     I8 = IdealPresentation(R8, (R8.el(2),))
     a8 = certify(I8, [R8.el(1)])
-    with pytest.raises(TwoNotInvertible):
-        rewrite_conjugation_symplectic(Word(R8, 6, ()), 1, 4, a8)
+    # only the symplectic rewriter needs 1/2, and asks for it before
+    # checking the ring
+    linear = rewrite_conjugation_linear(Word(R8, 3, ()), 1, 3, a8)
+    assert len(linear.output) == 1
+    for ring in (R8, PolyRing(ZmodRing(8), ("X",))):
+        with pytest.raises(TwoNotInvertible,
+                           match=exactly("2 is not a unit in %r" % (ring,))):
+            rewrite_conjugation_symplectic(Word(ring, 6, ()), 1, 4, a8)
 
 
 def test_rewrite_symplectic_bad_target_index():
     a = c(1, 0)
-    with pytest.raises(BadIndices):
+    with pytest.raises(BadIndices, match=exactly(
+            "target generator must be first-index up to sigma")):
         rewrite_conjugation_symplectic(Word(R, 6, ()), 3, 5, a)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(DimensionTooSmall, match=exactly(
+            "symplectic rewriting needs even size at least 4")):
         rewrite_conjugation_symplectic(Word(R, 5, ()), 1, 3, a)
 
 
@@ -306,9 +355,9 @@ def conjugated_products(draw):
     each with one certified factor and Y-exponent a multiple of 4, as
     the records of a level are after Y -> Y^4."""
     if draw(st.booleans()):
-        system = rewrite_module._LinearSystem(R, 3)
+        system = rewrite_module._System("E", R, 3)
     else:
-        system = rewrite_module._SymplecticSystem(R, 6)
+        system = rewrite_module._System("se", R, 6)
     pairs = [(i, j) for i in range(1, system.size + 1)
              for j in range(1, system.size + 1)
              if i != j and index1_form(system.kind, i, j) is not None]
@@ -330,7 +379,7 @@ def conjugated_products(draw):
 # the residual's (1, 1) entry holds 18X Y^4 and 9X Y^4 from different
 # factors: they cancel over Z/27, but the lowest exponent present stayed
 # Y^4, so peeling found no layer and ran into its rounds guard
-@example((rewrite_module._SymplecticSystem(R, 6),
+@example((rewrite_module._System("se", R, 6),
           letter_record(2, 1, 0, c(0, 1)),
           [letter_record(1, 2, 4, c(0, 1)), letter_record(1, 2, 8, c(0, 1))]))
 def test_peel_factors_a_conjugated_product(case):
@@ -353,6 +402,61 @@ def test_peel_factors_a_conjugated_product(case):
     assert in_group(out, I3)
     for letter, _ in out.letters:
         assert y_divisible(letter.param)
+
+
+def one_term(y_exp, atoms):
+    """The rewriter's parameter Y^y_exp * atoms."""
+    term = rewrite_module._Term(R, y_exp, atoms, R.one)
+    return rewrite_module._TPoly(R, [term])
+
+
+def peel_cells(kind, size, cells, rounds=500):
+    grid = rewrite_module._Grid(R, size)
+    grid.cells.update(cells)
+    return rewrite_module._peel(rewrite_module._System(kind, R, size), grid,
+                                rounds)
+
+
+def emit(kind, size, p, q, poly):
+    system = rewrite_module._System(kind, R, size)
+    return rewrite_module._emit_cell(system, p, q, poly, [])
+
+
+def diag(kind, size, cells):
+    return rewrite_module._System(kind, R, size).diag_records(cells)
+
+
+ATOM = c(1, 0)
+LAYER = one_term(4, (ATOM,))
+
+# each internal guard of the peel, on a crafted residual that breaks it
+INTERNAL_GUARDS = {
+    "one-factor": (lambda: emit("E", 3, 2, 3, LAYER), VerificationFailed,
+                   "cannot split a one-factor parameter term"),
+    "y-power": (lambda: emit("se", 6, 3, 4, one_term(1, (ATOM, ATOM))),
+                VerificationFailed, "cannot distribute Y-powers 1 = 1 + 0"),
+    "trace": (lambda: diag("E", 3, {(2, 2): LAYER}), VerificationFailed,
+              "diagonal residual layer has nonzero trace"),
+    "form": (lambda: diag("se", 6, {(3, 3): LAYER}), VerificationFailed,
+             "diagonal residual is not form-compatible at index 3"),
+    "no-free-pair": (lambda: diag("se", 2, {(1, 1): LAYER,
+                                            (2, 2): LAYER.neg()}),
+                     DimensionTooSmall,
+                     "no free coordinate pair for a diagonal insertion"),
+    "pattern": (lambda: peel_cells("se", 6, {(2, 3): LAYER}),
+                VerificationFailed,
+                "residual breaks the generator pattern at (4, 1)"),
+    "rounds": (lambda: peel_cells("E", 3, {(1, 2): LAYER}, rounds=0),
+               VerificationFailed,
+               "residual failed to terminate while peeling"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(INTERNAL_GUARDS))
+def test_peel_internal_guards(guard):
+    call, error, message = INTERNAL_GUARDS[guard]
+    with pytest.raises(error, match=exactly(message)):
+        call()
 
 
 def test_rewrite_deterministic():

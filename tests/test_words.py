@@ -465,6 +465,25 @@ def test_expand_carries_certificates():
     assert word_in_ESp1(w, ideal)
 
 
+@pytest.mark.parametrize("expand", [expand_rho, expand_mu])
+def test_expand_with_one_certificate_kind(expand):
+    # the head letter mixes the scalar with q, so it is certified only
+    # when both kinds of certificate are given; the others follow q's
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(6), Z27.el(0), Z27.el(12)])
+    q_certs = [certify(I3_27, [Z27.el(k)]) for k in (1, 2, 0, 4)]
+    a_cert = certify(I3_27, [Z27.el(5)])
+    full = expand(q, 15, a_cert, q_certs)
+    assert word_in_ESp1(full, I3_27)
+    for sc, qcs in ((a_cert, None), (None, q_certs)):
+        w = expand(q, 15, sc, qcs)
+        assert evaluate(w) == evaluate(full)
+        assert [lt.param for lt, _ in w.letters] == \
+            [lt.param for lt, _ in full.letters]
+        assert w.letters[0][0].cert is None
+        for lt, _ in w.letters[1:]:
+            assert (lt.cert is not None) == (qcs is not None)
+
+
 def test_transvection_letters_reject_bad_forms():
     q = ColumnVector(Z27, [Z27.el(1), Z27.el(2)])
     not_alt = from_rows(Z27, [[0, 1], [1, 0]])

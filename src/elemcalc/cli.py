@@ -53,7 +53,9 @@ sampling distributions used by the verify suites:
 
 # The largest n (decompose, rewrite), size (expand) or number of matrix
 # rows (pfaffian, standardize) a request may give. The work grows as a
-# power of it; documented requests stay at 12.
+# power of it; documented requests stay at 12. A dense 64-row pfaffian
+# request over Z/m, whose Pf and det each take O(n^3) steps, takes about
+# 25 ms over Z/27 and 0.13 s over Z/3^161 (256 bits).
 MAX_REQUEST_SIZE = 64
 
 # The most rows a pfaffian or standardize matrix over a polynomial ring

@@ -7,6 +7,8 @@ Internal storage is 0-based row-major.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (
     CertificateInvalid,
     NotAlternating,
@@ -14,6 +16,7 @@ from .errors import (
     OddDimension,
     VerificationFailed,
 )
+from .rings import ZmodRing
 
 
 class ExactMatrix:
@@ -369,12 +372,20 @@ def rank_two_update(x, xrow, y=None, yrow=None, s=None, base=None):
 
 
 def pfaffian(phi):
-    """Pfaffian of an alternating matrix (Rote's clow sum, O(n^4))."""
+    """Pfaffian of an alternating matrix.
+
+    Over Z/m it is _zmod_pf's O(n^3) congruence elimination on the
+    integer payloads; over polynomial rings and localizations it is
+    _pf, Rote's division-free clow sum, O(n^4).
+    """
     if not is_alternating(phi):
         raise NotAlternating("pfaffian needs an alternating matrix")
     if phi.rows % 2 != 0:
         raise OddDimension("pfaffian needs an even size")
-    return phi.ring.wrap(_pf(phi.ring, phi.payload_grid()))
+    ring = phi.ring
+    if isinstance(ring, ZmodRing):
+        return ring.wrap(_zmod_pf(ring.m, phi.payload_grid()))
+    return ring.wrap(_pf(ring, phi.payload_grid()))
 
 
 def _nonzero_cells(ring, a):
@@ -439,10 +450,18 @@ def _pf(ring, a):
 
 
 def det(m):
-    """Determinant by Berkowitz's division-free recurrence, O(n^4)."""
+    """Determinant of a square matrix.
+
+    Over Z/m it is _zmod_det's O(n^3) row elimination on the integer
+    payloads; over polynomial rings and localizations it is _det,
+    Berkowitz's division-free recurrence, O(n^4).
+    """
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    return m.ring.wrap(_det(m.ring, m.payload_grid()))
+    ring = m.ring
+    if isinstance(ring, ZmodRing):
+        return ring.wrap(_zmod_det(ring.m, m.payload_grid()))
+    return ring.wrap(_det(ring, m.payload_grid()))
 
 
 def _det(ring, a):
@@ -485,6 +504,109 @@ def _det(ring, a):
             product.append(s)
         poly = product
     return poly[n] if n % 2 == 0 else p_neg(poly[n])
+
+
+def _bezout(x, y):
+    """The integer step (s, t, u, v) = [[s, t], [-y/g, x/g]] for ints
+    x, y > 0 and g = gcd(x, y), where s x + t y = g: s inverts x/g mod
+    y/g, and t = (g - s x) / y. It has determinant 1 and maps (x, y) to
+    (g, 0)."""
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    s = pow(x, -1, y)
+    return s, (1 - s * x) // y, -y, x
+
+
+def _step(x, y):
+    """_bezout's step for the pivot x and the entry y, checked exactly:
+    VerificationFailed unless it has determinant 1 over Z and clears y.
+    So no step can change a determinant or a Pfaffian mod m."""
+    s, t, u, v = _bezout(x, y)
+    if s * v - t * u != 1 or u * x + v * y != 0:
+        raise VerificationFailed("Bezout step %r for (%d, %d) is not "
+                                 "unimodular or does not clear the entry"
+                                 % ((s, t, u, v), x, y))
+    return s, t, u, v
+
+
+def _zmod_det(m, a):
+    """Determinant mod m of the int payload grid a, in O(n^3).
+
+    Column by column, each nonzero entry y below the pivot x is cleared
+    by an integer row operation of determinant 1: row_y -= (y // x)
+    row_x when x divides y, else _step's Bezout step on the two rows,
+    which leaves gcd(x, y) as the pivot. A zero pivot is swapped with
+    the entry's row, flipping the sign. Reducing mod m keeps every step
+    exact for any m >= 2, zero divisors included, and the determinant
+    is the signed product of the pivots.
+    """
+    sign, out = 1, 1
+    while a:
+        piv = a[0]
+        for r in range(1, len(a)):
+            y = a[r][0]
+            if not y:
+                continue
+            x = piv[0]
+            if not x:
+                a[0], a[r], piv = a[r], piv, a[r]
+                sign = -sign
+            elif y % x == 0:
+                q = y // x
+                a[r] = [(b - q * p) % m for p, b in zip(piv, a[r])]
+            else:
+                s, t, u, v = _step(x, y)
+                row = a[r]
+                a[r] = [(u * p + v * b) % m for p, b in zip(piv, row)]
+                a[0] = piv = [(s * p + t * b) % m for p, b in zip(piv, row)]
+        if not piv[0]:
+            return 0
+        out = out * piv[0] % m
+        a = [row[1:] for row in a[1:]]
+    return sign * out % m
+
+
+def _zmod_pf(m, a):
+    """Pfaffian mod m of the alternating int payload grid a, in O(n^3).
+
+    The entries of row 0 right of the pivot x = a[0][1] are cleared by
+    congruences A -> P^t A P on rows and columns (1, j), each with an
+    integer P of determinant 1 as in _zmod_det, so Pf(P^t A P) =
+    det(P) Pf(A) = Pf(A); a swap of 1 and j when x is zero flips the
+    sign. Then row 0 is (0, x, 0, ..., 0), Pf(A) is x times the
+    Pfaffian of A without rows and columns 0 and 1, and the Pfaffian is
+    the signed product of the pivots.
+    """
+    sign, out = 1, 1
+    while a:
+        top = a[0]
+        for j in range(2, len(a)):
+            y = top[j]
+            if not y:
+                continue
+            x, r1, rj = top[1], a[1], a[j]
+            if not x:
+                a[1], a[j] = rj, r1
+                for row in a:
+                    row[1], row[j] = row[j], row[1]
+                sign = -sign
+            elif y % x == 0:
+                q = y // x
+                a[j] = [(b - q * p) % m for p, b in zip(r1, rj)]
+                for row in a:
+                    row[j] = (row[j] - q * row[1]) % m
+            else:
+                s, t, u, v = _step(x, y)
+                a[1] = [(s * p + t * b) % m for p, b in zip(r1, rj)]
+                a[j] = [(u * p + v * b) % m for p, b in zip(r1, rj)]
+                for row in a:
+                    p, b = row[1], row[j]
+                    row[1], row[j] = (s * p + t * b) % m, (u * p + v * b) % m
+        if not top[1]:
+            return 0
+        out = out * top[1] % m
+        a = [row[2:] for row in a[2:]]
+    return sign * out % m
 
 
 def adjugate_inverse(m):

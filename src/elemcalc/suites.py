@@ -4,9 +4,10 @@ Each suite repeats one self-contained trial: draw inputs from the
 documented distributions, run the construction under test, and rely on
 the library's own exact re-verification plus explicit cross-checks.
 A trial returns on success and raises _TrialFailure with
-(inputs, expected, achieved) description strings on failure; the
-report records the per-trial seed together with digests of the three,
-so any failure can be replayed in isolation.
+(inputs, expected, achieved) descriptions on failure; the report
+records the per-trial seed together with digests of the three, so any
+failure can be replayed in isolation. A trial's inputs are described
+by a _Text, which formats its reprs only when a failure is digested.
 
 The trials look up the functions they exercise as module globals at
 call time, so wrappers set on this module (the benchmark's capture of
@@ -101,8 +102,22 @@ def _digest(text):
     return hashlib.sha256(str(text).encode("utf-8")).hexdigest()[:16]
 
 
+class _Text:
+    """The string fmt % args, formatted when str() asks for it: passing
+    trials never build the reprs that describe their inputs."""
+
+    __slots__ = ("fmt", "args")
+
+    def __init__(self, fmt, *args):
+        self.fmt, self.args = fmt, args
+
+    def __str__(self):
+        return self.fmt % self.args
+
+
 class _TrialFailure(Exception):
-    """A failed trial; args are its (inputs, expected, achieved) strings."""
+    """A failed trial; args are its (inputs, expected, achieved)
+    descriptions, strings or _Texts."""
 
 
 @contextlib.contextmanager
@@ -224,8 +239,8 @@ def _suite_relations(rng):
                 break
         a = sample_element(rng, ring, cap)
         b = sample_element(rng, ring, cap)
-        desc = "%s over %r n=%d idx=%r a=%r b=%r" % (
-            tag, ring, n, indices, a, b)
+        desc = _Text("%s over %r n=%d idx=%r a=%r b=%r",
+                     tag, ring, n, indices, a, b)
         with _expect(desc, "relation holds"):
             ok = check_relation(tag, ring, n, indices, a, b)
         if not ok:
@@ -238,8 +253,8 @@ def _suite_short_root(rng):
     t = rng.randrange(1, n + 2)
     v = _off_pair(rng, ring, 2 * n, t)
     a, b = _certified_pair(rng, ideal)
-    with _expect("short-root v=%r pair=%d a=%r b=%r"
-                 % (v, t, a.value, b.value), "verified word"):
+    with _expect(_Text("short-root v=%r pair=%d a=%r b=%r",
+                       v, t, a.value, b.value), "verified word"):
         short_root_pair(v, a, b, t)
 
 
@@ -252,7 +267,8 @@ def _suite_long_root(rng):
         raise NotAUnit("could not arrange a vanishing pairing")
     v, w = pair
     a, b = _certified_pair(rng, ideal)
-    with _expect("long-root v=%r w=%r pair=%d" % (v, w, t), "verified word"):
+    with _expect(_Text("long-root v=%r w=%r pair=%d", v, w, t),
+                 "verified word"):
         long_root_pair(v, w, a, b, t)
 
 
@@ -266,7 +282,8 @@ def _suite_reduce(rng):
                             "no unit coordinate")
     v, w = pair
     a, b = _certified_pair(rng, ideal)
-    with _expect("reduce v=%r w=%r pair=%d" % (v, w, t), "verified word"):
+    with _expect(_Text("reduce v=%r w=%r pair=%d", v, w, t),
+                 "verified word"):
         long_root_reduce(v, w, a, b, t)
 
 
@@ -275,7 +292,7 @@ def _suite_split(rng):
     n = rng.choice((2, 3))
     v = sample_vector(rng, ring, 2 * n)
     a, b = _certified_pair(rng, ideal)
-    with _expect("split v=%r a=%r b=%r" % (v, a.value, b.value),
+    with _expect(_Text("split v=%r a=%r b=%r", v, a.value, b.value),
                  "verified word"):
         short_root_split(v, a, b)
 
@@ -295,7 +312,7 @@ def _suite_sum_to_product(rng):
                  for coord in range(1, size + 1)]
         us_certs.append(certs)
         us.append(ColumnVector(ring, tuple(c.value for c in certs)))
-    desc = "sum-to-product w=%r pieces=%d" % (w, pieces)
+    desc = _Text("sum-to-product w=%r pieces=%d", w, pieces)
     with _expect(desc, "regrouped product"):
         ordering, x_cert = sum_to_product(us, us_certs, w)
     if not x_cert.check():
@@ -327,7 +344,8 @@ def _suite_unimodular(rng):
         raise _TrialFailure("unimodular setup", "pairing fixed",
                             "no unit through pairing")
     a, b = _certified_pair(rng, ideal)
-    with _expect("unimodular v=%r w=%r u=%r" % (v, w, u), "verified word"):
+    with _expect(_Text("unimodular v=%r w=%r u=%r", v, w, u),
+                 "verified word"):
         long_root_unimodular(v, w, a, b, u)
 
 
@@ -340,8 +358,8 @@ def _suite_decompose(rng):
     while j == i:
         j = rng.randrange(1, size + 1)
     a, b = _certified_pair(rng, ideal)
-    desc = "decompose g=%r target=(%d,%d) a=%r b=%r" % (
-        g, i, j, a.value, b.value)
+    desc = _Text("decompose g=%r target=(%d,%d) a=%r b=%r",
+                 g, i, j, a.value, b.value)
     with _expect(desc, "verified decomposition"):
         res = decompose_conjugate(g, i, j, a, b)
     if not word_certified(res.output, ideal):
@@ -366,8 +384,9 @@ def _suite_rewrite(rng, linear):
         i, j = sample_index1_symplectic(rng, 6)
         rewrite, member = rewrite_conjugation_symplectic, word_in_ESp1
     a = sample_certified(rng, ideal, max_degree=1, variables=("X",))
-    desc = "rewrite-%s mod %d r=%d eps=%r target=(%d,%d) a=%r" % (
-        "linear" if linear else "symplectic", m, r, eps, i, j, a.value)
+    desc = _Text("rewrite-%s mod %d r=%d eps=%r target=(%d,%d) a=%r",
+                 "linear" if linear else "symplectic", m, r, eps, i, j,
+                 a.value)
     with _expect(desc, "verified rewrite"):
         res = rewrite(eps, i, j, a)
         out = res.output
@@ -416,7 +435,7 @@ def _suite_dictionaries(rng):
     for name, dims, sample, forward, back in halves:
         dim = rng.choice(dims)
         w = sample(rng, ring, ideal, dim, rng.randint(1, 3))
-        desc = "dictionary %s w=%r" % (name, w)
+        desc = _Text("dictionary %s w=%r", name, w)
         with _expect(desc, "round trip"):
             image = forward(w)
             if evaluate(image) != evaluate(w):
@@ -429,7 +448,7 @@ def _suite_dictionaries(rng):
     q, qcs = _certified_vector(rng, ideal, 2 * dim)
     sc = sample_certified(rng, ideal)
     form = standard_symplectic_form(ring, dim)
-    desc = "expansion q=%r s=%r" % (q, sc.value)
+    desc = _Text("expansion q=%r s=%r", q, sc.value)
     with _expect(desc, "expansion matches blocks"):
         for name, expand, block in (("rho", expand_rho, rho_matrix),
                                     ("mu", expand_mu, mu_matrix)):
@@ -444,7 +463,7 @@ def _suite_standardize(rng):
     n = rng.choice((2, 3))
     phi, eps0 = sample_relative_form(rng, ring, n, ideal,
                                      letters=rng.randint(1, 4))
-    desc = "standardize n=%d eps0=%r" % (n, eps0)
+    desc = _Text("standardize n=%d eps0=%r", n, eps0)
     with _expect(desc, "standardized"):
         form = AlternatingForm(phi)
         if form.pfaffian_cache != ring.one:

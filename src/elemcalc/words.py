@@ -509,11 +509,14 @@ def _expand(kind, q, scalar, scalar_cert, q_certs):
     2n and the word lives at size 2n + 2. When the optional certificates
     are supplied they propagate to every letter; the head letter, which
     mixes the scalar with q, is certified only when both are.
+    LengthMismatch unless q_certs has one entry per entry of q,
+    NotCertified when one of them certifies another value.
     """
     ring = q.ring
     n2 = q.length
     if n2 % 2 != 0:
         raise BadIndices("transvection vector length must be even")
+    q_certs = _checked_certs(q, q_certs)
     rho = kind == "rho"
     if q_certs is None or any(c is None for c in q_certs):
         scalar_cert = None

@@ -477,6 +477,19 @@ def test_cli_pfaffian(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_pfaffian_refuses_a_non_unimodular_step(monkeypatch, capsys):
+    # a Bezout step of determinant 2 is caught where it is taken: exit 1
+    # with no Pfaffian, not a wrong value that passes Pf^2 = det
+    from test_matrices import BEZOUT_FORM, non_unimodular_bezout
+    calls = non_unimodular_bezout(monkeypatch)
+    request = {"ring": {"kind": "zmod", "m": 27}, "matrix": BEZOUT_FORM}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    rc = cli.main(["pfaffian"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1 and calls
+    assert payload["verified"] is False and "pfaffian" not in payload
+
+
 def test_cli_standardize(monkeypatch, capsys):
     request = {"ring": {"kind": "zmod", "m": 27},
                "ideal": [3],

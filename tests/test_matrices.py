@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elemcalc.matrices as matrices
 from elemcalc.errors import (NotAUnit, NotInKernel, OddDimension,
                              VerificationFailed)
 from elemcalc.matrices import (
@@ -275,6 +276,45 @@ def test_pfaffian_and_det_take_order_n4_products(which, zmod_mul_budget):
     m = rand_alternating(random.Random(12), Z27, size)
     zmod_mul_budget[0] = size ** 4
     (pfaffian if which == "pfaffian" else det)(m)
+
+
+@pytest.mark.parametrize("which", ["_pf", "_det"])
+def test_division_free_bodies_take_order_n4_products(which, zmod_mul_budget):
+    # Z/m takes the elimination, which multiplies ints directly; the
+    # bodies polynomial rings and localizations use are held to size**4
+    # here through Z/27's p_mul
+    size = 20
+    m = rand_alternating(random.Random(12), Z27, size)
+    zmod_mul_budget[0] = size ** 4
+    getattr(matrices, which)(Z27, m.payload_grid())
+
+
+def non_unimodular_bezout(monkeypatch):
+    """Replace matrices._bezout by a step of determinant 2 that still
+    clears its entry; returns the list of the calls it answered."""
+    orig, calls = matrices._bezout, []
+
+    def doubled(x, y):
+        calls.append((x, y))
+        s, t, u, v = orig(x, y)
+        return s, t, 2 * u, 2 * v
+
+    monkeypatch.setattr(matrices, "_bezout", doubled)
+    return calls
+
+
+# row 0 pairs 2 with 3: neither divides the other, so both eliminations
+# take a Bezout step
+BEZOUT_FORM = [[0, 2, 3, 0], [-2, 0, 0, 1], [-3, 0, 0, 0], [0, -1, 0, 0]]
+
+
+@pytest.mark.parametrize("which", [pfaffian, det])
+def test_non_unimodular_step_is_refused(monkeypatch, which):
+    a = from_rows(Z27, BEZOUT_FORM)
+    calls = non_unimodular_bezout(monkeypatch)
+    with pytest.raises(VerificationFailed):
+        which(a)
+    assert calls
 
 
 def test_det_multiplicative():

@@ -4,21 +4,26 @@ Polynomial products, substitution, powers, determinants and matrix
 arithmetic over Z/m and (Z/m)[X, Y] are checked against sympy: the same
 computation over the integers, reduced mod m afterwards. Pfaffians are checked against the
 sum over perfect matchings of tests/test_matrices.py, and at sizes
-beyond its reach against Pf^2 = det. Localizations are checked through
-ring maps into Z/m."""
+beyond its reach against Pf^2 = det. The Z/m elimination behind det
+and pfaffian is also checked against the division-free _det and _pf
+that polynomial rings keep. Localizations are checked through ring maps
+into Z/m."""
 
 import functools
 import random
 
 import pytest
 
-from elemcalc.matrices import (ColumnVector, block_diagonal, det, from_rows,
-                               pfaffian, rank_two_update, tilde, tilde_pair)
+from elemcalc.matrices import (ColumnVector, ExactMatrix, _det, _pf,
+                               block_diagonal, det, from_rows, pfaffian,
+                               rank_two_update, tilde, tilde_pair)
 from elemcalc.rings import LocRing, PolyRing, Ring, ZmodRing, substitute
 from elemcalc.sampling import prime_of
 from test_matrices import pfaffian_matching_oracle
 
 sympy = pytest.importorskip("sympy")
+from sympy import ZZ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 X, Y = sympy.symbols("X Y")
 MODULI = (25, 27, 121)
@@ -239,6 +244,89 @@ def test_pfaffian_square_is_det_at_large_sizes(m):
             a = from_rows(R, int_grid(rng, m, size, density, alternating=True))
             pf = pfaffian(a)
             assert pf * pf == det(a)
+
+
+# moduli with two or more prime factors, a prime power, and a 256-bit one
+ELIMINATION_MODULI = (6, 12, 27, 30, 210, 3 ** 161)
+ELIMINATION_IDS = ("6", "12", "27", "30", "210", "3^161")
+SHAPES = ("dense", "sparse", "zero row", "zero divisors", "rank deficient")
+
+
+def shaped_grid(rng, m, size, shape, alternating=False):
+    """A grid of int_grid's kind in one of SHAPES: "zero row" clears a
+    row (and its column, if alternating), "zero divisors" fills one with
+    multiples of m's least prime factor, and "rank deficient" is a sum
+    of rank-one (rank-two, if alternating) integer terms, fewer than
+    size allows, so its determinant and Pfaffian vanish over Z and mod
+    m; its entries are reduced mod m."""
+    if shape == "rank deficient":
+        g = [[0] * size for _ in range(size)]
+        for _ in range(max(0, size // 2 - 1) if alternating else size - 1):
+            u = [rng.randrange(m) for _ in range(size)]
+            v = [rng.randrange(m) for _ in range(size)]
+            for i in range(size):
+                for j in range(size):
+                    g[i][j] += u[i] * v[j] - (u[j] * v[i] if alternating
+                                              else 0)
+        return [[x % m for x in row] for row in g]
+    g = int_grid(rng, m, size, 0.2 if shape == "sparse" else 1.0,
+                 alternating)
+    if size and shape in ("zero row", "zero divisors"):
+        k, p = rng.randrange(size), prime_of(m)
+        for j in range(size):
+            x = 0 if shape == "zero row" else p * rng.randrange(m)
+            if not alternating:
+                g[k][j] = x
+            elif j != k:
+                g[k][j], g[j][k] = x, -x
+    return g
+
+
+def bareiss_det(g):
+    """sympy's fraction-free (Bareiss) determinant over Z of an int grid."""
+    n = len(g)
+    return int(DomainMatrix([[ZZ(x) for x in row] for row in g],
+                            (n, n), ZZ).det())
+
+
+def grid_matrix(R, g):
+    n = len(g)
+    return ExactMatrix(R, n, n, [R.from_int(x) for row in g for x in row])
+
+
+def shapes_at(size):
+    """Dense at every size, and each other shape at every fourth size."""
+    return ("dense", SHAPES[1 + size % 4])
+
+
+@pytest.mark.parametrize("m", ELIMINATION_MODULI, ids=ELIMINATION_IDS)
+def test_zmod_det_matches_bareiss_and_berkowitz(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    assert det(ExactMatrix(R, 0, 0, ())) == R.one
+    for size in range(1, 25):
+        for shape in shapes_at(size):
+            g = shaped_grid(rng, m, size, shape)
+            a = grid_matrix(R, g)
+            got = det(a)
+            assert got.payload == bareiss_det(g) % m, (size, shape)
+            assert got.payload == _det(R, a.payload_grid()), (size, shape)
+
+
+@pytest.mark.parametrize("m", ELIMINATION_MODULI, ids=ELIMINATION_IDS)
+def test_zmod_pfaffian_matches_clow_sum_and_bareiss(m):
+    rng = random.Random(m)
+    R = ZmodRing(m)
+    assert pfaffian(ExactMatrix(R, 0, 0, ())) == R.one
+    for size in range(2, 25, 2):
+        for shape in shapes_at(size // 2):
+            g = shaped_grid(rng, m, size, shape, alternating=True)
+            a = grid_matrix(R, g)
+            got = pfaffian(a)
+            assert got.payload == _pf(R, a.payload_grid()), (size, shape)
+            assert (got * got).payload == bareiss_det(g) % m, (size, shape)
+            if shape == "rank deficient":
+                assert got.is_zero()
 
 
 def standard_psi(size):

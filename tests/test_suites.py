@@ -13,6 +13,8 @@ import pytest
 
 import elemcalc.suites as suites
 from elemcalc import BadTrialCount, ElementaryLetter, Word
+from elemcalc.matrices import ColumnVector, ExactMatrix
+from elemcalc.rings import RingElement
 from elemcalc.suites import SUITE_NAMES, _digest, run_all, run_suite
 
 
@@ -110,6 +112,16 @@ def test_failure_report_digests(monkeypatch, suite, name, fault, strings):
     rep = run_suite(suite, 1, 0)
     assert not rep.ok
     assert rep.failures == ((0,) + tuple(_digest(s) for s in strings),)
+
+
+def test_passing_trials_build_no_reprs(monkeypatch):
+    # a trial's inputs are described only when the trial fails
+    def refuse(self):
+        raise AssertionError("a passing trial built a repr")
+
+    for cls in (ColumnVector, ExactMatrix, RingElement, Word):
+        monkeypatch.setattr(cls, "__repr__", refuse)
+    assert [r.suite for r in run_all(3, 0) if not r.ok] == []
 
 
 @pytest.mark.parametrize("trials", [-1, -3])

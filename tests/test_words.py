@@ -484,6 +484,20 @@ def test_expand_with_one_certificate_kind(expand):
             assert (lt.cert is not None) == (qcs is not None)
 
 
+@pytest.mark.parametrize("expand", [expand_rho, expand_mu])
+def test_expand_checks_its_certificates(expand):
+    # one certificate per entry of q, each of its entry's value, as the
+    # transvection letters require
+    q = ColumnVector(Z27, [Z27.el(3), Z27.el(6), Z27.el(0), Z27.el(12)])
+    q_certs = [certify(I3_27, [Z27.el(k)]) for k in (1, 2, 0, 4)]
+    with pytest.raises(LengthMismatch):
+        expand(q, 3, None, q_certs[:1])
+    with pytest.raises(LengthMismatch):
+        expand(q, 3, None, q_certs + q_certs[:1])
+    with pytest.raises(NotCertified):
+        expand(q, 3, None, q_certs[:2] + q_certs[:2])
+
+
 def test_transvection_letters_reject_bad_forms():
     q = ColumnVector(Z27, [Z27.el(1), Z27.el(2)])
     not_alt = from_rows(Z27, [[0, 1], [1, 0]])

@@ -77,10 +77,12 @@ MAX_LOC_MATRIX_WORK = 128
 MAX_REWRITE_LETTERS = 8
 
 # The most letters the conjugator g of a decompose request may give. At
-# n 64 a long root with 2,048 letters takes up to 0.8 s over Z/27 and
-# 5.6 s over Z/3^161 (256 bits); 8,192 letters take up to 2.2 s and 13 s.
-# Over a polynomial ring the entry degrees grow with the letters, and
-# this bound does not cover that: 128 letters at n 3 take 25 s.
+# n 64 a long-root request with 2,048 unit letters takes 0.36-0.40 s over
+# Z/27 and 2.8-3.0 s over Z/3^161 (256 bits) through main (seeds 0-2,
+# 2-vCPU Xeon VM). Over a polynomial ring the entry degrees grow with
+# the letters, and this bound does not cover that: over (Z/27)[X] with
+# letters c + dX, a long root at n 3 takes 5.3-6.0 s at 64 letters and
+# 19-20 s at 128.
 MAX_DECOMPOSE_LETTERS = 2048
 
 # The most letters the word of an expand request may give, in either

@@ -124,8 +124,12 @@ def _pair_transvection_word(v, s, cert, factor):
     cancelling their cross terms in the (s, sbar) cell.
     """
     size, sbar = v.length, sigma(s)
-    params = {k: cert.scale(factor * vk) for k, vk in enumerate(v.entries, 1)
-              if k not in (s, sbar) and not vk.is_zero()}
+    ring = v.ring
+    fp = ring.el(factor).payload
+    p_mul, p_is_zero, wrap = ring.p_mul, ring.p_is_zero, ring.wrap
+    params = {k: cert.scale(wrap(p_mul(fp, vp)))
+              for k, vp in enumerate(v.payloads, 1)
+              if k not in (s, sbar) and not p_is_zero(vp)}
     cross = None
     for k in sorted(params):
         if k % 2 == 1 and sigma(k) in params:
@@ -329,7 +333,9 @@ def long_root_unimodular(v, w, a, b, u):
         check_evaluation(out, identity(ring, size), "long-root-unimodular: "
                          "the empty word differs from I")
         return out
-    certs = [[a.scale(bv * x) for x in vec.entries] for vec, _ in pieces]
+    bp, p_mul = bv.payload, ring.p_mul
+    certs = [[a.scale(ring.wrap(p_mul(bp, x))) for x in vec.payloads]
+             for vec, _ in pieces]
     ordering, x_cert = sum_to_product(scaled, certs, w)
     out = Word(ring, size)
     for idx in ordering:

@@ -11,6 +11,13 @@ arithmetic is exact; equality is structural for Z/m and polynomials
 (payloads are kept canonical) and cross-multiplicative for localized
 fractions.
 
+Payloads inside, wrap at the boundary: the library computes with each
+ring's p_* functions on payloads, and wraps a result in a RingElement
+once, where a caller sees it. The certificate operations below build
+no intermediate element. Each ring has one column-operation kernel,
+p_column_op, which evaluate calls once per cell; Ring holds the
+generic body and ZmodRing an int loop of its own.
+
 Ideals are finitely generated presentations. Membership is never
 decided, only certified: a CertifiedElement stores coefficients that
 multiply out to its value, exactly.
@@ -167,6 +174,15 @@ class Ring:
                 a = self.p_mul(a, a)
         return self.from_int(1) if out is None else out
 
+    def p_column_op(self, grid, s, d, c):
+        """Add c times column s to column d of a row-major payload grid,
+        in place (s != d): the kernel of every column operation."""
+        p_add, p_mul, p_is_zero = self.p_add, self.p_mul, self.p_is_zero
+        for row in grid:
+            gs = row[s]
+            if not p_is_zero(gs):
+                row[d] = p_add(row[d], p_mul(gs, c))
+
     # subclasses: from_int, p_add, p_neg, p_mul, p_is_zero, p_invert,
     # p_content, p_repr, structural, __eq__, __hash__
 
@@ -205,6 +221,13 @@ class ZmodRing(Ring):
 
     def p_pow(self, a, k):
         return pow(a, k, self.m)
+
+    def p_column_op(self, grid, s, d, c):
+        m = self.m
+        for row in grid:
+            gs = row[s]
+            if gs:
+                row[d] = (row[d] + gs * c) % m
 
     def p_is_zero(self, a):
         return a == 0
@@ -592,15 +615,17 @@ class CertifiedElement:
     __slots__ = ("ideal", "coefficients", "value")
 
     def __init__(self, ideal, coefficients, value=None):
-        coefficients = tuple(ideal.ring.el(c) for c in coefficients)
+        ring = ideal.ring
+        coefficients = tuple(ring.el(c) for c in coefficients)
         if len(coefficients) != len(ideal.generators):
             raise LengthMismatch(
                 "%d coefficients for %d generators"
                 % (len(coefficients), len(ideal.generators)))
         if value is None:
-            value = ideal.ring.zero
-            for c, g in zip(coefficients, ideal.generators):
-                value = value + c * g
+            value = ring.wrap(_combination(ring, coefficients,
+                                           ideal.generators))
+        else:
+            value = ring.el(value)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "value", value)
@@ -609,23 +634,28 @@ class CertifiedElement:
         raise AttributeError("certified elements are immutable")
 
     def check(self):
-        acc = self.ideal.ring.zero
-        for c, g in zip(self.coefficients, self.ideal.generators):
-            acc = acc + c * g
-        return acc == self.value
+        ring = self.ideal.ring
+        acc = _combination(ring, self.coefficients, self.ideal.generators)
+        return ring.wrap(acc) == self.value
 
     def __add__(self, other):
         if not isinstance(other, CertifiedElement):
             return NotImplemented
         if self.ideal != other.ideal:
             raise IdealMismatch("certificates over different presentations")
-        coeffs = tuple(a + b for a, b in
+        ring = self.ideal.ring
+        p_add, wrap = ring.p_add, ring.wrap
+        coeffs = tuple(wrap(p_add(a.payload, b.payload)) for a, b in
                        zip(self.coefficients, other.coefficients))
-        return _derived(self.ideal, coeffs, self.value + other.value)
+        return _derived(self.ideal, coeffs,
+                        wrap(p_add(self.value.payload, other.value.payload)))
 
     def __neg__(self):
-        return _derived(self.ideal, tuple(-c for c in self.coefficients),
-                        -self.value)
+        ring = self.ideal.ring
+        p_neg, wrap = ring.p_neg, ring.wrap
+        return _derived(self.ideal,
+                        tuple(wrap(p_neg(c.payload)) for c in self.coefficients),
+                        wrap(p_neg(self.value.payload)))
 
     def __sub__(self, other):
         neg = -other
@@ -633,9 +663,11 @@ class CertifiedElement:
 
     def scale(self, r):
         """Multiply by an arbitrary ring element (ideals absorb products)."""
-        r = self.ideal.ring.el(r)
-        coeffs = tuple(r * c for c in self.coefficients)
-        return _derived(self.ideal, coeffs, r * self.value)
+        ring = self.ideal.ring
+        rp = ring.el(r).payload
+        p_mul, wrap = ring.p_mul, ring.wrap
+        coeffs = tuple(wrap(p_mul(rp, c.payload)) for c in self.coefficients)
+        return _derived(self.ideal, coeffs, wrap(p_mul(rp, self.value.payload)))
 
     def is_zero(self):
         return self.value.is_zero()
@@ -655,6 +687,15 @@ class CertifiedElement:
             self.value,
             " + ".join("%r*%r" % (c, g) for c, g in
                        zip(self.coefficients, self.ideal.generators)))
+
+
+def _combination(ring, coefficients, generators):
+    """The payload of sum c_i g_i, for elements of ring."""
+    p_add, p_mul = ring.p_add, ring.p_mul
+    acc = ring.from_int(0)
+    for c, g in zip(coefficients, generators):
+        acc = p_add(acc, p_mul(c.payload, g.payload))
+    return acc
 
 
 def _derived(ideal, coefficients, value):
@@ -680,14 +721,19 @@ def product_certificate(a, b):
     if a.ideal != b.ideal:
         raise IdealMismatch("certificates over different ideals")
     sq = a.ideal.square()
-    ca, cb = a.coefficients, b.coefficients
+    ring = sq.ring
+    p_add, p_mul, wrap = ring.p_add, ring.p_mul, ring.wrap
+    ca = [c.payload for c in a.coefficients]
+    cb = [c.payload for c in b.coefficients]
     coeffs = []
     for i, j in a.ideal.square_pairs():
         if i == j:
-            coeffs.append(ca[i] * cb[i])
+            coeffs.append(wrap(p_mul(ca[i], cb[i])))
         else:
-            coeffs.append(ca[i] * cb[j] + ca[j] * cb[i])
-    return _derived(sq, tuple(coeffs), a.value * b.value)
+            coeffs.append(wrap(p_add(p_mul(ca[i], cb[j]),
+                                     p_mul(ca[j], cb[i]))))
+    return _derived(sq, tuple(coeffs),
+                    wrap(p_mul(a.value.payload, b.value.payload)))
 
 
 def square_factors(p):
@@ -697,14 +743,16 @@ def square_factors(p):
     the products x.value * y.value sum to p.value."""
     base = p.ideal.base
     ring, gens = base.ring, base.generators
+    zero, one = ring.zero, ring.one
     out = []
     for (i, j), c in zip(base.square_pairs(), p.coefficients):
-        if c.is_zero():
+        if ring.p_is_zero(c.payload):
             continue
-        cx = [ring.zero] * len(gens)
+        cx = [zero] * len(gens)
         cx[i] = c
-        cy = [ring.zero] * len(gens)
-        cy[j] = ring.one
-        out.append((CertifiedElement(base, cx, c * gens[i]),
-                    CertifiedElement(base, cy, gens[j])))
+        cy = [zero] * len(gens)
+        cy[j] = one
+        x = ring.wrap(ring.p_mul(c.payload, gens[i].payload))
+        out.append((_derived(base, tuple(cx), x),
+                    _derived(base, tuple(cy), gens[j])))
     return out

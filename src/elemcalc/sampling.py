@@ -81,7 +81,7 @@ def sample_element(rng, ring, max_degree=2, variables=None, terms=3):
     name); the default allows all of them.
     """
     if isinstance(ring, ZmodRing):
-        return ring.el(rng.randrange(ring.m))
+        return ring.wrap(rng.randrange(ring.m))
     if isinstance(ring, PolyRing):
         allowed = ring.variables if variables is None else tuple(variables)
         out = ring.zero

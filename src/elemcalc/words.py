@@ -78,7 +78,7 @@ def index1_form(kind, i, j):
 
 
 def _check_cert(cert, value, what):
-    if cert is not None and cert.value != value:
+    if cert is not None and cert.value is not value and cert.value != value:
         raise NotCertified("certificate value does not match %s" % (what,))
 
 
@@ -392,7 +392,8 @@ def word(ring, size, *letters):
 
 def evaluate(w):
     """Exact ordered product of a word's letters: each letter's cells
-    applied in turn as column operations. The product is stored in w,
+    applied in turn as column operations, one call of the ring's
+    p_column_op kernel per nonzero cell. The product is stored in w,
     so a later call returns the same matrix without recomputing it.
     When w keeps a prefix with a stored value, the operations resume
     from that value and apply only the letters after the prefix."""
@@ -405,16 +406,11 @@ def evaluate(w):
         grid, letters = identity(ring, n).payload_grid(), w.letters
     else:
         grid, letters = prefix._value.payload_grid(), w.letters[len(prefix):]
-    p_add, p_mul, p_is_zero = ring.p_add, ring.p_mul, ring.p_is_zero
+    column_op, p_is_zero = ring.p_column_op, ring.p_is_zero
     for letter, inv in letters:
         for src, dst, cp in letter.column_ops(inv):
-            if p_is_zero(cp):
-                continue
-            s, d = src - 1, dst - 1
-            for row in grid:
-                gs = row[s]
-                if not p_is_zero(gs):
-                    row[d] = p_add(row[d], p_mul(gs, cp))
+            if not p_is_zero(cp):
+                column_op(grid, src - 1, dst - 1, cp)
     value = ExactMatrix(ring, n, n, [p for row in grid for p in row])
     object.__setattr__(w, "_value", value)
     object.__setattr__(w, "_prefix", None)

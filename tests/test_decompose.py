@@ -704,6 +704,38 @@ def test_corrupted_lemma_is_caught(monkeypatch):
         decompose_conjugate(long_, 1, 4, a, b)
 
 
+@pytest.mark.parametrize("i, j, g", [
+    (1, 4, word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
+                SympLetter(6, 4, 6, Z27.el(8)))),
+    (1, 2, word(Z27, 6, SympLetter(6, 1, 3, Z27.el(4)),
+                SympLetter(6, 2, 1, Z27.el(11)))),
+], ids=["long", "short"])
+def test_corrupted_column_op_is_caught(monkeypatch, i, j, g):
+    # one wrong entry left by the k-th kernel call, for every k of the
+    # run: the closed forms come from rank_two_update, which does not
+    # use the kernel, so each evaluation is checked against an
+    # independent matrix
+    orig = ZmodRing.p_column_op
+    state = {"calls": 0, "k": 0}
+
+    def corrupted(ring, grid, s, d, c):
+        orig(ring, grid, s, d, c)
+        state["calls"] += 1
+        if state["calls"] == state["k"]:
+            grid[0][d] = (grid[0][d] + 1) % ring.m
+
+    monkeypatch.setattr(ZmodRing, "p_column_op", corrupted)
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    decompose_conjugate(Word(Z27, 6, g.letters), i, j, a, b)
+    total = state["calls"]
+    assert total > 10
+    for k in range(1, total + 1):
+        state["calls"], state["k"] = 0, k
+        with pytest.raises(VerificationFailed):
+            decompose_conjugate(Word(Z27, 6, g.letters), i, j, a, b)
+
+
 def test_failed_decomposition_closes_its_recording(monkeypatch):
     monkeypatch.setattr(decompose_module, "_pair_transvection_word",
                         lambda v, s, cert, factor: Word(v.ring, v.length, ()))

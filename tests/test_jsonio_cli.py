@@ -490,6 +490,21 @@ def test_cli_pfaffian_refuses_a_non_unimodular_step(monkeypatch, capsys):
     assert payload["verified"] is False and "pfaffian" not in payload
 
 
+def test_cli_pfaffian_refuses_a_wrong_determinant(monkeypatch, capsys):
+    # the Pf^2 = det cross-check: a determinant off by one is refused
+    # with exit 1 and no Pfaffian
+    det = cli.det
+    monkeypatch.setattr(cli, "det", lambda m: det(m) + 1)
+    request = {"ring": {"kind": "zmod", "m": 27},
+               "matrix": [[0, 1, 0, 0], [-1, 0, 0, 0],
+                          [0, 0, 0, 1], [0, 0, -1, 0]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    rc = cli.main(["pfaffian"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert payload["verified"] is False and "pfaffian" not in payload
+
+
 def test_cli_standardize(monkeypatch, capsys):
     request = {"ring": {"kind": "zmod", "m": 27},
                "ideal": [3],

@@ -12,11 +12,13 @@ from elemcalc.errors import (
     TwoNotInvertible,
     UnknownVariable,
 )
+from elemcalc.jsonio import certified_to_json
 from elemcalc.rings import (
     CertifiedElement,
     IdealPresentation,
     LocRing,
     PolyRing,
+    Ring,
     ZmodRing,
     certify,
     half,
@@ -348,6 +350,129 @@ def test_derived_certificates_check(ring, ints):
     assert (a + b).value == a.value + b.value
     assert (-a).value == -a.value
     assert product_certificate(a, b).value == a.value * b.value
+
+
+_P27 = PolyRing(Z27, ("X",))
+_L27 = LocRing(_P27, _P27.var("X") + 1)
+# (ring, ideal generators): the certificate operations compute on
+# payloads over each kind of ring in the tower
+_PAYLOAD_CERT_CASES = (
+    (Z27, (3, 6)),
+    (ZmodRing(3 ** 161), (3, 9)),
+    (_P27, (3, _P27.var("X"))),
+    (_L27, (3, _L27.el(_P27.var("X")))),
+)
+
+
+def _assert_same_cert(got, ideal, coeffs, value):
+    """got has the given coefficients and value, payload for payload,
+    still checks, and prints and serializes like the certificate the
+    constructor builds from them."""
+    want = CertifiedElement(ideal, coeffs, value)
+    assert got.ideal == ideal
+    assert [c.payload for c in got.coefficients] == [c.payload for c in coeffs]
+    assert got.value.payload == value.payload
+    assert got.check()
+    assert repr(got) == repr(want)
+    assert certified_to_json(got) == certified_to_json(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_PAYLOAD_CERT_CASES), st.integers(0, 2 ** 32))
+def test_certificate_operations_match_element_arithmetic(case, seed):
+    # each operation gives what the same formula in RingElement
+    # arithmetic gives, with the operands in the same order
+    ring, gens = case
+    rng = random.Random(seed)
+    I = IdealPresentation(ring, gens)
+    G = I.generators
+    a, b = (certify(I, [sample_element(rng, ring, 1) for _ in G])
+            for _ in range(2))
+    r = sample_element(rng, ring, 1)
+    value = ring.zero
+    for c, g in zip(a.coefficients, G):
+        value = value + c * g
+    assert a.value.payload == value.payload
+    ca, cb = a.coefficients, b.coefficients
+    _assert_same_cert(a.scale(r), I, [r * c for c in ca], r * a.value)
+    five = ring.el(5)
+    _assert_same_cert(a.scale(5), I, [five * c for c in ca], five * a.value)
+    _assert_same_cert(a + b, I, [x + y for x, y in zip(ca, cb)],
+                      a.value + b.value)
+    _assert_same_cert(-a, I, [-c for c in ca], -a.value)
+    _assert_same_cert(a - b, I, [x + (-y) for x, y in zip(ca, cb)],
+                      a.value + (-b.value))
+    ab = product_certificate(a, b)
+    _assert_same_cert(
+        ab, I.square(),
+        [ca[i] * cb[i] if i == j else ca[i] * cb[j] + ca[j] * cb[i]
+         for i, j in I.square_pairs()],
+        a.value * b.value)
+    nonzero = [(i, j, c) for (i, j), c in zip(I.square_pairs(),
+                                              ab.coefficients)
+               if not c.is_zero()]
+    factors = square_factors(ab)
+    assert len(factors) == len(nonzero)
+    for (x, y), (i, j, c) in zip(factors, nonzero):
+        cx = [ring.zero] * len(G)
+        cx[i] = c
+        cy = [ring.zero] * len(G)
+        cy[j] = ring.one
+        _assert_same_cert(x, I, cx, c * G[i])
+        _assert_same_cert(y, I, cy, G[j])
+
+
+def test_certificate_reprs_are_pinned():
+    I = IdealPresentation(Z27, (Z27.el(3), Z27.el(6)))
+    a, b = certify(I, [2, 1]), certify(I, [5, 7])
+    assert repr(a.scale(4)) == "cert(21 = 8*3 + 4*6)"
+    assert repr(a + b) == "cert(15 = 7*3 + 8*6)"
+    assert repr(a - b) == "cert(9 = 24*3 + 21*6)"
+    assert repr(-a) == "cert(15 = 25*3 + 26*6)"
+    ab = product_certificate(a, b)
+    assert repr(ab) == "cert(9 = 10*9 + 19*18 + 7*9)"
+    assert certified_to_json(ab) == [10, 19, 7]
+    assert [(repr(x), repr(y)) for x, y in square_factors(ab)] == [
+        ("cert(3 = 10*3 + 0*6)", "cert(3 = 1*3 + 0*6)"),
+        ("cert(3 = 19*3 + 0*6)", "cert(6 = 0*3 + 1*6)"),
+        ("cert(15 = 0*3 + 7*6)", "cert(6 = 0*3 + 1*6)")]
+    X = _P27.var("X")
+    IL = IdealPresentation(_L27, (3, X))
+    c = certify(IL, [_L27.wrap(((X + 2).payload, 1)), 1])
+    r = _L27.wrap(((X + 1).payload, 1))
+    assert repr(c.scale(r)) == (
+        "cert((6 + 10*X + 5*X^2 + X^3)/(1 + X)^2 = "
+        "(2 + 3*X + X^2)/(1 + X)^2*3 + (1 + X)/(1 + X)^1*X)")
+    assert certified_to_json(-c) == [
+        {"num": [[{}, 25], [{"X": 1}, 26]], "exp": 1},
+        {"num": [[{}, 26]], "exp": 0}]
+
+
+def _grid_entry(ring):
+    return st.one_of(st.just(0), st.integers(0, ring.m - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((Z27, ZmodRing(3 ** 161))), st.data())
+def test_zmod_column_op_matches_generic_body(ring, data):
+    # ZmodRing's int loop leaves the same grid as Ring's generic body,
+    # zero source columns and c = 0 included
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(2, 6))
+    s = data.draw(st.integers(0, cols - 1))
+    d = data.draw(st.integers(0, cols - 1).filter(lambda x: x != s))
+    grid = [[data.draw(_grid_entry(ring)) for _ in range(cols)]
+            for _ in range(rows)]
+    if data.draw(st.booleans()):
+        for row in grid:
+            row[s] = 0
+    c = data.draw(_grid_entry(ring))
+    want = [list(row) for row in grid]
+    Ring.p_column_op(ring, want, s, d, c)
+    got = [list(row) for row in grid]
+    ring.p_column_op(got, s, d, c)
+    assert got == want
+    assert all(0 <= x < ring.m for row in got for x in row)
 
 
 def test_principal_cert():

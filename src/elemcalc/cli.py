@@ -13,7 +13,11 @@ Commands
 All data commands read one JSON object (--in FILE or standard input)
 and write canonical JSON (--out FILE or standard output). Exit codes:
 0 success, 1 a verification failed, 2 malformed or rejected input.
-Identical command, input, and seed give byte-identical output.
+A request is rejected over MAX_REQUEST_SIZE, MAX_REWRITE_LETTERS or
+the work budget MAX_REQUEST_WORK, whose estimate is checked before any
+letter or entry is decoded, and again with the entries' degrees before
+any arithmetic. Identical command, input, and seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import comb
 
 from . import jsonio
 from .bridge import (
@@ -31,13 +36,21 @@ from .bridge import (
 )
 from .decompose import decompose_conjugate
 from .errors import DescriptorMismatch, ElemcalcError, VerificationFailed
-from .matrices import det, is_alternating, pfaffian
+from .matrices import ExactMatrix, det, is_alternating, pfaffian
 from .rewrite import (
     rewrite_conjugation_linear,
     rewrite_conjugation_symplectic,
 )
-from .rings import LocRing, PolyRing
+from .rings import (
+    CertifiedElement,
+    IdealPresentation,
+    LocRing,
+    PolyRing,
+    RingElement,
+    ZmodRing,
+)
 from .suites import SUITE_NAMES, run_all, run_suite
+from .words import ElementaryLetter, TransvectionLetter, Word
 
 _DISTRIBUTIONS = """\
 sampling distributions used by the verify suites:
@@ -52,45 +65,24 @@ sampling distributions used by the verify suites:
 
 
 # The largest n (decompose, rewrite), size (expand) or number of matrix
-# rows (pfaffian, standardize) a request may give. The work grows as a
-# power of it; documented requests stay at 12. A dense 64-row pfaffian
-# request over Z/m, whose Pf and det each take O(n^3) steps, takes about
-# 25 ms over Z/27 and 0.13 s over Z/3^161 (256 bits).
+# rows (pfaffian, standardize) a request may give.
 MAX_REQUEST_SIZE = 64
 
-# The most rows a pfaffian or standardize matrix over a polynomial ring
-# or a localization may give: entry degrees grow with every elimination
-# step. A dense Pfaffian with entries kX + 1 over (Z/27)[X] takes 0.4 s
-# at 16 rows and 3.0 s at 24; over loc((Z/27)[X], X+1) it takes 24 s at
-# 32 rows with exp 1.
-MAX_POLY_MATRIX_ROWS = 16
-
-# The largest rows x exp a pfaffian or standardize matrix over a
-# localization may give, exp the largest denominator exponent among its
-# entries: elimination raises the denominators further with every row.
-# A dense 8x8 Pfaffian over loc((Z/27)[X], X+1) takes 0.5 s at exp 16
-# and 8.9 s at exp 64.
-MAX_LOC_MATRIX_WORK = 128
-
-# The most conjugator letters r a rewrite request may give. Each level
-# is peeled once; r = 8 takes at most 0.07 s at n 64.
+# The most conjugator letters a rewrite request may give. The rewriter
+# substitutes Y -> Y^4 at every level, so its polynomials grow in ways
+# the request's counts and degrees do not bound: on sampled conjugators
+# r = 16 took 0.13 s and r = 32 took 0.9 s.
 MAX_REWRITE_LETTERS = 8
 
-# The most letters the conjugator g of a decompose request may give. At
-# n 64 a long-root request with 2,048 unit letters takes 0.36-0.40 s over
-# Z/27 and 2.8-3.0 s over Z/3^161 (256 bits) through main (seeds 0-2,
-# 2-vCPU Xeon VM). Over a polynomial ring the entry degrees grow with
-# the letters, and this bound does not cover that: over (Z/27)[X] with
-# letters c + dX, a long root at n 3 takes 5.3-6.0 s at 64 letters and
-# 19-20 s at 128.
-MAX_DECOMPOSE_LETTERS = 2048
-
-# The most letters the word of an expand request may give, in either
-# direction. At size 64 expanding 64 rho/mu letters takes 0.8 s over
-# Z/27 and 2.0 s over Z/3^161 (256 bits), 256 letters 2.2 s and 6.0 s;
-# grouping 64 first-index letters that alternate direction, each its
-# own run, takes 0.3 s, and 256 take 1.3 s.
-MAX_EXPAND_LETTERS = 64
+# The most work, in _request_work's units, one data command may do. It
+# admits the costliest decompose the letter limit it replaced admitted,
+# 2,048 letters at n 64 over Z/3^161 (35.7 million; 2-3 s through main
+# on a 2-vCPU VM). The costliest request of each command it admits took
+# at most 5.5 s there: a decompose over (Z/27)[X] at n 3 is admitted up
+# to 45 letters c + dX. The digit factor is calibrated on p_column_op:
+# per product, moduli of 61, 127 and 256 bits (3, 5 and 9 digits of 30
+# bits) cost 3.8, 5.0 and 8.7 times one below 2^30.
+MAX_REQUEST_WORK = 40_000_000
 
 
 def _int_field(data, key, minimum=None, maximum=None, default=None):
@@ -100,40 +92,107 @@ def _int_field(data, key, minimum=None, maximum=None, default=None):
                             "field %r" % (key,), minimum, maximum)
 
 
-def _letters_field(data, key, bound):
-    """data[key] (or []), refused undecoded if it lists over bound letters."""
-    letters = data.get(key, [])
-    if isinstance(letters, list) and len(letters) > bound:
-        raise DescriptorMismatch("field %r must have at most %d letters"
-                                 % (key, bound))
-    return letters
+def _length(value):
+    return len(value) if isinstance(value, list) else 0
 
 
-def _matrix_field(data, key, ring):
+def _degree(x):
+    """The largest total degree of the ring elements in x: an element, a
+    matrix, a certificate, a letter, a word (its letters' degrees
+    summed), an ideal or a list of them. A localization element
+    num / d^exp adds exp deg(d); a transvection letter, whose cells
+    multiply its parts, sums theirs."""
+    if isinstance(x, RingElement):
+        ring, p = x.ring, x.payload
+        if isinstance(ring, PolyRing):
+            return max((sum(e) + _degree(ring.base.wrap(c))
+                        for e, c in p.items()), default=0)
+        if isinstance(ring, LocRing):
+            return _degree(ring.base.wrap(p[0])) + p[1] * _degree(ring.denom)
+        return 0
+    if isinstance(x, Word):
+        return sum(_degree(letter) for letter, _ in x.letters)
+    if isinstance(x, TransvectionLetter):
+        return sum(map(_degree, (x.q, x.scalar, x.form, x.certs)))
+    if isinstance(x, ExactMatrix):
+        x = x.entries
+    elif isinstance(x, CertifiedElement):
+        x = (x.value, x.coefficients)
+    elif isinstance(x, ElementaryLetter):
+        x = (x.param, x.cert)
+    elif isinstance(x, IdealPresentation):
+        x = x.generators
+    return max(map(_degree, x), default=0) if isinstance(x, (list, tuple)) \
+        else 0
+
+
+def _request_work(command, ring, size, length=0, gens=0, degree=0):
+    """An upper bound on the coefficient products command does for size
+    (2n, the word size or the matrix rows), length letters and gens ideal
+    generators over ring. degree bounds the request's degrees: a word's
+    letters' summed with its other elements', or a matrix entry's. A
+    product of polynomials of degree at most D in v variables costs at
+    most the square of their C(D + v, v) monomials, (1 + D)^2 in one
+    variable, and one mod m of d 30-bit digits d products mod 27."""
+    base, variables = ring, 0
+    while not isinstance(base, ZmodRing):
+        if isinstance(base, PolyRing):
+            variables += len(base.variables)
+        base = base.base
+    if command == "decompose":
+        # g is evaluated up to three times and the output has O(size)
+        # letters per square generator; a letter's certificate costs 8
+        # per generator, as its products go through ring elements, and
+        # decoding a letter 16
+        work = 12 * (length + gens * (gens + 1) // 2 * size) \
+            * (size + 8 * gens + 16)
+    elif command == "rewrite":
+        work = 16 * (length + 1) * size * (size + gens)
+    elif command == "expand":
+        # a letter's form and certificates cost more to decode and check
+        # than its products, so the factor is 16 times theirs, with 32
+        # more rows per letter
+        work = 64 * length * (size + 32) * (size + gens)
+    elif command == "standardize" and base is ring:
+        # over Z/p^e the row clearing may repeat 4e + 9 times per pivot
+        work = size ** 2 * (size + gens ** 2) * (4 * base.m.bit_length() + 9)
+    else:
+        # Pf and det, paid by standardize before it refuses other rings;
+        # their values reach size times the degree of an entry
+        work = size ** (3 if base is ring else 4)
+        degree *= size
+    digits = -(-base.m.bit_length() // 30)
+    return work * comb(degree + variables, variables) ** 2 * digits
+
+
+def _admit(command, ring, size, length=0, gens=0, parts=()):
+    """Refuse a request whose _request_work is over MAX_REQUEST_WORK, its
+    degree the sum of the degrees of parts, which are not read over Z/m,
+    where every degree is 0."""
+    degree = 0 if isinstance(ring, ZmodRing) else sum(map(_degree, parts))
+    work = _request_work(command, ring, size, length, gens, degree)
+    if work > MAX_REQUEST_WORK:
+        raise DescriptorMismatch("request work %d is over MAX_REQUEST_WORK "
+                                 "(%d)" % (work, MAX_REQUEST_WORK))
+
+
+def _matrix_field(data, key, ring, gens=0):
     """The matrix data[key], refused before its entries are decoded when
-    it has more than MAX_REQUEST_SIZE rows, or more than
-    MAX_POLY_MATRIX_ROWS over a polynomial ring or a localization, or
-    when it is not square, and before any arithmetic when it lies over a
-    localization and its rows times its largest denominator exponent
-    exceed MAX_LOC_MATRIX_WORK."""
+    it is not square or its rows alone put the work over the budget, and
+    before any arithmetic when its degrees do."""
     if key not in data:
         raise DescriptorMismatch("input needs a %s" % (key,))
     rows = data[key]
-    bound = MAX_POLY_MATRIX_ROWS if isinstance(ring, (PolyRing, LocRing)) \
-        else MAX_REQUEST_SIZE
+    command = "pfaffian" if key == "matrix" else "standardize"
     if isinstance(rows, list):
-        if len(rows) > bound:
+        if len(rows) > MAX_REQUEST_SIZE:
             raise DescriptorMismatch("field %r must have at most %d rows"
-                                     % (key, bound))
+                                     % (key, MAX_REQUEST_SIZE))
         jsonio._need_square(rows, len(rows),
                             "field %r must be square" % (key,))
+    _admit(command, ring, _length(rows), gens=gens)
     m = jsonio.matrix_from_json(ring, rows)
-    if isinstance(ring, LocRing):
-        work = m.rows * max(exp for _, exp in m.payloads)
-        if work > MAX_LOC_MATRIX_WORK:
-            raise DescriptorMismatch(
-                "field %r: rows x largest loc 'exp' must be at most %d"
-                % (key, MAX_LOC_MATRIX_WORK))
+    _admit(command, ring, m.rows, gens=gens, parts=(m,))
     return m
 
 
@@ -155,16 +214,18 @@ def cmd_decompose(data):
     """g . se_ij(a b) . g^-1 as certified letters, JSON to JSON."""
     ring = _ring_of(data)
     ideal = _ideal_of(data, ring)
-    n = _int_field(data, "n", 1, MAX_REQUEST_SIZE)
-    size = 2 * n
-    g = jsonio.word_from_json(
-        ring, size, _letters_field(data, "g", MAX_DECOMPOSE_LETTERS), ideal)
+    size = 2 * _int_field(data, "n", 1, MAX_REQUEST_SIZE)
+    shape = ("decompose", ring, size, _length(data.get("g")),
+             len(ideal.generators))
+    _admit(*shape)
+    g = jsonio.word_from_json(ring, size, data.get("g", []), ideal)
     i = _int_field(data, "i")
     j = _int_field(data, "j")
     if "a" not in data or "b" not in data:
         raise DescriptorMismatch("input needs certified elements a and b")
     a = jsonio.certified_from_json(ideal, data["a"])
     b = jsonio.certified_from_json(ideal, data["b"])
+    _admit(*shape, parts=(g, a, b, ideal))
     res = decompose_conjugate(g, i, j, a, b)
     return jsonio.decomposition_to_json(res)
 
@@ -181,11 +242,17 @@ def cmd_rewrite(data):
     size = n if mode == "linear" else 2 * n
     if "eps" not in data or "aPoly" not in data:
         raise DescriptorMismatch("input needs fields eps and aPoly")
-    eps = jsonio.word_from_json(
-        ring, size, _letters_field(data, "eps", MAX_REWRITE_LETTERS), ideal)
+    letters = _length(data["eps"])
+    if letters > MAX_REWRITE_LETTERS:
+        raise DescriptorMismatch("field 'eps' must have at most %d letters"
+                                 % (MAX_REWRITE_LETTERS,))
+    shape = ("rewrite", ring, size, letters, len(ideal.generators))
+    _admit(*shape)
+    eps = jsonio.word_from_json(ring, size, data["eps"], ideal)
     i = _int_field(data, "i")
     j = _int_field(data, "j")
     a_poly = jsonio.certified_from_json(ideal, data["aPoly"])
+    _admit(*shape, parts=(eps, a_poly, ideal))
     if mode == "linear":
         res = rewrite_conjugation_linear(eps, i, j, a_poly)
     else:
@@ -212,7 +279,8 @@ def cmd_standardize(data):
     """Recorded congruence onto the standard form, JSON to JSON."""
     ring = _ring_of(data)
     ideal = _ideal_of(data, ring)
-    form = AlternatingForm(_matrix_field(data, "form", ring))
+    form = AlternatingForm(
+        _matrix_field(data, "form", ring, len(ideal.generators)))
     res = standardize_alternating(form, ideal)
     return jsonio.standardization_to_json(res)
 
@@ -230,9 +298,9 @@ def cmd_expand(data):
     if direction not in ("expand", "group"):
         raise DescriptorMismatch(
             "direction must be \"expand\" or \"group\"")
-    if not isinstance(data.get("word"), list):
+    letters = data.get("word")
+    if not isinstance(letters, list):
         raise DescriptorMismatch("input needs a word (list of letters)")
-    letters = _letters_field(data, "word", MAX_EXPAND_LETTERS)
     inferred = None
     if data.get("size") is None:
         if not letters:
@@ -247,7 +315,11 @@ def cmd_expand(data):
     size = _int_field(data, "size", 4, MAX_REQUEST_SIZE, default=inferred)
     if size % 2 != 0:
         raise DescriptorMismatch("field 'size' must be even")
+    shape = ("expand", ring, size, len(letters),
+             0 if ideal is None else len(ideal.generators))
+    _admit(*shape)
     w = jsonio.word_from_json(ring, size, letters, ideal)
+    _admit(*shape, parts=(w, ideal))
     if direction == "expand":
         out = etranssp_word_to_ESp1(w)
     else:

@@ -529,6 +529,12 @@ def _step(x, y):
     return s, t, u, v
 
 
+def _combine(m, s, r1, t, r2):
+    """The row s r1 + t r2 mod m: every row operation of the Z/m
+    elimination."""
+    return [(s * p + t * b) % m for p, b in zip(r1, r2)]
+
+
 def _zmod_det(m, a):
     """Determinant mod m of the int payload grid a, in O(n^3).
 
@@ -552,13 +558,12 @@ def _zmod_det(m, a):
                 a[0], a[r], piv = a[r], piv, a[r]
                 sign = -sign
             elif y % x == 0:
-                q = y // x
-                a[r] = [(b - q * p) % m for p, b in zip(piv, a[r])]
+                a[r] = _combine(m, -(y // x), piv, 1, a[r])
             else:
                 s, t, u, v = _step(x, y)
                 row = a[r]
-                a[r] = [(u * p + v * b) % m for p, b in zip(piv, row)]
-                a[0] = piv = [(s * p + t * b) % m for p, b in zip(piv, row)]
+                a[r] = _combine(m, u, piv, v, row)
+                a[0] = piv = _combine(m, s, piv, t, row)
         if not piv[0]:
             return 0
         out = out * piv[0] % m
@@ -592,13 +597,13 @@ def _zmod_pf(m, a):
                 sign = -sign
             elif y % x == 0:
                 q = y // x
-                a[j] = [(b - q * p) % m for p, b in zip(r1, rj)]
+                a[j] = _combine(m, -q, r1, 1, rj)
                 for row in a:
                     row[j] = (row[j] - q * row[1]) % m
             else:
                 s, t, u, v = _step(x, y)
-                a[1] = [(s * p + t * b) % m for p, b in zip(r1, rj)]
-                a[j] = [(u * p + v * b) % m for p, b in zip(r1, rj)]
+                a[1] = _combine(m, s, r1, t, rj)
+                a[j] = _combine(m, u, r1, v, rj)
                 for row in a:
                     p, b = row[1], row[j]
                     row[1], row[j] = (s * p + t * b) % m, (u * p + v * b) % m

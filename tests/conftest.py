@@ -1,5 +1,6 @@
 import pytest
 
+from elemcalc import matrices
 from elemcalc.rings import PolyRing, RingElement, ZmodRing
 
 
@@ -50,3 +51,32 @@ def ring_element_count(monkeypatch):
 
     monkeypatch.setattr(RingElement, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A one-item list: the coefficient products so far, counted as the
+    CLI's work model counts them. A ZmodRing.p_mul call is one, a
+    ZmodRing.p_column_op call one per row of its grid, and a row
+    operation of the Z/m elimination (matrices._combine) one per entry
+    of its rows."""
+    count = [0]
+    p_mul, column_op = ZmodRing.p_mul, ZmodRing.p_column_op
+    combine = matrices._combine
+
+    def counting_mul(self, a, b):
+        count[0] += 1
+        return p_mul(self, a, b)
+
+    def counting_column_op(self, grid, s, d, c):
+        count[0] += len(grid)
+        return column_op(self, grid, s, d, c)
+
+    def counting_combine(m, s, r1, t, r2):
+        count[0] += len(r1)
+        return combine(m, s, r1, t, r2)
+
+    monkeypatch.setattr(ZmodRing, "p_mul", counting_mul)
+    monkeypatch.setattr(ZmodRing, "p_column_op", counting_column_op)
+    monkeypatch.setattr(matrices, "_combine", counting_combine)
+    return count

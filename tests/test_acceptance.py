@@ -308,36 +308,59 @@ def json_paths(node, path=()):
         yield from json_paths(child, path + (key,))
 
 
-# wrong types, null, a negative, an empty list, and one past each named
-# request limit
-HOSTILE = (
-    "x", 1.5, True, {}, None, -1, [],
-    cli.MAX_REQUEST_SIZE + 1, cli.MAX_REWRITE_LETTERS + 1,
-    cli.MAX_DECOMPOSE_LETTERS + 1,
-    cli.MAX_POLY_MATRIX_ROWS + 1, cli.MAX_LOC_MATRIX_WORK + 1,
-    jsonio.MAX_LOC_EXPONENT + 1, 1 << jsonio.MAX_MODULUS_BITS,
-    [{}] * (cli.MAX_REWRITE_LETTERS + 1),
-    [{}] * (cli.MAX_DECOMPOSE_LETTERS + 1),
-    [{}] * (cli.MAX_EXPAND_LETTERS + 1),
-    [[0] * (cli.MAX_REQUEST_SIZE + 1)] * (cli.MAX_REQUEST_SIZE + 1),
-    [[0] * (cli.MAX_POLY_MATRIX_ROWS + 1)] * (cli.MAX_POLY_MATRIX_ROWS + 1),
-    {"num": [[{}, 1]], "exp": jsonio.MAX_LOC_EXPONENT + 1},
-)
-
 README_REQUESTS = {command: json.loads(readme_request(command))
                    for command in sorted(README_DIGESTS)}
 
 
+def admitted_letters(command, ring, size, gens):
+    """The most letters the work model admits before any is decoded: its
+    estimate is linear in the letters."""
+    base = cli._request_work(command, ring, size, 0, gens)
+    slope = cli._request_work(command, ring, size, 1, gens) - base
+    return (cli.MAX_REQUEST_WORK - base) // slope
+
+
+# wrong types, null, a negative, an empty list, one past each structural
+# limit, a letter list one past the work model's admit count at the
+# README decompose request's n, and a huge exponent
+HOSTILE = (
+    "x", 1.5, True, {}, None, -1, [],
+    cli.MAX_REQUEST_SIZE + 1, cli.MAX_REWRITE_LETTERS + 1,
+    jsonio.MAX_LOC_EXPONENT + 1, 1 << jsonio.MAX_MODULUS_BITS,
+    [{}] * (cli.MAX_REWRITE_LETTERS + 1),
+    [{}] * (admitted_letters(
+        "decompose", Z27, 2 * README_REQUESTS["decompose"]["n"], 1) + 1),
+    [[0] * (cli.MAX_REQUEST_SIZE + 1)] * (cli.MAX_REQUEST_SIZE + 1),
+    {"num": [[{}, 1]], "exp": jsonio.MAX_LOC_EXPONENT + 1},
+    {"X": 10 ** 9},
+)
+
+# every field name of the README requests, and the optional ones
+FIELDS = sorted({key for request in README_REQUESTS.values()
+                 for path in json_paths(request) for key in path
+                 if isinstance(key, str)} | {"size", "generators"})
+
+
 @st.composite
 def mutated_requests(draw):
-    """A README request with one field replaced by a hostile value."""
+    """A README request with one field replaced by a hostile value,
+    removed, or a hostile field added next to it."""
     command = draw(st.sampled_from(sorted(README_REQUESTS)))
     request = copy.deepcopy(README_REQUESTS[command])
     path = draw(st.sampled_from(list(json_paths(request))))
     node = request
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+    value = copy.deepcopy(draw(st.sampled_from(HOSTILE)))
+    action = draw(st.sampled_from(("replace", "remove", "add")))
+    if action == "replace":
+        node[path[-1]] = value
+    elif action == "remove":
+        del node[path[-1]]
+    elif isinstance(node, list):
+        node.insert(path[-1], value)
+    else:
+        node[draw(st.sampled_from(FIELDS))] = value
     return command, request
 
 

@@ -704,6 +704,54 @@ def test_corrupted_lemma_is_caught(monkeypatch):
         decompose_conjugate(long_, 1, 4, a, b)
 
 
+def test_short_root_pair_checks_its_closed_form(monkeypatch):
+    # the pair words it multiplies lose the sign of their last letter
+    orig = decompose_module._pair_transvection_word
+
+    def flipped(*args):
+        w = orig(*args)
+        rest, (letter, inv) = w.letters[:-1], w.letters[-1]
+        bad = letter.with_param(-letter.param, -letter.cert)
+        return Word(w.ring, w.size, rest + ((bad, inv),))
+
+    monkeypatch.setattr(decompose_module, "_pair_transvection_word", flipped)
+    a = certify(I3, [Z27.el(1)])
+    with pytest.raises(VerificationFailed,
+                       match="short-root-pair: evaluation differs"):
+        short_root_pair(vec(Z27, 1, 2, 0, 0), a, a, 2)
+
+
+def test_short_root_split_checks_its_closed_form(monkeypatch):
+    # each short_root_pair it calls answers for twice the target: a word
+    # that passed its own check, for the wrong element
+    orig = decompose_module.short_root_pair
+    monkeypatch.setattr(decompose_module, "short_root_pair",
+                        lambda v, a, b, pair: orig(v, a, b + b, pair))
+    a = certify(I3, [Z27.el(1)])
+    with pytest.raises(VerificationFailed,
+                       match="short-root-split: evaluation differs"):
+        short_root_split(vec(Z27, 1, 2, 3, 4), a, a)
+
+
+def test_long_root_unimodular_checks_the_kernel_pieces(monkeypatch):
+    # kernel_decomposition loses one coefficient, so the pieces cannot
+    # rebuild a b v
+    orig = decompose_module.kernel_decomposition
+
+    def dropped(c, w, u):
+        coeffs = orig(c, w, u)
+        del coeffs[min(coeffs)]
+        return coeffs
+
+    monkeypatch.setattr(decompose_module, "kernel_decomposition", dropped)
+    v = vec(Z27, 1, 0, 1, 1, 1, 1)
+    w = vec(Z27, 1, 0, 0, 0, 0, 0)
+    a = certify(I3, [Z27.el(1)])
+    with pytest.raises(VerificationFailed,
+                       match="kernel pieces do not rebuild a b v"):
+        long_root_unimodular(v, w, a, a, w)
+
+
 @pytest.mark.parametrize("i, j, g", [
     (1, 4, word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
                 SympLetter(6, 4, 6, Z27.el(8)))),

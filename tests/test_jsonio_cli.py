@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import time
 
 import pytest
@@ -23,10 +24,15 @@ from elemcalc import (
     standard_symplectic_form,
     word,
 )
-from elemcalc import cli, jsonio
+from elemcalc import cli, jsonio, matrices
 import elemcalc.rewrite as rewrite_module
 import elemcalc.suites as suites_module
 from elemcalc.matrices import ColumnVector
+from elemcalc.sampling import (
+    sample_index1_symplectic,
+    sample_linear_index1,
+    sample_relative_form,
+)
 from elemcalc.suites import SUITE_NAMES
 
 Z27 = ZmodRing(27)
@@ -396,6 +402,18 @@ def test_cli_rewrite_n_must_be_an_integer(monkeypatch, capsys):
     assert "field 'n' must be an integer" in capsys.readouterr().err
 
 
+def most_admitted(work):
+    """The largest k whose work(k) is within MAX_REQUEST_WORK, for work
+    growing with k."""
+    k, step = 0, 1 << 20
+    while step:
+        if work(k + step) <= cli.MAX_REQUEST_WORK:
+            k += step
+        else:
+            step //= 2
+    return k
+
+
 def test_cli_rewrite_letter_bound(monkeypatch, capsys):
     # the letters are refused before they are decoded: at the bound the
     # undecodable letters are reached, one past it they are not
@@ -409,33 +427,38 @@ def test_cli_rewrite_letter_bound(monkeypatch, capsys):
         assert (bound in capsys.readouterr().err) is refused
 
 
-def test_cli_decompose_letter_bound(monkeypatch, capsys):
-    # as for eps: at the bound the undecodable letters of g are reached,
-    # one past it they are refused before decoding
-    bound = "field 'g' must have at most %d letters" % (
-        cli.MAX_DECOMPOSE_LETTERS,)
-    for letters, refused in ((cli.MAX_DECOMPOSE_LETTERS, False),
-                             (cli.MAX_DECOMPOSE_LETTERS + 1, True)):
-        request = dict(decompose_request(), g=[{}] * letters)
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
-        assert cli.main(["decompose"]) == 2
-        assert (bound in capsys.readouterr().err) is refused
+# per command: a request at n or size 64 whose letters, in the field
+# named, are set in the test; rewrite's ideal has so many generators
+# that fewer letters than MAX_REWRITE_LETTERS reach the budget
+WORK_BOUND_REQUESTS = {
+    "decompose": ("g", 1, dict(decompose_request(), n=64)),
+    "rewrite": ("eps", 2400, dict(rewrite_request(), mode="symplectic",
+                                  n=64, ideal=[[[{}, 3]]] * 2400)),
+    "expand": ("word", 1, dict(expand_request(), ideal=[3], size=64,
+                               direction="expand")),
+    "group": ("word", 1, dict(expand_request(), ideal=[3], size=64)),
+}
 
 
-def test_cli_expand_letter_bound(monkeypatch, capsys):
-    # as for g, in both directions: at the bound the undecodable letters
-    # of word are reached, one past it they are refused before decoding
-    bound = "field 'word' must have at most %d letters" % (
-        cli.MAX_EXPAND_LETTERS,)
-    for direction in ("expand", "group"):
-        for letters, refused in ((cli.MAX_EXPAND_LETTERS, False),
-                                 (cli.MAX_EXPAND_LETTERS + 1, True)):
-            request = dict(expand_request(), direction=direction,
-                           word=[{}] * letters)
-            monkeypatch.setattr("sys.stdin",
-                                io.StringIO(json.dumps(request)))
-            assert cli.main(["expand"]) == 2
-            assert (bound in capsys.readouterr().err) is refused
+@pytest.mark.parametrize("command", sorted(WORK_BOUND_REQUESTS))
+def test_cli_work_bound_refuses_undecoded(monkeypatch, capsys, command):
+    # the list lengths alone put the work over the budget: one letter
+    # past the admit count is refused before any letter is decoded, and
+    # at the count the undecodable letters are reached
+    key, gens, request = WORK_BOUND_REQUESTS[command]
+    ring = jsonio.ring_from_json(request["ring"])
+    size = 128 if command in ("decompose", "rewrite") else 64
+    name = "expand" if command == "group" else command
+    admitted = most_admitted(
+        lambda k: cli._request_work(name, ring, size, k, gens))
+    assert 0 < admitted
+    for letters, refused in ((admitted, False), (admitted + 1, True)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            dict(request, **{key: [{}] * letters}))))
+        assert cli.main([name]) == 2
+        err = capsys.readouterr().err
+        assert ("is over MAX_REQUEST_WORK" in err) is refused
+        assert ("missing field 'gen'" in err) is not refused
 
 
 def test_cli_rewrite_corrupted_table(tmp_path, capsys, monkeypatch):
@@ -716,15 +739,14 @@ def dense_loc_alternating(rows, exp):
             for row in dense_poly_alternating(rows)]
 
 
-# per ring kind: its descriptor, the ideal (3) over it, its row bound
-# and a dense alternating matrix with the given rows
+ZMOD_BIG = {"kind": "zmod", "m": 3 ** 161}
+
+# per ring kind: its descriptor and the ideal (3) over it
 ROW_BOUND_RINGS = [
-    ({"kind": "zmod", "m": 27}, [3], cli.MAX_REQUEST_SIZE,
-     lambda rows: [[(c > r) - (c < r) for c in range(rows)]
-                   for r in range(rows)]),
-    (POLY_X, [[[{}, 3]]], cli.MAX_POLY_MATRIX_ROWS, dense_poly_alternating),
-    (LOC_X_PLUS_1, [{"num": [[{}, 3]], "exp": 0}], cli.MAX_POLY_MATRIX_ROWS,
-     lambda rows: dense_loc_alternating(rows, 0)),
+    ({"kind": "zmod", "m": 27}, [3]),
+    (ZMOD_BIG, [3]),
+    ({"kind": "poly", "base": ZMOD_BIG, "vars": ["X"]}, [[[{}, 3]]]),
+    (LOC_X_PLUS_1, [{"num": [[{}, 3]], "exp": 0}]),
 ]
 
 
@@ -733,24 +755,36 @@ ROW_BOUND_RINGS = [
     ("standardize", "form", {"ideal": [3]}),
 ])
 def test_cli_matrix_row_bound(monkeypatch, capsys, command, key, extra):
-    # one past the bound is refused before its entries are decoded; at
-    # the bound the undecodable entries are reached
-    assert cli.MAX_POLY_MATRIX_ROWS < cli.MAX_REQUEST_SIZE
-    for ring, ideal, bound, dense in ROW_BOUND_RINGS:
-        message = "field %r must have at most %d rows" % (key, bound)
-        request = {"ring": ring, key: dense(bound + 1)}
-        if "ideal" in extra:
-            request["ideal"] = ideal
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
-        start = time.perf_counter()
-        assert cli.main([command]) == 2
-        assert time.perf_counter() - start < 1.0
-        assert message in capsys.readouterr().err
-        request[key] = [[None] * bound] * bound
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
-        assert cli.main([command]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and message not in err
+    # one row past MAX_REQUEST_SIZE is refused before the entries are
+    # decoded, and so is one row past what the work model admits for the
+    # ring; at that count the undecodable entries are reached
+    over_size = "field %r must have at most %d rows" % (
+        key, cli.MAX_REQUEST_SIZE)
+    refusals = set()
+    for descriptor, ideal in ROW_BOUND_RINGS:
+        ring = jsonio.ring_from_json(descriptor)
+        admitted = min(cli.MAX_REQUEST_SIZE, most_admitted(
+            lambda rows: cli._request_work(command, ring, rows, gens=1)))
+        cases = [(cli.MAX_REQUEST_SIZE + 1, over_size), (admitted, "error: ")]
+        if admitted < cli.MAX_REQUEST_SIZE:
+            cases.append((admitted + 1, "is over MAX_REQUEST_WORK"))
+        for rows, message in cases:
+            request = {"ring": descriptor, key: [[None] * rows] * rows}
+            if "ideal" in extra:
+                request["ideal"] = ideal
+            monkeypatch.setattr("sys.stdin",
+                                io.StringIO(json.dumps(request)))
+            start = time.perf_counter()
+            assert cli.main([command]) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert message in err
+            if rows == admitted:
+                assert "rows" not in err and "WORK" not in err
+            else:
+                refusals.add(message)
+    # over the big modulus the rows alone are over the budget
+    assert len(refusals) == 2
 
 
 @pytest.mark.parametrize("command, key, extra", [
@@ -839,17 +873,231 @@ def test_cli_modulus_bound(monkeypatch, capsys):
     ("standardize", "form", {"ideal": [{"num": [[{}, 3]], "exp": 0}]}),
 ])
 def test_cli_loc_matrix_work_bound(monkeypatch, capsys, command, key, extra):
-    # every exp is within MAX_LOC_EXPONENT, but rows x exp is past the
-    # bound: refused before any arithmetic (test_cli_loc_exponent_bound's
-    # 2 rows at MAX_LOC_EXPONENT sit at the bound and are accepted)
-    rows = 8
-    exp = cli.MAX_LOC_MATRIX_WORK // rows + 1
-    assert exp <= jsonio.MAX_LOC_EXPONENT
+    # every exp is within MAX_LOC_EXPONENT, but the work model counts exp
+    # times the denominator's degree: the 8 x 8 matrix with every exp at
+    # 64 is refused after decoding and before any arithmetic
+    # (test_cli_loc_exponent_bound's 2 x 2 at exp 64 is admitted)
     request = dict(extra, ring=LOC_X_PLUS_1)
-    request[key] = dense_loc_alternating(rows, exp)
+    request[key] = dense_loc_alternating(8, jsonio.MAX_LOC_EXPONENT)
+    for name in ("_pf", "_det"):
+        monkeypatch.setattr(matrices, name, None)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
-    start = time.perf_counter()
     assert cli.main([command]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert ("field %r: rows x largest loc 'exp' must be at most %d"
-            % (key, cli.MAX_LOC_MATRIX_WORK)) in capsys.readouterr().err
+    assert "is over MAX_REQUEST_WORK" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# the work model against counted products: per command, a request at the
+# budget, whose coefficient products (the products fixture) must stay at
+# or under _request_work's estimate for it
+
+
+def unit_se_word(rng, size, letters, element):
+    """JSON se letters at random cells with parameters element(rng)."""
+    word = []
+    for _ in range(letters):
+        i, j = rng.sample(range(1, size + 1), 2)
+        word.append({"gen": "se", "i": i, "j": j, "param": element(rng),
+                     "inv": rng.random() < 0.3})
+    return word
+
+
+def run_counted(monkeypatch, command, request, products):
+    """cli.main on request; its products, after checking it succeeded."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    products[0] = 0
+    assert cli.main([command]) == 0
+    assert json.loads(out.getvalue())["verified"] is True
+    return products[0]
+
+
+def test_decompose_work_bounds_its_products(monkeypatch, products):
+    # the most letters admitted: unit letters at n 64 over Z/27, and
+    # letters c + dX, of degree one each, at n 3 over (Z/27)[X]
+    rng = random.Random(7)
+    unit = lambda r: r.choice([1, 2, 4, 5, 7, 8])
+    linear = lambda r: [[{}, unit(r)], [{"X": 1}, 1]]
+    for ring, n, element, degree in ((Z27, 64, unit, 0),
+                                     (PolyRing(Z27, ("X",)), 3, linear, 1)):
+        def work(letters):
+            return cli._request_work("decompose", ring, 2 * n, letters, 1,
+                                     degree=letters * degree)
+        letters = most_admitted(work)
+        one = jsonio.element_to_json(ring.one)
+        request = {"ring": jsonio.ring_to_json(ring),
+                   "ideal": [jsonio.element_to_json(ring.el(3))], "n": n,
+                   "g": unit_se_word(rng, 2 * n, letters, element),
+                   "i": 1, "j": 3, "a": [one], "b": [one]}
+        assert run_counted(monkeypatch, "decompose", request,
+                           products) <= work(letters)
+
+
+def test_rewrite_work_bounds_its_products(monkeypatch, products):
+    # MAX_REWRITE_LETTERS letters at n 3, each of degree one over the
+    # ideal (3, 3X) of (Z/27)[X, Y]: the most the budget admits there
+    ideal = IdealPresentation(RXY, (RXY.el(3), RXY.el(3) * RXY.var("X")))
+    for make, sample, size in ((LinLetter, sample_linear_index1, 3),
+                               (SympLetter, sample_index1_symplectic, 6)):
+        rng = random.Random(size)
+        certs = [certify(ideal, [RXY.el(rng.randrange(1, 27)),
+                                 RXY.el(rng.randrange(1, 27))])
+                 for _ in range(cli.MAX_REWRITE_LETTERS + 1)]
+        eps = Word(RXY, size, [(make(size, *sample(rng, size), c.value, c),
+                                rng.random() < 0.3) for c in certs[1:]])
+        request = {"ring": jsonio.ring_to_json(RXY),
+                   "ideal": jsonio.ideal_to_json(ideal),
+                   "mode": "linear" if make is LinLetter else "symplectic",
+                   "n": 3, "eps": jsonio.word_to_json(eps), "i": 1, "j": 2,
+                   "aPoly": jsonio.certified_to_json(certs[0])}
+        work = cli._request_work("rewrite", RXY, size, len(eps), 2,
+                                 degree=len(eps) + 2)
+        assert work <= cli.MAX_REQUEST_WORK
+        assert run_counted(monkeypatch, "rewrite", request,
+                           products) <= work
+
+
+def transvection_word(rng, size, letters):
+    """Certified rho and mu letters over the standard form of Z/27 with
+    unit vectors and scalars, alternating kind."""
+    form = standard_symplectic_form(Z27, (size - 2) // 2)
+    out = Word(Z27, size)
+    for k in range(letters):
+        certs = [certify(I3, [Z27.el(rng.choice([1, 2, 4, 5, 7, 8]))])
+                 for _ in range(size - 1)]
+        q = ColumnVector(Z27, [c.value for c in certs[1:]])
+        make = RhoLetter if k % 2 == 0 else MuLetter
+        out = out.append(make(q, certs[0].value, form,
+                              (certs[0], tuple(certs[1:]))),
+                         inverted=rng.random() < 0.3)
+    return out
+
+
+def first_index_word(rng, size, letters):
+    """Certified first-index se letters over Z/27 alternating between
+    rows and columns, so that every letter is its own run."""
+    out = Word(Z27, size)
+    for k in range(letters):
+        other = rng.randrange(3, size + 1)
+        i, j = (other, 1) if k % 2 == 0 else (1, other)
+        cert = certify(I3, [Z27.el(rng.choice([1, 2, 4, 5, 7, 8]))])
+        out = out.append(SympLetter(size, i, j, cert.value, cert),
+                         inverted=rng.random() < 0.3)
+    return out
+
+
+@pytest.mark.parametrize("direction, make", [
+    ("expand", transvection_word), ("group", first_index_word)])
+def test_expand_work_bounds_its_products(monkeypatch, products, direction,
+                                         make):
+    # the most letters admitted at size 16
+    size = 16
+    letters = most_admitted(
+        lambda k: cli._request_work("expand", Z27, size, k, 1))
+    request = {"ring": {"kind": "zmod", "m": 27}, "ideal": [3],
+               "direction": direction, "size": size,
+               "word": jsonio.word_to_json(
+                   make(random.Random(1), size, letters))}
+    assert run_counted(monkeypatch, "expand", request, products) \
+        <= cli._request_work("expand", Z27, size, letters, 1)
+
+
+def test_pfaffian_work_bounds_its_products(monkeypatch, products):
+    # MAX_REQUEST_SIZE rows over Z/27, and over (Z/27)[X] the most rows
+    # of entries kX + 1 admitted
+    rng = random.Random(5)
+    rows = cli.MAX_REQUEST_SIZE
+    zmod = [[0] * rows for _ in range(rows)]
+    for r in range(rows):
+        for c in range(r + 1, rows):
+            zmod[r][c] = rng.randrange(27)
+            zmod[c][r] = -zmod[r][c] % 27
+    poly = PolyRing(Z27, ("X",))
+    poly_rows = most_admitted(lambda k: cli._request_work(
+        "pfaffian", poly, 2 * k, degree=1)) * 2
+    for ring, matrix, degree in ((Z27, zmod, 0),
+                                 (poly, dense_poly_alternating(poly_rows), 1)):
+        size = len(matrix)
+        request = {"ring": jsonio.ring_to_json(ring), "matrix": matrix}
+        assert run_counted(monkeypatch, "pfaffian", request, products) \
+            <= cli._request_work("pfaffian", ring, size, degree=degree)
+
+
+def test_standardize_work_bounds_its_products(monkeypatch, products):
+    # over Z/3^161 the most rows admitted, where the row clearing repeats
+    ring = ZmodRing(3 ** 161)
+    ideal = IdealPresentation(ring, (ring.el(3),))
+    rows = most_admitted(lambda k: cli._request_work(
+        "standardize", ring, 2 * k, gens=1)) * 2
+    form, _ = sample_relative_form(random.Random(3), ring, rows // 2, ideal,
+                                   letters=2 * rows)
+    request = {"ring": jsonio.ring_to_json(ring),
+               "ideal": jsonio.ideal_to_json(ideal),
+               "form": jsonio.matrix_to_json(form)}
+    assert run_counted(monkeypatch, "standardize", request, products) \
+        <= cli._request_work("standardize", ring, rows, gens=1)
+
+
+HUGE = 10 ** 9
+
+# requests the work model refuses after decoding, before any arithmetic:
+# a 128-letter long root over (Z/27)[X] at n 3, twelve letters in ten
+# variables, and an exponent of 10^9 in each command
+REFUSED_REQUESTS = {
+    "decompose": {"ring": POLY_X, "ideal": [[[{}, 3]]], "n": 3,
+                  "g": unit_se_word(random.Random(2), 6, 128, lambda r: [
+                      [{}, r.randrange(1, 27)], [{"X": 1}, 1]]),
+                  "i": 1, "j": 3, "a": [[[{}, 1]]], "b": [[[{}, 2]]]},
+    # twelve letters X1 + ... + X10: entries of degree 12 in ten
+    # variables have up to C(22, 10) monomials, though (1 + 12)^2 is small
+    "decompose-variables": {
+        "ring": {"kind": "poly", "base": {"kind": "zmod", "m": 27},
+                 "vars": ["X%d" % k for k in range(10)]},
+        "ideal": [[[{}, 3]]], "n": 3,
+        "g": unit_se_word(random.Random(3), 6, 12, lambda r: [
+            [{"X%d" % k: 1}, 1] for k in range(10)]),
+        "i": 1, "j": 3, "a": [[[{}, 1]]], "b": [[[{}, 2]]]},
+    "decompose-exponent": {
+        "ring": POLY_X, "ideal": [[[{}, 3]]], "n": 3,
+        "g": [{"gen": "se", "i": 1, "j": 3, "param": [[{"X": HUGE}, 4]]}],
+        "i": 1, "j": 2, "a": [[[{}, 1]]], "b": [[[{}, 2]]]},
+    "rewrite-exponent": dict(rewrite_request(), ideal=[
+        [[{}, 3]], [[{"X": HUGE}, 3]]]),
+    "pfaffian-exponent": {"ring": POLY_X, "matrix": [
+        [[], [[{"X": HUGE}, 1]]], [[[{"X": HUGE}, 26]], []]]},
+    "pfaffian-denominator": {
+        "ring": dict(LOC_X_PLUS_1, denom=[[{"X": HUGE}, 1], [{}, 1]]),
+        "matrix": [[{"num": [], "exp": 0}, {"num": [[{}, 1]], "exp": 1}],
+                   [{"num": [[{}, 26]], "exp": 1}, {"num": [], "exp": 0}]]},
+    "standardize-exponent": {"ring": POLY_X, "ideal": [[[{}, 3]]], "form": [
+        [[], [[{"X": HUGE}, 1]]], [[[{"X": HUGE}, 26]], []]]},
+    "expand-exponent": {"ring": POLY_X, "direction": "group", "size": 4,
+                        "word": [{"gen": "se", "i": 3, "j": 1,
+                                  "param": [[{"X": HUGE}, 3]]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_REQUESTS))
+def test_cli_work_bound_refuses_degrees(monkeypatch, capsys, case):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("arithmetic reached")
+
+    for name in ("decompose_conjugate", "rewrite_conjugation_linear",
+                 "rewrite_conjugation_symplectic", "pfaffian", "det",
+                 "AlternatingForm", "etranssp_word_to_ESp1",
+                 "ESp1_to_etranssp"):
+        monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        REFUSED_REQUESTS[case])))
+    assert cli.main([case.split("-")[0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is over MAX_REQUEST_WORK" in captured.err
+
+
+def test_costliest_zmod_decompose_is_admitted():
+    # 2,048 letters at n 64 over Z/3^161 (256 bits), admitted by the
+    # letter limit the model replaced
+    assert cli._request_work("decompose", ZmodRing(3 ** 161), 128, 2048,
+                             1) <= cli.MAX_REQUEST_WORK

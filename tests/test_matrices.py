@@ -268,14 +268,14 @@ def test_pfaffian_odd_size_rejected():
 
 
 @pytest.mark.parametrize("which", ["pfaffian", "det"])
-def test_pfaffian_and_det_take_order_n4_products(which, zmod_mul_budget):
-    # First-row expansion would take 19!! (about 6.5e8) products at size
-    # 20 and the subset-memo determinant millions; both algorithms now
-    # take well under size**4.
+def test_pfaffian_and_det_take_order_n4_products(which, products):
+    # Over Z/m both run the elimination, whose every row operation is a
+    # matrices._combine: at size 20 its rows total at most size**3, where
+    # first-row expansion would take 19!! (about 6.5e8) products
     size = 20
     m = rand_alternating(random.Random(12), Z27, size)
-    zmod_mul_budget[0] = size ** 4
     (pfaffian if which == "pfaffian" else det)(m)
+    assert 0 < products[0] <= size ** 3
 
 
 @pytest.mark.parametrize("which", ["_pf", "_det"])
@@ -405,6 +405,19 @@ def test_kernel_decomposition_rejects_bad_inputs():
         kernel_decomposition(zero_vector(Z27, 6), w, zero_vector(Z27, 6))
     with pytest.raises(NotInKernel):
         kernel_decomposition(u, w, u)
+
+
+def test_kernel_decomposition_checks_its_reconstruction(monkeypatch):
+    # with u's support read as empty no pair is visited, so the pieces
+    # cannot rebuild c, and the reconstruction check must say so
+    w = ColumnVector(Z27, tuple(Z27.el(x) for x in (1, 0, 3, 0, 0, 0)))
+    u = basis_vector(Z27, 6, 1)
+    c = ColumnVector(Z27, tuple(Z27.el(x) for x in (0, 5, 0, 7, 0, 1)))
+    assert kernel_decomposition(c, w, u)
+    monkeypatch.setattr(ColumnVector, "support", lambda self: [])
+    with pytest.raises(VerificationFailed,
+                       match="kernel reconstruction failed"):
+        kernel_decomposition(c, w, u)
 
 
 @settings(max_examples=30, deadline=None)

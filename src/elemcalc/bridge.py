@@ -13,15 +13,17 @@ Every translation is verified by exact evaluation before it is
 returned.
 """
 
+from math import gcd
+
+from . import matrices
 from .errors import (BadIndices, FormMismatch, FormRelationFails,
                      IdealMismatch, NotAlternating, NotCertified,
                      NotCongruentToStandard, NotLocalRing, NonstandardForm,
                      PfaffianNotOne, VerificationFailed)
-from .matrices import (ColumnVector, block_diagonal, check_equal,
-                       from_rows, identity, is_alternating, pfaffian,
+from .matrices import (ColumnVector, ExactMatrix, block_diagonal,
+                       check_equal, identity, is_alternating, pfaffian,
                        sigma_index as sigma, standard_symplectic_form)
-from .rings import ZmodRing, certify, invert_unit
-from .sampling import prime_of
+from .rings import ZmodRing, certify
 from .words import (ElementaryLetter, ShearLetter, TransvectionLetter, Word,
                     check_evaluation, evaluate, expand_mu, expand_rho,
                     index1_form, invert_word, word_in_E1, word_in_ESp1)
@@ -365,57 +367,64 @@ class StandardizationResult:
                 % (len(self.eps_word), self.relative))
 
 
+def _iroot(m, k):
+    """The integer k-th root of m >= 1, by Newton's method on ints."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(n):
+    """Miller-Rabin on the primes up to 41, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _local_data(ring):
+    """The exponent k of a Z/p^k ring, in time polynomial in bits(p^k)."""
     if not isinstance(ring, ZmodRing):
         raise NotLocalRing("standardization supports Z/p^k rings only")
     m = ring.m
-    p = prime_of(m)
-    k = 0
-    t = m
-    while t % p == 0:
-        t //= p
-        k += 1
-    if t != 1:
-        raise NotLocalRing("modulus %d is not a prime power" % (m,))
-    return p, k
+    for k in range(m.bit_length(), 0, -1):
+        r = _iroot(m, k)
+        if r ** k == m and _is_prime(r):
+            return k
+    raise NotLocalRing("modulus %d is not a prime power" % (m,))
 
 
-def _p_val(v, p, k):
-    s = 0
-    while s < k and v % p == 0:
-        v //= p
-        s += 1
-    return s
-
-
-def _member_cert(ideal, value, p, k):
-    """An ideal certificate for value over Z/p^k, or None."""
+def _member_cert(ideal, v):
+    """An ideal certificate for the payload v over Z/m, or None: v over
+    the first nonzero generator g of least gcd(g, m)."""
     ring = ideal.ring
-    v = value.payload
     if v == 0:
         return ideal.zero_cert()
-    best = None
-    for gi, g in enumerate(ideal.generators):
-        gp = g.payload
-        if gp == 0:
-            continue
-        t = _p_val(gp, p, k)
-        if best is None or t < best[1]:
-            best = (gi, t, gp)
-    if best is None:
+    found = [(ring.p_content(g.payload), gi)
+             for gi, g in enumerate(ideal.generators) if g.payload]
+    if not found or v % min(found)[0]:
         return None
-    gi, t, gp = best
-    s = _p_val(v, p, k)
-    if s < t:
-        return None
-    mod = p ** (k - t)
-    c0 = ((v // p ** t) * pow(gp // p ** t, -1, mod)) % mod
+    t, gi = min(found)
+    gp, mod = ideal.generators[gi].payload, ring.m // t
+    c0 = ((v // t) * pow(gp // t, -1, mod)) % mod
     coeffs = [ring.zero] * len(ideal.generators)
-    coeffs[gi] = ring.el(c0)
+    coeffs[gi] = ring.wrap(c0)
     cert = certify(ideal, coeffs)
-    if cert.value != value:
-        return None
-    return cert
+    return cert if cert.value.payload == v else None
 
 
 def standardize_alternating(phi, ideal):
@@ -431,63 +440,61 @@ def standardize_alternating(phi, ideal):
     ring = fm.ring
     if ideal.ring != ring:
         raise IdealMismatch("form and ideal live over different rings")
-    p, k = _local_data(ring)
+    k = _local_data(ring)
     if phi.pfaffian_cache != ring.one:
         raise PfaffianNotOne("form has Pfaffian %r" % (phi.pfaffian_cache,))
     size = phi.size
     n = size // 2
+    m, content, invert = ring.m, ring.p_content, ring.p_invert
     std = standard_symplectic_form(ring, n)
-    for r in range(1, size + 1):
-        for c in range(r + 1, size + 1):
-            d = fm.entry(r, c) - std.entry(r, c)
-            if _member_cert(ideal, d, p, k) is None:
+    S, W = std.payload_grid(), fm.payload_grid()
+    # over Z/m the ideal is (g), g = gcd(m, generators)
+    gens = [x.payload for x in ideal.generators]
+    g = gcd(m, *gens)
+    for r in range(size):
+        for c in range(r + 1, size):
+            if (W[r][c] - S[r][c]) % g:
                 raise NotCongruentToStandard(
                     "entry (%d, %d) is not congruent to the standard form"
-                    % (r, c))
+                    % (r + 1, c + 1))
 
-    W = [fm.row_list(r + 1) for r in range(size)]
+    square = ideal.square()
     ops = []
 
     def apply_op(c, d, lam):
         # congruence op: add lam * (col c) to col d, then same for rows
-        if lam.is_zero():
+        if not lam:
             return
         ops.append((c, d, lam))
-        for r in range(size):
-            W[r][d - 1] = W[r][d - 1] + lam * W[r][c - 1]
-        for cc in range(size):
-            W[d - 1][cc] = W[d - 1][cc] + lam * W[c - 1][cc]
-
-    def is_unit(x):
-        return x.payload % p != 0
+        ring.p_column_op(W, c - 1, d - 1, lam)
+        W[d - 1] = matrices._combine(m, 1, W[d - 1], lam, W[c - 1])
 
     for t in range(1, n):
         a1, a2 = 2 * t - 1, 2 * t
         trailing = list(range(2 * t + 1, size + 1))
 
-        if not is_unit(W[a1 - 1][a2 - 1]):
+        if content(W[a1 - 1][a2 - 1]) != 1:
             for b in trailing:
-                if is_unit(W[a1 - 1][b - 1]):
-                    apply_op(b, a2, ring.one)
+                if content(W[a1 - 1][b - 1]) == 1:
+                    apply_op(b, a2, 1)
                     break
             else:
                 raise NotCongruentToStandard(
                     "no unit pivot available in row %d" % (a1,))
 
         def clear_head_row():
-            uinv = invert_unit(W[a1 - 1][a2 - 1])
+            uinv = invert(W[a1 - 1][a2 - 1])
             for b in trailing:
                 v = W[a1 - 1][b - 1]
-                if not v.is_zero():
-                    apply_op(a2, b, -(v * uinv))
+                if v:
+                    apply_op(a2, b, -(v * uinv) % m)
 
         clear_head_row()
 
         guard = 0
         while True:
-            u = W[a1 - 1][a2 - 1]
-            gap = u - ring.one
-            if gap.is_zero():
+            gap = (W[a1 - 1][a2 - 1] - 1) % m
+            if not gap:
                 break
             guard += 1
             if guard > 4:
@@ -496,23 +503,21 @@ def standardize_alternating(phi, ideal):
             b = trailing[0]
             # Each step (x, y) runs the sandwich x, -y/pivot, -x, which
             # takes x y off the pivot; the products x y sum to the gap.
-            cert2 = _member_cert(ideal.square(), gap, p, k)
+            cert2 = _member_cert(square, gap)
             if cert2 is None:
-                steps = [(ring.one, gap)]
+                steps = [(1, gap)]
             else:
-                gens = ideal.generators
-                steps = [(gens[pi], cm * gens[qi]) for (pi, qi), cm
+                steps = [(gens[i], c.payload * gens[j] % m) for (i, j), c
                          in zip(ideal.square_pairs(), cert2.coefficients)
-                         if not (cm.is_zero() or gens[pi].is_zero()
-                                 or gens[qi].is_zero())]
+                         if c.payload and gens[i] and gens[j]]
             for x, y in steps:
-                lam = -y * invert_unit(W[a1 - 1][a2 - 1])
+                lam = -y * invert(W[a1 - 1][a2 - 1]) % m
                 apply_op(a2, b, x)
                 apply_op(b, a2, lam)
-                apply_op(a2, b, -x)
+                apply_op(a2, b, -x % m)
                 res = W[a1 - 1][b - 1]
-                if not res.is_zero():
-                    apply_op(a2, b, -(res * invert_unit(W[a1 - 1][a2 - 1])))
+                if res:
+                    apply_op(a2, b, -(res * invert(W[a1 - 1][a2 - 1])) % m)
             clear_head_row()
 
         guard = 0
@@ -520,14 +525,14 @@ def standardize_alternating(phi, ideal):
             dirty = False
             for b in trailing:
                 v = W[a2 - 1][b - 1]
-                if v.is_zero():
+                if not v:
                     continue
                 s = b + 1 if b % 2 == 1 else b - 1
                 w_piv = W[s - 1][b - 1]
-                if not is_unit(w_piv):
+                if content(w_piv) != 1:
                     raise NotCongruentToStandard(
                         "partner pivot at (%d, %d) is not a unit" % (s, b))
-                apply_op(s, a2, -(v * invert_unit(w_piv)))
+                apply_op(s, a2, -(v * invert(w_piv)) % m)
                 dirty = True
             if not dirty:
                 break
@@ -536,16 +541,17 @@ def standardize_alternating(phi, ideal):
                 raise VerificationFailed("partner-row clearing failed to "
                                          "stabilize")
 
-    check_equal(from_rows(ring, W), std,
-                "working form did not reach the standard form")
+    check_equal(ExactMatrix(ring, size, size, [x for row in W for x in row]),
+                std, "working form did not reach the standard form")
 
     relative = True
     letters = []
     for c, d, lam in ops:
-        cert = _member_cert(ideal, lam, p, k)
+        cert = _member_cert(ideal, lam)
         if cert is None:
             relative = False
-        letter = ElementaryLetter("E", size - 1, c - 1, d - 1, lam, cert)
+        letter = ElementaryLetter("E", size - 1, c - 1, d - 1, ring.wrap(lam),
+                                  cert)
         letters.append((letter, False))
     eps_word = invert_word(Word(ring, size - 1, letters))
 

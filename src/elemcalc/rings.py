@@ -15,8 +15,8 @@ Payloads inside, wrap at the boundary: the library computes with each
 ring's p_* functions on payloads, and wraps a result in a RingElement
 once, where a caller sees it. The certificate operations below build
 no intermediate element. Each ring has one column-operation kernel,
-p_column_op, which evaluate calls once per cell; Ring holds the
-generic body and ZmodRing an int loop of its own.
+p_column_op: evaluate calls it once per cell and the standardizer once
+per congruence. Ring holds the generic body, ZmodRing an int loop.
 
 Ideals are finitely generated presentations. Membership is never
 decided, only certified: a CertifiedElement stores coefficients that

@@ -23,10 +23,13 @@ from elemcalc import (
     NotCertified,
     NotCongruentToStandard,
     NotLocalRing,
+    PairwiseSquare,
     PfaffianNotOne,
     RhoLetter,
+    ShearLetter,
     SympLetter,
     UpperTransLetter,
+    VerificationFailed,
     Word,
     ZmodRing,
     certify,
@@ -45,7 +48,7 @@ from elemcalc import (
     word_in_E1,
     word_in_ESp1,
 )
-from elemcalc import jsonio
+from elemcalc import bridge, jsonio
 from elemcalc.matrices import ColumnVector, identity
 from elemcalc.sampling import (prime_of, sample_alternating,
                                sample_relative_form)
@@ -499,3 +502,104 @@ def test_standardize_outputs_are_pinned():
         digest.update(text.encode() + b"\n")
     assert dict(outcomes) == PINNED_OUTCOMES
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _prime_power_exponent(m):
+    """k when m = p^k for a prime p, else None, by trial division."""
+    p, k = prime_of(m), 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k if m == 1 else None
+
+
+def test_local_data_agrees_with_trial_division():
+    for m in range(2, 20000):
+        try:
+            k = bridge._local_data(ZmodRing(m))
+        except NotLocalRing:
+            k = None
+        assert k == _prime_power_exponent(m), m
+
+
+@pytest.mark.parametrize("m, k", [(2 ** 61 - 1, 1), (2 ** 127 - 1, 1),
+                                  ((2 ** 61 - 1) ** 2, 2), (3 ** 161, 161)],
+                         ids=["2^61-1", "2^127-1", "(2^61-1)^2", "3^161"])
+def test_local_data_of_large_prime_powers(m, k):
+    assert bridge._local_data(ZmodRing(m)) == k
+
+
+# the last is the least strong pseudoprime to the bases 2, ..., 37
+@pytest.mark.parametrize("m", [(2 ** 31 - 1) * (2 ** 61 - 1), 2 ** 256 - 1,
+                               318665857834031151167461],
+                         ids=["(2^31-1)(2^61-1)", "2^256-1", "spsp(2..37)"])
+def test_local_data_refuses_large_composites(m):
+    with pytest.raises(NotLocalRing, match="is not a prime power"):
+        bridge._local_data(ZmodRing(m))
+
+
+# Fault injection: each test breaks what feeds one check and expects
+# that check to raise.
+
+def test_regroup_checks_its_evaluation(monkeypatch):
+    w = word(Z27, 4, *_one_run("linear"))
+    honest = bridge._ShearFold.letter
+
+    def shifted(self):
+        letter = honest(self)
+        entries = list(letter.vec.entries)
+        entries[0] = entries[0] + 1
+        return ShearLetter(letter.kind, ColumnVector(Z27, entries), None)
+
+    monkeypatch.setattr(bridge._ShearFold, "letter", shifted)
+    with pytest.raises(VerificationFailed,
+                       match="regrouped word changed the evaluation"):
+        E1_to_etrans(w)
+
+
+def test_spell_checks_its_evaluation(monkeypatch):
+    shears = E1_to_etrans(word(Z27, 4, *_one_run("linear")))
+    honest = bridge._shear_letters
+    monkeypatch.setattr(bridge, "_shear_letters",
+                        lambda letter, inv: honest(letter, inv)[:-1])
+    with pytest.raises(VerificationFailed,
+                       match="translated word changed the evaluation"):
+        etrans_word_to_E1(shears)
+
+
+# pairs scaled by 4 and 7 = 1/4: the pivot must be normalized from 4 to 1
+SCALED = from_rows(Z27, [[0, 4, 0, 0], [-4, 0, 0, 0],
+                         [0, 0, 0, 7], [0, 0, -7, 0]])
+
+
+def test_pivot_normalization_is_guarded(monkeypatch):
+    # a zero certificate over the square ideal gives no sandwich step,
+    # so the pivot never moves; past 20 calls the guard is missing
+    honest, calls = bridge._member_cert, []
+
+    def zero_square(ideal, v):
+        calls.append(v)
+        if len(calls) > 20:
+            raise AssertionError("pivot normalization is not guarded")
+        if isinstance(ideal, PairwiseSquare):
+            return ideal.zero_cert()
+        return honest(ideal, v)
+
+    monkeypatch.setattr(bridge, "_member_cert", zero_square)
+    with pytest.raises(VerificationFailed,
+                       match="pivot normalization failed to stabilize"):
+        standardize_alternating(AlternatingForm(SCALED), I3)
+
+
+def test_partner_row_clearing_is_guarded(monkeypatch):
+    # an exponent of -2 makes the bound 4k + 8 zero: the first pass that
+    # clears anything in the partner row is one too many
+    eps = word(Z27, 3, LinLetter(3, 2, 1, Z27.el(3)),
+               LinLetter(3, 1, 3, Z27.el(6)),
+               (LinLetter(3, 3, 2, Z27.el(12)), True))
+    form = AlternatingForm(reconstruct(eps, 2))
+    assert standardize_alternating(form, I3).relative
+    monkeypatch.setattr(bridge, "_local_data", lambda ring: -2)
+    with pytest.raises(VerificationFailed,
+                       match="partner-row clearing failed to stabilize"):
+        standardize_alternating(form, I3)

@@ -543,6 +543,25 @@ def test_cli_standardize(monkeypatch, capsys):
     assert payload["eps_word"] == []
 
 
+# a prime power is found by integer roots and a primality test, so a
+# large prime or a product of two is decided at once: trial division up
+# to the square root did not finish on any of these in 10 s
+@pytest.mark.parametrize("m, rc", [(2 ** 61 - 1, 0), (2 ** 127 - 1, 0),
+                                   ((2 ** 31 - 1) * (2 ** 61 - 1), 2)],
+                         ids=["2^61-1", "2^127-1", "(2^31-1)(2^61-1)"])
+def test_cli_standardize_large_moduli(monkeypatch, capsys, m, rc):
+    request = {"ring": {"kind": "zmod", "m": m}, "ideal": [1],
+               "form": [[0, 1], [-1, 0]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert cli.main(["standardize"]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert "is not a prime power" in err
+    else:
+        assert json.loads(out) == {"eps_word": [], "relative": True,
+                                   "verified": True}
+
+
 def test_cli_expand_round_trip(monkeypatch, capsys):
     phi = jsonio.matrix_to_json(standard_symplectic_form(Z27, 1))
     request = {"ring": {"kind": "zmod", "m": 27},

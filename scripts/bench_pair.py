@@ -18,9 +18,10 @@ side makes one more run of the workload, at seed 0 with --trace 1, for
 the per-layer counts in TRACE_COUNTS; a count is exact per pass, so one
 run per side is enough to compare them.
 
-The output file keeps, per workload: every run's end-to-end metrics,
-output digest ("sha256"), golden-digest status and oracle verdict
-("correct"), each side's set of golden statuses and of oracle verdicts,
+The output file keeps, per workload: every run's end-to-end metrics
+with its counts of attempted and failed calls, output digest
+("sha256"), golden-digest status and oracle verdict ("correct"), each
+side's set of golden statuses and of oracle verdicts,
 whether both sides gave one and the same digest on each seed the pairs
 ran ("digests"), each side's median and quartiles per metric, how many
 pairs each side won (better as BENCHMARK.json defines it; ties count
@@ -94,6 +95,7 @@ def run_once(root, workload, seed, seconds, trace=0):
     result = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     metrics["failed"] = result["failed"]
+    metrics["attempted"] = result["attempted"]
     return metrics, golden["sha256"], golden["status"], result["correct"]
 
 

@@ -19,14 +19,16 @@ through a small tower of identities:
   with one reduction per free pair of its kernel pieces, so at most
   three (long_root_unimodular).
 
-Every operation evaluates its output and compares against the closed
-form, raising VerificationFailed on any mismatch. Each closed form is
-a rank-two update of the identity, built in O(n^2), and the
-regrouping's product is built one rank-two factor at a time, in
-O(n^2) per factor. A stacked word resumes its evaluation from the
-stored value of its first part, which that part's own check computed,
-and the conjugate target g . se_ij(ab) . g^-1 resumes from G = g's
-value, so it applies |g| + 1 letters.
+Each public operation is a wrapper around a private body: the body
+builds the word, and the wrapper evaluates it once and compares it
+against the closed form, raising VerificationFailed on any mismatch.
+Bodies call only other bodies, so a word is checked once, at the public
+function that returns it; decompose_conjugate checks its output against
+the independently evaluated conjugate g . se_ij(ab) . g^-1, which
+resumes from G = g's value and so applies |g| + 1 letters. Each closed
+form is a rank-two update of the identity, built in O(n^2), and the
+regrouping's product is built one rank-two factor at a time, in O(n^2)
+per factor.
 """
 
 from __future__ import annotations
@@ -153,13 +155,18 @@ def short_root_pair(v, a, b, auxiliary_pair):
     v must vanish on the auxiliary pair (which may be one past the end
     of v, enlarging the matrix by one pair). Needs 2 to be a unit.
     """
+    out = _short_root_pair(v, a, b, auxiliary_pair)
+    _check_closed_form(out, sym_outer(_extend(v, out.size),
+                                      a.value * b.value), "short-root-pair")
+    return out
+
+
+def _short_root_pair(v, a, b, auxiliary_pair):
     h = half(v.ring)
     v, _, p, pbar = _resolve_pair(v, auxiliary_pair)
     note("short-root-pair", "pair=%d support=%r", auxiliary_pair, v.support())
-    out = commutator_word(_pair_transvection_word(v, p, a, h),
-                          _pair_transvection_word(v, pbar, b, -1))
-    _check_closed_form(out, sym_outer(v, a.value * b.value), "short-root-pair")
-    return out
+    return commutator_word(_pair_transvection_word(v, p, a, h),
+                           _pair_transvection_word(v, pbar, b, -1))
 
 
 def long_root_pair(v, w, a, b, auxiliary_pair):
@@ -168,17 +175,22 @@ def long_root_pair(v, w, a, b, auxiliary_pair):
     Requires tilde(w) . v = 0 and both vectors to vanish on the
     auxiliary pair.
     """
+    out = _long_root_pair(v, w, a, b, auxiliary_pair)
+    _check_closed_form(out, pair_outer(_extend(v, out.size),
+                                       _extend(w, out.size),
+                                       a.value * b.value), "long-root-pair")
+    return out
+
+
+def _long_root_pair(v, w, a, b, auxiliary_pair):
     if not tilde_pair(w, v).is_zero():
         raise PairingNonzero("tilde(w) . v must vanish")
     v, _, p, pbar = _resolve_pair(v, auxiliary_pair)
     w, _, _, _ = _resolve_pair(w, auxiliary_pair)
     note("long-root-pair", "pair=%d supports=%r/%r", auxiliary_pair,
          v.support(), w.support())
-    out = commutator_word(_pair_transvection_word(v, pbar, a, 1),
-                          _pair_transvection_word(w, p, b, 1))
-    _check_closed_form(out, pair_outer(v, w, a.value * b.value),
-                       "long-root-pair")
-    return out
+    return commutator_word(_pair_transvection_word(v, pbar, a, 1),
+                           _pair_transvection_word(w, p, b, 1))
 
 
 def long_root_reduce(v, w, a, b, zero_pair):
@@ -187,6 +199,13 @@ def long_root_reduce(v, w, a, b, zero_pair):
     v must vanish on the zero pair; w is unrestricted there. Requires
     tilde(w) . v = 0. Works in place (no embedding).
     """
+    out = _long_root_reduce(v, w, a, b, zero_pair)
+    _check_closed_form(out, pair_outer(v, w, a.value * b.value),
+                       "long-root-reduce")
+    return out
+
+
+def _long_root_reduce(v, w, a, b, zero_pair):
     p, pbar = _pair_coords(zero_pair)
     if p > v.length:
         raise BadIndices("zero pair out of range")
@@ -201,16 +220,15 @@ def long_root_reduce(v, w, a, b, zero_pair):
     w_off = w.with_entry(p, 0).with_entry(pbar, 0)
     parts = []
     if not w_off.is_zero():
-        parts.append(long_root_pair(v, w_off, a, b, zero_pair))
+        parts.append(_long_root_pair(v, w_off, a, b, zero_pair))
     parts.append(_pair_transvection_word(v, pbar, a, -(bv * y)))
     parts.append(_pair_transvection_word(v, p, a, bv * x))
     if not (x * y * av * bv).is_zero():
-        parts.append(short_root_pair(v, a.scale(bv * x), b.scale(av * y),
-                                     zero_pair))
+        parts.append(_short_root_pair(v, a.scale(bv * x), b.scale(av * y),
+                                      zero_pair))
     out = parts[0]
     for piece in parts[1:]:
         out = out * piece
-    _check_closed_form(out, pair_outer(v, w, av * bv), "long-root-reduce")
     return out
 
 
@@ -220,6 +238,13 @@ def short_root_split(v, a, b):
     Splits v into its last-pair part and the rest; needs at least two
     coordinate pairs and 2 a unit.
     """
+    out = _short_root_split(v, a, b)
+    _check_closed_form(out, sym_outer(v, a.value * b.value),
+                       "short-root-split")
+    return out
+
+
+def _short_root_split(v, a, b):
     ring = v.ring
     n = v.length // 2
     if n < 2:
@@ -231,16 +256,14 @@ def short_root_split(v, a, b):
     v_tail = v - v_head
     parts = []
     if not v_head.is_zero():
-        parts.append(short_root_pair(v_head, a, b, last))
+        parts.append(_short_root_pair(v_head, a, b, last))
         if not v_tail.is_zero():
-            parts.append(long_root_reduce(v_head, v_tail, a, b, last))
+            parts.append(_long_root_reduce(v_head, v_tail, a, b, last))
     if not v_tail.is_zero():
-        parts.append(short_root_pair(v_tail, a, b, 1))
+        parts.append(_short_root_pair(v_tail, a, b, 1))
     out = Word(ring, v.length)
     for piece in parts:
         out = out * piece
-    _check_closed_form(out, sym_outer(v, a.value * b.value),
-                       "short-root-split")
     return out
 
 
@@ -252,6 +275,15 @@ def sum_to_product(us, us_certs, w):
     the square ideal such that the product over the ordering times
     I + x w wtilde equals the sum, exactly.
     """
+    ordering, x_cert = _sum_to_product(us, us_certs, w)
+    # tilde is linear, so the sum of the pieces is one closed form
+    lhs = pair_outer(sum(us[1:], us[0]), w)
+    rhs = _product_form([us[i] for i in ordering], w, x_cert.value)
+    check_equal(rhs, lhs, "sum_to_product regrouping identity failed")
+    return ordering, x_cert
+
+
+def _sum_to_product(us, us_certs, w):
     if not us:
         raise PairingNonzero("sum_to_product needs at least one piece")
     for u in us:
@@ -268,12 +300,7 @@ def sum_to_product(us, us_certs, w):
                     continue
                 piece = product_certificate(ci, cj)
                 x_cert = x_cert + piece if ell % 2 == 1 else x_cert - piece
-    ordering = list(range(len(us)))
-    # tilde is linear, so the sum of the pieces is one closed form
-    lhs = pair_outer(sum(us[1:], us[0]), w)
-    rhs = _product_form([us[i] for i in ordering], w, x_cert.value)
-    check_equal(rhs, lhs, "sum_to_product regrouping identity failed")
-    return ordering, x_cert
+    return list(range(len(us))), x_cert
 
 
 def _product_form(us, w, x):
@@ -293,6 +320,13 @@ def long_root_unimodular(v, w, a, b, u):
     Needs tilde(v) . w = 0, u^t w = 1, and at least three pairs. For
     v = 0 the target is I and the word is empty.
     """
+    out = _long_root_unimodular(v, w, a, b, u)
+    _check_closed_form(out, pair_outer(v, w, a.value * b.value),
+                       "long-root-unimodular")
+    return out
+
+
+def _long_root_unimodular(v, w, a, b, u):
     ring = v.ring
     size = v.length
     n = size // 2
@@ -324,27 +358,20 @@ def long_root_unimodular(v, w, a, b, u):
         free = next(t for t in range(1, n + 1) if t not in used)
         groups[free] = groups[free] + vec if free in groups else vec
     pieces = [(vec, t) for t, vec in groups.items() if not vec.is_zero()]
-    scaled = [vec.scale(av * bv) for vec, _ in pieces]
-    check_equal(sum(scaled, zero_vector(ring, size)), v.scale(av * bv),
-                "kernel pieces do not rebuild a b v")
+    out = Word(ring, size)
     if not pieces:
         # v = 0: the target I + ab (0 wtilde + w 0tilde) is I
-        out = Word(ring, size)
-        check_evaluation(out, identity(ring, size), "long-root-unimodular: "
-                         "the empty word differs from I")
         return out
     bp, p_mul = bv.payload, ring.p_mul
     certs = [[a.scale(ring.wrap(p_mul(bp, x))) for x in vec.payloads]
              for vec, _ in pieces]
-    ordering, x_cert = sum_to_product(scaled, certs, w)
-    out = Word(ring, size)
+    ordering, x_cert = _sum_to_product(
+        [vec.scale(av * bv) for vec, _ in pieces], certs, w)
     for idx in ordering:
         vec, free = pieces[idx]
-        out = out * long_root_reduce(vec, w, a, b, free)
+        out = out * _long_root_reduce(vec, w, a, b, free)
     for x, y in square_factors(x_cert):
-        out = out * short_root_split(w, x, y)
-    _check_closed_form(out, pair_outer(v, w, av * bv),
-                       "long-root-unimodular")
+        out = out * _short_root_split(w, x, y)
     return out
 
 
@@ -392,7 +419,7 @@ def decompose_conjugate(g, i, j, a, b):
         elif j == sigma(i):
             note("conjugated-short-root", "column %d extracted", i)
             a_eff = a if i % 2 == 1 else -a
-            out = short_root_split(G.column(i), a_eff, b)
+            out = _short_root_split(G.column(i), a_eff, b)
         else:
             sj = sigma(j)
             v = G.column(i)
@@ -403,7 +430,7 @@ def decompose_conjugate(g, i, j, a, b):
                 w, tilde(v).transpose(),
                 lambda: evaluate(invert_word(g)).row_list(sj))
             note("conjugated-long-root", "columns %d and %d extracted", i, sj)
-            out = long_root_unimodular(v, w, a, b, u)
+            out = _long_root_unimodular(v, w, a, b, u)
     achieved = check_evaluation(
         out, target, "decomposition does not reproduce the conjugate")
     return DecompositionResult(out, target, achieved, lemma_trace)

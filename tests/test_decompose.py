@@ -417,9 +417,9 @@ def test_decompose_long_case(monkeypatch):
 
 
 def test_decompose_applies_each_output_letter_once(monkeypatch):
-    """The last lemma's check resumes from the stored value of its first
-    reduction word and stores the output's value, so the final check
-    against the conjugate applies no letter again."""
+    """The lemma bodies check nothing, so the final comparison with the
+    conjugate is the only check of the output, and it applies each of
+    its letters once."""
     applied = []
     orig_ops = words_module.ElementaryLetter.column_ops
 
@@ -444,15 +444,10 @@ def test_decompose_applies_each_output_letter_once(monkeypatch):
              SympLetter(6, 3, 1, Z27.el(5)),
              SympLetter(6, 4, 6, Z27.el(8)))
     res = decompose_conjugate(g, 1, 4, a, b)
-    (lemma, lemma_word, lemma_ops), (final, final_word, final_ops) = checks[-2:]
-    assert lemma.startswith("long-root-unimodular")
-    first_reduce = next(w for what, w, _ in checks
-                        if what.startswith("long-root-reduce"))
-    assert res.output.letters[:len(first_reduce)] == first_reduce.letters
-    assert lemma_word is res.output
-    assert lemma_ops == len(res.output) - len(first_reduce) == 6
+    [(final, final_word, final_ops)] = checks
     assert final == "decomposition does not reproduce the conjugate"
-    assert final_word is res.output and final_ops == 0
+    assert final_word is res.output
+    assert final_ops == len(res.output) > 0
 
 
 @pytest.mark.parametrize("i, j, letters", [
@@ -600,21 +595,21 @@ def test_long_root_output_grows_linearly(size, seed):
 @pytest.mark.parametrize("size", [6, 8, 16, 32])
 def test_one_long_root_reduce_per_free_pair(monkeypatch, size):
     """long_root_unimodular reduces each group of kernel pieces that
-    share a free pair once, so it calls long_root_reduce itself at most
-    three times (short_root_split's own calls are not counted)."""
-    orig = decompose_module.long_root_reduce
+    share a free pair once, so its body calls the reduction body itself
+    at most three times (short_root_split's own calls are not counted)."""
+    orig = decompose_module._long_root_reduce
     callers = []
 
     def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return orig(*args)
 
-    monkeypatch.setattr(decompose_module, "long_root_reduce", counted)
+    monkeypatch.setattr(decompose_module, "_long_root_reduce", counted)
     for seed in range(4):
         callers.clear()
         g, i, j, a, b = sampled_long_root(size, seed)
         res = decompose_conjugate(g, i, j, a, b)
-        direct = callers.count("long_root_unimodular")
+        direct = callers.count("_long_root_unimodular")
         assert 1 <= direct <= 3
         # one regrouping factor per reduced group
         assert [d for t, d in res.lemma_trace if t == "sum-to-product"] \
@@ -675,46 +670,56 @@ def test_decompose_errors():
         decompose_conjugate(g8, 1, 2, a8, a8)
 
 
-def test_corrupted_lemma_is_caught(monkeypatch):
+def flip_last_letters(monkeypatch):
+    """Make every word _pair_transvection_word builds lose the sign of
+    its last letter, a long letter. Flipping one word alone can leave a
+    commutator unchanged, when the flipped letter commutes with the
+    other factor."""
     orig = decompose_module._pair_transvection_word
 
-    def sabotaged(*args, **kwargs):
-        # flip the last letter's sign; the short letter at the front can
-        # cancel inside the lemmas' commutators, a long letter cannot
-        w = orig(*args, **kwargs)
+    def flipped(*args):
+        w = orig(*args)
         if not w.letters:
             return w
         rest, (letter, inv) = w.letters[:-1], w.letters[-1]
-        cert = None if letter.cert is None else -letter.cert
-        bad = letter.with_param(-letter.param, cert)
+        bad = letter.with_param(-letter.param, -letter.cert)
         return Word(w.ring, w.size, rest + ((bad, inv),))
 
-    monkeypatch.setattr(decompose_module, "_pair_transvection_word",
-                        sabotaged)
+    monkeypatch.setattr(decompose_module, "_pair_transvection_word", flipped)
+
+
+def recorded_checks(monkeypatch):
+    """The message of every check_evaluation made in decompose."""
+    whats = []
+    orig = decompose_module.check_evaluation
+
+    def check(w, want, what):
+        whats.append(what)
+        return orig(w, want, what)
+
+    monkeypatch.setattr(decompose_module, "check_evaluation", check)
+    return whats
+
+
+def test_corrupted_lemma_is_caught(monkeypatch):
+    flip_last_letters(monkeypatch)
     a = certify(I3, [Z27.el(1)])
     b = certify(I3, [Z27.el(2)])
     short = word(Z27, 6, SympLetter(6, 1, 3, Z27.el(4)),
                  SympLetter(6, 2, 1, Z27.el(11)))
     long_ = word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
                  SympLetter(6, 4, 6, Z27.el(8)))
-    # the lemma that built the corrupted word refuses it first
-    with pytest.raises(VerificationFailed, match="differs from closed form"):
+    # the lemma bodies check nothing: the final check refuses the word
+    final = "decomposition does not reproduce the conjugate"
+    with pytest.raises(VerificationFailed, match=final):
         decompose_conjugate(short, 1, 2, a, b)
-    with pytest.raises(VerificationFailed, match="differs from closed form"):
+    with pytest.raises(VerificationFailed, match=final):
         decompose_conjugate(long_, 1, 4, a, b)
 
 
 def test_short_root_pair_checks_its_closed_form(monkeypatch):
     # the pair words it multiplies lose the sign of their last letter
-    orig = decompose_module._pair_transvection_word
-
-    def flipped(*args):
-        w = orig(*args)
-        rest, (letter, inv) = w.letters[:-1], w.letters[-1]
-        bad = letter.with_param(-letter.param, -letter.cert)
-        return Word(w.ring, w.size, rest + ((bad, inv),))
-
-    monkeypatch.setattr(decompose_module, "_pair_transvection_word", flipped)
+    flip_last_letters(monkeypatch)
     a = certify(I3, [Z27.el(1)])
     with pytest.raises(VerificationFailed,
                        match="short-root-pair: evaluation differs"):
@@ -722,10 +727,10 @@ def test_short_root_pair_checks_its_closed_form(monkeypatch):
 
 
 def test_short_root_split_checks_its_closed_form(monkeypatch):
-    # each short_root_pair it calls answers for twice the target: a word
-    # that passed its own check, for the wrong element
-    orig = decompose_module.short_root_pair
-    monkeypatch.setattr(decompose_module, "short_root_pair",
+    # each short_root_pair body it calls answers for twice the target: a
+    # well-formed word, for the wrong element
+    orig = decompose_module._short_root_pair
+    monkeypatch.setattr(decompose_module, "_short_root_pair",
                         lambda v, a, b, pair: orig(v, a, b + b, pair))
     a = certify(I3, [Z27.el(1)])
     with pytest.raises(VerificationFailed,
@@ -735,7 +740,7 @@ def test_short_root_split_checks_its_closed_form(monkeypatch):
 
 def test_long_root_unimodular_checks_the_kernel_pieces(monkeypatch):
     # kernel_decomposition loses one coefficient, so the pieces cannot
-    # rebuild a b v
+    # rebuild a b v, and the word misses the closed form
     orig = decompose_module.kernel_decomposition
 
     def dropped(c, w, u):
@@ -747,9 +752,71 @@ def test_long_root_unimodular_checks_the_kernel_pieces(monkeypatch):
     v = vec(Z27, 1, 0, 1, 1, 1, 1)
     w = vec(Z27, 1, 0, 0, 0, 0, 0)
     a = certify(I3, [Z27.el(1)])
-    with pytest.raises(VerificationFailed,
-                       match="kernel pieces do not rebuild a b v"):
+    with pytest.raises(VerificationFailed, match="long-root-unimodular: "
+                       "evaluation differs from closed form"):
         long_root_unimodular(v, w, a, a, w)
+
+
+# each public lemma on vectors with unit entries, so that a b times two
+# of them is not zero mod 27 and a flipped sign shows in the product;
+# the two pair lemmas embed their length-4 vectors at size 6, so their
+# closed form is built from the vectors extended to the word's size
+LEMMA_CALLS = {
+    "short-root-pair": lambda a, b: short_root_pair(
+        vec(Z27, 1, 2, 4, 5), a, b, 3),
+    "long-root-pair": lambda a, b: long_root_pair(
+        vec(Z27, 1, 2, 0, 0), vec(Z27, 0, 0, 2, 3), a, b, 3),
+    "long-root-reduce": lambda a, b: long_root_reduce(
+        vec(Z27, 1, 2, 0, 0, 0, 0), vec(Z27, 0, 0, 4, 0, 5, 7), a, b, 3),
+    "short-root-split": lambda a, b: short_root_split(
+        vec(Z27, 1, 2, 4, 5), a, b),
+    "long-root-unimodular": lambda a, b: long_root_unimodular(
+        vec(Z27, 1, 0, 1, 0, 25, 0), vec(Z27, 5, 0, 0, 2, 0, 1), a, b,
+        zero_vector(Z27, 6).with_entry(6, 1)),
+}
+
+
+@pytest.mark.parametrize("lemma", sorted(LEMMA_CALLS))
+def test_each_lemma_checks_its_body_once(monkeypatch, lemma):
+    # sign-flipped letters in the body, also inside the bodies it calls,
+    # are refused by this lemma's own check, the only check the call
+    # makes; sum_to_product's body builds no letters (see
+    # test_sum_to_product_names_the_failed_entry)
+    a = certify(I3, [Z27.el(1)])
+    b = certify(I3, [Z27.el(2)])
+    whats = recorded_checks(monkeypatch)
+    LEMMA_CALLS[lemma](a, b)
+    closed = lemma + ": evaluation differs from closed form"
+    assert whats == [closed]
+    whats.clear()
+    flip_last_letters(monkeypatch)
+    with pytest.raises(VerificationFailed, match=closed):
+        LEMMA_CALLS[lemma](a, b)
+    assert whats == [closed]
+
+
+@pytest.mark.parametrize("i, j, g, body", [
+    (1, 4, word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
+                SympLetter(6, 4, 6, Z27.el(8))), "_long_root_reduce"),
+    (1, 2, word(Z27, 6, SympLetter(6, 1, 3, Z27.el(4)),
+                SympLetter(6, 2, 1, Z27.el(11))), "_short_root_pair"),
+], ids=["long", "short"])
+def test_corrupted_body_fails_only_the_final_check(monkeypatch, i, j, g,
+                                                   body):
+    # the body answers for twice its target, a well-formed word for the
+    # wrong element; no lemma check runs inside decompose_conjugate, so
+    # the final comparison with the conjugate is the one that refuses it
+    orig = getattr(decompose_module, body)
+    monkeypatch.setattr(decompose_module, body,
+                        lambda *args: orig(*args[:-2], args[-2] + args[-2],
+                                           args[-1]))
+    whats = recorded_checks(monkeypatch)
+    a = certify(I3, [Z27.el(2)])
+    b = certify(I3, [Z27.el(1)])
+    final = "decomposition does not reproduce the conjugate"
+    with pytest.raises(VerificationFailed, match=final):
+        decompose_conjugate(g, i, j, a, b)
+    assert whats == [final]
 
 
 @pytest.mark.parametrize("i, j, g", [
@@ -792,7 +859,8 @@ def test_failed_decomposition_closes_its_recording(monkeypatch):
     g = word(Z27, 6, SympLetter(6, 3, 1, Z27.el(5)),
              SympLetter(6, 4, 6, Z27.el(8)))
     with recording() as outer:
-        with pytest.raises(VerificationFailed, match="long-root-pair"):
+        with pytest.raises(VerificationFailed, match="decomposition does "
+                           "not reproduce the conjugate"):
             decompose_conjugate(g, 1, 4, a, b)
         # the failed call's recording is closed; the outer one is back
         assert words_module._EVENTS.get() is outer

@@ -338,8 +338,46 @@ def test_corrupted_case_table_is_caught(monkeypatch):
         return records
 
     monkeypatch.setattr(rewrite_module, "_peel", sabotaged)
-    with pytest.raises(VerificationFailed):
+    # no level is checked on its own: _finish's comparison is the guard
+    final = "derived word fails the exact comparison"
+    with pytest.raises(VerificationFailed, match=final):
         rewrite_conjugation_linear(eps, 1, 3, a)
+    eps = word(R, 6, SympLetter(6, 1, 3, g.value, cert=g))
+    with pytest.raises(VerificationFailed, match=final):
+        rewrite_conjugation_symplectic(eps, 1, 4, a)
+
+
+def pad_output(monkeypatch, term):
+    """Put x_ij(t) x_ij(-t), t the one-term parameter term, in front of
+    the rewriter's output, (i, j) its first letter's cell: the derived
+    word keeps its value, so only the per-letter checks can see it."""
+    orig = rewrite_module._records_word
+
+    def padded(system, records):
+        i, j, _ = records[0]
+        t = rewrite_module._TPoly(R, [term])
+        return orig(system, [(i, j, t), (i, j, t.neg())] + list(records))
+
+    monkeypatch.setattr(rewrite_module, "_records_word", padded)
+
+
+def test_output_letters_must_be_divisible_by_y(monkeypatch):
+    a = c(2, 0)
+    g = c(1, 0)
+    pad_output(monkeypatch, rewrite_module._Term(R, 0, (a,), R.one))
+    with pytest.raises(VerificationFailed, match="is not divisible by Y"):
+        rewrite_conjugation_linear(
+            word(R, 3, LinLetter(3, 2, 1, g.value, cert=g)), 1, 3, a)
+
+
+def test_output_letters_must_carry_a_certified_factor(monkeypatch):
+    a = c(2, 0)
+    g = c(1, 0)
+    pad_output(monkeypatch, rewrite_module._Term(R, 1, (), R.one))
+    with pytest.raises(VerificationFailed,
+                       match="parameter term without a certified factor"):
+        rewrite_conjugation_symplectic(
+            word(R, 6, SympLetter(6, 1, 3, g.value, cert=g)), 1, 4, a)
 
 
 def letter_record(i, j, y_exp, atom, coeff=1):
@@ -395,7 +433,7 @@ def test_peel_factors_a_conjugated_product(case):
     peeled = rewrite_module._peel(system, grid)
     assert not grid.cells
     words = rewrite_module._records_word
-    out = words(system, peeled, with_certs=True)
+    out = words(system, peeled)
     want = conjugate_word(words(system, [g]), words(system, records))
     assert evaluate(out) == evaluate(want)
     in_group = word_in_E1 if system.kind == "E" else word_in_ESp1

@@ -5,15 +5,18 @@ Usage, from the root of a checkout (standard library and pytest only):
     python3 scripts/mutants.py
 
 decompose_conjugate and the rewriter's _finish each compare their whole
-output once with an independently evaluated target, and no inner check
-backs either of them up. For each of the two sites the script copies
-src/, tests/ and pyproject.toml into a temporary directory, runs the
-site's test file there once unchanged, then rewrites the site's
-check_evaluation(w, want, what) call into evaluate(w), which returns the
-same matrix without comparing, and runs the test file again with -x. The
-mutant is killed when a test fails. One line per site reads "killed" or
-"survived"; the exit status is 1 when a mutant survives, and 2 when the
-unchanged copy does not pass or a site is not found.
+output once with an independently evaluated target, and
+standardize_alternating checks its working form and its recorded word
+once each; no inner check backs any of them up. A site is the one check
+call inside its function that raises the site's message. For each site
+the script copies src/, tests/ and pyproject.toml into a temporary
+directory, runs the site's test file there once unchanged, then rewrites
+the call into its first argument, check_evaluation(w, want, what) into
+evaluate(w), which returns the same matrix without comparing, and
+check_equal(a, b, what) into a, and runs the test file again with -x.
+The mutant is killed when a test fails. One line per site reads "killed"
+or "survived"; the exit status is 1 when a mutant survives, and 2 when
+the unchanged copy does not pass or a site is not found.
 """
 
 import ast
@@ -25,25 +28,39 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# module under src/elemcalc, the function holding the check, test file
+# module under src/elemcalc, the function holding the check, the check's
+# message, test file
 SITES = (
-    ("decompose.py", "decompose_conjugate", "tests/test_decompose.py"),
-    ("rewrite.py", "_finish", "tests/test_rewrite.py"),
+    ("decompose.py", "decompose_conjugate",
+     "decomposition does not reproduce the conjugate",
+     "tests/test_decompose.py"),
+    ("rewrite.py", "_finish", "derived word fails the exact comparison",
+     "tests/test_rewrite.py"),
+    ("bridge.py", "standardize_alternating",
+     "working form did not reach the standard form", "tests/test_bridge.py"),
+    ("bridge.py", "standardize_alternating",
+     "recorded word does not reconstruct the input form",
+     "tests/test_bridge.py"),
 )
 
+# what each check becomes, given the source of its first argument
+MUTANTS = {"check_evaluation": "evaluate(%s)", "check_equal": "(%s)"}
 
-def mutate(source, function):
-    """source with the one check_evaluation call inside function replaced
-    by evaluate of the call's first argument."""
+
+def mutate(source, function, message):
+    """source with the one check call inside function that raises message
+    rewritten into its first argument."""
     tree = ast.parse(source)
     funcs = [n for n in ast.walk(tree)
              if isinstance(n, ast.FunctionDef) and n.name == function]
     calls = [n for f in funcs for n in ast.walk(f)
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-             and n.func.id == "check_evaluation"]
+             and n.func.id in MUTANTS and n.args
+             and isinstance(n.args[-1], ast.Constant)
+             and n.args[-1].value == message]
     if len(calls) != 1:
-        raise LookupError("%s holds %d check_evaluation calls, not one"
-                          % (function, len(calls)))
+        raise LookupError("%s holds %d checks raising %r, not one"
+                          % (function, len(calls), message))
     call = calls[0]
     # ast offsets count UTF-8 bytes from the start of their line
     data = source.encode()
@@ -53,7 +70,7 @@ def mutate(source, function):
     begin = starts[call.lineno - 1] + call.col_offset
     end = starts[call.end_lineno - 1] + call.end_col_offset
     arg = ast.get_source_segment(source, call.args[0])
-    out = (data[:begin] + ("evaluate(%s)" % arg).encode()
+    out = (data[:begin] + (MUTANTS[call.func.id] % arg).encode()
            + data[end:]).decode()
     ast.parse(out)
     return out
@@ -68,7 +85,7 @@ def run_tests(tree, test_file):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def check_site(module, function, test_file):
+def check_site(module, function, message, test_file):
     """'killed' or 'survived' for the site's mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tree:
         for name in ("src", "tests"):
@@ -77,7 +94,7 @@ def check_site(module, function, test_file):
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
         path = os.path.join(tree, "src", "elemcalc", module)
         with open(path) as f:
-            mutated = mutate(f.read(), function)
+            mutated = mutate(f.read(), function, message)
         if run_tests(tree, test_file) != 0:
             raise RuntimeError("%s fails before any mutation" % test_file)
         with open(path, "w") as f:
@@ -87,14 +104,15 @@ def check_site(module, function, test_file):
 
 def main():
     survived = 0
-    for module, function, test_file in SITES:
+    for module, function, message, test_file in SITES:
+        site = "%s %s (%s)" % (module, function, message)
         try:
-            verdict = check_site(module, function, test_file)
+            verdict = check_site(module, function, message, test_file)
         except (LookupError, RuntimeError) as err:
-            print("%s %s: %s" % (module, function, err))
+            print("%s: %s" % (site, err))
             return 2
         survived += verdict == "survived"
-        print("%s %s: %s" % (module, function, verdict), flush=True)
+        print("%s: %s" % (site, verdict), flush=True)
     return 1 if survived else 0
 
 

@@ -19,7 +19,7 @@ from . import matrices
 from .errors import (BadIndices, FormMismatch, FormRelationFails,
                      IdealMismatch, NotAlternating, NotCertified,
                      NotCongruentToStandard, NotLocalRing, NonstandardForm,
-                     PfaffianNotOne, VerificationFailed)
+                     PfaffianNotOne)
 from .matrices import (ColumnVector, ExactMatrix, block_diagonal,
                        check_equal, identity, is_alternating, pfaffian,
                        sigma_index as sigma, standard_symplectic_form)
@@ -435,12 +435,23 @@ def standardize_alternating(phi, ideal):
     returned word, embedded below one fixed coordinate, conjugates the
     standard form back to the input exactly; the relative flag records
     whether every letter parameter certifies into the ideal.
+
+    One pass, pair by pair: for each pair (2t - 1, 2t) with t < n a unit
+    is moved to the pivot (2t - 1, 2t), the head row 2t - 1 is cleared
+    through column 2t, the pivot is brought to one by sandwich steps
+    with factors in the ideal, and for t >= 2 row 2t is cleared through
+    column 2t - 1, whose pivot is -1. Each step leaves the rows already
+    standard as they are. Row 2 cannot use column 1, since the word
+    fixes coordinate 1, so it is cleared last through the partner rows:
+    once rows 1 and 3..2n are standard, each such step changes one
+    entry of row 2. Over Z/p^k a unit pivot always exists, because the
+    block still to clear has Pfaffian one over a local ring.
     """
     fm = phi.matrix
     ring = fm.ring
     if ideal.ring != ring:
         raise IdealMismatch("form and ideal live over different rings")
-    k = _local_data(ring)
+    _local_data(ring)
     if phi.pfaffian_cache != ring.one:
         raise PfaffianNotOne("form has Pfaffian %r" % (phi.pfaffian_cache,))
     size = phi.size
@@ -471,35 +482,22 @@ def standardize_alternating(phi, ideal):
 
     for t in range(1, n):
         a1, a2 = 2 * t - 1, 2 * t
-        trailing = list(range(2 * t + 1, size + 1))
-
-        if content(W[a1 - 1][a2 - 1]) != 1:
+        head = W[a1 - 1]
+        trailing = range(2 * t + 1, size + 1)
+        if content(head[a2 - 1]) != 1:
             for b in trailing:
-                if content(W[a1 - 1][b - 1]) == 1:
+                if content(head[b - 1]) == 1:
                     apply_op(b, a2, 1)
                     break
             else:
                 raise NotCongruentToStandard(
                     "no unit pivot available in row %d" % (a1,))
+        uinv = invert(head[a2 - 1])
+        for b in trailing:
+            apply_op(a2, b, -head[b - 1] * uinv % m)
 
-        def clear_head_row():
-            uinv = invert(W[a1 - 1][a2 - 1])
-            for b in trailing:
-                v = W[a1 - 1][b - 1]
-                if v:
-                    apply_op(a2, b, -(v * uinv) % m)
-
-        clear_head_row()
-
-        guard = 0
-        while True:
-            gap = (W[a1 - 1][a2 - 1] - 1) % m
-            if not gap:
-                break
-            guard += 1
-            if guard > 4:
-                raise VerificationFailed("pivot normalization failed to "
-                                         "stabilize")
+        gap = (head[a2 - 1] - 1) % m
+        if gap:
             b = trailing[0]
             # Each step (x, y) runs the sandwich x, -y/pivot, -x, which
             # takes x y off the pivot; the products x y sum to the gap.
@@ -511,35 +509,18 @@ def standardize_alternating(phi, ideal):
                          in zip(ideal.square_pairs(), cert2.coefficients)
                          if c.payload and gens[i] and gens[j]]
             for x, y in steps:
-                lam = -y * invert(W[a1 - 1][a2 - 1]) % m
                 apply_op(a2, b, x)
-                apply_op(b, a2, lam)
+                apply_op(b, a2, -y * invert(head[a2 - 1]) % m)
                 apply_op(a2, b, -x % m)
-                res = W[a1 - 1][b - 1]
-                if res:
-                    apply_op(a2, b, -(res * invert(W[a1 - 1][a2 - 1])) % m)
-            clear_head_row()
+                apply_op(a2, b, -head[b - 1] * invert(head[a2 - 1]) % m)
 
-        guard = 0
-        while True:
-            dirty = False
+        if t > 1:
             for b in trailing:
-                v = W[a2 - 1][b - 1]
-                if not v:
-                    continue
-                s = b + 1 if b % 2 == 1 else b - 1
-                w_piv = W[s - 1][b - 1]
-                if content(w_piv) != 1:
-                    raise NotCongruentToStandard(
-                        "partner pivot at (%d, %d) is not a unit" % (s, b))
-                apply_op(s, a2, -(v * invert(w_piv)) % m)
-                dirty = True
-            if not dirty:
-                break
-            guard += 1
-            if guard > 4 * k + 8:
-                raise VerificationFailed("partner-row clearing failed to "
-                                         "stabilize")
+                apply_op(a1, b, W[a2 - 1][b - 1])
+
+    for b in range(3, size + 1):
+        s = sigma(b)
+        apply_op(s, 2, -W[1][b - 1] * W[s - 1][b - 1] % m)
 
     check_equal(ExactMatrix(ring, size, size, [x for row in W for x in row]),
                 std, "working form did not reach the standard form")

@@ -79,9 +79,11 @@ MAX_REWRITE_LETTERS = 8
 # 2,048 letters at n 64 over Z/3^161 (35.7 million; 2-3 s through main
 # on a 2-vCPU VM). The costliest request of each command it admits took
 # at most 5.5 s there: a decompose over (Z/27)[X] at n 3 is admitted up
-# to 45 letters c + dX. The digit factor is calibrated on p_column_op:
-# per product, moduli of 61, 127 and 256 bits (3, 5 and 9 digits of 30
-# bits) cost 3.8, 5.0 and 8.7 times one below 2^30.
+# to 45 letters c + dX. The costliest standardize, a dense 64-row form
+# over Z/3^161 with 13 generators, took 0.39 s through main (0.46 s in a
+# cold process). The digit factor is calibrated on p_column_op: per
+# product, moduli of 61, 127 and 256 bits (3, 5 and 9 digits of 30 bits)
+# cost 3.8, 5.0 and 8.7 times one below 2^30.
 MAX_REQUEST_WORK = 40_000_000
 
 
@@ -154,8 +156,9 @@ def _request_work(command, ring, size, length=0, gens=0, degree=0):
         # more rows per letter
         work = 64 * length * (size + 32) * (size + gens)
     elif command == "standardize" and base is ring:
-        # over Z/p^e the row clearing may repeat 4e + 9 times per pivot
-        work = size ** 2 * (size + gens ** 2) * (4 * base.m.bit_length() + 9)
+        # one pass of O(size) congruence operations per pair, each of
+        # O(size) products; dense forms count up to 2.7 s^2 (s + k^2)
+        work = 4 * size ** 2 * (size + gens ** 2)
     else:
         # Pf and det, paid by standardize before it refuses other rings;
         # their values reach size times the degree of an entry

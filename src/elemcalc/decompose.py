@@ -273,14 +273,15 @@ def sum_to_product(us, us_certs, w):
     Each u_i must pair to zero with w and carry coordinatewise
     certificates. Returns (ordering, x) with x a certified element of
     the square ideal such that the product over the ordering times
-    I + x w wtilde equals the sum, exactly.
+    I + x w wtilde equals the sum, exactly; the ordering is always the
+    pieces' own, 0, 1, ..., len(us) - 1.
     """
-    ordering, x_cert = _sum_to_product(us, us_certs, w)
+    x_cert = _sum_to_product(us, us_certs, w)
     # tilde is linear, so the sum of the pieces is one closed form
     lhs = pair_outer(sum(us[1:], us[0]), w)
-    rhs = _product_form([us[i] for i in ordering], w, x_cert.value)
-    check_equal(rhs, lhs, "sum_to_product regrouping identity failed")
-    return ordering, x_cert
+    check_equal(_product_form(us, w, x_cert.value), lhs,
+                "sum_to_product regrouping identity failed")
+    return list(range(len(us))), x_cert
 
 
 def _sum_to_product(us, us_certs, w):
@@ -300,7 +301,7 @@ def _sum_to_product(us, us_certs, w):
                     continue
                 piece = product_certificate(ci, cj)
                 x_cert = x_cert + piece if ell % 2 == 1 else x_cert - piece
-    return list(range(len(us))), x_cert
+    return x_cert
 
 
 def _product_form(us, w, x):
@@ -365,10 +366,9 @@ def _long_root_unimodular(v, w, a, b, u):
     bp, p_mul = bv.payload, ring.p_mul
     certs = [[a.scale(ring.wrap(p_mul(bp, x))) for x in vec.payloads]
              for vec, _ in pieces]
-    ordering, x_cert = _sum_to_product(
+    x_cert = _sum_to_product(
         [vec.scale(av * bv) for vec, _ in pieces], certs, w)
-    for idx in ordering:
-        vec, free = pieces[idx]
+    for vec, free in pieces:
         out = out * _long_root_reduce(vec, w, a, b, free)
     for x, y in square_factors(x_cert):
         out = out * _short_root_split(w, x, y)

@@ -562,6 +562,48 @@ def test_cli_standardize_large_moduli(monkeypatch, capsys, m, rc):
                                    "verified": True}
 
 
+# the 10-row Z/49 form of input 220 of
+# tests/test_bridge.py::test_standardize_outputs_are_pinned: its pivot 42
+# is not a unit, and it is congruent to the standard form only modulo the
+# unit ideal, given here as (1) and as (7, 1 + 7)
+PINNED_Z49_FORM = [
+    [0, 42, 0, 0, 0, 0, 0, 0, 17, 0],
+    [7, 0, 11, 0, 0, 7, 39, 0, 0, 11],
+    [0, 38, 0, 8, 0, 11, 0, 0, 0, 0],
+    [0, 0, 41, 0, 0, 30, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 42, 38, 19, 48, 0, 39, 0, 24, 37],
+    [0, 10, 0, 0, 0, 10, 0, 1, 26, 35],
+    [0, 0, 0, 0, 0, 0, 48, 0, 0, 38],
+    [32, 0, 0, 0, 0, 25, 23, 0, 0, 9],
+    [0, 38, 0, 0, 0, 12, 14, 11, 40, 0]]
+
+
+def z49_request(ideal):
+    return {"ring": {"kind": "zmod", "m": 49}, "ideal": ideal,
+            "form": PINNED_Z49_FORM}
+
+
+def mersenne_request():
+    """16 rows drawn relative to the unit ideal over Z/(2^127 - 1)."""
+    ring = ZmodRing(2 ** 127 - 1)
+    form, _ = sample_relative_form(random.Random(3), ring, 8,
+                                   IdealPresentation(ring, (ring.one,)),
+                                   letters=32)
+    return {"ring": jsonio.ring_to_json(ring), "ideal": [1],
+            "form": jsonio.matrix_to_json(form)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z49_request([1]), lambda: z49_request([7, 8]), mersenne_request],
+    ids=["Z49-(1)", "Z49-(7,8)", "2^127-1"])
+def test_cli_standardize_with_the_unit_ideal(monkeypatch, capsys, make):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make())))
+    assert cli.main(["standardize"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True and payload["relative"] is True
+
+
 def test_cli_expand_round_trip(monkeypatch, capsys):
     phi = jsonio.matrix_to_json(standard_symplectic_form(Z27, 1))
     request = {"ring": {"kind": "zmod", "m": 27},
@@ -1044,11 +1086,12 @@ def test_pfaffian_work_bounds_its_products(monkeypatch, products):
 
 
 def test_standardize_work_bounds_its_products(monkeypatch, products):
-    # over Z/3^161 the most rows admitted, where the row clearing repeats
+    # over Z/3^161, whose 256-bit products cost the most, the most rows
+    # admitted, up to MAX_REQUEST_SIZE
     ring = ZmodRing(3 ** 161)
     ideal = IdealPresentation(ring, (ring.el(3),))
-    rows = most_admitted(lambda k: cli._request_work(
-        "standardize", ring, 2 * k, gens=1)) * 2
+    rows = min(cli.MAX_REQUEST_SIZE, most_admitted(lambda k: cli._request_work(
+        "standardize", ring, 2 * k, gens=1)) * 2)
     form, _ = sample_relative_form(random.Random(3), ring, rows // 2, ideal,
                                    letters=2 * rows)
     request = {"ring": jsonio.ring_to_json(ring),

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from elemcalc import (
     DimensionTooSmall,
     IdealPresentation,
     LocRing,
+    NotAUnit,
     PairNotZero,
     PairingNonzero,
     PolyRing,
@@ -22,6 +25,7 @@ from elemcalc import (
     decompose_conjugate,
     evaluate,
     from_rows,
+    invert_unit,
     invert_word,
     long_root_pair,
     long_root_reduce,
@@ -38,7 +42,8 @@ import elemcalc.decompose as decompose_module
 from elemcalc.decompose import _product_form, pair_outer, sym_outer
 import elemcalc.words as words_module
 from elemcalc.matrices import ColumnVector, identity, tilde, zero_vector
-from elemcalc.sampling import sample_symplectic_word
+from elemcalc import jsonio
+from elemcalc.sampling import sample_element, sample_symplectic_word
 
 Z27 = ZmodRing(27)
 Z8 = ZmodRing(8)
@@ -868,3 +873,98 @@ def test_failed_decomposition_closes_its_recording(monkeypatch):
     monkeypatch.undo()
     assert decompose_conjugate(g, 1, 4, a, b).lemma_trace == LONG_CASE_TRACE
     assert outer == []
+
+
+ZX = PolyRing(Z27, ("X",))
+# (ring, generators of the ideal a and b are certified in)
+PIN_RINGS = ((Z27, (3,)), (ZmodRing(25), (5,)), (ZmodRing(121), (11,)),
+             (Z15, (3,)))
+PINNED_KINDS = {"empty": 7, "short": 66, "long": 97, "dense": 30}
+PINNED_DECOMPOSE_DIGEST = ("9736ac06c621dce1598e0026f288cdb7"
+                           "4a3c2bb96179761ce308c0733657748c")
+
+
+def _has_unit_coordinate(v):
+    for x in v.entries:
+        try:
+            invert_unit(x)
+            return True
+        except NotAUnit:
+            pass
+    return False
+
+
+def _pin_draw(rng, ring, size, length, degree, short, factor=1):
+    """A word g of length symplectic letters, each parameter a sample
+    times factor, and a short or long root (i, j)."""
+    letters = []
+    for _ in range(length):
+        i, j = rng.sample(range(1, size + 1), 2)
+        z = sample_element(rng, ring, degree) * factor
+        letters.append((SympLetter(size, i, j, z), rng.random() < 0.3))
+    i = rng.randrange(1, size + 1)
+    if short:
+        j = sigma_index(i)
+    else:
+        j = rng.choice([k for k in range(1, size + 1)
+                        if k not in (i, sigma_index(i))])
+    return Word(ring, size, letters), i, j
+
+
+def _pinned_decompose_inputs():
+    """200 seeded decompose_conjugate inputs: Z/27, Z/25, Z/121 and Z/15
+    at sizes 6-16 with |g| 0-16, and a few over (Z/27)[X] with ideal
+    (3, X); 30 of them are long roots whose column w of g has no unit
+    coordinate, so the certificate u is the dense row of g^-1."""
+    rng = random.Random(2031)
+    for index in range(200):
+        poly = index % 20 in (8, 9)
+        dense = index % 10 == 3 or index % 20 == 8
+        if poly:
+            ring, gens = ZX, (3, ZX.var("X"))
+        else:
+            ring, gens = PIN_RINGS[3 if dense else index % 4]
+        ideal = IdealPresentation(ring, [ring.el(x) for x in gens])
+        degree = 1 if poly else 0
+        if dense:
+            # over Z/15 parameters in (3) keep g = 1 mod 3, and a
+            # diagonal entry 1 + 9k can be 0 mod 5; over (Z/27)[X] a
+            # nonconstant entry is no unit
+            while True:
+                g, i, j = _pin_draw(rng, ring, 6, 2, degree, False,
+                                    1 if poly else 3)
+                if not _has_unit_coordinate(
+                        evaluate(g).column(sigma_index(j))):
+                    break
+        elif poly:
+            g, i, j = _pin_draw(rng, ring, rng.choice((6, 8)),
+                                rng.randint(0, 4), degree,
+                                rng.random() < 0.4)
+        else:
+            g, i, j = _pin_draw(rng, ring, 2 * rng.randint(3, 8),
+                                rng.randint(0, 16), degree,
+                                rng.random() < 0.4)
+        a, b = (certify(ideal, [sample_element(rng, ring, degree)
+                                for _ in gens]) for _ in range(2))
+        yield g, i, j, a, b
+
+
+def test_decompose_outputs_are_pinned():
+    # the digest was taken before the decomposer's builders moved to
+    # payloads; it pins every output word, target and trace byte for byte
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for g, i, j, a, b in _pinned_decompose_inputs():
+        if len(g) == 0:
+            kinds["empty"] += 1
+        elif j == sigma_index(i):
+            kinds["short"] += 1
+        elif _has_unit_coordinate(evaluate(g).column(sigma_index(j))):
+            kinds["long"] += 1
+        else:
+            kinds["dense"] += 1
+        res = decompose_conjugate(g, i, j, a, b)
+        text = jsonio.dumps(jsonio.decomposition_to_json(res))
+        digest.update(text.encode() + b"\n")
+    assert dict(kinds) == PINNED_KINDS
+    assert digest.hexdigest() == PINNED_DECOMPOSE_DIGEST

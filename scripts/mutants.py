@@ -5,9 +5,10 @@ Usage, from the root of a checkout (standard library and pytest only):
     python3 scripts/mutants.py
 
 decompose_conjugate and the rewriter's _finish each compare their whole
-output once with an independently evaluated target, and
+output once with an independently evaluated target,
 standardize_alternating checks its working form and its recorded word
-once each; no inner check backs any of them up. A site is the one check
+once each, and kernel_decomposition checks its payload reconstruction
+of c; no inner check backs any of them up. A site is the one check
 call inside its function that raises the site's message. For each site
 the script copies src/, tests/ and pyproject.toml into a temporary
 directory, runs the site's test file there once unchanged, then rewrites
@@ -41,6 +42,8 @@ SITES = (
     ("bridge.py", "standardize_alternating",
      "recorded word does not reconstruct the input form",
      "tests/test_bridge.py"),
+    ("matrices.py", "kernel_decomposition", "kernel reconstruction failed",
+     "tests/test_matrices.py"),
 )
 
 # what each check becomes, given the source of its first argument

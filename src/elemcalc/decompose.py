@@ -28,7 +28,9 @@ the independently evaluated conjugate g . se_ij(ab) . g^-1, which
 resumes from G = g's value and so applies |g| + 1 letters. Each closed
 form is a rank-two update of the identity, built in O(n^2), and the
 regrouping's product is built one rank-two factor at a time, in O(n^2)
-per factor.
+per factor. The builders work on payloads: pair-transvection
+certificates are scaled from payloads, the kernel pieces of a free pair
+sum into one payload list, and the unit test is the ring's p_is_unit.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ from __future__ import annotations
 from .errors import (
     BadIndices,
     DimensionTooSmall,
-    NotAUnit,
     PairNotZero,
     PairingNonzero,
     SupportOverlap,
 )
 from .matrices import (
     ColumnVector,
+    _dense,
     basis_vector,
     check_equal,
     identity,
@@ -51,10 +53,10 @@ from .matrices import (
     sigma_index as sigma,
     tilde,
     tilde_pair,
-    zero_vector,
 )
 from .rewrite import include_I2_symplectic
-from .rings import half, invert_unit, product_certificate, square_factors
+from .rings import (_scaled, half, invert_unit, product_certificate,
+                    square_factors)
 from .words import (SympLetter, Word, check_evaluation, commutator_word,
                     conjugate_word, evaluate, invert_word, note, recording)
 
@@ -128,15 +130,15 @@ def _pair_transvection_word(v, s, cert, factor):
     size, sbar = v.length, sigma(s)
     ring = v.ring
     fp = ring.el(factor).payload
-    p_mul, p_is_zero, wrap = ring.p_mul, ring.p_is_zero, ring.wrap
-    params = {k: cert.scale(wrap(p_mul(fp, vp)))
+    p_mul, p_neg, p_is_zero = ring.p_mul, ring.p_neg, ring.p_is_zero
+    params = {k: _scaled(cert, p_mul(fp, vp))
               for k, vp in enumerate(v.payloads, 1)
               if k not in (s, sbar) and not p_is_zero(vp)}
     cross = None
     for k in sorted(params):
         if k % 2 == 1 and sigma(k) in params:
-            zl = params[sigma(k)].value
-            piece = params[k].scale(-zl if (k + sbar) % 2 == 0 else zl)
+            zl = params[sigma(k)].value.payload
+            piece = _scaled(params[k], zl if (k + sbar) % 2 else p_neg(zl))
             cross = piece if cross is None else cross + piece
     letters = []
     if cross is not None and not cross.is_zero():
@@ -343,28 +345,31 @@ def _long_root_unimodular(v, w, a, b, u):
     # one piece of v per a_ij, on the pairs of i and j; the pieces leaving
     # one first pair free (1, 2 or 3) sum to a vector that still vanishes
     # there and pairs to zero with w, so one long_root_reduce serves them
+    p_add, p_mul, p_neg = ring.p_add, ring.p_mul, ring.p_neg
+    p_is_zero, ws = ring.p_is_zero, w.payloads
     groups = {}
     for (i, j), aij in sorted(coeffs.items()):
-        ci = aij * w.entry(j)
+        ci = p_mul(aij.payload, ws[j - 1])
         if i % 2 == 1:
-            ci = -ci
-        cj = aij * w.entry(i)
+            ci = p_neg(ci)
+        cj = p_mul(aij.payload, ws[i - 1])
         if j % 2 == 0:
-            cj = -cj
-        vec = zero_vector(ring, size).with_entry(sigma(i), ci)
-        vec = vec.with_entry(sigma(j), cj)
-        if vec.is_zero():
+            cj = p_neg(cj)
+        if p_is_zero(ci) and p_is_zero(cj):
             continue
         used = {(i + 1) // 2, (j + 1) // 2}
         free = next(t for t in range(1, n + 1) if t not in used)
-        groups[free] = groups[free] + vec if free in groups else vec
-    pieces = [(vec, t) for t, vec in groups.items() if not vec.is_zero()]
+        ps = groups.setdefault(free, [ring.from_int(0)] * size)
+        ps[sigma(i) - 1] = p_add(ps[sigma(i) - 1], ci)
+        ps[sigma(j) - 1] = p_add(ps[sigma(j) - 1], cj)
+    pieces = [(_dense(ring, size, 1, ps), t) for t, ps in groups.items()
+              if not all(map(p_is_zero, ps))]
     out = Word(ring, size)
     if not pieces:
         # v = 0: the target I + ab (0 wtilde + w 0tilde) is I
         return out
-    bp, p_mul = bv.payload, ring.p_mul
-    certs = [[a.scale(ring.wrap(p_mul(bp, x))) for x in vec.payloads]
+    bp = bv.payload
+    certs = [[_scaled(a, p_mul(bp, x)) for x in vec.payloads]
              for vec, _ in pieces]
     x_cert = _sum_to_product(
         [vec.scale(av * bv) for vec, _ in pieces], certs, w)
@@ -383,13 +388,12 @@ def _unimodular_certificate(w, c, dense_row):
     piece (k, k) does not exist. With no unit coordinate in w, the dense
     row dense_row() is used.
     """
+    ring = w.ring
     for k in c.support() + list(range(1, w.length + 1)):
-        try:
-            return basis_vector(w.ring, w.length, k).scale(
+        if ring.p_is_unit(w.payloads[k - 1]):
+            return basis_vector(ring, w.length, k).scale(
                 invert_unit(w.entry(k)))
-        except NotAUnit:
-            continue
-    return ColumnVector(w.ring, dense_row())
+    return ColumnVector(ring, dense_row())
 
 
 def decompose_conjugate(g, i, j, a, b):

@@ -637,7 +637,7 @@ def kernel_decomposition(c, w, u):
     (1-based, i < j) with c = sum a_ij (w_j e_i - w_i e_j), using
     a_ij = c_i u_j - c_j u_i. Only pairs meeting supp(u) can give a
     nonzero a_ij, so only those are visited. The reconstruction is
-    re-checked.
+    re-checked, on payloads.
     """
     ring = c.ring
     if u.dot(w) != ring.one:
@@ -645,21 +645,22 @@ def kernel_decomposition(c, w, u):
     if not c.dot(w).is_zero():
         raise NotInKernel("c^t w must vanish exactly")
     n = c.length
+    p_add, p_sub, p_mul = ring.p_add, ring.p_sub, ring.p_mul
+    p_is_zero, wrap = ring.p_is_zero, ring.wrap
+    cs, ws, us = c.payloads, w.payloads, u.payloads
     u_support = u.support()
     coeffs = {}
+    recon = [ring.from_int(0)] * n
     for i in range(1, n + 1):
         if i in u_support:
             partners = range(i + 1, n + 1)
         else:
             partners = [j for j in u_support if j > i]
         for j in partners:
-            a = c.entry(i) * u.entry(j) - c.entry(j) * u.entry(i)
-            if not a.is_zero():
-                coeffs[(i, j)] = a
-    recon = zero_vector(ring, n)
-    for (i, j), a in coeffs.items():
-        term = zero_vector(ring, n)
-        term = term.with_entry(i, w.entry(j)).with_entry(j, -w.entry(i))
-        recon = recon + term.scale(a)
-    check_equal(recon, c, "kernel reconstruction failed")
+            a = p_sub(p_mul(cs[i - 1], us[j - 1]), p_mul(cs[j - 1], us[i - 1]))
+            if not p_is_zero(a):
+                coeffs[(i, j)] = wrap(a)
+                recon[i - 1] = p_add(recon[i - 1], p_mul(ws[j - 1], a))
+                recon[j - 1] = p_sub(recon[j - 1], p_mul(ws[i - 1], a))
+    check_equal(_dense(ring, n, 1, recon), c, "kernel reconstruction failed")
     return coeffs

@@ -45,8 +45,8 @@ class RingElement:
     __hash__ = None
 
     def __init__(self, ring, payload):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "payload", payload)
+        _set_ring(self, ring)
+        _set_payload(self, payload)
 
     def __setattr__(self, name, value):
         raise AttributeError("ring elements are immutable")
@@ -113,6 +113,10 @@ class RingElement:
 
     def __repr__(self):
         return self.ring.p_repr(self.payload)
+
+
+# the slots' own setters: __setattr__ refuses every write after __init__
+_set_ring, _set_payload = RingElement.ring.__set__, RingElement.payload.__set__
 
 
 class Ring:
@@ -184,6 +188,7 @@ class Ring:
                 row[d] = p_add(row[d], p_mul(gs, c))
 
     # subclasses: from_int, p_add, p_neg, p_mul, p_is_zero, p_invert,
+    # p_is_unit (True exactly where p_invert succeeds; never raises),
     # p_content, p_repr, structural, __eq__, __hash__
 
 
@@ -237,6 +242,9 @@ class ZmodRing(Ring):
             return pow(a, -1, self.m)
         except ValueError:
             raise NotAUnit("%d is not a unit mod %d" % (a, self.m))
+
+    def p_is_unit(self, a):
+        return gcd(a, self.m) == 1
 
     def p_content(self, a):
         """gcd(a, m); a is a non-zero-divisor exactly when it is 1."""
@@ -363,6 +371,10 @@ class PolyRing(Ring):
         if const is None:
             raise NotAUnit("zero is not a unit")
         return self._embed(self.base.p_invert(const))
+
+    def p_is_unit(self, a):
+        const = a.get((0,) * self.nvars)
+        return len(a) == 1 and const is not None and self.base.p_is_unit(const)
 
     def p_content(self, a):
         # McCoy: a polynomial is a zero-divisor exactly when a nonzero
@@ -527,6 +539,9 @@ class LocRing(Ring):
         inv = self.base.p_invert(num)
         return (self.base.p_mul(self._denom_pow(e), inv), 0)
 
+    def p_is_unit(self, a):
+        return self.base.p_is_unit(a[0])
+
     def p_repr(self, a):
         num, e = a
         if e == 0:
@@ -562,7 +577,7 @@ def substitute(p, bindings):
 class IdealPresentation:
     """A finitely generated ideal, given by an ordered generator list."""
 
-    __slots__ = ("ring", "generators")
+    __slots__ = ("ring", "generators", "_square")
     __hash__ = None
 
     def __init__(self, ring, generators):
@@ -571,11 +586,14 @@ class IdealPresentation:
             raise ValueError("ideal presentation needs at least one generator")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_square", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ideal presentations are immutable")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, IdealPresentation):
             return NotImplemented
         return (self.ring == other.ring
@@ -591,10 +609,14 @@ class IdealPresentation:
         return tuple((i, j) for i in range(k) for j in range(i, k))
 
     def square(self):
-        """Presentation of the square ideal by pairwise products."""
-        gens = [self.generators[i] * self.generators[j]
-                for i, j in self.square_pairs()]
-        return PairwiseSquare(self.ring, gens, self)
+        """Presentation of the square ideal by pairwise products, built
+        once (presentations are immutable)."""
+        if self._square is None:
+            gens = [self.generators[i] * self.generators[j]
+                    for i, j in self.square_pairs()]
+            object.__setattr__(self, "_square",
+                               PairwiseSquare(self.ring, gens, self))
+        return self._square
 
     def zero_cert(self):
         return CertifiedElement(self, (self.ring.zero,) * len(self.generators))
@@ -663,11 +685,7 @@ class CertifiedElement:
 
     def scale(self, r):
         """Multiply by an arbitrary ring element (ideals absorb products)."""
-        ring = self.ideal.ring
-        rp = ring.el(r).payload
-        p_mul, wrap = ring.p_mul, ring.wrap
-        coeffs = tuple(wrap(p_mul(rp, c.payload)) for c in self.coefficients)
-        return _derived(self.ideal, coeffs, wrap(p_mul(rp, self.value.payload)))
+        return _scaled(self, self.ideal.ring.el(r).payload)
 
     def is_zero(self):
         return self.value.is_zero()
@@ -707,6 +725,15 @@ def _derived(ideal, coefficients, value):
     object.__setattr__(out, "coefficients", coefficients)
     object.__setattr__(out, "value", value)
     return out
+
+
+def _scaled(cert, rp):
+    """cert times the ring payload rp: CertifiedElement.scale for a
+    caller that already holds a payload."""
+    ring = cert.ideal.ring
+    p_mul, wrap = ring.p_mul, ring.wrap
+    coeffs = tuple([wrap(p_mul(rp, c.payload)) for c in cert.coefficients])
+    return _derived(cert.ideal, coeffs, wrap(p_mul(rp, cert.value.payload)))
 
 
 def certify(ideal, coefficients):

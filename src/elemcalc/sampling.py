@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import DimensionTooSmall
 from .matrices import (
     ColumnVector,
     block_diagonal,
@@ -174,7 +175,11 @@ def sample_relative_form(rng, ring, n, ideal, letters=3):
 
     Draws a certified word eps0 in the lower right block, applies the
     congruence to the standard form, and returns (form, eps0 word).
+    A letter needs two inner indices, so letters > 0 needs n >= 2.
     """
+    if n < 2 and letters > 0:
+        raise DimensionTooSmall("a relative form with letters needs n >= 2, "
+                                "not n = %d" % (n,))
     inner = 2 * n - 1
     eps0 = Word(ring, inner)
     for _ in range(letters):

@@ -162,11 +162,8 @@ def _fix_pairing(rng, ring, w, v, forbidden=()):
         if m in forbidden:
             continue
         s = tilde_pair(basis_vector(ring, v.length, m), v)
-        try:
-            inv = invert_unit(s)
-        except NotAUnit:
-            continue
-        return w.with_entry(m, w.entry(m) - c * inv)
+        if ring.p_is_unit(s.payload):
+            return w.with_entry(m, w.entry(m) - c * invert_unit(s))
     return None
 
 
@@ -325,12 +322,8 @@ def _suite_unimodular(rng):
     size = 6
     for _ in range(40):
         w = sample_vector(rng, ring, size)
-        units = []
-        for m in range(1, size + 1):
-            try:
-                units.append((m, invert_unit(w.entry(m))))
-            except NotAUnit:
-                continue
+        units = [(m, invert_unit(w.entry(m))) for m in range(1, size + 1)
+                 if ring.p_is_unit(w.payloads[m - 1])]
         if units:
             break
     else:

@@ -140,13 +140,13 @@ class ElementaryLetter(_Letter):
             raise BadIndices("bad letter indices (%d, %d) at size %d"
                              % (i, j, size))
         _check_cert(cert, param, "the parameter")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "_pattern", pattern(i, j))
+        _set_kind(self, kind)
+        _set_size(self, size)
+        _set_i(self, i)
+        _set_j(self, j)
+        _set_param(self, param)
+        _set_cert(self, cert)
+        _set_pattern(self, pattern(i, j))
 
     @property
     def ring(self):
@@ -174,6 +174,11 @@ class ElementaryLetter(_Letter):
     def __repr__(self):
         return "%s[%d,%d](%r)" % (self.kind, self.i, self.j, self.param)
 
+
+# the slots' own setters: _Letter.__setattr__ refuses every later write
+(_set_kind, _set_size, _set_i, _set_j, _set_param, _set_cert,
+ _set_pattern) = [getattr(ElementaryLetter, name).__set__
+                  for name in ElementaryLetter.__slots__]
 
 class TransvectionLetter(_Letter):
     """Block transvection relative to an alternating form: row type for

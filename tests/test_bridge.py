@@ -7,6 +7,7 @@ import pytest
 from elemcalc import (
     AlternatingForm,
     BadIndices,
+    DimensionTooSmall,
     ElemcalcError,
     E1_to_etrans,
     ESp1_to_etranssp,
@@ -49,9 +50,10 @@ from elemcalc import (
     word_in_ESp1,
 )
 from elemcalc import bridge, jsonio
-from elemcalc.matrices import ColumnVector, identity
+from elemcalc.matrices import ColumnVector, ExactMatrix, identity
 from elemcalc.sampling import (prime_of, sample_alternating,
                                sample_relative_form)
+from elemcalc.words import TransvectionLetter
 
 Z27 = ZmodRing(27)
 I3 = IdealPresentation(Z27, (Z27.el(3),))
@@ -529,6 +531,18 @@ def test_standardize_accepts_every_relative_form():
         assert reconstruct(res.eps_word, n) == form
 
 
+def test_relative_form_with_one_pair_refuses_letters():
+    # at n = 1 the inner word has size 1, where no letter fits: the draw
+    # is refused before it touches the generator
+    rng = random.Random(31)
+    state = rng.getstate()
+    with pytest.raises(DimensionTooSmall, match="n = 1"):
+        sample_relative_form(rng, Z27, 1, I3, letters=1)
+    assert rng.getstate() == state
+    form, eps0 = sample_relative_form(rng, Z27, 1, I3, letters=0)
+    assert form == PSI1 and len(eps0) == 0
+
+
 def _prime_power_exponent(m):
     """k when m = p^k for a prime p, else None, by trial division."""
     p, k = prime_of(m), 0
@@ -590,6 +604,43 @@ def test_spell_checks_its_evaluation(monkeypatch):
     with pytest.raises(VerificationFailed,
                        match="translated word changed the evaluation"):
         etrans_word_to_E1(shears)
+
+
+def test_transvection_matrix_checks_the_form(monkeypatch):
+    # the letter's matrix loses the last cell of N, so it no longer
+    # preserves the extended form
+    honest = TransvectionLetter.matrix
+
+    def dropped(self, inverted=False):
+        m = honest(self, inverted)
+        r, c, _ = self.column_ops(inverted)[-1]
+        payloads = list(m.payloads)
+        payloads[(r - 1) * m.cols + c - 1] = m.ring.from_int(0)
+        return ExactMatrix(m.ring, m.rows, m.cols, payloads)
+
+    monkeypatch.setattr(TransvectionLetter, "matrix", dropped)
+    for build in (rho_matrix, mu_matrix):
+        with pytest.raises(VerificationFailed, match="transvection matrix "
+                           "does not preserve the extended form"):
+            build(cvec(Z27, 2, 3), 5, PSI1)
+
+
+def test_transport_checks_the_conjugate(monkeypatch):
+    # the transported letter is built on a vector one off in its first
+    # entry, so it no longer equals the conjugate of the original
+    honest = bridge.TransvectionLetter
+
+    def shifted(kind, q, scalar, form, certs=None):
+        entries = list(q.entries)
+        entries[0] = entries[0] + 1
+        return honest(kind, ColumnVector(q.ring, entries), scalar, form)
+
+    monkeypatch.setattr(bridge, "TransvectionLetter", shifted)
+    rho = RhoLetter(cvec(Z27, 3, 6, 9, 3), Z27.el(6), PSI2)
+    eps = word(Z27, 3, LinLetter(3, 1, 2, Z27.el(2)))
+    with pytest.raises(VerificationFailed, match="transported letter does "
+                       "not reproduce the conjugate"):
+        transport_conjugation(rho, eps)
 
 
 # pairs scaled by 4 and 7 = 1/4: the pivot must be normalized from 4 to 1

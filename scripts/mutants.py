@@ -7,8 +7,11 @@ Usage, from the root of a checkout (standard library and pytest only):
 decompose_conjugate and the rewriter's _finish each compare their whole
 output once with an independently evaluated target,
 standardize_alternating checks its working form and its recorded word
-once each, and kernel_decomposition checks its payload reconstruction
-of c; no inner check backs any of them up. A site is the one check
+once each, kernel_decomposition checks its payload reconstruction of c,
+the bridge's _checked_block checks that a transvection matrix preserves
+the extended form, and transport_conjugation checks that the
+transported letter reproduces the conjugate; no inner check backs any
+of these seven up. A site is the one check
 call inside its function that raises the site's message. For each site
 the script copies src/, tests/ and pyproject.toml into a temporary
 directory, runs the site's test file there once unchanged, then rewrites
@@ -44,6 +47,12 @@ SITES = (
      "tests/test_bridge.py"),
     ("matrices.py", "kernel_decomposition", "kernel reconstruction failed",
      "tests/test_matrices.py"),
+    ("bridge.py", "_checked_block",
+     "transvection matrix does not preserve the extended form",
+     "tests/test_bridge.py"),
+    ("bridge.py", "transport_conjugation",
+     "transported letter does not reproduce the conjugate",
+     "tests/test_bridge.py"),
 )
 
 # what each check becomes, given the source of its first argument

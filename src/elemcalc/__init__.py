@@ -1,7 +1,7 @@
 """Exact calculator for elementary and transvection matrix groups.
 
 The package builds matrices over explicit commutative rings (integers
-mod m, polynomial extensions, localizations), tracks ideal membership
+mod m and polynomial extensions of them), tracks ideal membership
 through certificates, and exposes the group-theoretic toolbox on top:
 generator words and their defining relations, conjugation rewriting
 with square-ideal output, decomposition of conjugated generators, and
@@ -43,7 +43,6 @@ from .errors import (
 from .rings import (
     CertifiedElement,
     IdealPresentation,
-    LocRing,
     PairwiseSquare,
     PolyRing,
     RingElement,

@@ -414,7 +414,7 @@ def _member_cert(ideal, v):
     ring = ideal.ring
     if v == 0:
         return ideal.zero_cert()
-    found = [(ring.p_content(g.payload), gi)
+    found = [(gcd(g.payload, ring.m), gi)
              for gi, g in enumerate(ideal.generators) if g.payload]
     if not found or v % min(found)[0]:
         return None
@@ -456,7 +456,7 @@ def standardize_alternating(phi, ideal):
         raise PfaffianNotOne("form has Pfaffian %r" % (phi.pfaffian_cache,))
     size = phi.size
     n = size // 2
-    m, content, invert = ring.m, ring.p_content, ring.p_invert
+    m, is_unit, invert = ring.m, ring.p_is_unit, ring.p_invert
     std = standard_symplectic_form(ring, n)
     S, W = std.payload_grid(), fm.payload_grid()
     # over Z/m the ideal is (g), g = gcd(m, generators)
@@ -484,9 +484,9 @@ def standardize_alternating(phi, ideal):
         a1, a2 = 2 * t - 1, 2 * t
         head = W[a1 - 1]
         trailing = range(2 * t + 1, size + 1)
-        if content(head[a2 - 1]) != 1:
+        if not is_unit(head[a2 - 1]):
             for b in trailing:
-                if content(head[b - 1]) == 1:
+                if is_unit(head[b - 1]):
                     apply_op(b, a2, 1)
                     break
             else:

@@ -44,7 +44,6 @@ from .rewrite import (
 from .rings import (
     CertifiedElement,
     IdealPresentation,
-    LocRing,
     PolyRing,
     RingElement,
     ZmodRing,
@@ -101,16 +100,13 @@ def _length(value):
 def _degree(x):
     """The largest total degree of the ring elements in x: an element, a
     matrix, a certificate, a letter, a word (its letters' degrees
-    summed), an ideal or a list of them. A localization element
-    num / d^exp adds exp deg(d); a transvection letter, whose cells
-    multiply its parts, sums theirs."""
+    summed), an ideal or a list of them. A transvection letter, whose
+    cells multiply its parts, sums theirs."""
     if isinstance(x, RingElement):
         ring, p = x.ring, x.payload
         if isinstance(ring, PolyRing):
             return max((sum(e) + _degree(ring.base.wrap(c))
                         for e, c in p.items()), default=0)
-        if isinstance(ring, LocRing):
-            return _degree(ring.base.wrap(p[0])) + p[1] * _degree(ring.denom)
         return 0
     if isinstance(x, Word):
         return sum(_degree(letter) for letter, _ in x.letters)

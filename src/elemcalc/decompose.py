@@ -45,6 +45,7 @@ from .errors import (
 from .matrices import (
     ColumnVector,
     _dense,
+    _dot,
     basis_vector,
     check_equal,
     identity,
@@ -335,11 +336,11 @@ def _long_root_unimodular(v, w, a, b, u):
     n = size // 2
     if n < 3:
         raise DimensionTooSmall("the unimodular case needs three pairs")
-    if not tilde_pair(v, w).is_zero():
+    c_vec = tilde(v).transpose()
+    if not _dot(ring, c_vec.payloads, w.payloads).is_zero():
         raise PairingNonzero("tilde(v) . w must vanish")
     note("long-root-unimodular", "v-support=%r", v.support())
     av, bv = a.value, b.value
-    c_vec = tilde(v).transpose()
     coeffs = kernel_decomposition(c_vec, w, u)
     note("kernel-decomposition", "%d pieces", len(coeffs))
     # one piece of v per a_ij, on the pairs of i and j; the pieces leaving
@@ -380,16 +381,17 @@ def _long_root_unimodular(v, w, a, b, u):
     return out
 
 
-def _unimodular_certificate(w, c, dense_row):
-    """A vector u with u^t w = 1 for the kernel decomposition of c.
+def _unimodular_certificate(w, c_support, dense_row):
+    """A vector u with u^t w = 1 for the kernel decomposition of a
+    vector c with support c_support.
 
     A unit coordinate w_k gives u = w_k^-1 e_k, which leaves only the
-    pieces (i, k); the first such k in supp(c) is preferred, since the
+    pieces (i, k); the first such k in c_support is preferred, since the
     piece (k, k) does not exist. With no unit coordinate in w, the dense
     row dense_row() is used.
     """
     ring = w.ring
-    for k in c.support() + list(range(1, w.length + 1)):
+    for k in c_support + list(range(1, w.length + 1)):
         if ring.p_is_unit(w.payloads[k - 1]):
             return basis_vector(ring, w.length, k).scale(
                 invert_unit(w.entry(k)))
@@ -430,8 +432,10 @@ def decompose_conjugate(g, i, j, a, b):
             if sj % 2 == 0:
                 v = -v
             w = G.column(sj)
+            # tilde(v)'s support, read off v: _long_root_unimodular
+            # builds tilde(v) itself, once
             u = _unimodular_certificate(
-                w, tilde(v).transpose(),
+                w, sorted(sigma(k) for k in v.support()),
                 lambda: evaluate(invert_word(g)).row_list(sj))
             note("conjugated-long-root", "columns %d and %d extracted", i, sj)
             out = _long_root_unimodular(v, w, a, b, u)

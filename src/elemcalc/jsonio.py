@@ -17,18 +17,12 @@ from .errors import (DescriptorMismatch, LengthMismatch, NotCertified,
 from .matrices import ColumnVector, from_rows
 from .rings import (
     IdealPresentation,
-    LocRing,
     PolyRing,
     ZmodRing,
     certify,
 )
 from .words import ElementaryLetter, TransvectionLetter, Word
 
-
-# The largest exponent of the denominator a localization element may
-# give. Arithmetic on it raises the denominator to that power, so the
-# work grows about quadratically with it.
-MAX_LOC_EXPONENT = 64
 
 # The most bits the modulus m of a zmod descriptor may have. Every
 # product of two elements costs time that grows with it; documented
@@ -64,15 +58,13 @@ def ring_to_json(ring):
     if isinstance(ring, PolyRing):
         return {"kind": "poly", "base": ring_to_json(ring.base),
                 "vars": list(ring.variables)}
-    if isinstance(ring, LocRing):
-        return {"kind": "loc", "base": ring_to_json(ring.base),
-                "denom": element_to_json(ring.denom)}
     raise DescriptorMismatch("cannot describe ring %r" % (ring,))
 
 
 def ring_from_json(data):
-    """Ring from its descriptor; a ring the constructor rejects (a zero
-    denominator, repeated variable names) raises DescriptorMismatch."""
+    """Ring from its descriptor, a zmod or a poly one; any other kind,
+    or a ring the constructor rejects (repeated variable names), raises
+    DescriptorMismatch."""
     kind = _need(data, "kind", "ring descriptor")
     if kind == "zmod":
         m = _need_int(_need(data, "m", "zmod descriptor"),
@@ -89,11 +81,6 @@ def ring_from_json(data):
                 or not all(isinstance(v, str) for v in variables)):
             raise DescriptorMismatch("poly vars must be a list of names")
         make, args = PolyRing, (base, tuple(variables))
-    elif kind == "loc":
-        base = ring_from_json(_need(data, "base", "loc descriptor"))
-        denom = element_from_json(base, _need(data, "denom",
-                                              "loc descriptor"))
-        make, args = LocRing, (base, denom)
     else:
         raise DescriptorMismatch("unknown ring kind %r" % (kind,))
     try:
@@ -117,9 +104,6 @@ def element_to_json(x):
             named = {name: e for name, e in zip(ring.variables, exps) if e}
             out.append([named, element_to_json(coeff)])
         return out
-    if isinstance(ring, LocRing):
-        num, exp = x.payload
-        return {"num": element_to_json(ring.base.wrap(num)), "exp": exp}
     raise DescriptorMismatch("cannot encode element of %r" % (ring,))
 
 
@@ -145,11 +129,6 @@ def element_from_json(ring, data):
             except UnknownVariable as exc:
                 raise DescriptorMismatch(str(exc)) from exc
         return out
-    if isinstance(ring, LocRing):
-        num = element_from_json(ring.base, _need(data, "num", "loc element"))
-        exp = _need_int(_need(data, "exp", "loc element"),
-                        "loc element field 'exp'", 0, MAX_LOC_EXPONENT)
-        return ring.wrap((num.payload, exp))
     raise DescriptorMismatch("cannot decode element of %r" % (ring,))
 
 

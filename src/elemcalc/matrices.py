@@ -127,9 +127,7 @@ class ExactMatrix:
         ring = self.ring
         if ring is not other.ring and ring != other.ring:
             return False
-        if ring.structural:
-            return self.payloads == other.payloads
-        return all(map(ring.p_eq, self.payloads, other.payloads))
+        return self.payloads == other.payloads
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -290,7 +288,7 @@ def is_alternating(m):
         if not ring.p_is_zero(a[i * n + i]):
             return False
         for j in range(i + 1, n):
-            if not ring.p_eq(a[i * n + j], ring.p_neg(a[j * n + i])):
+            if a[i * n + j] != ring.p_neg(a[j * n + i]):
                 return False
     return True
 
@@ -375,8 +373,8 @@ def pfaffian(phi):
     """Pfaffian of an alternating matrix.
 
     Over Z/m it is _zmod_pf's O(n^3) congruence elimination on the
-    integer payloads; over polynomial rings and localizations it is
-    _pf, Rote's division-free clow sum, O(n^4).
+    integer payloads; over polynomial rings it is _pf, Rote's
+    division-free clow sum, O(n^4).
     """
     if not is_alternating(phi):
         raise NotAlternating("pfaffian needs an alternating matrix")
@@ -453,7 +451,7 @@ def det(m):
     """Determinant of a square matrix.
 
     Over Z/m it is _zmod_det's O(n^3) row elimination on the integer
-    payloads; over polynomial rings and localizations it is _det,
+    payloads; over polynomial rings it is _det,
     Berkowitz's division-free recurrence, O(n^4).
     """
     if m.rows != m.cols:

@@ -1,15 +1,13 @@
 """Exact arithmetic for a small tower of commutative rings.
 
-Three ring kinds are provided:
+Two ring kinds are provided:
 
 * integers mod m (m >= 2),
-* multivariate polynomials over any ring of the tower,
-* localization of a ring at a declared non-zero-divisor.
+* multivariate polynomials over any ring of the tower.
 
 Elements are immutable wrappers around a ring-specific payload. All
-arithmetic is exact; equality is structural for Z/m and polynomials
-(payloads are kept canonical) and cross-multiplicative for localized
-fractions.
+arithmetic is exact. Every payload is kept canonical, so equality of
+elements is equality of payloads.
 
 Payloads inside, wrap at the boundary: the library computes with each
 ring's p_* functions on payloads, and wraps a result in a RingElement
@@ -102,10 +100,7 @@ class RingElement:
 
     def __eq__(self, other):
         if isinstance(other, (RingElement, int)):
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
-            return self.ring.p_eq(self.payload, o.payload)
+            return self.payload == self._coerce(other).payload
         return NotImplemented
 
     def is_zero(self):
@@ -162,11 +157,6 @@ class Ring:
     def p_sub(self, a, b):
         return self.p_add(a, self.p_neg(b))
 
-    def p_eq(self, a, b):
-        if self.structural:
-            return a == b
-        return self.p_is_zero(self.p_sub(a, b))
-
     def p_pow(self, a, k):
         """a**k by square-and-multiply: about 2 log2(k) products."""
         out = None
@@ -189,13 +179,11 @@ class Ring:
 
     # subclasses: from_int, p_add, p_neg, p_mul, p_is_zero, p_invert,
     # p_is_unit (True exactly where p_invert succeeds; never raises),
-    # p_content, p_repr, structural, __eq__, __hash__
+    # p_repr, __eq__, __hash__; every payload they return is canonical
 
 
 class ZmodRing(Ring):
     """Integers modulo m, m >= 2; payloads are ints in [0, m)."""
-
-    structural = True
 
     def __init__(self, m):
         if not isinstance(m, int) or m < 2:
@@ -246,10 +234,6 @@ class ZmodRing(Ring):
     def p_is_unit(self, a):
         return gcd(a, self.m) == 1
 
-    def p_content(self, a):
-        """gcd(a, m); a is a non-zero-divisor exactly when it is 1."""
-        return gcd(a, self.m)
-
     def p_repr(self, a):
         return str(a)
 
@@ -259,7 +243,7 @@ class PolyRing(Ring):
 
     Payloads are dicts mapping exponent tuples (one slot per variable)
     to nonzero base payloads. The empty dict is zero. Pruning keeps the
-    form canonical, so equality over a structural base is dict equality.
+    form canonical, so equality is dict equality.
     """
 
     def __init__(self, base, variables):
@@ -272,7 +256,6 @@ class PolyRing(Ring):
         self.base = base
         self.variables = variables
         self.nvars = len(variables)
-        self.structural = base.structural
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.variables == self.variables
@@ -358,9 +341,7 @@ class PolyRing(Ring):
         return {e: c for e, c in out.items() if not bzero(c)}
 
     def p_is_zero(self, a):
-        if self.structural:
-            return not a
-        return all(self.base.p_is_zero(c) for c in a.values())
+        return not a
 
     def p_invert(self, a):
         const = None
@@ -375,14 +356,6 @@ class PolyRing(Ring):
     def p_is_unit(self, a):
         const = a.get((0,) * self.nvars)
         return len(a) == 1 and const is not None and self.base.p_is_unit(const)
-
-    def p_content(self, a):
-        # McCoy: a polynomial is a zero-divisor exactly when a nonzero
-        # constant kills it, so the gcd of its coefficients decides.
-        g = self.base.p_content(self.base.from_int(0))
-        for c in a.values():
-            g = gcd(g, self.base.p_content(c))
-        return g
 
     def p_substitute(self, a, bindings):
         """bindings: variable name -> payload of this ring.
@@ -465,89 +438,6 @@ class PolyRing(Ring):
             else:
                 parts.append(cs)
         return " + ".join(parts)
-
-
-class LocRing(Ring):
-    """Localization of a base ring at a declared non-zero-divisor a.
-
-    Payloads are pairs (numerator payload, exponent): num / a^exp.
-    Equality is by cross-multiplication, valid because a is checked
-    to be a non-zero-divisor.
-    """
-
-    structural = False
-
-    def __init__(self, base, denominator):
-        super().__init__()
-        self.base = base
-        self.denom = base.el(denominator)
-        if base.p_content(self.denom.payload) != 1:
-            raise ValueError("denominator %r is zero or a zero-divisor in %r"
-                             % (self.denom, base))
-
-    def __eq__(self, other):
-        return (isinstance(other, LocRing) and other.base == self.base
-                and self.base.p_eq(other.denom.payload, self.denom.payload))
-
-    def __hash__(self):
-        return hash(("loc", self.base))
-
-    def __repr__(self):
-        return "%r localized at %r" % (self.base, self.denom)
-
-    def try_lift(self, x):
-        if isinstance(x, RingElement):
-            if x.ring == self.base:
-                return self.wrap((x.payload, 0))
-            inner = self.base.try_lift(x)
-            if inner is not None:
-                return self.wrap((inner.payload, 0))
-        return None
-
-    def from_int(self, n):
-        return (self.base.from_int(n), 0)
-
-    def _denom_pow(self, k):
-        return self.base.p_pow(self.denom.payload, k)
-
-    def p_add(self, a, b):
-        (na, ea), (nb, eb) = a, b
-        e = max(ea, eb)
-        na2 = self.base.p_mul(na, self._denom_pow(e - ea))
-        nb2 = self.base.p_mul(nb, self._denom_pow(e - eb))
-        return (self.base.p_add(na2, nb2), e)
-
-    def p_neg(self, a):
-        return (self.base.p_neg(a[0]), a[1])
-
-    def p_mul(self, a, b):
-        return (self.base.p_mul(a[0], b[0]), a[1] + b[1])
-
-    def p_eq(self, a, b):
-        left = self.base.p_mul(a[0], self._denom_pow(b[1]))
-        right = self.base.p_mul(b[0], self._denom_pow(a[1]))
-        return self.base.p_eq(left, right)
-
-    def p_is_zero(self, a):
-        return self.base.p_is_zero(a[0])
-
-    def p_content(self, a):
-        return self.base.p_content(a[0])
-
-    def p_invert(self, a):
-        num, e = a
-        inv = self.base.p_invert(num)
-        return (self.base.p_mul(self._denom_pow(e), inv), 0)
-
-    def p_is_unit(self, a):
-        return self.base.p_is_unit(a[0])
-
-    def p_repr(self, a):
-        num, e = a
-        if e == 0:
-            return self.base.p_repr(num)
-        return "(%s)/(%s)^%d" % (self.base.p_repr(num),
-                                 self.base.p_repr(self.denom.payload), e)
 
 
 def invert_unit(x):

@@ -83,17 +83,13 @@ def sample_element(rng, ring, max_degree=2, variables=None, terms=3):
     """
     if isinstance(ring, ZmodRing):
         return ring.wrap(rng.randrange(ring.m))
-    if isinstance(ring, PolyRing):
-        allowed = ring.variables if variables is None else tuple(variables)
-        out = ring.zero
-        for _ in range(rng.randint(1, terms)):
-            exps = _monomial(rng, allowed, max_degree)
-            coeff = sample_element(rng, ring.base, max_degree)
-            out = out + ring.monomial(zip(allowed, exps), coeff)
-        return out
-    # localization: numerator over a small denominator power
-    num = sample_element(rng, ring.base, max_degree)
-    return ring.wrap((num.payload, rng.randrange(2)))
+    allowed = ring.variables if variables is None else tuple(variables)
+    out = ring.zero
+    for _ in range(rng.randint(1, terms)):
+        exps = _monomial(rng, allowed, max_degree)
+        coeff = sample_element(rng, ring.base, max_degree)
+        out = out + ring.monomial(zip(allowed, exps), coeff)
+    return out
 
 
 def sample_certified(rng, ideal, max_degree=2, variables=None):

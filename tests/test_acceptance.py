@@ -326,12 +326,12 @@ def admitted_letters(command, ring, size, gens):
 HOSTILE = (
     "x", 1.5, True, {}, None, -1, [],
     cli.MAX_REQUEST_SIZE + 1, cli.MAX_REWRITE_LETTERS + 1,
-    jsonio.MAX_LOC_EXPONENT + 1, 1 << jsonio.MAX_MODULUS_BITS,
+    1 << jsonio.MAX_MODULUS_BITS,
     [{}] * (cli.MAX_REWRITE_LETTERS + 1),
     [{}] * (admitted_letters(
         "decompose", Z27, 2 * README_REQUESTS["decompose"]["n"], 1) + 1),
     [[0] * (cli.MAX_REQUEST_SIZE + 1)] * (cli.MAX_REQUEST_SIZE + 1),
-    {"num": [[{}, 1]], "exp": jsonio.MAX_LOC_EXPONENT + 1},
+    {"num": [[{}, 1]], "exp": 65},
     {"X": 10 ** 9},
 )
 

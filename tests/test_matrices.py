@@ -281,7 +281,7 @@ def test_pfaffian_and_det_take_order_n4_products(which, products):
 @pytest.mark.parametrize("which", ["_pf", "_det"])
 def test_division_free_bodies_take_order_n4_products(which, zmod_mul_budget):
     # Z/m takes the elimination, which multiplies ints directly; the
-    # bodies polynomial rings and localizations use are held to size**4
+    # bodies polynomial rings use are held to size**4
     # here through Z/27's p_mul
     size = 20
     m = rand_alternating(random.Random(12), Z27, size)

@@ -6,8 +6,7 @@ computation over the integers, reduced mod m afterwards. Pfaffians are checked a
 sum over perfect matchings of tests/test_matrices.py, and at sizes
 beyond its reach against Pf^2 = det. The Z/m elimination behind det
 and pfaffian is also checked against the division-free _det and _pf
-that polynomial rings keep. Localizations are checked through ring maps
-into Z/m."""
+that polynomial rings keep."""
 
 import functools
 import random
@@ -17,7 +16,7 @@ import pytest
 from elemcalc.matrices import (ColumnVector, ExactMatrix, _det, _pf,
                                block_diagonal, det, from_rows, pfaffian,
                                rank_two_update, tilde, tilde_pair)
-from elemcalc.rings import LocRing, PolyRing, Ring, ZmodRing, substitute
+from elemcalc.rings import PolyRing, Ring, ZmodRing, substitute
 from elemcalc.sampling import prime_of
 from test_matrices import pfaffian_matching_oracle
 
@@ -113,35 +112,6 @@ def test_zmod_power_matches_pow(m):
         for k in (0, 1, 4 ** 8):
             assert Z.p_pow(a, k) == pow(a, k, m)
             assert Z.p_pow(a, k) == Ring.p_pow(Z, a, k)
-
-
-def test_substitute_over_a_localization():
-    # the base loc((Z/27)[X], X+1) is not structural: the substitution is
-    # checked with == against each term multiplied out with **
-    Q = PolyRing(ZmodRing(27), ("X",))
-    x = Q.var("X")
-    L = LocRing(Q, x + Q.one)
-    P = PolyRing(L, ("S", "T"))
-
-    def frac(num, exp):
-        return P.el(L.wrap((num.payload, exp)))
-
-    coeffs = (frac(x * 2 + Q.el(1), 1), frac(x * 3, 2), frac(Q.el(5), 0),
-              frac(x * x + Q.el(4), 3))
-    exps = ((0, 0), (1, 2), (3, 1), (4 ** 4, 5))
-    p = P.zero
-    for c, (es, et) in zip(coeffs, exps):
-        p = p + c * P.var("S", es) * P.var("T", et)
-    values = (frac(x + Q.el(2), 1),                      # a constant
-              frac(x * 3, 1) * P.var("T", 2),            # one term
-              P.zero,                                    # zero
-              P.var("S") + frac(x * 3, 2) * P.var("T"))  # two terms
-    for vs in values:
-        for vt in (frac(Q.el(3), 0), P.var("S")):
-            want = P.zero
-            for c, (es, et) in zip(coeffs, exps):
-                want = want + c * vs ** es * vt ** et
-            assert substitute(p, {"S": vs, "T": vt}) == want
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -407,81 +377,3 @@ def test_matrix_arithmetic_matches_sympy_over_polynomials():
             scalar = sparse_pair(rng, 27, (0, 1, 2))
             assert_cases_match(arithmetic_cases(ring, grids, scalar),
                                lambda x: reduced(sympy.expand(x), 27))
-
-
-def check_loc_map(a, b, image, m):
-    """The map image from a localization to Z/m respects +, -, negation
-    and *, and sends equal elements to equal values and zero to 0."""
-    ia, ib = image(a), image(b)
-    assert image(a + b) == (ia + ib) % m
-    assert image(a - b) == (ia - ib) % m
-    assert image(-a) == -ia % m
-    assert image(a * b) == ia * ib % m
-    assert (a - a).is_zero()
-    if a == b:
-        assert ia == ib
-    if a.is_zero():
-        assert ia == 0
-
-
-def loc_sample(rng, L, num, k, denom):
-    """A random element num / a^e of L with e < 3, and the same element
-    written as num a^k / a^(e+k)."""
-    e = rng.randrange(3)
-    scaled = L.base.p_mul(num, L.base.p_pow(denom, k))
-    return L.wrap((num, e)), L.wrap((scaled, e + k))
-
-
-def test_localization_at_a_unit_matches_zmod():
-    """3 is a unit of Z/25, so num / 3^e -> num 3^-e is an isomorphism
-    from LocRing(Z/25, 3) onto Z/25: == and is_zero hold both ways."""
-    rng = random.Random(25)
-    L = LocRing(ZmodRing(25), 3)
-
-    def image(x):
-        num, e = x.payload
-        return num * pow(3, -e, 25) % 25
-
-    def sample():
-        num = rng.choice((0, rng.randrange(25)))
-        a, again = loc_sample(rng, L, num, rng.randrange(3), 3)
-        assert again == a and image(again) == image(a)
-        return a
-
-    for _ in range(300):
-        a, b = sample(), sample()
-        check_loc_map(a, b, image, 25)
-        assert (a == b) == (image(a) == image(b))
-        assert a.is_zero() == (image(a) == 0)
-
-
-def evaluate_at(x, x0):
-    """num(x0) / x0^e in Z/27 for an element num / X^e."""
-    num, e = x.payload
-    value = sum(c * pow(x0, k, 27) for (k,), c in num.items())
-    return value * pow(x0, -e, 27) % 27
-
-
-def test_localization_of_polynomials_matches_evaluation():
-    """X -> x0 at a unit point x0 maps LocRing((Z/27)[X], X) into Z/27;
-    the map is not injective, so == and is_zero are checked one way,
-    and on one element written with two denominators."""
-    rng = random.Random(27)
-    P = PolyRing(ZmodRing(27), ("X",))
-    L = LocRing(P, P.var("X"))
-
-    def sample():
-        num = P.zero
-        for _ in range(rng.randrange(3)):
-            num = num + P.el(rng.randrange(27)) * P.var("X", rng.randrange(4))
-        a, again = loc_sample(rng, L, num.payload, rng.randrange(1, 3),
-                              P.var("X").payload)
-        assert again == a
-        return a, again
-
-    for _ in range(100):
-        (a, a2), (b, _) = sample(), sample()
-        for x0 in (1, 2, 5, 26, rng.choice((4, 7, 8, 10, 11, 13))):
-            image = functools.partial(evaluate_at, x0=x0)
-            check_loc_map(a, b, image, 27)
-            assert image(a2) == image(a)

@@ -105,8 +105,7 @@ def _degree(x):
     if isinstance(x, RingElement):
         ring, p = x.ring, x.payload
         if isinstance(ring, PolyRing):
-            return max((sum(e) + _degree(ring.base.wrap(c))
-                        for e, c in p.items()), default=0)
+            return max(map(sum, p), default=0)
         return 0
     if isinstance(x, Word):
         return sum(_degree(letter) for letter, _ in x.letters)
@@ -127,16 +126,13 @@ def _degree(x):
 def _request_work(command, ring, size, length=0, gens=0, degree=0):
     """An upper bound on the coefficient products command does for size
     (2n, the word size or the matrix rows), length letters and gens ideal
-    generators over ring. degree bounds the request's degrees: a word's
-    letters' summed with its other elements', or a matrix entry's. A
-    product of polynomials of degree at most D in v variables costs at
-    most the square of their C(D + v, v) monomials, (1 + D)^2 in one
-    variable, and one mod m of d 30-bit digits d products mod 27."""
-    base, variables = ring, 0
-    while not isinstance(base, ZmodRing):
-        if isinstance(base, PolyRing):
-            variables += len(base.variables)
-        base = base.base
+    generators over ring, Z/m or (Z/m)[X1..Xv]. degree bounds the
+    request's degrees: a word's letters' summed with its other elements',
+    or a matrix entry's. A product of polynomials of degree at most D in
+    v variables costs at most the square of their C(D + v, v) monomials,
+    (1 + D)^2 in one variable, and one mod m of d 30-bit digits d
+    products mod 27."""
+    variables = ring.nvars if isinstance(ring, PolyRing) else 0
     if command == "decompose":
         # g is evaluated up to three times and the output has O(size)
         # letters per square generator; a letter's certificate costs 8
@@ -151,16 +147,16 @@ def _request_work(command, ring, size, length=0, gens=0, degree=0):
         # than its products, so the factor is 16 times theirs, with 32
         # more rows per letter
         work = 64 * length * (size + 32) * (size + gens)
-    elif command == "standardize" and base is ring:
+    elif command == "standardize" and not variables:
         # one pass of O(size) congruence operations per pair, each of
         # O(size) products; dense forms count up to 2.7 s^2 (s + k^2)
         work = 4 * size ** 2 * (size + gens ** 2)
     else:
         # Pf and det, paid by standardize before it refuses other rings;
         # their values reach size times the degree of an entry
-        work = size ** (3 if base is ring else 4)
+        work = size ** (4 if variables else 3)
         degree *= size
-    digits = -(-base.m.bit_length() // 30)
+    digits = -(-ring.m.bit_length() // 30)
     return work * comb(degree + variables, variables) ** 2 * digits
 
 

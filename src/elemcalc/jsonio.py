@@ -62,9 +62,9 @@ def ring_to_json(ring):
 
 
 def ring_from_json(data):
-    """Ring from its descriptor, a zmod or a poly one; any other kind,
-    or a ring the constructor rejects (repeated variable names), raises
-    DescriptorMismatch."""
+    """Ring from its descriptor, a zmod one or a poly one over zmod; any
+    other kind, or a ring the constructor rejects (repeated variable
+    names, a poly base), raises DescriptorMismatch."""
     kind = _need(data, "kind", "ring descriptor")
     if kind == "zmod":
         m = _need_int(_need(data, "m", "zmod descriptor"),
@@ -100,9 +100,8 @@ def element_to_json(x):
     if isinstance(ring, PolyRing):
         out = []
         for exps in sorted(x.payload):
-            coeff = ring.base.wrap(x.payload[exps])
             named = {name: e for name, e in zip(ring.variables, exps) if e}
-            out.append([named, element_to_json(coeff)])
+            out.append([named, x.payload[exps]])
         return out
     raise DescriptorMismatch("cannot encode element of %r" % (ring,))
 
@@ -123,7 +122,7 @@ def element_from_json(ring, data):
             named, coeff_data = item
             for name, e in named.items():
                 _need_int(e, "exponent of %r" % (name,), 0)
-            coeff = element_from_json(ring.base, coeff_data)
+            coeff = ring.base.el(_need_int(coeff_data, "zmod element"))
             try:
                 out = out + ring.monomial(named.items(), coeff)
             except UnknownVariable as exc:

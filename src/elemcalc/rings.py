@@ -1,9 +1,7 @@
-"""Exact arithmetic for a small tower of commutative rings.
-
-Two ring kinds are provided:
+"""Exact arithmetic for two kinds of commutative ring:
 
 * integers mod m (m >= 2),
-* multivariate polynomials over any ring of the tower.
+* multivariate polynomials over Z/m, whose coefficients are ints.
 
 Elements are immutable wrappers around a ring-specific payload. All
 arithmetic is exact. Every payload is kept canonical, so equality of
@@ -239,14 +237,17 @@ class ZmodRing(Ring):
 
 
 class PolyRing(Ring):
-    """Multivariate polynomials over a base ring.
+    """Multivariate polynomials over Z/m.
 
     Payloads are dicts mapping exponent tuples (one slot per variable)
-    to nonzero base payloads. The empty dict is zero. Pruning keeps the
-    form canonical, so equality is dict equality.
+    to int coefficients in (0, m). The empty dict is zero. Pruning keeps
+    the form canonical, so equality is dict equality.
     """
 
     def __init__(self, base, variables):
+        if not isinstance(base, ZmodRing):
+            raise ValueError("polynomial coefficients must lie in Z/m, "
+                             "not %r" % (base,))
         variables = tuple(variables)
         if len(set(variables)) != len(variables) or not variables:
             raise ValueError("variable names must be distinct and nonempty")
@@ -254,6 +255,7 @@ class PolyRing(Ring):
             raise ValueError("variable names must be nonempty")
         super().__init__()
         self.base = base
+        self.m = base.m
         self.variables = variables
         self.nvars = len(variables)
 
@@ -268,37 +270,31 @@ class PolyRing(Ring):
         return "%r[%s]" % (self.base, ",".join(self.variables))
 
     def try_lift(self, x):
-        if isinstance(x, RingElement):
-            if x.ring == self.base:
-                return self.wrap(self._embed(x.payload))
-            inner = self.base.try_lift(x)
-            if inner is not None:
-                return self.wrap(self._embed(inner.payload))
+        if x.ring == self.base:
+            return self.wrap(self._embed(x.payload))
         return None
 
-    def _embed(self, base_payload):
-        if self.base.p_is_zero(base_payload):
-            return {}
-        return {(0,) * self.nvars: base_payload}
+    def _embed(self, c):
+        return {(0,) * self.nvars: c} if c else {}
 
     def from_int(self, n):
-        return self._embed(self.base.from_int(n))
+        return self._embed(n % self.m)
 
     def var(self, name, e=1):
         """The monomial name**e."""
         return self.monomial([(name, e)])
 
     def monomial(self, exponents, coeff=None):
-        """coeff (a base element, default 1) times the product of name**e
-        over the (name, e) pairs, built from its exponent tuple; a
-        repeated name adds its exponents."""
+        """coeff (an element of Z/m, default 1) times the product of
+        name**e over the (name, e) pairs, built from its exponent tuple;
+        a repeated name adds its exponents."""
         exps = [0] * self.nvars
         for name, e in exponents:
             if name not in self.variables:
                 raise UnknownVariable("no variable %r in %r" % (name, self))
             exps[self.variables.index(name)] += e
-        c = self.base.from_int(1) if coeff is None else coeff.payload
-        if self.base.p_is_zero(c):
+        c = 1 if coeff is None else coeff.payload
+        if not c:
             return self.zero
         return self.wrap({tuple(exps): c})
 
@@ -308,37 +304,34 @@ class PolyRing(Ring):
         if not b:
             return a
         out = dict(a)
-        badd = self.base.p_add
-        bzero = self.base.p_is_zero
+        m = self.m
         for exps, c in b.items():
             if exps in out:
-                s = badd(out[exps], c)
-                if bzero(s):
-                    del out[exps]
-                else:
+                s = (out[exps] + c) % m
+                if s:
                     out[exps] = s
+                else:
+                    del out[exps]
             else:
                 out[exps] = c
         return out
 
     def p_neg(self, a):
-        bneg = self.base.p_neg
-        return {exps: bneg(c) for exps, c in a.items()}
+        m = self.m
+        return {exps: m - c for exps, c in a.items()}
 
     def p_mul(self, a, b):
         if not a or not b:
             return {}
         out = {}
-        badd = self.base.p_add
-        bmul = self.base.p_mul
+        get = out.get
         add = operator.add
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
-                prod = bmul(ca, cb)
-                out[e] = badd(out[e], prod) if e in out else prod
-        bzero = self.base.p_is_zero
-        return {e: c for e, c in out.items() if not bzero(c)}
+                out[e] = get(e, 0) + ca * cb
+        m = self.m
+        return {e: r for e, c in out.items() if (r := c % m)}
 
     def p_is_zero(self, a):
         return not a
@@ -355,7 +348,7 @@ class PolyRing(Ring):
 
     def p_is_unit(self, a):
         const = a.get((0,) * self.nvars)
-        return len(a) == 1 and const is not None and self.base.p_is_unit(const)
+        return len(a) == 1 and const is not None and gcd(const, self.m) == 1
 
     def p_substitute(self, a, bindings):
         """bindings: variable name -> payload of this ring.
@@ -363,9 +356,9 @@ class PolyRing(Ring):
         The substitution is simultaneous. When every bound value is one
         term c*X^f (a constant has f = 0, zero has no term), each term
         of a maps to one term in closed form: its coefficient times c^e
-        in the base ring, its exponents plus e*f. Otherwise each bound
-        value is raised by square-and-multiply. Either way one power is
-        computed per distinct (variable, exponent) in a.
+        mod m, its exponents plus e*f. Otherwise each bound value is
+        raised by square-and-multiply. Either way one power is computed
+        per distinct (variable, exponent) in a.
         """
         positions = {}
         for name in bindings:
@@ -374,11 +367,9 @@ class PolyRing(Ring):
             positions[self.variables.index(name)] = bindings[name]
         powers = {}
         out = {}
-        base = self.base
-        bmul, badd, bzero = base.p_mul, base.p_add, base.p_is_zero
+        m = self.m
         closed = all(len(val) <= 1 for val in positions.values())
         if closed:
-            zero = base.from_int(0)
             terms = [(pos, next(iter(val.items()), None))
                      for pos, val in positions.items()]
         for exps, c in a.items():
@@ -391,13 +382,13 @@ class PolyRing(Ring):
                     if not e:
                         continue
                     if term is None:        # zero to a positive power
-                        c = zero
+                        c = 0
                         break
                     f, cv = term
                     cp = powers.get((pos, e))
                     if cp is None:
-                        cp = powers[(pos, e)] = base.p_pow(cv, e)
-                    c = bmul(c, cp)
+                        cp = powers[(pos, e)] = pow(cv, e, m)
+                    c = c * cp % m
                     for i, fi in enumerate(f):
                         if fi:
                             rest[i] += e * fi
@@ -413,11 +404,11 @@ class PolyRing(Ring):
                         term = self.p_mul(term, pw)
                 pieces = term.items()
             for key, c in pieces:
-                if bzero(c):
+                if not c:
                     continue
                 if key in out:
-                    c = badd(out[key], c)
-                    if bzero(c):
+                    c = (out[key] + c) % m
+                    if not c:
                         del out[key]
                         continue
                 out[key] = c
@@ -428,11 +419,10 @@ class PolyRing(Ring):
             return "0"
         parts = []
         for exps in sorted(a):
-            c = a[exps]
+            cs = str(a[exps])
             mono = "*".join(
                 v if e == 1 else "%s^%d" % (v, e)
                 for v, e in zip(self.variables, exps) if e)
-            cs = self.base.p_repr(c)
             if mono:
                 parts.append("%s*%s" % (cs, mono) if cs != "1" else mono)
             else:

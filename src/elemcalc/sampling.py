@@ -10,7 +10,7 @@ Distributions, also summarized in the CLI help text:
     prime factor;
   * ideal generators are drawn among {p, p * unit};
   * polynomial draws use at most three monomials of total degree at
-    most two, with coefficients drawn from the base ring;
+    most two, with coefficients drawn from Z/m;
   * vectors and matrices draw each entry independently.
 """
 

@@ -57,16 +57,22 @@ def ring_element_count(monkeypatch):
 def products(monkeypatch):
     """A one-item list: the coefficient products so far, counted as the
     CLI's work model counts them. A ZmodRing.p_mul call is one, a
+    PolyRing.p_mul call one per pair of terms of its factors, a
     ZmodRing.p_column_op call one per row of its grid, and a row
     operation of the Z/m elimination (matrices._combine) one per entry
     of its rows."""
     count = [0]
     p_mul, column_op = ZmodRing.p_mul, ZmodRing.p_column_op
+    poly_mul = PolyRing.p_mul
     combine = matrices._combine
 
     def counting_mul(self, a, b):
         count[0] += 1
         return p_mul(self, a, b)
+
+    def counting_poly_mul(self, a, b):
+        count[0] += len(a) * len(b)
+        return poly_mul(self, a, b)
 
     def counting_column_op(self, grid, s, d, c):
         count[0] += len(grid)
@@ -77,6 +83,7 @@ def products(monkeypatch):
         return combine(m, s, r1, t, r2)
 
     monkeypatch.setattr(ZmodRing, "p_mul", counting_mul)
+    monkeypatch.setattr(PolyRing, "p_mul", counting_poly_mul)
     monkeypatch.setattr(ZmodRing, "p_column_op", counting_column_op)
     monkeypatch.setattr(matrices, "_combine", counting_combine)
     return count

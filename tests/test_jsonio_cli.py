@@ -345,7 +345,12 @@ def test_cli_malformed_input(monkeypatch, capsys):
      "unknown ring kind 'loc'"),
     ({"kind": "poly", "base": {"kind": "zmod", "m": 27}, "vars": ["X", "X"]},
      "bad poly descriptor"),
-], ids=["loc", "repeated-variable"])
+    # polynomial coefficients lie in Z/m: ((Z/25)[T])[X] is refused
+    ({"kind": "poly", "vars": ["X"],
+      "base": {"kind": "poly", "base": {"kind": "zmod", "m": 25},
+               "vars": ["T"]}},
+     "bad poly descriptor"),
+], ids=["loc", "repeated-variable", "nested-poly"])
 def test_cli_rejected_ring_descriptor(monkeypatch, capsys, ring, message):
     request = {"ring": ring, "matrix": [[0, 1], [-1, 0]]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))

@@ -75,14 +75,14 @@ MAX_REWRITE_LETTERS = 8
 
 # The most work, in _request_work's units, one data command may do. It
 # admits the costliest decompose the letter limit it replaced admitted,
-# 2,048 letters at n 64 over Z/3^161 (35.7 million; 2-3 s through main
-# on a 2-vCPU VM). The costliest request of each command it admits took
-# at most 5.5 s there: a decompose over (Z/27)[X] at n 3 is admitted up
-# to 45 letters c + dX. The costliest standardize, a dense 64-row form
-# over Z/3^161 with 13 generators, took 0.39 s through main (0.46 s in a
-# cold process). The digit factor is calibrated on p_column_op: per
-# product, moduli of 61, 127 and 256 bits (3, 5 and 9 digits of 30 bits)
-# cost 3.8, 5.0 and 8.7 times one below 2^30.
+# 2,048 letters at n 64 over Z/3^161 (35.7 million; about 1 s through
+# main on a 2-vCPU VM). A decompose over (Z/27)[X] at n 3 is admitted up
+# to 45 letters c + dX (0.4-0.9 s there); 128 such letters took
+# 4.5-7.6 s with the bound lifted. The costliest standardize, a dense
+# 64-row form over Z/3^161 with 13 generators, took 0.39 s through main
+# (0.46 s in a cold process). The digit factor is calibrated on p_column_op:
+# per product, moduli of 61, 127 and 256 bits (3, 5 and 9 digits of 30
+# bits) cost 3.8, 5.0 and 8.7 times one below 2^30.
 MAX_REQUEST_WORK = 40_000_000
 
 

@@ -122,7 +122,7 @@ def element_from_json(ring, data):
             named, coeff_data = item
             for name, e in named.items():
                 _need_int(e, "exponent of %r" % (name,), 0)
-            coeff = ring.base.el(_need_int(coeff_data, "zmod element"))
+            coeff = element_from_json(ring.base, coeff_data)
             try:
                 out = out + ring.monomial(named.items(), coeff)
             except UnknownVariable as exc:

@@ -1,4 +1,4 @@
-"""Dense exact matrices and column vectors over any tower ring.
+"""Dense exact matrices and column vectors over Z/m and (Z/m)[X1..Xk].
 
 Everything here is immutable and index-1-based in the public API,
 matching the algebraic conventions of the rest of the package.

@@ -579,6 +579,12 @@ def _check_inputs(eps, i, j, a_poly, size):
         if not _y_free(g):
             raise SideConditionViolated(
                 "ideal generators must not involve %s" % _YVAR)
+    # the peel ends because a product of enough ideal elements is zero:
+    # every coefficient of a generator must be nilpotent in Z/m
+    m = ring.m
+    if any(pow(c, m.bit_length(), m) for g in ideal.generators
+           for c in g.payload.values()):
+        raise SideConditionViolated("ideal must be nilpotent")
     for letter, _ in eps.letters:
         if not _y_free(letter.param):
             raise SideConditionViolated(
@@ -638,10 +644,11 @@ def _rewrite(kind, eps, i, j, a_poly):
 def rewrite_conjugation_linear(eps, i, j, a_poly):
     """Rewrite eps . E_ij(Y^(4^r) a) . eps^-1 as first-index letters.
 
-    eps must be a word of certified first-index linear letters whose
-    parameters do not involve Y; the target position (i, j) must have
-    a first index itself.  Every parameter of the output is divisible
-    by Y and certified in the same ideal as a_poly.
+    eps must be a word of certified first-index linear letters over a
+    nilpotent ideal whose parameters do not involve Y; the target
+    position (i, j) must have a first index itself.  Every parameter of
+    the output is divisible by Y and certified in the same ideal as
+    a_poly.
     """
     return _rewrite("E", eps, i, j, a_poly)
 
@@ -651,7 +658,8 @@ def rewrite_conjugation_symplectic(eps, i, j, a_poly):
 
     Needs 2 invertible.  eps must be a word of certified first-index
     symplectic letters (up to the sigma identification) with Y-free
-    parameters, and (i, j) must be first-index up to sigma as well.
+    parameters over a nilpotent ideal, and (i, j) must be first-index
+    up to sigma as well.
     """
     return _rewrite("se", eps, i, j, a_poly)
 

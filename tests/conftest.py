@@ -57,13 +57,15 @@ def ring_element_count(monkeypatch):
 def products(monkeypatch):
     """A one-item list: the coefficient products so far, counted as the
     CLI's work model counts them. A ZmodRing.p_mul call is one, a
-    PolyRing.p_mul call one per pair of terms of its factors, a
-    ZmodRing.p_column_op call one per row of its grid, and a row
-    operation of the Z/m elimination (matrices._combine) one per entry
-    of its rows."""
+    PolyRing.p_mul call one per pair of terms of its factors, a closed-
+    form PolyRing.p_substitute one per term of its argument and bound
+    variable that the term raises to a positive power (until one is
+    bound to zero), a ZmodRing.p_column_op call one per row of its grid,
+    and a row operation of the Z/m elimination (matrices._combine) one
+    per entry of its rows."""
     count = [0]
     p_mul, column_op = ZmodRing.p_mul, ZmodRing.p_column_op
-    poly_mul = PolyRing.p_mul
+    poly_mul, substitute = PolyRing.p_mul, PolyRing.p_substitute
     combine = matrices._combine
 
     def counting_mul(self, a, b):
@@ -73,6 +75,19 @@ def products(monkeypatch):
     def counting_poly_mul(self, a, b):
         count[0] += len(a) * len(b)
         return poly_mul(self, a, b)
+
+    def counting_substitute(self, a, bindings):
+        out = substitute(self, a, bindings)
+        if all(len(val) <= 1 for val in bindings.values()):
+            bound = [(self.variables.index(name), val)
+                     for name, val in bindings.items()]
+            for exps in a:
+                for pos, val in bound:
+                    if exps[pos]:
+                        if not val:
+                            break
+                        count[0] += 1
+        return out
 
     def counting_column_op(self, grid, s, d, c):
         count[0] += len(grid)
@@ -84,6 +99,7 @@ def products(monkeypatch):
 
     monkeypatch.setattr(ZmodRing, "p_mul", counting_mul)
     monkeypatch.setattr(PolyRing, "p_mul", counting_poly_mul)
+    monkeypatch.setattr(PolyRing, "p_substitute", counting_substitute)
     monkeypatch.setattr(ZmodRing, "p_column_op", counting_column_op)
     monkeypatch.setattr(matrices, "_combine", counting_combine)
     return count

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 from elemcalc import (
     AlternatingForm,
     DimensionTooSmall,
+    ESp1_to_etranssp,
+    ElemcalcError,
     IdealPresentation,
     LinLetter,
     PolyRing,
@@ -50,8 +53,10 @@ from elemcalc import (
 from elemcalc import cli, jsonio
 import elemcalc.rewrite as rewrite_module
 from elemcalc.sampling import (
+    prime_of,
     sample_alternating,
     sample_certified,
+    sample_element,
     sample_index1_linear_word,
     sample_index1_symplectic_word,
     sample_index1_symplectic,
@@ -380,3 +385,99 @@ def test_cli_fuzz_readme_requests(case):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         assert json.loads(out.getvalue())["verified"] is (rc == 0)
+
+
+# the rings of the valid-request gate: two local rings, a composite
+# modulus and one polynomial ring; rewrite works over (Z/m)[X, Y] with
+# the same moduli
+GATE_RINGS = (ZmodRing(27), ZmodRing(15), ZmodRing(49),
+              PolyRing(ZmodRing(27), ("X",)))
+
+
+def gate_ideal(rng, ring, variables=None):
+    """One or two generators, each p times a sampled element or, one
+    time in five, a sampled element alone (often a unit, or not
+    nilpotent)."""
+    p = prime_of(ring.m)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        x = sample_element(rng, ring, 1, variables)
+        gens.append(x if rng.random() < 0.2 else ring.el(p) * x)
+    return IdealPresentation(ring, tuple(gens))
+
+
+def gate_request(command, ring, rng):
+    """A request for command over ring (its (Z/m)[X, Y] for rewrite),
+    drawn by the library's samplers."""
+    if command == "decompose":
+        n = rng.randint(2, 4)
+        ideal = gate_ideal(rng, ring)
+        g = sample_symplectic_word(rng, ring, 2 * n, rng.randint(0, 4))
+        i, j = rng.sample(range(1, 2 * n + 1), 2)
+        a, b = (sample_certified(rng, ideal, 1) for _ in range(2))
+        return {"ring": jsonio.ring_to_json(ring),
+                "ideal": jsonio.ideal_to_json(ideal), "n": n,
+                "g": jsonio.word_to_json(g), "i": i, "j": j,
+                "a": jsonio.certified_to_json(a),
+                "b": jsonio.certified_to_json(b)}
+    if command == "rewrite":
+        ring = PolyRing(ZmodRing(ring.m), ("X", "Y"))
+        ideal = gate_ideal(rng, ring, ("X",))
+        mode = rng.choice(("linear", "symplectic"))
+        n = rng.randint(3, 4) if mode == "linear" else rng.randint(2, 3)
+        letters = rng.randint(0, 4)
+        if mode == "linear":
+            eps = sample_index1_linear_word(rng, ideal, n, letters, ("X",))
+            i, j = sample_linear_index1(rng, n)
+        else:
+            eps = sample_index1_symplectic_word(rng, ideal, 2 * n, letters,
+                                                ("X",))
+            i, j = sample_index1_symplectic(rng, 2 * n)
+        a = sample_certified(rng, ideal, 1, ("X",))
+        return {"ring": jsonio.ring_to_json(ring),
+                "ideal": jsonio.ideal_to_json(ideal), "mode": mode, "n": n,
+                "eps": jsonio.word_to_json(eps), "i": i, "j": j,
+                "aPoly": jsonio.certified_to_json(a)}
+    if command == "pfaffian":
+        matrix = sample_alternating(rng, ring, 2 * rng.randint(1, 3), 1)
+        return {"ring": jsonio.ring_to_json(ring),
+                "matrix": jsonio.matrix_to_json(matrix)}
+    ideal = gate_ideal(rng, ring)
+    if command == "standardize":
+        n = rng.randint(2, 3)
+        form, _ = sample_relative_form(rng, ring, n, ideal,
+                                       rng.randint(0, 3))
+        return {"ring": jsonio.ring_to_json(ring),
+                "ideal": jsonio.ideal_to_json(ideal),
+                "form": jsonio.matrix_to_json(form)}
+    size = 2 * rng.randint(2, 3)
+    w = sample_index1_symplectic_word(rng, ideal, size, rng.randint(0, 3))
+    if command == "expand":
+        w = ESp1_to_etranssp(w, ideal=ideal)
+    return {"ring": jsonio.ring_to_json(ring),
+            "ideal": jsonio.ideal_to_json(ideal),
+            "direction": command, "size": size,
+            "word": jsonio.word_to_json(w)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("decompose", "rewrite", "pfaffian", "standardize",
+                        "expand", "group")),
+       st.sampled_from(GATE_RINGS), st.integers(0, 2 ** 32))
+def test_cli_valid_requests_never_exit_1(command, ring, seed):
+    """A valid request drawn by the samplers exits 0 with "verified":
+    true, or is refused with exit 2, an empty stdout and a named error;
+    never 1, which means a result failed its exact check."""
+    try:
+        request = gate_request(command, ring, random.Random(seed))
+    except ElemcalcError:
+        return      # a draw the library cannot build, such as 2 not a unit
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(request))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["expand" if command == "group" else command])
+    assert rc in (0, 2), (out.getvalue(), err.getvalue())
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert json.loads(out.getvalue())["verified"] is True

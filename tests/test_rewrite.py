@@ -248,6 +248,10 @@ def test_rewrite_rejects_bad_inputs():
     y_cert = certify(I3, [R.var("Y"), R.el(0)])
     wrong = CertifiedElement(I3, [R.el(1), R.el(0)], value=R.el(5))
     y_ideal = IdealPresentation(R, (R.el(3), R.var("Y")))
+    # not nilpotent: some requests over (X) ran for minutes before the
+    # rewriter refused it, as its peel ends only when products vanish
+    x_cert = certify(IdealPresentation(R, (R.el(3), R.var("X"))),
+                     [R.el(1), R.el(1)])
     refusals = {
         "linear": ((2, 3), "target generator must be first-index",
                    "linear rewriting needs size at least 3"),
@@ -283,6 +287,9 @@ def test_rewrite_rejects_bad_inputs():
                 "ideal generators must not involve Y")):
             rewrite(Word(R, size, ()), 1, 3,
                     certify(y_ideal, [R.el(1), R.el(0)]))
+        with pytest.raises(SideConditionViolated, match=exactly(
+                "ideal must be nilpotent")):
+            rewrite(word(R, size, letter(x_cert)), 1, 3, x_cert)
 
 
 def test_rewrite_rejects_wrong_rings():
